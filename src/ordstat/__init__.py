@@ -12,13 +12,9 @@ from .generators import (CycleResult, LcgPeriod, LcgSpec, PowerGenSpec,
 from .classify import (DEFAULT_EPSILON, EpsilonFn, classify_prime,
                        divisor_quotient_bound, epsilon_default,
                        lcm_order_lower_bound, prime_orders_lower_bound)
-from .survey import (CLASS_COUNTS, CacheError, CheckpointError, FactorCache,
-                     HIGH_FACTOR, LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA,
-                     ORD_N, RSA_PAIR, SHIFTED_PRIME, SurveyConfig,
-                     SurveyResult, evaluate_chunk, evaluate_item,
-                     merge_results, run_survey, survey_class_counts,
-                     survey_high_factor, survey_lambda_lambda,
-                     survey_lambda_n, survey_ord_n, survey_rsa_pair,
-                     survey_shifted_prime)
+from .survey import (CLASS_COUNTS, CheckpointError, HIGH_FACTOR,
+                     LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
+                     RSA_PAIR, SHIFTED_PRIME, SurveyConfig, SurveyResult,
+                     evaluate_chunk, evaluate_item, merge_results, run_survey)
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ callers can assert with no floating point involved.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,9 +90,14 @@ class EpsilonFn:
         if not 0.0 < self.cap <= 0.5:
             raise ValueError(f"cap must be in (0, 1/2], got {self.cap}")
 
-    @property
+    @functools.cached_property
     def cap_exact(self) -> Fraction:
         return Fraction(str(self.cap))
+
+    @functools.cached_property
+    def _capped_exponents(self) -> dict[int, tuple[float, Fraction]]:
+        """(1/2 + multiplier*cap, its exact value), filled per multiplier."""
+        return {}
 
     @property
     def lower_bound_floor(self) -> float:
@@ -117,11 +123,13 @@ class EpsilonFn:
     def exponent(self, x: float, multiplier: int = 1) -> tuple[float, Fraction | None]:
         """1/2 + multiplier*eps(x), plus its exact rational value whenever
         eps is sitting on the cap (always, at desk scale)."""
-        v = self.at(x)
-        exact = None
-        if self.is_capped(x):
-            exact = Fraction(1, 2) + multiplier * self.cap_exact
-        return 0.5 + multiplier * v, exact
+        if not self.is_capped(x):
+            return 0.5 + multiplier * self.at(x), None
+        pair = self._capped_exponents.get(multiplier)
+        if pair is None:
+            pair = (0.5 + multiplier * self.cap, Fraction(1, 2) + multiplier * self.cap_exact)
+            self._capped_exponents[multiplier] = pair
+        return pair
 
 
 DEFAULT_EPSILON = EpsilonFn()

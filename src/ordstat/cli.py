@@ -11,15 +11,14 @@ All output is deterministic for a given argument list: JSON documents carry
 a "schema" field and survey CSV has a fixed column set (summary row first,
 then the 21 histogram bins in ascending order).  Exit codes: 0 success,
 2 usage or domain error, 3 arithmetic overflow, 4 I/O or corrupt state.
-The factor cache path may also be set via the ORDSTAT_CACHE environment
-variable; the --cache flag overrides it.
+Surveys factor through a smallest-prime-factor table over [1, --max]
+(capped at 2^27), which costs 2 bytes per integer and is built per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import factorize
@@ -28,10 +27,7 @@ from .generators import (LcgSpec, PowerGenSpec, lcg_period_analytic,
                          lcg_period_empirical, power_period_analytic,
                          power_period_empirical)
 from .orders import carmichael_lambda, omega, order_profile, smooth_part, squarefree_core
-from .survey import (CacheError, CheckpointError, FactorCache, SurveyConfig,
-                     SurveyResult, run_survey)
-
-CACHE_ENV = "ORDSTAT_CACHE"
+from .survey import CheckpointError, SurveyConfig, SurveyResult, run_survey
 
 SURVEY_CSV_COLUMNS = ("kind", "e", "x_max", "total", "exceed", "fraction",
                       "bin_lo", "bin_hi", "bin_count")
@@ -126,12 +122,7 @@ def _cmd_survey(args) -> int:
         seed=args.seed,
         sample_size=args.sample_size,
     )
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
-    cache = FactorCache.load_or_new(cache_path) if cache_path else None
-    result = run_survey(cfg, workers=args.workers, checkpoint=args.checkpoint,
-                        cache=cache)
-    if cache_path and cache is not None and len(cache):
-        cache.save(cache_path)
+    result = run_survey(cfg, workers=args.workers, checkpoint=args.checkpoint)
     text = (survey_result_csv(result) if args.format == "csv"
             else survey_result_json(result))
     if args.out:
@@ -198,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--workers", type=int, default=1)
     sv.add_argument("--chunk", type=int, default=10_000)
     sv.add_argument("--checkpoint", type=str, default=None)
-    sv.add_argument("--cache", type=str, default=None,
-                    help=f"factor cache path (default: ${CACHE_ENV})")
     sv.add_argument("--out", type=str, default=None)
     sv.add_argument("--format", choices=["csv", "json"], default="json")
     sv.add_argument("--seed", type=int, default=123456789,
@@ -223,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"ordstat: error: {exc}", file=sys.stderr)
         return 2
-    except (CacheError, CheckpointError, OSError) as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"ordstat: {exc}", file=sys.stderr)
         return 4
 

@@ -9,7 +9,7 @@ by stepping, so single queries stay polylogarithmic.
 
 Functions that need factorizations accept an optional ``factorizer``
 callable (same contract as arith.factorize) so that surveys can route them
-through a shared cache.
+through their smallest-prime-factor table.
 """
 
 from __future__ import annotations

@@ -18,13 +18,19 @@ Survey kinds:
     high-factor      some prime q | p-1 with q > p^0.677, over primes p
     class-counts     L/M/H class tallies over primes p
 
-with t = 1/2 + eps(n) by default, or a fixed exponent override.
+with t = 1/2 + eps(n) by default, or a fixed exponent override.  For
+rsa-pair the order is computed as lcm(coprime_order(e, p-1),
+coprime_order(e, l-1)), which is equal: the e-free part of an lcm is the
+lcm of the e-free parts, and the order modulo an lcm is the lcm of the
+orders.  Class-counts with the default cap 1/4 finds no H prime by
+construction, since coprime_order(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).
 
-The factor cache is a binary file (magic "OSFC", version byte, then
-length-prefixed entries); every entry is revalidated on load and lookup
-misses fall through to arith.factorize, so a cache can only speed a survey
-up, never change it.  Checkpoints are JSON carrying a config digest, the
-completed chunk list, and the partially merged result.
+Every value a survey factorizes is at most x_max, so factorizations come
+from a smallest-prime-factor table over [1, min(x_max, 2^27)] (2 bytes per
+integer, built lazily in each process on the first chunk it evaluates)
+instead of trial division.  Factorizations are canonical, so the table cannot change a
+result.  Checkpoints are JSON carrying a config digest, the completed chunk
+list, and the partially merged result.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ import json
 import math
 import os
 import random
-import struct
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,9 +77,12 @@ RSA_FULL_ENUM_LIMIT = 10_000_000
 _GUARD_REL = 1e-9
 _DECIMAL_PREC = 50
 
+# Largest table the factorizer builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
+# Values above it fall through to arith.factorize, which gives the same
+# canonical factorization, so the cap bounds memory and never a result.
+SPF_TABLE_MAX = 2**27
 
-class CacheError(Exception):
-    """The factor cache file is corrupt or has an unknown version."""
+_HIGH_FACTOR_EXPONENT = Fraction(677, 1000)
 
 
 class CheckpointError(Exception):
@@ -116,13 +125,17 @@ class SurveyConfig:
             return 16
         return 2
 
+    @functools.cached_property
+    def _override_exponent(self) -> tuple[float, Fraction]:
+        return float(self.exponent_override), Fraction(str(self.exponent_override))
+
     def threshold_exponent(self, x: int) -> tuple[float, Fraction | None]:
         if self.exponent_override is not None:
-            return float(self.exponent_override), Fraction(str(self.exponent_override))
+            return self._override_exponent
         if self.kind == ONE_MINUS_DELTA:
             return 1.0 - math.sqrt(math.log(math.log(x)) / math.log(x)), None
         if self.kind == HIGH_FACTOR:
-            return 0.677, Fraction(677, 1000)
+            return 0.677, _HIGH_FACTOR_EXPONENT
         return self.epsilon.exponent(x)
 
 
@@ -289,12 +302,50 @@ def evaluate_item(cfg: SurveyConfig, item, factorizer) -> tuple[bool, int | None
         return label == "H", log_ratio_bin(o, item), label
     if kind == RSA_PAIR:
         p, l = item
-        lam_pl = lcm(p - 1, l - 1)
-        o = coprime_order(e, lam_pl, factorizer)
+        o = lcm(coprime_order(e, p - 1, factorizer), coprime_order(e, l - 1, factorizer))
         x = p * l
         t, exact = cfg.threshold_exponent(x)
         return power_compare(o, x, t, exact) >= 0, log_ratio_bin(o, x), None
     raise ValueError(f"unknown survey kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# smallest-prime-factor table
+
+@functools.lru_cache(maxsize=1)
+def _spf_table(limit: int) -> array:
+    """Smallest prime factor of every composite n <= limit, 0 for 0, 1 and
+    the primes.  A composite's smallest prime factor is at most isqrt(limit),
+    below 2^16 for limit <= 2^32, so 2 bytes per entry suffice."""
+    spf = array("H", bytes(2 * (limit + 1)))
+    # descending, so that each entry ends up holding its smallest prime
+    for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
+        spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+    return spf
+
+
+def _table_factorizer(limit: int):
+    """A factorizer (same contract as arith.factorize) that reads n <= limit
+    off the smallest-prime-factor table and passes larger n to
+    arith.factorize."""
+    spf = _spf_table(limit)
+
+    def factorizer(n: int) -> Factorization:
+        if not 1 <= n <= limit:
+            return factorize(n)
+        value = n
+        factors = []
+        while n > 1:
+            p = spf[n] or n
+            n //= p
+            a = 1
+            while n % p == 0:
+                n //= p
+                a += 1
+            factors.append((p, a))
+        return Factorization(value, tuple(factors))
+
+    return factorizer
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +419,12 @@ def _chunk_items(cfg: SurveyConfig, lo: int, hi: int):
 
 
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int, factorizer=None) -> SurveyResult:
-    """Evaluate all items of the survey whose index falls in [lo, hi)."""
-    fac = factorizer or FactorCache().factorize
+    """Evaluate all items of the survey whose index falls in [lo, hi).
+
+    The default factorizer is the table over [1, min(x_max, SPF_TABLE_MAX)],
+    built on a process's first chunk, so pool workers build their own under
+    any start method."""
+    fac = factorizer or _table_factorizer(min(cfg.x_max, SPF_TABLE_MAX))
     result = empty_result(cfg)
     if cfg.kind == RSA_PAIR:
         result.sampled = _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed) is not None
@@ -388,13 +443,9 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int, factorizer=None) -> Surv
     return result
 
 
-_PROCESS_CACHE: "FactorCache | None" = None
-
-
 def _eval_worker(args) -> SurveyResult:
     cfg, lo, hi = args
-    fac = _PROCESS_CACHE.factorize if _PROCESS_CACHE is not None else None
-    return evaluate_chunk(cfg, lo, hi, fac)
+    return evaluate_chunk(cfg, lo, hi)
 
 
 def config_digest(cfg: SurveyConfig) -> str:
@@ -453,11 +504,10 @@ def _load_checkpoint(path: str, cfg: SurveyConfig) -> tuple[list[tuple[int, int]
     return done, partial
 
 
-def run_survey(cfg: SurveyConfig, workers: int = 1, checkpoint: str | None = None,
-               cache: "FactorCache | None" = None) -> SurveyResult:
+def run_survey(cfg: SurveyConfig, workers: int = 1,
+               checkpoint: str | None = None) -> SurveyResult:
     """Run the configured survey over chunks; the result is a pure function
     of cfg, identical for any worker count, chunking, or resume history."""
-    global _PROCESS_CACHE
     t0 = time.perf_counter()
     chunks = plan_chunks(cfg)
     if checkpoint and os.path.exists(checkpoint):
@@ -468,139 +518,18 @@ def run_survey(cfg: SurveyConfig, workers: int = 1, checkpoint: str | None = Non
     todo = [c for c in chunks if c not in done_set]
 
     if workers <= 1 or len(todo) <= 1:
-        fac = cache.factorize if cache is not None else None
         for lo, hi in todo:
-            result = merge_results(result, evaluate_chunk(cfg, lo, hi, fac))
+            result = merge_results(result, evaluate_chunk(cfg, lo, hi))
             done.append((lo, hi))
             if checkpoint:
                 _save_checkpoint(checkpoint, cfg, done, result)
     else:
-        _PROCESS_CACHE = cache
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (lo, hi), part in zip(todo, pool.map(_eval_worker,
-                                                         [(cfg, lo, hi) for lo, hi in todo])):
-                    result = merge_results(result, part)
-                    done.append((lo, hi))
-                    if checkpoint:
-                        _save_checkpoint(checkpoint, cfg, done, result)
-        finally:
-            _PROCESS_CACHE = None
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for (lo, hi), part in zip(todo, pool.map(_eval_worker,
+                                                     [(cfg, lo, hi) for lo, hi in todo])):
+                result = merge_results(result, part)
+                done.append((lo, hi))
+                if checkpoint:
+                    _save_checkpoint(checkpoint, cfg, done, result)
     result.elapsed = time.perf_counter() - t0
     return result
-
-
-def _survey_of_kind(cfg: SurveyConfig, kind: str) -> SurveyResult:
-    if cfg.kind != kind:
-        raise ValueError(f"config kind {cfg.kind!r} does not match {kind!r}")
-    return run_survey(cfg)
-
-
-def survey_ord_n(cfg: SurveyConfig) -> SurveyResult:
-    return _survey_of_kind(cfg, ORD_N)
-
-
-def survey_shifted_prime(cfg: SurveyConfig) -> SurveyResult:
-    return _survey_of_kind(cfg, SHIFTED_PRIME)
-
-
-def survey_rsa_pair(cfg: SurveyConfig) -> SurveyResult:
-    return _survey_of_kind(cfg, RSA_PAIR)
-
-
-def survey_lambda_n(cfg: SurveyConfig) -> SurveyResult:
-    if cfg.kind not in (LAMBDA_N, ONE_MINUS_DELTA):
-        raise ValueError(f"config kind {cfg.kind!r} is not a lambda survey")
-    return run_survey(cfg)
-
-
-def survey_lambda_lambda(cfg: SurveyConfig) -> SurveyResult:
-    return _survey_of_kind(cfg, LAMBDA_LAMBDA)
-
-
-def survey_high_factor(cfg: SurveyConfig) -> SurveyResult:
-    return _survey_of_kind(cfg, HIGH_FACTOR)
-
-
-def survey_class_counts(cfg: SurveyConfig) -> SurveyResult:
-    return _survey_of_kind(cfg, CLASS_COUNTS)
-
-
-# ---------------------------------------------------------------------------
-# factor cache
-
-_CACHE_MAGIC = b"OSFC"
-_CACHE_VERSION = 1
-
-
-class FactorCache:
-    """In-memory factorization map with a versioned binary file format.
-
-    Misses fall through to arith.factorize and are remembered; reads are
-    safe from any number of workers (the map is only grown, never mutated
-    in place), and persistence is an explicit save().
-    """
-
-    def __init__(self, entries: dict[int, Factorization] | None = None):
-        self._map: dict[int, Factorization] = dict(entries or {})
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self._map
-
-    def factorize(self, n: int) -> Factorization:
-        f = self._map.get(n)
-        if f is None:
-            f = factorize(n)
-            self._map[n] = f
-        return f
-
-    def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<BQ", _CACHE_VERSION, len(self._map)))
-            for value in sorted(self._map):
-                factors = self._map[value].factors
-                fh.write(struct.pack("<QB", value, len(factors)))
-                for p, a in factors:
-                    fh.write(struct.pack("<QB", p, a))
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "FactorCache":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != _CACHE_MAGIC:
-            raise CacheError(f"{path}: bad magic, not a factor cache")
-        try:
-            version, count = struct.unpack_from("<BQ", blob, 4)
-        except struct.error as exc:
-            raise CacheError(f"{path}: truncated header") from exc
-        if version != _CACHE_VERSION:
-            raise CacheError(f"{path}: unknown cache version {version}")
-        offset = 13
-        entries: dict[int, Factorization] = {}
-        try:
-            for _ in range(count):
-                value, k = struct.unpack_from("<QB", blob, offset)
-                offset += 9
-                factors = []
-                for _ in range(k):
-                    p, a = struct.unpack_from("<QB", blob, offset)
-                    offset += 9
-                    factors.append((p, a))
-                entries[value] = Factorization(value, tuple(factors))
-        except (struct.error, ValueError) as exc:
-            raise CacheError(f"{path}: corrupt entry: {exc}") from exc
-        if offset != len(blob):
-            raise CacheError(f"{path}: trailing garbage after {count} entries")
-        return cls(entries)
-
-    @classmethod
-    def load_or_new(cls, path: str) -> "FactorCache":
-        if os.path.exists(path):
-            return cls.load(path)
-        return cls()

@@ -9,6 +9,7 @@ tests/make_goldens.py (regenerate with: python tests/make_goldens.py).
 """
 
 import decimal
+import functools
 import json
 import math
 import random
@@ -22,15 +23,15 @@ from ordstat.generators import (LcgSpec, PowerGenSpec, lcg_period_analytic,
                                 lcg_period_empirical, power_period_analytic,
                                 power_period_empirical)
 from ordstat.orders import carmichael_lambda, coprime_order, coprime_part
-from ordstat.survey import (CLASS_COUNTS, FactorCache, HIGH_FACTOR, LAMBDA_N,
-                            ORD_N, SHIFTED_PRIME, SurveyConfig, run_survey)
+from ordstat.survey import (CLASS_COUNTS, HIGH_FACTOR, LAMBDA_N, ORD_N,
+                            SHIFTED_PRIME, SurveyConfig, run_survey)
 import ordstat.survey as survey_mod
 from ordstat.cli import survey_result_csv
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "oracle_measurements.json").read_text())["surveys"]
 
-_CACHE = FactorCache()  # shared across criteria; cannot change any result
+_FACTORIZE = functools.lru_cache(maxsize=None)(factorize)  # shared across criteria
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -53,7 +54,7 @@ def test_criterion_1_order_oracle_equivalence():
     mismatches = 0
     for n in range(1, 10**4 + 1):
         for e in (2, 3, 5, 10):
-            if coprime_order(e, n, _CACHE.factorize) != brute_order_step(e, coprime_part(n, e)):
+            if coprime_order(e, n, _FACTORIZE) != brute_order_step(e, coprime_part(n, e)):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     _line(1, mismatches == 0 and elapsed < 60,
@@ -106,7 +107,7 @@ def _enumerated_group_exponent(n: int) -> int:
 def test_criterion_2_lambda_oracle_equivalence():
     mismatches = 0
     for n in range(1, 5001):
-        if carmichael_lambda(_CACHE.factorize(n)) != _enumerated_group_exponent(n):
+        if carmichael_lambda(_FACTORIZE(n)) != _enumerated_group_exponent(n):
             mismatches += 1
     _line(2, mismatches == 0,
           f"lambda equals enumerated max element order for n <= 5000 "
@@ -122,7 +123,7 @@ def test_criterion_3_power_period_equivalence():
                     continue
                 spec = PowerGenSpec(e=e, n=n, u0=u0)
                 cyc = power_period_empirical(spec)
-                if cyc.period != power_period_analytic(spec, _CACHE.factorize):
+                if cyc.period != power_period_analytic(spec, _FACTORIZE):
                     violations += 1
                 if cyc.tail > n.bit_length():  # floor(log2 n) + 1
                     violations += 1
@@ -138,7 +139,7 @@ def test_criterion_4_lcg_contract():
             for b in (0, 1, 7):
                 for u0 in (0, 1):
                     spec = LcgSpec(e=e, b=b, n=n, u0=u0)
-                    info = lcg_period_analytic(spec, _CACHE.factorize)
+                    info = lcg_period_analytic(spec, _FACTORIZE)
                     cyc = lcg_period_empirical(spec)
                     if info.exact is not None and cyc.period != info.exact:
                         violations += 1
@@ -151,7 +152,7 @@ def test_criterion_4_lcg_contract():
 
 def test_criterion_5_exact_inequalities():
     t0 = time.perf_counter()
-    fac = _CACHE.factorize
+    fac = _FACTORIZE
     violations = 0
 
     # order product bound over all n <= 1e5, e in {2, 3}

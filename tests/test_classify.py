@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -64,8 +65,7 @@ def test_classify_examples():
 
 
 def test_classes_partition_primes():
-    from ordstat.survey import FactorCache
-    fac = FactorCache().factorize
+    fac = functools.lru_cache(maxsize=None)(factorize)
     eps = EpsilonFn()
     for e in (2, 3, 10):
         for p in sieve_primes(100_000):

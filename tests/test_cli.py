@@ -137,25 +137,12 @@ def test_survey_json_round_trips(capsys):
     assert doc["fraction"] == f"{doc['exceed']}/{doc['total']}"
 
 
-def test_survey_cache_env_and_flag(tmp_path, capsys, monkeypatch):
-    env_cache = tmp_path / "env.bin"
-    monkeypatch.setenv(cli.CACHE_ENV, str(env_cache))
-    assert main(["survey", "--kind", "lambda-n", "--max", "500"]) == 0
-    capsys.readouterr()
-    assert env_cache.exists()
-    flag_cache = tmp_path / "flag.bin"
+def test_corrupt_checkpoint_exits_4(tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("not a checkpoint at all")
     assert main(["survey", "--kind", "lambda-n", "--max", "500",
-                 "--cache", str(flag_cache)]) == 0
-    capsys.readouterr()
-    assert flag_cache.exists()
-
-
-def test_corrupt_cache_exits_4(tmp_path, capsys):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"not a cache at all")
-    assert main(["survey", "--kind", "lambda-n", "--max", "500",
-                 "--cache", str(bad)]) == 4
-    capsys.readouterr()
+                 "--checkpoint", str(bad)]) == 4
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_overflow_maps_to_exit_3(capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import functools
 import math
 import random
 
 import pytest
 
+from ordstat.arith import factorize
 from ordstat.generators import (CycleResult, LcgSpec, PowerGenSpec,
                                 brent_cycle, lcg_iterate, lcg_period_analytic,
                                 lcg_period_empirical, max_seed_period,
@@ -98,9 +100,7 @@ def test_seed_robustness_inequality():
     # period for any seed is at least the maximal-seed period divided by
     # the order deficiency j = lambda(n) / coprime_order(u0, n)
     from ordstat.orders import carmichael_lambda
-    from ordstat.survey import FactorCache
-
-    fac = FactorCache().factorize
+    fac = functools.lru_cache(maxsize=None)(factorize)
     rng = random.Random(3)
     for n in range(2, 3001):
         lam = carmichael_lambda(fac(n))

@@ -1,17 +1,21 @@
+import functools
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import ordstat.survey as survey_mod
-from ordstat.arith import factorize
-from ordstat.classify import EpsilonFn
+from ordstat.arith import factorize, lcm, primes_in_range
+from ordstat.classify import EpsilonFn, power_compare
 from ordstat.orders import carmichael_lambda, coprime_order
-from ordstat.survey import (CLASS_COUNTS, CacheError, CheckpointError,
-                            FactorCache, HIGH_FACTOR, LAMBDA_LAMBDA, LAMBDA_N,
-                            ONE_MINUS_DELTA, ORD_N, RSA_PAIR, SHIFTED_PRIME,
+from ordstat.survey import (CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
+                            LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
+                            RSA_PAIR, SHIFTED_PRIME,
                             SurveyConfig, empty_result, evaluate_chunk,
                             evaluate_item, log_ratio_bin, merge_results,
                             plan_chunks, rsa_pair_count, run_survey)
@@ -226,59 +230,71 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
         run_survey(cfg, checkpoint=str(tmp_path / "other.ckpt"))
 
 
-def test_factor_cache_roundtrip(tmp_path):
-    cache = FactorCache()
-    for n in range(1, 500):
-        cache.factorize(n)
-    path = str(tmp_path / "factors.bin")
-    cache.save(path)
-    loaded = FactorCache.load(path)
-    assert len(loaded) == len(cache)
-    assert loaded.factorize(360).factors == ((2, 3), (3, 2), (5, 1))
+def test_table_factorizer_matches_factorize():
+    limit = 2 * 10**5
+    fac = survey_mod._table_factorizer(limit)
+    for n in range(1, limit + 1):
+        assert fac(n) == factorize(n), n
+    # above the table, values fall through to arith.factorize
+    small = survey_mod._table_factorizer(1000)
+    for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
+        assert small(n) == factorize(n), n
+    with pytest.raises(ValueError):
+        small(0)
 
 
-def test_factor_cache_rejects_corruption(tmp_path):
-    cache = FactorCache()
-    cache.factorize(360)
-    path = str(tmp_path / "factors.bin")
-    cache.save(path)
-    blob = Path(path).read_bytes()
+def test_surveys_factor_only_through_the_table(monkeypatch):
+    def no_trial_division(n, *args):
+        raise AssertionError(f"survey fell through to arith.factorize({n})")
 
-    Path(path).write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(CacheError):
-        FactorCache.load(path)
-
-    Path(path).write_bytes(blob[:4] + bytes([9]) + blob[5:])  # unknown version
-    with pytest.raises(CacheError):
-        FactorCache.load(path)
-
-    Path(path).write_bytes(blob[:-3])  # truncated entry
-    with pytest.raises(CacheError):
-        FactorCache.load(path)
-
-    Path(path).write_bytes(blob + b"\x00")  # trailing garbage
-    with pytest.raises(CacheError):
-        FactorCache.load(path)
-
-    # tampered factor data fails the product revalidation
-    bad = bytearray(blob)
-    bad[-1] ^= 1
-    Path(path).write_bytes(bytes(bad))
-    with pytest.raises(CacheError):
-        FactorCache.load(path)
+    monkeypatch.setattr(survey_mod, "factorize", no_trial_division)
+    for kind in KINDS:
+        assert run_survey(SurveyConfig(kind=kind, x_max=2000, chunk=700)).total > 0
 
 
-def test_cache_does_not_change_results(tmp_path):
-    cfg = SurveyConfig(kind=LAMBDA_N, x_max=1500)
-    bare = run_survey(cfg).to_dict()
-    cache = FactorCache()
-    warm = run_survey(cfg, cache=cache)
-    assert warm.to_dict() == bare
-    assert len(cache) > 0
-    path = str(tmp_path / "c.bin")
-    cache.save(path)
-    again = run_survey(cfg, cache=FactorCache.load(path))
-    assert again.to_dict() == bare
+def test_rsa_pair_order_is_lcm_of_shifted_orders():
+    # the survey takes lcm(ord*(e, p-1), ord*(e, l-1)); every decision must
+    # match the definition's ord*(e, lcm(p-1, l-1))
+    fac = functools.lru_cache(maxsize=None)(factorize)
+    table = survey_mod._table_factorizer(3000)
+    primes = primes_in_range(2, 3001)
+    pairs = [(p, l) for l in primes for p in primes if p < l < 2 * p]
+    for e in (2, 3, 6, 10):
+        cfg = SurveyConfig(kind=RSA_PAIR, x_max=3000, e=e)
+        for p, l in pairs:
+            o = coprime_order(e, lcm(p - 1, l - 1), fac)
+            t, exact = cfg.threshold_exponent(p * l)
+            want = (power_compare(o, p * l, t, exact) >= 0, log_ratio_bin(o, p * l), None)
+            assert evaluate_item(cfg, (p, l), table) == want, (e, p, l)
+
+
+def test_worker_count_invariance_under_spawn(tmp_path):
+    script = tmp_path / "spawn_survey.py"
+    script.write_text(textwrap.dedent("""
+        import json
+        import multiprocessing
+        import sys
+
+        from ordstat.survey import SurveyConfig, run_survey
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            configs = (SurveyConfig(kind="lambda-n", x_max=3000, chunk=400),
+                       SurveyConfig(kind="rsa-pair", x_max=500, sample_size=40,
+                                    seed=11, chunk=100))
+            json.dump([[run_survey(cfg, workers=w).to_dict() for w in (1, 2)]
+                       for cfg in configs], sys.stdout)
+    """))
+    src = str(Path(survey_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for one_worker, two_workers in runs:
+        assert one_worker == two_workers
+    assert runs[0][0] == run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000)).to_dict()
 
 
 def test_trend_windows_match_oracle():

@@ -32,6 +32,7 @@ from .arith import lcm as lcm64
 _GUARD_REL = 1e-9
 _DECIMAL_PREC = 50
 _EXACT_DENOM_LIMIT = 64
+_ALWAYS_CAPPED_BELOW = 2**64
 
 
 def _decimal_ctx() -> decimal.Context:
@@ -123,7 +124,8 @@ class EpsilonFn:
     def exponent(self, x: float, multiplier: int = 1) -> tuple[float, Fraction | None]:
         """1/2 + multiplier*eps(x), plus its exact rational value whenever
         eps is sitting on the cap (always, at desk scale)."""
-        if not self.is_capped(x):
+        # below 2^64, 2/log log x > 0.527 > 1/2 >= cap: no log needed
+        if x >= _ALWAYS_CAPPED_BELOW and not self.is_capped(x):
             return 0.5 + multiplier * self.at(x), None
         pair = self._capped_exponents.get(multiplier)
         if pair is None:

@@ -11,7 +11,7 @@ All output is deterministic for a given argument list: JSON documents carry
 a "schema" field and survey CSV has a fixed column set (summary row first,
 then the 21 histogram bins in ascending order).  Exit codes: 0 success,
 2 usage or domain error, 3 arithmetic overflow, 4 I/O or corrupt state.
-Surveys factor through a smallest-prime-factor table over [1, --max]
+Surveys read their orders off a smallest-prime-factor table over [1, --max]
 (capped at 2^27), which costs 2 bytes per integer and is built per process.
 """
 

@@ -8,8 +8,8 @@ period formulas.  Orders are computed by descending the group exponent
 by stepping, so single queries stay polylogarithmic.
 
 Functions that need factorizations accept an optional ``factorizer``
-callable (same contract as arith.factorize) so that surveys can route them
-through their smallest-prime-factor table.
+callable (same contract as arith.factorize), so that a caller evaluating
+many values can share one memoized factorizer.
 """
 
 from __future__ import annotations

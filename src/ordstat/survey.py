@@ -25,12 +25,18 @@ lcm of the e-free parts, and the order modulo an lcm is the lcm of the
 orders.  Class-counts with the default cap 1/4 finds no H prime by
 construction, since coprime_order(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).
 
-Every value a survey factorizes is at most x_max, so factorizations come
-from a smallest-prime-factor table over [1, min(x_max, 2^27)] (2 bytes per
-integer, built lazily in each process on the first chunk it evaluates)
-instead of trial division.  Factorizations are canonical, so the table cannot change a
-result.  Checkpoints are JSON carrying a config digest, the completed chunk
-list, and the partially merged result.
+Every value a survey evaluates is at most x_max.  Each process builds, on
+the first chunk it evaluates, one OrderKernel for the config's base over a
+smallest-prime-factor table of [1, min(x_max, 2^27)] (2 bytes per integer),
+and every kind reads its quantity from it: lambda(n), ord*(e, n) and the
+largest prime factor, with no Factorization built.  The kernel memoizes
+ord(e, q) for prime powers q that are proper factors of the values it
+evaluates (about 90 bytes an entry, 3.8 MB after ord-n at 10^6; a survey of
+primes stores nothing).  Values above the table fall through to
+coprime_order and carmichael_lambda of arith.factorize.  Every path is exact,
+so neither the table nor the memo can change a result.  Checkpoints are
+JSON carrying a config digest, the completed chunk list, and the partially
+merged result.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Factorization, factorize, lcm, primes_in_range
+from .arith import factorize, lcm, primes_in_range
 from .classify import DEFAULT_EPSILON, EpsilonFn, classify_order_value, power_compare
 from .orders import carmichael_lambda, coprime_order
 
@@ -77,9 +83,9 @@ RSA_FULL_ENUM_LIMIT = 10_000_000
 _GUARD_REL = 1e-9
 _DECIMAL_PREC = 50
 
-# Largest table the factorizer builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
-# Values above it fall through to arith.factorize, which gives the same
-# canonical factorization, so the cap bounds memory and never a result.
+# Largest table the order kernel builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
+# Values above it fall through to the orders module over arith.factorize,
+# which gives the same numbers, so the cap bounds memory and never a result.
 SPF_TABLE_MAX = 2**27
 
 _HIGH_FACTOR_EXPONENT = Fraction(677, 1000)
@@ -262,10 +268,26 @@ def _lamlam_exceeds(lamlam: int, n: int) -> bool:
     return decimal.Decimal(lamlam) > rhs
 
 
+def _one_minus_delta_exceeds(o: int, n: int, t: float) -> bool:
+    """o > n^t for the float exponent t = 1 - sqrt(log log n / log n).
+
+    Inside the guard band the exponent itself is recomputed from n in
+    50-digit decimal, so the decision does not depend on libm's rounding
+    of t."""
+    thr = math.exp(t * math.log(n))
+    if abs(o - thr) > _GUARD_REL * max(thr, 1.0):
+        return o > thr
+    ctx = _decimal_ctx()
+    lnn = ctx.ln(decimal.Decimal(n))
+    t_d = ctx.subtract(decimal.Decimal(1), ctx.sqrt(ctx.divide(ctx.ln(lnn), lnn)))
+    return decimal.Decimal(o) > ctx.exp(ctx.multiply(t_d, lnn))
+
+
 # ---------------------------------------------------------------------------
 # per-item evaluation
 
-def evaluate_item(cfg: SurveyConfig, item, factorizer) -> tuple[bool, int | None, str | None]:
+def evaluate_item(cfg: SurveyConfig, item,
+                  kernel: OrderKernel) -> tuple[bool, int | None, str | None]:
     """Evaluate one survey item: (exceeds, histogram bin, class label).
 
     The item is an integer for all kinds except rsa-pair, where it is the
@@ -273,36 +295,36 @@ def evaluate_item(cfg: SurveyConfig, item, factorizer) -> tuple[bool, int | None
     made, so any count is reproducible item by item.
     """
     kind = cfg.kind
-    e = cfg.e
     if kind == ORD_N:
-        o = coprime_order(e, item, factorizer)
+        o = kernel.ord(item)
         t, exact = cfg.threshold_exponent(item)
         return power_compare(o, item, t, exact) > 0, log_ratio_bin(o, item), None
-    if kind in (LAMBDA_N, ONE_MINUS_DELTA):
-        lam = carmichael_lambda(factorizer(item))
-        o = coprime_order(e, lam, factorizer)
+    if kind == LAMBDA_N:
+        o = kernel.ord(kernel.lam(item))
         t, exact = cfg.threshold_exponent(item)
         return power_compare(o, item, t, exact) > 0, log_ratio_bin(o, item), None
+    if kind == ONE_MINUS_DELTA:
+        o = kernel.ord(kernel.lam(item))
+        t, _ = cfg.threshold_exponent(item)
+        return _one_minus_delta_exceeds(o, item, t), log_ratio_bin(o, item), None
     if kind == LAMBDA_LAMBDA:
-        lam = carmichael_lambda(factorizer(item))
-        lamlam = carmichael_lambda(factorizer(lam))
+        lamlam = kernel.lam(kernel.lam(item))
         return _lamlam_exceeds(lamlam, item), _deficiency_bin(item, lamlam), None
     if kind == SHIFTED_PRIME:
-        o = coprime_order(e, item - 1, factorizer)
+        o = kernel.ord(item - 1)
         t, exact = cfg.threshold_exponent(item)
         return power_compare(o, item, t, exact) >= 0, log_ratio_bin(o, item), None
     if kind == HIGH_FACTOR:
-        f = factorizer(item - 1)
-        q = f.factors[-1][0] if f.factors else 1
+        q = kernel.lpf(item - 1)
         t, exact = cfg.threshold_exponent(item)
         return power_compare(q, item, t, exact) > 0, log_ratio_bin(q, item), None
     if kind == CLASS_COUNTS:
-        o = coprime_order(e, item, factorizer)
+        o = kernel.ord(item)
         label = classify_order_value(o, item, cfg.epsilon)
         return label == "H", log_ratio_bin(o, item), label
     if kind == RSA_PAIR:
         p, l = item
-        o = lcm(coprime_order(e, p - 1, factorizer), coprime_order(e, l - 1, factorizer))
+        o = lcm(kernel.ord(p - 1), kernel.ord(l - 1))
         x = p * l
         t, exact = cfg.threshold_exponent(x)
         return power_compare(o, x, t, exact) >= 0, log_ratio_bin(o, x), None
@@ -310,7 +332,7 @@ def evaluate_item(cfg: SurveyConfig, item, factorizer) -> tuple[bool, int | None
 
 
 # ---------------------------------------------------------------------------
-# smallest-prime-factor table
+# order kernel over the smallest-prime-factor table
 
 @functools.lru_cache(maxsize=1)
 def _spf_table(limit: int) -> array:
@@ -324,28 +346,98 @@ def _spf_table(limit: int) -> array:
     return spf
 
 
-def _table_factorizer(limit: int):
-    """A factorizer (same contract as arith.factorize) that reads n <= limit
-    off the smallest-prime-factor table and passes larger n to
-    arith.factorize."""
-    spf = _spf_table(limit)
+class OrderKernel:
+    """lambda(n), ord*(e, n) and the largest prime factor of n for one base e.
 
-    def factorizer(n: int) -> Factorization:
-        if not 1 <= n <= limit:
-            return factorize(n)
-        value = n
-        factors = []
+    Values n <= limit are factored off the smallest-prime-factor table, with
+    no Factorization built.  ord*(e, n) is the lcm of ord(e, q) over the
+    prime powers q = p^a exactly dividing n with p not dividing e.
+    ord(e, p) descends from p - 1 over the primes of p - 1, and
+    ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says.
+    ord(e, q) is memoized only when q is a proper factor of the value being
+    evaluated, so the memo holds at most one entry per prime power up to
+    limit/2 and a survey of primes stores nothing.  Values outside
+    [1, limit] fall through to coprime_order and carmichael_lambda of
+    arith.factorize, which give the same numbers.
+    """
+
+    def __init__(self, limit: int, e: int):
+        self.limit = limit
+        self.e = e
+        self._spf = _spf_table(limit)
+        self._memo: dict[int, int] = {}
+
+    def _prime_powers(self, n: int) -> list[tuple[int, int]]:
+        """(p, p^a) for each prime power exactly dividing 1 <= n <= limit."""
+        spf = self._spf
+        out = []
         while n > 1:
             p = spf[n] or n
+            q = p
             n //= p
-            a = 1
             while n % p == 0:
                 n //= p
-                a += 1
-            factors.append((p, a))
-        return Factorization(value, tuple(factors))
+                q *= p
+            out.append((p, q))
+        return out
 
-    return factorizer
+    def _prime_power_order(self, p: int, q: int, keep: bool) -> int:
+        """ord(e, q) for q = p^a with p not dividing e; memoized when keep."""
+        o = self._memo.get(q)
+        if o is not None:
+            return o
+        e = self.e
+        if q == p:
+            o = p - 1
+            for r, _ in self._prime_powers(o):
+                while o % r == 0 and pow(e, o // r, p) == 1:
+                    o //= r
+        else:
+            o = self._prime_power_order(p, q // p, True)
+            if pow(e, o, q) != 1:
+                o *= p
+        if keep:
+            self._memo[q] = o
+        return o
+
+    def ord(self, n: int) -> int:
+        """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""
+        if not 1 <= n <= self.limit:
+            return coprime_order(self.e, n)
+        e = self.e
+        result = 1
+        for p, q in self._prime_powers(n):
+            if e % p:
+                o = self._prime_power_order(p, q, q < n)
+                result = math.lcm(result, o)
+        return result
+
+    def lam(self, n: int) -> int:
+        """Carmichael lambda(n), with lambda(2^a) = 2^(a-2) for a >= 3."""
+        if not 1 <= n <= self.limit:
+            return carmichael_lambda(factorize(n))
+        result = 1
+        for p, q in self._prime_powers(n):
+            if p == 2:
+                lam = q >> 1 if q <= 4 else q >> 2
+            else:
+                lam = q - q // p
+            result = math.lcm(result, lam)
+        return result
+
+    def lpf(self, n: int) -> int:
+        """Largest prime factor of n, 1 for n = 1."""
+        if not 1 <= n <= self.limit:
+            return factorize(n).factors[-1][0]
+        spf = self._spf
+        while spf[n]:
+            n //= spf[n]
+        return n
+
+
+@functools.lru_cache(maxsize=1)
+def _order_kernel(limit: int, e: int) -> OrderKernel:
+    return OrderKernel(limit, e)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +510,20 @@ def _chunk_items(cfg: SurveyConfig, lo: int, hi: int):
     return range(lo, hi)
 
 
-def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int, factorizer=None) -> SurveyResult:
+def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
-    The default factorizer is the table over [1, min(x_max, SPF_TABLE_MAX)],
-    built on a process's first chunk, so pool workers build their own under
-    any start method."""
-    fac = factorizer or _table_factorizer(min(cfg.x_max, SPF_TABLE_MAX))
+    The order kernel reads the table over [1, min(x_max, SPF_TABLE_MAX)]
+    and is built on a process's first chunk, so pool workers build their own
+    under any start method, and surveys with the same range and base share
+    one."""
+    kernel = _order_kernel(min(cfg.x_max, SPF_TABLE_MAX), cfg.e)
     result = empty_result(cfg)
     if cfg.kind == RSA_PAIR:
         result.sampled = _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed) is not None
     for item in _chunk_items(cfg, lo, hi):
         try:
-            exceeds, stat_bin, label = evaluate_item(cfg, item, fac)
+            exceeds, stat_bin, label = evaluate_item(cfg, item, kernel)
         except OverflowError as exc:
             raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
         result.total += 1

@@ -12,16 +12,22 @@ All exceedance comparisons here are exact integer comparisons: with the
 default epsilon cap of 1/4 every threshold exponent at desk scale is the
 rational 3/4 (or 1/2 for the fixed-threshold trend windows, or 677/1000
 for the large-factor survey), so k > n^(3/4) is decided as k^4 > n^3.
-The only float comparison left is the sqrt(p)/log(p) class boundary; the
-script asserts that no prime sits within 1e-6 relative distance of it.
+Histogram bins are exact too: the 0.05-wide bin of log(q)/log(n) is the
+largest b <= 20 with n^b <= q^20.  The only float comparisons left are the
+sqrt(p)/log(p) class boundary and the lambda-lambda threshold
+n / exp((log log n)^3); the script asserts that no value sits within 1e-6
+relative distance of either.
 
-Run once, from the repository root:
+Run from the repository root:
 
-    python tests/make_goldens.py
+    python tests/make_goldens.py           # rewrite the golden file
+    python tests/make_goldens.py --check   # recompute, diff, write nothing
 
-Takes a few minutes (the class-count enumeration goes to 10^6).
+Takes about half a minute.  --check exits 1 if any recomputed value
+differs from the committed file.
 """
 
+import argparse
 import json
 import math
 import sys
@@ -121,6 +127,27 @@ def exceeds_three_quarters(k, n, strict):
     return lhs > rhs if strict else lhs >= rhs
 
 
+def exact_bin(q, n):
+    """Histogram bin of log(q)/log(n) in 0.05-wide bins, from integers only:
+    the largest b <= 20 with n^b <= q^20 (so values above 1 land in bin 20)."""
+    if q <= 1:
+        return 0
+    q20 = q**20
+    b = 0
+    while b < 20 and n ** (b + 1) <= q20:
+        b += 1
+    return b
+
+
+def lambda_lambda_exceeds(n):
+    """lambda(lambda(n)) > n / exp((log log n)^3), in floats, asserting that
+    no value sits within 1e-6 relative distance of the threshold."""
+    lamlam = lambda_formula(lambda_formula(n))
+    t = n * math.exp(-math.log(math.log(n)) ** 3)
+    assert abs(lamlam - t) > 1e-6 * max(t, 1.0), (n, lamlam, t)
+    return lamlam > t
+
+
 def self_check():
     assert order_scan(2, 7) == 3
     assert order_scan(3, 10) == 4
@@ -133,57 +160,93 @@ def self_check():
     assert coprime_part(45, 10) == 9
     assert euler_phi(10) == 4
     assert sorted_divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert [exact_bin(q, 64) for q in (1, 7, 8, 63, 64, 10**9)] == [0, 9, 10, 19, 20, 20]
     # every threshold exponent used below must really be capped at 1/4
     assert epsilon(2) == EPS_CAP and epsilon(10**6) == EPS_CAP
 
 
+class Tally:
+    """total, exceed and the 21-bin histogram of one survey."""
+
+    def __init__(self):
+        self.total = self.exceed = 0
+        self.histogram = [0] * 21
+
+    def add(self, hit, q, n):
+        self.total += 1
+        self.exceed += bool(hit)
+        self.histogram[exact_bin(q, n)] += 1
+
+    def as_dict(self, histogram=True):
+        out = {"total": self.total, "exceed": self.exceed}
+        if histogram:
+            out["histogram"] = self.histogram
+        return out
+
+
 def measure_ord_n(x_max, e=2):
-    total = exceed = 0
+    tally = Tally()
     for n in range(16, x_max + 1):
-        total += 1
-        if exceeds_three_quarters(order_coprime(e, n), n, strict=True):
-            exceed += 1
-    return total, exceed
+        o = order_coprime(e, n)
+        tally.add(exceeds_three_quarters(o, n, strict=True), o, n)
+    return tally
 
 
 def measure_shifted_prime(primes, x_max, e=2):
-    total = exceed = 0
+    tally = Tally()
     for p in primes:
         if p > x_max:
             break
-        total += 1
-        if exceeds_three_quarters(order_coprime(e, p - 1), p, strict=False):
-            exceed += 1
-    return total, exceed
+        o = order_coprime(e, p - 1)
+        tally.add(exceeds_three_quarters(o, p, strict=False), o, p)
+    return tally
 
 
 def measure_lambda_n(x_max, e=2, lo=16, fixed_half=False):
-    total = exceed = 0
+    tally = Tally()
     for n in range(lo, x_max + 1):
-        total += 1
         o = order_coprime(e, lambda_formula(n))
         if fixed_half:
             hit = o * o > n
         else:
             hit = exceeds_three_quarters(o, n, strict=True)
-        if hit:
-            exceed += 1
-    return total, exceed
+        tally.add(hit, o, n)
+    return tally
 
 
 def measure_high_factor(primes, x_max):
-    total = exceed = 0
+    tally = Tally()
     for p in primes:
         if p > x_max:
             break
-        total += 1
-        if p == 2:
-            continue
-        q = max(factorize_trial(p - 1))
+        q = max(factorize_trial(p - 1)) if p > 2 else 1
         # q > p^0.677 exactly: q^1000 > p^677
-        if q**1000 > p**677:
-            exceed += 1
-    return total, exceed
+        tally.add(q**1000 > p**677, q, p)
+    return tally
+
+
+def measure_lambda_lambda(x_max):
+    total = exceed = 0
+    for n in range(2, x_max + 1):
+        total += 1
+        exceed += lambda_lambda_exceeds(n)
+    return {"total": total, "exceed": exceed}
+
+
+def measure_rsa_pair(primes, x_max, e=2):
+    """Every pair of primes p < l < 2p with l <= x_max; the order is taken
+    modulo lcm(p-1, l-1), as in the survey's definition."""
+    tally = Tally()
+    small = [p for p in primes if p <= x_max]
+    for l in small:
+        for p in small:
+            if p >= l:
+                break
+            if 2 * p > l:
+                m = (p - 1) * (l - 1) // math.gcd(p - 1, l - 1)
+                o = order_coprime(e, m)
+                tally.add(exceeds_three_quarters(o, p * l, strict=False), o, p * l)
+    return tally
 
 
 def measure_class_counts(primes, x_max, e=2):
@@ -203,45 +266,67 @@ def measure_class_counts(primes, x_max, e=2):
     return counts
 
 
-def main():
+def compute(log):
     self_check()
-    t0 = time.time()
     golden = {"epsilon_cap": EPS_CAP, "e": 2, "surveys": {}}
+    surveys = golden["surveys"]
 
     primes_1e6 = simple_sieve(10**6)
-    print(f"[{time.time()-t0:7.1f}s] sieve to 1e6 done ({len(primes_1e6)} primes)")
+    log(f"sieve to 1e6 done ({len(primes_1e6)} primes)")
 
-    total, exceed = measure_ord_n(10**5)
-    golden["surveys"]["ord-n@100000"] = {"total": total, "exceed": exceed}
-    print(f"[{time.time()-t0:7.1f}s] ord-n@1e5: {exceed}/{total}")
+    for key, measure in (
+            ("ord-n@100000", lambda: measure_ord_n(10**5)),
+            ("shifted-prime@100000", lambda: measure_shifted_prime(primes_1e6, 10**5)),
+            ("lambda-n@100000", lambda: measure_lambda_n(10**5)),
+            ("high-factor@100000", lambda: measure_high_factor(primes_1e6, 10**5)),
+            ("rsa-pair@3000", lambda: measure_rsa_pair(primes_1e6, 3000)),
+            ("ord-n@10000,e=6", lambda: measure_ord_n(10**4, e=6))):
+        tally = measure()
+        surveys[key] = tally.as_dict()
+        log(f"{key}: {tally.exceed}/{tally.total}")
 
-    total, exceed = measure_shifted_prime(primes_1e6, 10**5)
-    golden["surveys"]["shifted-prime@100000"] = {"total": total, "exceed": exceed}
-    print(f"[{time.time()-t0:7.1f}s] shifted-prime@1e5: {exceed}/{total}")
-
-    total, exceed = measure_lambda_n(10**5)
-    golden["surveys"]["lambda-n@100000"] = {"total": total, "exceed": exceed}
-    print(f"[{time.time()-t0:7.1f}s] lambda-n@1e5: {exceed}/{total}")
-
-    total, exceed = measure_high_factor(primes_1e6, 10**5)
-    golden["surveys"]["high-factor@100000"] = {"total": total, "exceed": exceed}
-    print(f"[{time.time()-t0:7.1f}s] high-factor@1e5: {exceed}/{total}")
+    surveys["lambda-lambda@100000"] = measure_lambda_lambda(10**5)
+    log(f"lambda-lambda@100000: {surveys['lambda-lambda@100000']}")
 
     for x in (10**4, 10**5, 10**6):
         counts = measure_class_counts(primes_1e6, x)
-        golden["surveys"][f"class-counts@{x}"] = counts
-        print(f"[{time.time()-t0:7.1f}s] class-counts@{x}: {counts}")
+        surveys[f"class-counts@{x}"] = counts
+        log(f"class-counts@{x}: {counts}")
 
     trend = {}
     for k in (10, 14, 18):
         x = 2**k
-        total, exceed = measure_lambda_n(2 * x, lo=x + 1, fixed_half=True)
-        trend[f"2^{k}"] = {"total": total, "exceed": exceed}
-        print(f"[{time.time()-t0:7.1f}s] lambda-n trend (2^{k}, 2^{k+1}]: {exceed}/{total}")
+        tally = measure_lambda_n(2 * x, lo=x + 1, fixed_half=True)
+        trend[f"2^{k}"] = tally.as_dict(histogram=False)
+        log(f"lambda-n trend (2^{k}, 2^{k+1}]: {tally.exceed}/{tally.total}")
     golden["trend_lambda_n_half"] = trend
+    return golden
 
+
+def _diff(want, got, path=""):
+    """Paths at which two JSON documents differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        return [d for key in sorted(set(want) | set(got))
+                for d in _diff(want.get(key), got.get(key), f"{path}/{key}")]
+    return [] if want == got else [f"{path}: committed {want!r}, recomputed {got!r}"]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute and diff against the committed file; write nothing")
+    args = parser.parse_args(argv)
+    t0 = time.time()
+    golden = compute(lambda msg: print(f"[{time.time()-t0:7.1f}s] {msg}", flush=True))
+    text = json.dumps(golden, indent=2, sort_keys=True) + "\n"
+    if args.check:
+        diffs = _diff(json.loads(OUT_PATH.read_text()), json.loads(text))
+        for d in diffs:
+            print(d)
+        print(f"[{time.time()-t0:7.1f}s] {len(diffs)} differences from {OUT_PATH}")
+        return 1 if diffs else 0
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUT_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(text)
     print(f"[{time.time()-t0:7.1f}s] wrote {OUT_PATH}")
     return 0
 

@@ -252,11 +252,11 @@ def test_criterion_7_survey_determinism(tmp_path, monkeypatch):
     real = survey_mod.evaluate_chunk
     calls = {"n": 0}
 
-    def interrupt_after_four(cfg, lo, hi, factorizer=None):
+    def interrupt_after_four(cfg, lo, hi):
         if calls["n"] == 4:
             raise KeyboardInterrupt
         calls["n"] += 1
-        return real(cfg, lo, hi, factorizer)
+        return real(cfg, lo, hi)
 
     monkeypatch.setattr(survey_mod, "evaluate_chunk", interrupt_after_four)
     with pytest.raises(KeyboardInterrupt):

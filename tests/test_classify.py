@@ -30,6 +30,20 @@ def test_epsilon_clamp_semantics():
     assert EpsilonFn(cap=0.1)(10**9) == 0.1
 
 
+def test_epsilon_exponent_matches_is_capped_path():
+    # exponent() skips the log-log test below 2^64; it must agree with it
+    for cap in (0.1, 0.25, 0.5):
+        eps = EpsilonFn(cap=cap)
+        for x in (16, 10**6, 2**63, 2**64 - 1, 2**64, 10**30):
+            for m in (1, 2):
+                if eps.is_capped(x):
+                    want = (0.5 + m * cap, Fraction(1, 2) + m * Fraction(str(cap)))
+                else:
+                    want = (0.5 + m * eps.at(x), None)
+                assert eps.exponent(x, multiplier=m) == want, (cap, x, m)
+    assert not EpsilonFn(cap=0.5).is_capped(10**30)  # both branches are swept
+
+
 def test_epsilon_monotone_nonincreasing():
     eps = EpsilonFn()
     grid = [16 * 1.07**k for k in range(600)]  # up to ~1e19

@@ -1,4 +1,6 @@
+import decimal
 import functools
+import itertools
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +18,7 @@ from ordstat.classify import EpsilonFn, power_compare
 from ordstat.orders import carmichael_lambda, coprime_order
 from ordstat.survey import (CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
-                            RSA_PAIR, SHIFTED_PRIME,
+                            RSA_PAIR, SHIFTED_PRIME, OrderKernel,
                             SurveyConfig, empty_result, evaluate_chunk,
                             evaluate_item, log_ratio_bin, merge_results,
                             plan_chunks, rsa_pair_count, run_survey)
@@ -61,7 +64,7 @@ def test_shifted_prime_small():
     assert r.total == 4  # every prime <= 10 evaluated
     # p = 7 under the default epsilon: ord*(2, 6) = 2 < 7^(3/4)
     exceeds, _, _ = evaluate_item(SurveyConfig(kind=SHIFTED_PRIME, x_max=10), 7,
-                                  factorize)
+                                  OrderKernel(10, 2))
     assert not exceeds
 
 
@@ -92,9 +95,9 @@ def test_lambda_lambda_guard_semantics():
 
 def test_high_factor_items():
     cfg = SurveyConfig(kind=HIGH_FACTOR, x_max=100)
-    exceeds, _, _ = evaluate_item(cfg, 23, factorize)
+    exceeds, _, _ = evaluate_item(cfg, 23, OrderKernel(100, 2))
     assert exceeds  # 22 = 2*11 and 11 > 23^0.677
-    exceeds, _, _ = evaluate_item(cfg, 2, factorize)
+    exceeds, _, _ = evaluate_item(cfg, 2, OrderKernel(100, 2))
     assert not exceeds
 
 
@@ -111,6 +114,50 @@ def test_one_minus_delta_threshold():
         assert 0.0 < t < 1.0
         ts.append(t)
     assert ts == sorted(ts)
+
+
+def _one_minus_delta_oracle(o, n):
+    """o > n^(1 - sqrt(log log n / log n)) in 80-digit decimal."""
+    ctx = decimal.Context(prec=80)
+    lnn = ctx.ln(decimal.Decimal(n))
+    t = ctx.subtract(decimal.Decimal(1), ctx.sqrt(ctx.divide(ctx.ln(lnn), lnn)))
+    return decimal.Decimal(o) > ctx.exp(ctx.multiply(t, lnn))
+
+
+def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
+    def fixed_order(o):  # a kernel whose ord() is o for every argument
+        return SimpleNamespace(lam=lambda n: n, ord=lambda m: o)
+
+    def decide(o, n):
+        cfg = SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n)
+        return evaluate_item(cfg, n, fixed_order(o))[0]
+
+    # near-ties at survey scale: the float threshold lands within the 1e-9 band
+    ties = []
+    for n in itertools.count(10**8):
+        t, _ = SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n).threshold_exponent(n)
+        thr = math.exp(t * math.log(n))
+        if abs(round(thr) - thr) <= 1e-9 * thr:
+            ties.append((round(thr), n))
+            if len(ties) == 3:
+                break
+    for o, n in ties:
+        for k in (o - 1, o, o + 1):
+            assert decide(k, n) == _one_minus_delta_oracle(k, n), (k, n)
+    # at n = 10^200 the threshold's relative error from the float exponent
+    # (about 1e-14) is far above 50 digits; an o between the true threshold
+    # and the one implied by repr() of the float exponent tells them apart
+    n = 10**200
+    t, _ = SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n).threshold_exponent(n)
+    ctx = decimal.Context(prec=80)
+    lnn = ctx.ln(decimal.Decimal(n))
+    true_thr = ctx.exp(ctx.multiply(ctx.subtract(
+        decimal.Decimal(1), ctx.sqrt(ctx.divide(ctx.ln(lnn), lnn))), lnn))
+    repr_thr = ctx.exp(ctx.multiply(decimal.Decimal(repr(t)), lnn))
+    assert abs(true_thr - repr_thr) > 10**100
+    o = int((true_thr + repr_thr) / 2)
+    assert abs(o - math.exp(t * math.log(n))) <= 1e-9 * math.exp(t * math.log(n))
+    assert decide(o, n) == _one_minus_delta_oracle(o, n)
 
 
 def test_class_counts_partition():
@@ -131,7 +178,7 @@ def test_rsa_pair_full_enumeration():
     assert r.total == len(pairs) == rsa_pair_count(19)
     assert not r.sampled
     # pair (11, 19): lambda(209) = lcm(10, 18) = 90, ord*(2, 90) = 12 < 209^(3/4)
-    exceeds, _, _ = evaluate_item(cfg, (11, 19), factorize)
+    exceeds, _, _ = evaluate_item(cfg, (11, 19), OrderKernel(19, 2))
     assert not exceeds
 
 
@@ -203,11 +250,11 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = survey_mod.evaluate_chunk
 
-    def explode_after_three(cfg, lo, hi, factorizer=None):
+    def explode_after_three(cfg, lo, hi):
         if calls["n"] == 3:
             raise KeyboardInterrupt
         calls["n"] += 1
-        return real(cfg, lo, hi, factorizer)
+        return real(cfg, lo, hi)
 
     monkeypatch.setattr(survey_mod, "evaluate_chunk", explode_after_three)
     with pytest.raises(KeyboardInterrupt):
@@ -230,24 +277,51 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
         run_survey(cfg, checkpoint=str(tmp_path / "other.ckpt"))
 
 
-def test_table_factorizer_matches_factorize():
+def test_order_kernel_matches_orders_module():
     limit = 2 * 10**5
-    fac = survey_mod._table_factorizer(limit)
+    fac = functools.lru_cache(maxsize=None)(factorize)
+    lam = [0] + [carmichael_lambda(fac(n)) for n in range(1, limit + 1)]
+    kernel = OrderKernel(limit, 2)
     for n in range(1, limit + 1):
-        assert fac(n) == factorize(n), n
-    # above the table, values fall through to arith.factorize
-    small = survey_mod._table_factorizer(1000)
+        assert kernel.lam(n) == lam[n], n
+        f = fac(n)
+        assert kernel.lpf(n) == (f.factors[-1][0] if f.factors else 1), n
+    powers = [b**a for b in (2, 3) for a in range(1, limit.bit_length()) if b**a <= limit]
+    for e in (2, 3, 6, 10, 12):
+        # the first kernel meets every prime power before any multiple of it,
+        # the second meets the powers of 2 and 3 largest first with an empty memo
+        for kernel, order in ((OrderKernel(limit, e), range(1, limit + 1)),
+                              (OrderKernel(limit, e), sorted(powers, reverse=True))):
+            for n in order:
+                assert kernel.ord(n) == coprime_order(e, n, fac), (e, n)
+    # above the table, values fall through to the orders module
+    small = OrderKernel(1000, 6)
     for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
-        assert small(n) == factorize(n), n
-    with pytest.raises(ValueError):
-        small(0)
+        assert small.ord(n) == coprime_order(6, n), n
+        assert small.lam(n) == carmichael_lambda(factorize(n)), n
+        assert small.lpf(n) == factorize(n).factors[-1][0], n
+    for method in (small.ord, small.lam, small.lpf):
+        with pytest.raises(ValueError):
+            method(0)
+
+
+def test_order_kernel_memo_holds_only_proper_factors():
+    kernel = OrderKernel(10**4, 2)
+    for p in primes_in_range(3, 10**4 + 1):
+        kernel.ord(p)
+    assert kernel._memo == {}
+    assert kernel.ord(3**4 * 7) == coprime_order(2, 3**4 * 7)
+    assert sorted(kernel._memo) == [3, 7, 9, 27, 81]
 
 
 def test_surveys_factor_only_through_the_table(monkeypatch):
-    def no_trial_division(n, *args):
-        raise AssertionError(f"survey fell through to arith.factorize({n})")
+    def fail(name):
+        def no_fall_through(*args):
+            raise AssertionError(f"survey fell through to {name}{args}")
+        return no_fall_through
 
-    monkeypatch.setattr(survey_mod, "factorize", no_trial_division)
+    for name in ("factorize", "coprime_order", "carmichael_lambda"):
+        monkeypatch.setattr(survey_mod, name, fail(name))
     for kind in KINDS:
         assert run_survey(SurveyConfig(kind=kind, x_max=2000, chunk=700)).total > 0
 
@@ -256,16 +330,16 @@ def test_rsa_pair_order_is_lcm_of_shifted_orders():
     # the survey takes lcm(ord*(e, p-1), ord*(e, l-1)); every decision must
     # match the definition's ord*(e, lcm(p-1, l-1))
     fac = functools.lru_cache(maxsize=None)(factorize)
-    table = survey_mod._table_factorizer(3000)
     primes = primes_in_range(2, 3001)
     pairs = [(p, l) for l in primes for p in primes if p < l < 2 * p]
     for e in (2, 3, 6, 10):
         cfg = SurveyConfig(kind=RSA_PAIR, x_max=3000, e=e)
+        kernel = OrderKernel(3000, e)
         for p, l in pairs:
             o = coprime_order(e, lcm(p - 1, l - 1), fac)
             t, exact = cfg.threshold_exponent(p * l)
             want = (power_compare(o, p * l, t, exact) >= 0, log_ratio_bin(o, p * l), None)
-            assert evaluate_item(cfg, (p, l), table) == want, (e, p, l)
+            assert evaluate_item(cfg, (p, l), kernel) == want, (e, p, l)
 
 
 def test_worker_count_invariance_under_spawn(tmp_path):
@@ -295,6 +369,22 @@ def test_worker_count_invariance_under_spawn(tmp_path):
     for one_worker, two_workers in runs:
         assert one_worker == two_workers
     assert runs[0][0] == run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000)).to_dict()
+
+
+def test_histograms_and_remaining_kinds_match_oracle():
+    # every golden field the oracle locks beyond criterion 8's (total, exceed)
+    for key, cfg in (
+            ("ord-n@100000", SurveyConfig(kind=ORD_N, x_max=10**5)),
+            ("shifted-prime@100000", SurveyConfig(kind=SHIFTED_PRIME, x_max=10**5)),
+            ("lambda-n@100000", SurveyConfig(kind=LAMBDA_N, x_max=10**5)),
+            ("high-factor@100000", SurveyConfig(kind=HIGH_FACTOR, x_max=10**5)),
+            ("lambda-lambda@100000", SurveyConfig(kind=LAMBDA_LAMBDA, x_max=10**5)),
+            ("rsa-pair@3000", SurveyConfig(kind=RSA_PAIR, x_max=3000)),
+            ("ord-n@10000,e=6", SurveyConfig(kind=ORD_N, x_max=10**4, e=6))):
+        want = GOLDEN["surveys"][key]
+        got = run_survey(cfg, workers=2).to_dict()
+        assert not got["sampled"]
+        assert {field: got[field] for field in want} == want, key
 
 
 def test_trend_windows_match_oracle():

@@ -16,18 +16,23 @@ Histogram bins are exact too: the 0.05-wide bin of log(q)/log(n) is the
 largest b <= 20 with n^b <= q^20.  The only float comparisons left are the
 sqrt(p)/log(p) class boundary and the lambda-lambda threshold
 n / exp((log log n)^3); the script asserts that no value sits within 1e-6
-relative distance of either.
+relative distance of either.  The two quantities that are not rational, the
+one-minus-delta threshold n^(1 - sqrt(log log n / log n)) and the
+lambda-lambda deficiency bin, are decided on logarithms in 60-digit decimal,
+asserting that every decision clears its boundary by more than 1e-40.
 
 Run from the repository root:
 
     python tests/make_goldens.py           # rewrite the golden file
     python tests/make_goldens.py --check   # recompute, diff, write nothing
 
-Takes about half a minute.  --check exits 1 if any recomputed value
+Takes about a minute and a quarter.  --check exits 1 if any recomputed value
 differs from the committed file.
 """
 
 import argparse
+import decimal
+import functools
 import json
 import math
 import sys
@@ -37,6 +42,9 @@ from pathlib import Path
 OUT_PATH = Path(__file__).parent / "golden" / "oracle_measurements.json"
 
 EPS_CAP = 0.25  # default epsilon cap; capped everywhere below x ~ e^(e^8)
+
+DEC = decimal.Context(prec=60)
+DEC_MARGIN = decimal.Decimal("1e-40")  # far above the 60-digit rounding error
 
 
 def factorize_trial(n):
@@ -148,6 +156,37 @@ def lambda_lambda_exceeds(n):
     return lamlam > t
 
 
+@functools.lru_cache(maxsize=None)
+def dec_ln(n):
+    """ln(n) in 60-digit decimal; survey values repeat, so memoized."""
+    return DEC.ln(decimal.Decimal(n))
+
+
+def one_minus_delta_exceeds(o, n):
+    """o > n^(1 - sqrt(log log n / log n)), decided as the sign of
+    ln(o) - t*ln(n) in 60-digit decimal, asserting a margin."""
+    lnn = dec_ln(n)
+    t = 1 - DEC.sqrt(DEC.divide(DEC.ln(lnn), lnn))
+    d = DEC.subtract(dec_ln(o), DEC.multiply(t, lnn))
+    assert abs(d) > DEC_MARGIN, (o, n, d)
+    return d > 0
+
+
+def deficiency_bin(n, lamlam):
+    """Bin of log(n/lamlam) / ((log log n)^2 * log log log n) in 0.05-wide
+    bins clamped to [0, 20], in 60-digit decimal with an asserted margin from
+    the nearest edge.  The denominator is positive exactly for n >= 16."""
+    lnn = dec_ln(n)
+    ll = DEC.ln(lnn)
+    assert (ll > 1) == (n >= 16), n
+    if n < 16:
+        return None
+    u = 20 * DEC.divide(lnn - dec_ln(lamlam), ll * ll * DEC.ln(ll))
+    b = int(u.to_integral_value(rounding=decimal.ROUND_FLOOR))
+    assert min(u - b, b + 1 - u) > DEC_MARGIN, (n, lamlam, u)
+    return min(max(b, 0), 20)
+
+
 def self_check():
     assert order_scan(2, 7) == 3
     assert order_scan(3, 10) == 4
@@ -163,6 +202,11 @@ def self_check():
     assert [exact_bin(q, 64) for q in (1, 7, 8, 63, 64, 10**9)] == [0, 9, 10, 19, 20, 20]
     # every threshold exponent used below must really be capped at 1/4
     assert epsilon(2) == EPS_CAP and epsilon(10**6) == EPS_CAP
+    # 16^(1 - sqrt(log log 16 / log 16)) = 2.977...
+    assert one_minus_delta_exceeds(3, 16) and not one_minus_delta_exceeds(2, 16)
+    # lambda(lambda(167)) = 82: log(167/82) / (lnln^2 * lnlnln) = 0.51...
+    assert deficiency_bin(167, 82) == 10 and deficiency_bin(209, 12) == 20
+    assert deficiency_bin(15, 2) is None
 
 
 class Tally:
@@ -225,12 +269,25 @@ def measure_high_factor(primes, x_max):
     return tally
 
 
+def measure_one_minus_delta(x_max, e=2):
+    tally = Tally()
+    for n in range(16, x_max + 1):
+        o = order_coprime(e, lambda_formula(n))
+        tally.add(one_minus_delta_exceeds(o, n), o, n)
+    return tally
+
+
 def measure_lambda_lambda(x_max):
+    """total, exceed and the deficiency histogram; only n >= 16 is binned."""
     total = exceed = 0
+    histogram = [0] * 21
     for n in range(2, x_max + 1):
         total += 1
         exceed += lambda_lambda_exceeds(n)
-    return {"total": total, "exceed": exceed}
+        b = deficiency_bin(n, lambda_formula(lambda_formula(n)))
+        if b is not None:
+            histogram[b] += 1
+    return {"total": total, "exceed": exceed, "histogram": histogram}
 
 
 def measure_rsa_pair(primes, x_max, e=2):
@@ -250,11 +307,15 @@ def measure_rsa_pair(primes, x_max, e=2):
 
 
 def measure_class_counts(primes, x_max, e=2):
+    """The L/M/H triple, and a tally whose exceed counts H and whose
+    histogram bins log(ord)/log(p)."""
     counts = {"L": 0, "M": 0, "H": 0}
+    tally = Tally()
     for p in primes:
         if p > x_max:
             break
         o = order_coprime(e, p)
+        tally.add(o > p, o, p)
         low_threshold = math.sqrt(p) / math.log(p)
         assert abs(o - low_threshold) > 1e-6 * low_threshold, (p, o)
         if o <= low_threshold:
@@ -263,7 +324,7 @@ def measure_class_counts(primes, x_max, e=2):
             counts["M"] += 1
         else:
             counts["H"] += 1
-    return counts
+    return counts, tally
 
 
 def compute(log):
@@ -280,17 +341,21 @@ def compute(log):
             ("lambda-n@100000", lambda: measure_lambda_n(10**5)),
             ("high-factor@100000", lambda: measure_high_factor(primes_1e6, 10**5)),
             ("rsa-pair@3000", lambda: measure_rsa_pair(primes_1e6, 3000)),
+            ("one-minus-delta@100000", lambda: measure_one_minus_delta(10**5)),
             ("ord-n@10000,e=6", lambda: measure_ord_n(10**4, e=6))):
         tally = measure()
         surveys[key] = tally.as_dict()
         log(f"{key}: {tally.exceed}/{tally.total}")
 
-    surveys["lambda-lambda@100000"] = measure_lambda_lambda(10**5)
-    log(f"lambda-lambda@100000: {surveys['lambda-lambda@100000']}")
+    lamlam = measure_lambda_lambda(10**5)
+    surveys["lambda-lambda@100000"] = lamlam
+    log(f"lambda-lambda@100000: {lamlam['exceed']}/{lamlam['total']}")
 
     for x in (10**4, 10**5, 10**6):
-        counts = measure_class_counts(primes_1e6, x)
+        counts, tally = measure_class_counts(primes_1e6, x)
         surveys[f"class-counts@{x}"] = counts
+        if x == 10**5:  # the triples stay whole; the tally gets its own key
+            surveys[f"class-counts@{x},histogram"] = tally.as_dict()
         log(f"class-counts@{x}: {counts}")
 
     trend = {}

@@ -379,6 +379,8 @@ def test_histograms_and_remaining_kinds_match_oracle():
             ("lambda-n@100000", SurveyConfig(kind=LAMBDA_N, x_max=10**5)),
             ("high-factor@100000", SurveyConfig(kind=HIGH_FACTOR, x_max=10**5)),
             ("lambda-lambda@100000", SurveyConfig(kind=LAMBDA_LAMBDA, x_max=10**5)),
+            ("one-minus-delta@100000", SurveyConfig(kind=ONE_MINUS_DELTA, x_max=10**5)),
+            ("class-counts@100000,histogram", SurveyConfig(kind=CLASS_COUNTS, x_max=10**5)),
             ("rsa-pair@3000", SurveyConfig(kind=RSA_PAIR, x_max=3000)),
             ("ord-n@10000,e=6", SurveyConfig(kind=ORD_N, x_max=10**4, e=6))):
         want = GOLDEN["surveys"][key]

@@ -170,7 +170,7 @@ def _split(n: int, out: dict[int, int]) -> None:
     _split(n // d, out)
 
 
-def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Canonical Factorization of n >= 1; deterministic for all 64-bit n."""
     if n == 0:
         raise ValueError("cannot factorize 0")
@@ -178,15 +178,14 @@ def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> Factorization:
         raise ValueError(f"{n} is outside the unsigned 64-bit range")
     value = n
     fac: dict[int, int] = {}
-    tested = min(trial_bound, _TRIAL_BOUND)
     for p in _trial_primes():
-        if p > tested or p * p > n:
+        if p * p > n:
             break
         while n % p == 0:
             fac[p] = fac.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n <= tested * tested:
+        if n <= _TRIAL_BOUND * _TRIAL_BOUND:
             # cofactor below the trial square has no divisor left: prime
             fac[n] = fac.get(n, 0) + 1
         else:

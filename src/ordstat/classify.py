@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize
-from .orders import Factorizer, carmichael_lambda, coprime_order
+from .orders import carmichael_lambda, coprime_order
 from .arith import lcm as lcm64
 
 _GUARD_REL = 1e-9
@@ -152,45 +152,40 @@ def classify_order_value(o: int, p: int, eps: EpsilonFn = DEFAULT_EPSILON) -> st
     return "H"
 
 
-def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON,
-                   factorizer: Factorizer | None = None) -> str:
+def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     """Class label "L", "M" or "H" for the prime p under base e.
 
     Primes dividing e have coprime_order 1 and always land in L.
     """
-    return classify_order_value(coprime_order(e, p, factorizer), p, eps)
+    return classify_order_value(coprime_order(e, p), p, eps)
 
 
-def prime_orders_lower_bound(e: int, n: int, factorizer: Factorizer | None = None) -> Fraction:
+def prime_orders_lower_bound(e: int, n: int) -> Fraction:
     """(lambda(n)/n) * prod over primes p | n of coprime_order(e, p).
 
     An exact rational lower bound for coprime_order(e, n).
     """
-    fac = factorizer or factorize
-    f = fac(n)
+    f = factorize(n)
     prod = 1
     for p in f.primes():
-        prod *= coprime_order(e, p, factorizer)
+        prod *= coprime_order(e, p)
     return Fraction(carmichael_lambda(f) * prod, n)
 
 
-def lcm_order_lower_bound(e: int, a: int, b: int,
-                          factorizer: Factorizer | None = None) -> Fraction:
+def lcm_order_lower_bound(e: int, a: int, b: int) -> Fraction:
     """ord_a * ord_b * lambda(lcm(a,b)) / (lambda(a) * lambda(b)): an exact
     rational lower bound for coprime_order(e, lcm(a, b))."""
-    fac = factorizer or factorize
-    oa = coprime_order(e, a, factorizer)
-    ob = coprime_order(e, b, factorizer)
+    oa = coprime_order(e, a)
+    ob = coprime_order(e, b)
     m = lcm64(a, b)
-    num = oa * ob * carmichael_lambda(fac(m))
-    den = carmichael_lambda(fac(a)) * carmichael_lambda(fac(b))
+    num = oa * ob * carmichael_lambda(factorize(m))
+    den = carmichael_lambda(factorize(a)) * carmichael_lambda(factorize(b))
     return Fraction(num, den)
 
 
-def divisor_quotient_bound(e: int, n: int, j: int,
-                           factorizer: Factorizer | None = None) -> Fraction:
+def divisor_quotient_bound(e: int, n: int, j: int) -> Fraction:
     """coprime_order(e, n) / j for a divisor j of n: an exact rational
     lower bound for coprime_order(e, n // j)."""
     if j < 1 or n % j != 0:
         raise ValueError(f"{j} does not divide {n}")
-    return Fraction(coprime_order(e, n, factorizer), j)
+    return Fraction(coprime_order(e, n), j)

@@ -27,7 +27,8 @@ from .generators import (LcgSpec, PowerGenSpec, lcg_period_analytic,
                          lcg_period_empirical, power_period_analytic,
                          power_period_empirical)
 from .orders import carmichael_lambda, omega, order_profile, smooth_part, squarefree_core
-from .survey import CheckpointError, SurveyConfig, SurveyResult, run_survey
+from .survey import (DEFAULT_RSA_SAMPLE, DEFAULT_SEED, KINDS, CheckpointError,
+                     SurveyConfig, SurveyResult, run_survey)
 
 SURVEY_CSV_COLUMNS = ("kind", "e", "x_max", "total", "exceed", "fraction",
                       "bin_lo", "bin_hi", "bin_count")
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cq.add_parser("classify")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--epsilon-cap", type=float, default=0.25)
+    sp.add_argument("--epsilon-cap", type=float, default=EpsilonFn.cap)
     sp.set_defaults(func=_cmd_compute)
 
     period = commands.add_parser("period", help="generator period, analytic and empirical")
@@ -177,23 +178,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=_cmd_period)
 
     sv = commands.add_parser("survey", help="range surveys with CSV/JSON reports")
-    sv.add_argument("--kind", required=True,
-                    choices=["ord-n", "shifted-prime", "rsa-pair", "lambda-n",
-                             "lambda-lambda", "high-factor", "one-minus-delta",
-                             "class-counts"])
-    sv.add_argument("--e", type=int, default=2)
+    sv.add_argument("--kind", required=True, choices=KINDS)
+    sv.add_argument("--e", type=int, default=SurveyConfig.e)
     sv.add_argument("--max", type=int, required=True)
-    sv.add_argument("--epsilon-cap", type=float, default=0.25)
+    sv.add_argument("--epsilon-cap", type=float, default=EpsilonFn.cap)
     sv.add_argument("--exponent", type=float, default=None,
                     help="fixed threshold exponent replacing 1/2 + eps(n)")
     sv.add_argument("--workers", type=int, default=1)
-    sv.add_argument("--chunk", type=int, default=10_000)
+    sv.add_argument("--chunk", type=int, default=SurveyConfig.chunk)
     sv.add_argument("--checkpoint", type=str, default=None)
     sv.add_argument("--out", type=str, default=None)
     sv.add_argument("--format", choices=["csv", "json"], default="json")
-    sv.add_argument("--seed", type=int, default=123456789,
+    sv.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for rsa-pair sampling")
-    sv.add_argument("--sample-size", type=int, default=1_000_000)
+    sv.add_argument("--sample-size", type=int, default=DEFAULT_RSA_SAMPLE)
     sv.set_defaults(func=_cmd_survey)
     return parser
 

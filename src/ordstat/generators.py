@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .orders import Factorizer, carmichael_lambda, coprime_order
+from .orders import carmichael_lambda, coprime_order
 from .arith import factorize
 
 
@@ -107,9 +107,9 @@ def lcg_iterate(spec: LcgSpec, i: int) -> int:
     return u
 
 
-def lcg_period_analytic(spec: LcgSpec, factorizer: Factorizer | None = None) -> LcgPeriod:
+def lcg_period_analytic(spec: LcgSpec) -> LcgPeriod:
     e, b, n, u0 = spec.e, spec.b, spec.n, spec.u0
-    o = coprime_order(e, n, factorizer)
+    o = coprime_order(e, n)
     g = math.gcd(e - 1, n)
     exact = None
     if g == 1:
@@ -123,18 +123,17 @@ def lcg_period_empirical(spec: LcgSpec) -> CycleResult:
     return brent_cycle(spec.step, spec.u0)
 
 
-def power_period_analytic(spec: PowerGenSpec, factorizer: Factorizer | None = None) -> int:
-    return coprime_order(spec.e, coprime_order(spec.u0, spec.n, factorizer), factorizer)
+def power_period_analytic(spec: PowerGenSpec) -> int:
+    return coprime_order(spec.e, coprime_order(spec.u0, spec.n))
 
 
 def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
     return brent_cycle(spec.step, spec.u0)
 
 
-def max_seed_period(e: int, n: int, factorizer: Factorizer | None = None) -> int:
+def max_seed_period(e: int, n: int) -> int:
     """Power-generator period for a seed of maximal order, i.e.
     coprime_order(e, lambda(n))."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    fac = factorizer or factorize
-    return coprime_order(e, carmichael_lambda(fac(n)), factorizer)
+    return coprime_order(e, carmichael_lambda(factorize(n)))

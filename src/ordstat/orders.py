@@ -6,10 +6,6 @@ period of the sequence e^i mod n and the building block for both generator
 period formulas.  Orders are computed by descending the group exponent
 (factor lambda(n), then strip prime factors while the power stays 1), never
 by stepping, so single queries stay polylogarithmic.
-
-Functions that need factorizations accept an optional ``factorizer``
-callable (same contract as arith.factorize), so that a caller evaluating
-many values can share one memoized factorizer.
 """
 
 from __future__ import annotations
@@ -19,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arith import Factorization, factorize, is_prime, lcm
-
-Factorizer = Callable[[int], Factorization]
 
 
 def carmichael_lambda(f: Factorization) -> int:
@@ -51,7 +45,7 @@ def coprime_part(n: int, e: int) -> int:
     return n
 
 
-def multiplicative_order(e: int, n: int, factorizer: Factorizer | None = None) -> int:
+def multiplicative_order(e: int, n: int) -> int:
     """Least k >= 1 with e^k = 1 mod n; requires gcd(e, n) = 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -59,17 +53,16 @@ def multiplicative_order(e: int, n: int, factorizer: Factorizer | None = None) -
         raise ValueError(f"gcd({e}, {n}) > 1: order undefined")
     if n == 1:
         return 1
-    fac = factorizer or factorize
-    k = carmichael_lambda(fac(n))
-    for q, _ in fac(k).factors:
+    k = carmichael_lambda(factorize(n))
+    for q, _ in factorize(k).factors:
         while k % q == 0 and pow(e, k // q, n) == 1:
             k //= q
     return k
 
 
-def coprime_order(e: int, n: int, factorizer: Factorizer | None = None) -> int:
+def coprime_order(e: int, n: int) -> int:
     """Order of e modulo coprime_part(n, e): the eventual period of e^i mod n."""
-    return multiplicative_order(e, coprime_part(n, e), factorizer)
+    return multiplicative_order(e, coprime_part(n, e))
 
 
 def squarefree_core(n: int) -> int:
@@ -112,11 +105,10 @@ class OrderProfile:
     index: int | None = None
 
 
-def order_profile(e: int, n: int, factorizer: Factorizer | None = None) -> OrderProfile:
-    fac = factorizer or factorize
+def order_profile(e: int, n: int) -> OrderProfile:
     nc = coprime_part(n, e)
-    lam = carmichael_lambda(fac(n))
-    o = multiplicative_order(e, nc, factorizer)
+    lam = carmichael_lambda(factorize(n))
+    o = multiplicative_order(e, nc)
     index = None
     if is_prime(n) and math.gcd(e, n) == 1:
         index = (n - 1) // o

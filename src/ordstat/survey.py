@@ -1,47 +1,49 @@
 """Range surveys of order statistics, with chunked parallel execution.
 
-A survey walks a range of moduli (all integers, primes, or prime pairs),
-applies one exceedance predicate per item, and accumulates counts plus a
-histogram of the normalized statistic log(quantity)/log(n) in 21 bins of
-width 0.05 over [0, 1.05].  Results form a commutative monoid over disjoint
-ranges, so a survey can be split into chunks, evaluated by any number of
-workers, checkpointed, and resumed, with bit-identical output throughout.
+A survey walks a range of items, reads one order quantity q per item, judges
+it against a threshold on a value x, and accumulates counts plus a histogram
+of a statistic in 21 bins of width 0.05 over [0, 1.05].  Results form a
+commutative monoid over disjoint ranges, so a survey can be split into
+chunks, evaluated by any number of workers, checkpointed, and resumed, with
+bit-identical output throughout.
 
-Survey kinds:
+Each kind is one _Kind record in _KINDS: its items, q and x, the test, the
+statistic's bin, the exponent t and the lowest item.
 
-    ord-n            coprime_order(e, n)          >  n^t   over n
-    shifted-prime    coprime_order(e, p-1)        >= p^t   over primes p
-    rsa-pair         coprime_order(e, lcm(p-1,l-1)) >= (pl)^t over p < l < 2p
-    lambda-n         coprime_order(e, lambda(n))  >  n^t   over n
-    one-minus-delta  same, with t = 1 - sqrt(log log n / log n)
-    lambda-lambda    lambda(lambda(n)) > n / exp((log log n)^3)
-    high-factor      some prime q | p-1 with q > p^0.677, over primes p
-    class-counts     L/M/H class tallies over primes p
+    kind             items       q                        x    test      t
+    ord-n            n >= 16     ord*(e, n)               n    q >  x^t  1/2 + eps
+    lambda-n         n >= 16     ord*(e, lambda(n))       n    q >  x^t  1/2 + eps
+    one-minus-delta  n >= 16     ord*(e, lambda(n))       n    q >  x^t  1 - sqrt(log log n / log n)
+    lambda-lambda    n           lambda(lambda(n))        n    q >  n / exp((log log n)^3)
+    shifted-prime    primes p    ord*(e, p - 1)           p    q >= x^t  1/2 + eps
+    high-factor      primes p    largest prime of p - 1   p    q >  x^t  677/1000
+    class-counts     primes p    ord*(e, p)               p    class H of classify's L/M/H
+    rsa-pair         p < l < 2p  lcm(ord*(e, p - 1), ord*(e, l - 1))  pl  q >= x^t  1/2 + eps
 
-with t = 1/2 + eps(n) by default, or a fixed exponent override.  For
-rsa-pair the order is computed as lcm(coprime_order(e, p-1),
-coprime_order(e, l-1)), which is equal: the e-free part of an lcm is the
-lcm of the e-free parts, and the order modulo an lcm is the lcm of the
-orders.  Class-counts with the default cap 1/4 finds no H prime by
-construction, since coprime_order(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).
+The statistic is log(q)/log(x), except for lambda-lambda's deficiency
+log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  The rsa-pair
+q equals ord*(e, lcm(p - 1, l - 1)): the e-free part of an lcm is the lcm of
+the e-free parts, and the order modulo an lcm is the lcm of the orders.  With
+the default cap 1/4 class-counts finds no H prime by construction, since
+ord*(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).  A fixed --exponent replaces t
+and lowers the 16 floor to 2; the last three kinds reject it.  eps(x) =
+min(cap, 2/log log x) never increases, so 1/2 + eps is one constant per
+config when eps is on its cap at the largest x judged (x_max, or x_max^2 for
+pairs).  That holds below 2^64; a config where it fails is rejected.
 
-Every value a survey evaluates is at most x_max.  Each process builds, on
-the first chunk it evaluates, one OrderKernel for the config's base over a
-smallest-prime-factor table of [1, min(x_max, 2^27)] (2 bytes per integer),
-and every kind reads its quantity from it: lambda(n), ord*(e, n) and the
-largest prime factor, with no Factorization built.  The kernel memoizes
-ord(e, q) for prime powers q that are proper factors of the values it
-evaluates (about 90 bytes an entry, 3.8 MB after ord-n at 10^6; a survey of
-primes stores nothing).  Values above the table fall through to
-coprime_order and carmichael_lambda of arith.factorize.  Every path is exact,
-so neither the table nor the memo can change a result.  Checkpoints are
-JSON carrying a config digest, the completed chunk list, and the partially
-merged result.
+Each process builds, on the first chunk it evaluates, one OrderKernel for
+the config's base over a smallest-prime-factor table of [1, min(x_max, 2^27)]
+(2 bytes per integer; its memo holds about 90 bytes per prime power, 3.8 MB
+after ord-n at 10^6), and every kind reads q from it.  Every path is exact,
+so neither the table nor the memo can change a result.  Checkpoints are JSON
+carrying a config digest, the completed chunk list, and the partially merged
+result.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import decimal
 import functools
 import hashlib
@@ -49,14 +51,16 @@ import json
 import math
 import os
 import random
-import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from typing import Callable
 
 from .arith import factorize, lcm, primes_in_range
-from .classify import DEFAULT_EPSILON, EpsilonFn, classify_order_value, power_compare
+from .classify import (_GUARD_REL, DEFAULT_EPSILON, EpsilonFn, _decimal_ctx,
+                       classify_order_value, power_compare)
 from .orders import carmichael_lambda, coprime_order
 
 ORD_N = "ord-n"
@@ -71,24 +75,16 @@ CLASS_COUNTS = "class-counts"
 KINDS = (ORD_N, SHIFTED_PRIME, RSA_PAIR, LAMBDA_N, LAMBDA_LAMBDA,
          HIGH_FACTOR, ONE_MINUS_DELTA, CLASS_COUNTS)
 
-_PRIME_KINDS = (SHIFTED_PRIME, HIGH_FACTOR, CLASS_COUNTS)
-_NO_OVERRIDE_KINDS = (LAMBDA_LAMBDA, ONE_MINUS_DELTA, CLASS_COUNTS)
-
 N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 
 DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
 RSA_FULL_ENUM_LIMIT = 10_000_000
 
-_GUARD_REL = 1e-9
-_DECIMAL_PREC = 50
-
 # Largest table the order kernel builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
 # Values above it fall through to the orders module over arith.factorize,
 # which gives the same numbers, so the cap bounds memory and never a result.
 SPF_TABLE_MAX = 2**27
-
-_HIGH_FACTOR_EXPONENT = Fraction(677, 1000)
 
 
 class CheckpointError(Exception):
@@ -108,41 +104,51 @@ class SurveyConfig:
     sample_size: int = DEFAULT_RSA_SAMPLE
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown survey kind {self.kind!r}")
         if self.e < 2:
             raise ValueError(f"base must be >= 2, got {self.e}")
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
-        if self.exponent_override is not None and self.kind in _NO_OVERRIDE_KINDS:
+        if self.exponent_override is not None and callable(kind.test):
             raise ValueError(f"--exponent conflicts with kind {self.kind}")
         if self.x_max < self.low():
             raise ValueError(
                 f"empty range: x_max = {self.x_max} is below the survey floor "
                 f"{self.low()} for kind {self.kind}")
+        if kind.exponent == "eps" and self._threshold[1] is None:
+            raise ValueError(f"eps leaves its cap {self.epsilon.cap} below the largest "
+                             f"value judged at x_max = {self.x_max}")
 
     def low(self) -> int:
-        """Lowest surveyed value.  Integer kinds with an epsilon threshold
-        start at 16 (so log log n > 1); a fixed exponent drops the floor
-        to 2, as do the prime-indexed kinds."""
+        """Lowest surveyed value: x_min if given, else the kind's floor,
+        which a fixed exponent drops to 2."""
         if self.x_min is not None:
             return max(self.x_min, 2)
-        if self.kind in (ORD_N, LAMBDA_N, ONE_MINUS_DELTA) and self.exponent_override is None:
-            return 16
-        return 2
+        return _KINDS[self.kind].floor if self.exponent_override is None else 2
 
     @functools.cached_property
-    def _override_exponent(self) -> tuple[float, Fraction]:
-        return float(self.exponent_override), Fraction(str(self.exponent_override))
+    def _threshold(self) -> tuple[float, Fraction | None]:
+        """(t, exact t) for every x^t this config compares with.  1/2 + eps
+        is taken at the largest x judged, which is its value at every x as
+        long as eps is on its cap there (the non-increasing eps is then
+        capped over the whole range); __post_init__ demands that."""
+        if self.exponent_override is not None:
+            return float(self.exponent_override), Fraction(str(self.exponent_override))
+        kind = _KINDS[self.kind]
+        if isinstance(kind.exponent, tuple):
+            return kind.exponent
+        return self.epsilon.exponent(self.x_max**2 if kind.items is _pair_items
+                                     else self.x_max)
 
     def threshold_exponent(self, x: int) -> tuple[float, Fraction | None]:
-        if self.exponent_override is not None:
-            return self._override_exponent
-        if self.kind == ONE_MINUS_DELTA:
-            return 1.0 - math.sqrt(math.log(math.log(x)) / math.log(x)), None
-        if self.kind == HIGH_FACTOR:
-            return 0.677, _HIGH_FACTOR_EXPONENT
-        return self.epsilon.exponent(x)
+        """The exponent t of the threshold x^t at value x, with its exact
+        value when rational."""
+        exponent = _KINDS[self.kind].exponent
+        if callable(exponent):
+            return exponent(x), None
+        return self._threshold
 
 
 @dataclass
@@ -153,7 +159,6 @@ class SurveyResult:
     histogram: list[int] = field(default_factory=lambda: [0] * N_BINS)
     class_counts: dict[str, int] | None = None
     sampled: bool = False
-    elapsed: float = 0.0
 
     @property
     def fraction(self) -> Fraction:
@@ -161,6 +166,7 @@ class SurveyResult:
 
     def to_dict(self) -> dict:
         cfg = self.config
+        pairs = _KINDS[cfg.kind].items is _pair_items
         return {
             "schema": 1,
             "kind": cfg.kind,
@@ -169,8 +175,8 @@ class SurveyResult:
             "x_min": cfg.low(),
             "epsilon_cap": cfg.epsilon.cap,
             "exponent": cfg.exponent_override,
-            "seed": cfg.seed if cfg.kind == RSA_PAIR else None,
-            "sample_size": cfg.sample_size if cfg.kind == RSA_PAIR else None,
+            "seed": cfg.seed if pairs else None,
+            "sample_size": cfg.sample_size if pairs else None,
             "sampled": self.sampled,
             "total": self.total,
             "exceed": self.exceed,
@@ -181,8 +187,13 @@ class SurveyResult:
 
 
 def empty_result(config: SurveyConfig) -> SurveyResult:
-    counts = {"L": 0, "M": 0, "H": 0} if config.kind == CLASS_COUNTS else None
-    return SurveyResult(config=config, class_counts=counts)
+    """The result of no items: zero counts, plus the class tally and the
+    sampled flag, which depend on the config alone."""
+    kind = _KINDS[config.kind]
+    sampled = kind.items is _pair_items and not isinstance(
+        _rsa_sample_indices(config.x_max, config.sample_size, config.seed), range)
+    return SurveyResult(config=config, class_counts=dict.fromkeys(kind.classes, 0) or None,
+                        sampled=sampled)
 
 
 def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
@@ -199,43 +210,31 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
         histogram=[x + y for x, y in zip(a.histogram, b.histogram)],
         class_counts=counts,
         sampled=a.sampled or b.sampled,
-        elapsed=a.elapsed + b.elapsed,
     )
 
 
 # ---------------------------------------------------------------------------
 # statistic binning
 
-def _decimal_ctx() -> decimal.Context:
-    return decimal.Context(prec=_DECIMAL_PREC)
-
-
 def log_ratio_bin(q: int, n: int) -> int:
     """Bin index of log(q)/log(n) in the fixed 0.05-wide grid.
 
     Values on a bin edge (possible: q and n can be exact powers) go to the
-    right bin; anything within 1e-9 of an edge is re-decided exactly or in
-    50-digit decimal so binning never depends on libm rounding.
+    right bin; anything within 1e-9 of an edge is re-decided exactly: the bin
+    is the largest b with n^b <= q^20, so it is nearest or nearest - 1.
     """
     if q <= 1:
         return 0
     u = math.log(q) / math.log(n) * 20.0
     nearest = round(u)
-    if abs(u - nearest) > _GUARD_REL * max(abs(u), 1.0):
+    if abs(u - nearest) > _GUARD_REL * max(u, 1.0):
         b = math.floor(u)
-    elif 0 <= nearest <= 2 * N_BINS and q**20 == n**nearest:
-        b = nearest
     else:
-        ctx = _decimal_ctx()
-        ud = ctx.multiply(
-            ctx.divide(ctx.ln(decimal.Decimal(q)), ctx.ln(decimal.Decimal(n))),
-            decimal.Decimal(20),
-        )
-        b = int(ud.to_integral_value(rounding=decimal.ROUND_FLOOR))
+        b = nearest - (q**20 < n**nearest)
     return min(max(b, 0), N_BINS - 1)
 
 
-def _deficiency_bin(n: int, lamlam: int) -> int | None:
+def _deficiency_bin(lamlam: int, n: int) -> int | None:
     """Bin of log(n/lamlam) / ((log log n)^2 * log log log n); None while
     the denominator is not positive (n <= 15)."""
     ll = math.log(math.log(n)) if n >= 3 else -1.0
@@ -257,6 +256,9 @@ def _deficiency_bin(n: int, lamlam: int) -> int | None:
     return min(max(b, 0), N_BINS - 1)
 
 
+# ---------------------------------------------------------------------------
+# the kinds' own tests
+
 def _lamlam_exceeds(lamlam: int, n: int) -> bool:
     """lambda(lambda(n)) > n / exp((log log n)^3), guarded like the rest."""
     t = n * math.exp(-math.log(math.log(n)) ** 3)
@@ -268,67 +270,23 @@ def _lamlam_exceeds(lamlam: int, n: int) -> bool:
     return decimal.Decimal(lamlam) > rhs
 
 
-def _one_minus_delta_exceeds(o: int, n: int, t: float) -> bool:
+def _one_minus_delta_exponent(n: int) -> float:
+    return 1.0 - math.sqrt(math.log(math.log(n)) / math.log(n))
+
+
+def _one_minus_delta_exceeds(o: int, n: int) -> bool:
     """o > n^t for the float exponent t = 1 - sqrt(log log n / log n).
 
     Inside the guard band the exponent itself is recomputed from n in
     50-digit decimal, so the decision does not depend on libm's rounding
     of t."""
-    thr = math.exp(t * math.log(n))
+    thr = math.exp(_one_minus_delta_exponent(n) * math.log(n))
     if abs(o - thr) > _GUARD_REL * max(thr, 1.0):
         return o > thr
     ctx = _decimal_ctx()
     lnn = ctx.ln(decimal.Decimal(n))
     t_d = ctx.subtract(decimal.Decimal(1), ctx.sqrt(ctx.divide(ctx.ln(lnn), lnn)))
     return decimal.Decimal(o) > ctx.exp(ctx.multiply(t_d, lnn))
-
-
-# ---------------------------------------------------------------------------
-# per-item evaluation
-
-def evaluate_item(cfg: SurveyConfig, item,
-                  kernel: OrderKernel) -> tuple[bool, int | None, str | None]:
-    """Evaluate one survey item: (exceeds, histogram bin, class label).
-
-    The item is an integer for all kinds except rsa-pair, where it is the
-    prime pair (p, l).  This is the single place every exceed decision is
-    made, so any count is reproducible item by item.
-    """
-    kind = cfg.kind
-    if kind == ORD_N:
-        o = kernel.ord(item)
-        t, exact = cfg.threshold_exponent(item)
-        return power_compare(o, item, t, exact) > 0, log_ratio_bin(o, item), None
-    if kind == LAMBDA_N:
-        o = kernel.ord(kernel.lam(item))
-        t, exact = cfg.threshold_exponent(item)
-        return power_compare(o, item, t, exact) > 0, log_ratio_bin(o, item), None
-    if kind == ONE_MINUS_DELTA:
-        o = kernel.ord(kernel.lam(item))
-        t, _ = cfg.threshold_exponent(item)
-        return _one_minus_delta_exceeds(o, item, t), log_ratio_bin(o, item), None
-    if kind == LAMBDA_LAMBDA:
-        lamlam = kernel.lam(kernel.lam(item))
-        return _lamlam_exceeds(lamlam, item), _deficiency_bin(item, lamlam), None
-    if kind == SHIFTED_PRIME:
-        o = kernel.ord(item - 1)
-        t, exact = cfg.threshold_exponent(item)
-        return power_compare(o, item, t, exact) >= 0, log_ratio_bin(o, item), None
-    if kind == HIGH_FACTOR:
-        q = kernel.lpf(item - 1)
-        t, exact = cfg.threshold_exponent(item)
-        return power_compare(q, item, t, exact) > 0, log_ratio_bin(q, item), None
-    if kind == CLASS_COUNTS:
-        o = kernel.ord(item)
-        label = classify_order_value(o, item, cfg.epsilon)
-        return label == "H", log_ratio_bin(o, item), label
-    if kind == RSA_PAIR:
-        p, l = item
-        o = lcm(kernel.ord(p - 1), kernel.ord(l - 1))
-        x = p * l
-        t, exact = cfg.threshold_exponent(x)
-        return power_compare(o, x, t, exact) >= 0, log_ratio_bin(o, x), None
-    raise ValueError(f"unknown survey kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +426,97 @@ def _rsa_pair_at(primes: list[int], cum: list[int], t: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=4)
-def _rsa_sample_indices(x_max: int, sample_size: int, seed: int) -> tuple[int, ...] | None:
-    """Sorted global pair indices to evaluate, or None for full enumeration."""
+def _rsa_sample_indices(x_max: int, sample_size: int, seed: int) -> range | tuple[int, ...]:
+    """Sorted global indices of the pairs to evaluate: range(total) to
+    enumerate them all, else a seeded sample of sample_size."""
     total = rsa_pair_count(x_max)
     if total <= RSA_FULL_ENUM_LIMIT and total <= sample_size:
-        return None
+        return range(total)
     k = min(sample_size, total)
     rng = random.Random(seed)
     return tuple(sorted(rng.sample(range(total), k)))
+
+
+# ---------------------------------------------------------------------------
+# the survey kinds
+
+def _pair_items(cfg: SurveyConfig, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The pairs (p, l) to evaluate whose larger prime l lies in [lo, hi)."""
+    primes, cum = _rsa_index(cfg.x_max)
+    indices = _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed)
+    a = bisect.bisect_left(indices, cum[bisect.bisect_left(primes, lo)])
+    b = bisect.bisect_left(indices, cum[bisect.bisect_left(primes, hi)])
+    return [_rsa_pair_at(primes, cum, t) for t in indices[a:b]]
+
+
+class _Kind:
+    """What sets a survey kind apart.  items(cfg, lo, hi) lists the items
+    whose index lies in [lo, hi); value(kernel, item) gives the quantity q
+    and the value x it is judged against; test is the least
+    power_compare(q, x, t) sign that exceeds (1 for q > x^t, 0 for
+    q >= x^t), or the kind's own test(q, x) -> exceeds; a kind that tallies
+    classes has test(q, x, eps) -> label, and its last class exceeds.
+    stat(q, x) is the histogram bin or None.  exponent is t: "eps" for
+    1/2 + eps, a fixed (float, Fraction), or, with an own test, t(x) or
+    None.  floor is the lowest item under that t.  A plain slotted class:
+    it is built at import and read on every item."""
+
+    __slots__ = ("items", "value", "test", "stat", "exponent", "floor", "classes")
+
+    def __init__(self, items: Callable, value: Callable, test: int | Callable,
+                 stat: Callable, exponent: str | tuple[float, Fraction] | Callable | None,
+                 floor: int = 2, classes: tuple[str, ...] = ()):
+        self.items, self.value, self.test, self.stat = items, value, test, stat
+        self.exponent, self.floor, self.classes = exponent, floor, classes
+
+
+def _int_items(cfg: SurveyConfig, lo: int, hi: int) -> range:
+    return range(lo, hi)
+
+
+def _prime_items(cfg: SurveyConfig, lo: int, hi: int) -> list[int]:
+    return primes_in_range(lo, hi)
+
+
+_KINDS = {
+    ORD_N: _Kind(_int_items, lambda k, n: (k.ord(n), n), 1, log_ratio_bin, "eps", 16),
+    LAMBDA_N: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n), 1, log_ratio_bin,
+                    "eps", 16),
+    ONE_MINUS_DELTA: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n),
+                           _one_minus_delta_exceeds, log_ratio_bin,
+                           _one_minus_delta_exponent, 16),
+    LAMBDA_LAMBDA: _Kind(_int_items, lambda k, n: (k.lam(k.lam(n)), n),
+                         _lamlam_exceeds, _deficiency_bin, None),
+    SHIFTED_PRIME: _Kind(_prime_items, lambda k, p: (k.ord(p - 1), p), 0, log_ratio_bin,
+                         "eps"),
+    HIGH_FACTOR: _Kind(_prime_items, lambda k, p: (k.lpf(p - 1), p), 1, log_ratio_bin,
+                       (0.677, Fraction(677, 1000))),
+    CLASS_COUNTS: _Kind(_prime_items, lambda k, p: (k.ord(p), p), classify_order_value,
+                        log_ratio_bin, None, classes=("L", "M", "H")),
+    RSA_PAIR: _Kind(_pair_items,
+                    lambda k, pl: (lcm(k.ord(pl[0] - 1), k.ord(pl[1] - 1)), pl[0] * pl[1]),
+                    0, log_ratio_bin, "eps"),
+}
+
+
+def evaluate_item(cfg: SurveyConfig, item,
+                  kernel: OrderKernel) -> tuple[bool, int | None, str | None]:
+    """Evaluate one survey item: (exceeds, histogram bin, class label).
+
+    The item is an integer for all kinds except rsa-pair, where it is the
+    prime pair (p, l).  This is the single place every exceed decision is
+    made, so any count is reproducible item by item.
+    """
+    kind = _KINDS[cfg.kind]
+    q, x = kind.value(kernel, item)
+    test = kind.test
+    if test.__class__ is int:
+        t, exact = cfg._threshold
+        return power_compare(q, x, t, exact) >= test, kind.stat(q, x), None
+    if kind.classes:
+        label = test(q, x, cfg.epsilon)
+        return label == kind.classes[-1], kind.stat(q, x), label
+    return test(q, x), kind.stat(q, x), None
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +530,7 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
 
 
 def _chunk_items(cfg: SurveyConfig, lo: int, hi: int):
-    if cfg.kind in _PRIME_KINDS:
-        return primes_in_range(lo, hi)
-    if cfg.kind == RSA_PAIR:
-        primes, cum = _rsa_index(cfg.x_max)
-        sample = _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed)
-        if sample is None:
-            out = []
-            for i in range(bisect.bisect_left(primes, lo), bisect.bisect_left(primes, hi)):
-                l = primes[i]
-                left = bisect.bisect_right(primes, l // 2)
-                out.extend((primes[j], l) for j in range(left, i))
-            return out
-        i_lo = bisect.bisect_left(primes, lo)
-        i_hi = bisect.bisect_left(primes, hi)
-        t_lo, t_hi = cum[i_lo], cum[i_hi]
-        a = bisect.bisect_left(sample, t_lo)
-        b = bisect.bisect_left(sample, t_hi)
-        return [_rsa_pair_at(primes, cum, t) for t in sample[a:b]]
-    return range(lo, hi)
+    return _KINDS[cfg.kind].items(cfg, lo, hi)
 
 
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
@@ -519,26 +542,21 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     one."""
     kernel = _order_kernel(min(cfg.x_max, SPF_TABLE_MAX), cfg.e)
     result = empty_result(cfg)
-    if cfg.kind == RSA_PAIR:
-        result.sampled = _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed) is not None
-    for item in _chunk_items(cfg, lo, hi):
+    items = _chunk_items(cfg, lo, hi)
+    histogram, counts = result.histogram, result.class_counts
+    exceed = 0
+    for item in items:
         try:
             exceeds, stat_bin, label = evaluate_item(cfg, item, kernel)
         except OverflowError as exc:
             raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
-        result.total += 1
-        if exceeds:
-            result.exceed += 1
+        exceed += exceeds
         if stat_bin is not None:
-            result.histogram[stat_bin] += 1
+            histogram[stat_bin] += 1
         if label is not None:
-            result.class_counts[label] += 1
+            counts[label] += 1
+    result.total, result.exceed = len(items), exceed
     return result
-
-
-def _eval_worker(args) -> SurveyResult:
-    cfg, lo, hi = args
-    return evaluate_chunk(cfg, lo, hi)
 
 
 def config_digest(cfg: SurveyConfig) -> str:
@@ -601,28 +619,19 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
                checkpoint: str | None = None) -> SurveyResult:
     """Run the configured survey over chunks; the result is a pure function
     of cfg, identical for any worker count, chunking, or resume history."""
-    t0 = time.perf_counter()
-    chunks = plan_chunks(cfg)
     if checkpoint and os.path.exists(checkpoint):
         done, result = _load_checkpoint(checkpoint, cfg)
     else:
         done, result = [], empty_result(cfg)
     done_set = set(done)
-    todo = [c for c in chunks if c not in done_set]
-
-    if workers <= 1 or len(todo) <= 1:
-        for lo, hi in todo:
-            result = merge_results(result, evaluate_chunk(cfg, lo, hi))
-            done.append((lo, hi))
+    todo = [c for c in plan_chunks(cfg) if c not in done_set]
+    los, his = [lo for lo, _ in todo], [hi for _, hi in todo]
+    pooled = workers > 1 and len(todo) > 1
+    with ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext() as pool:
+        parts = (pool.map if pooled else map)(evaluate_chunk, repeat(cfg), los, his)
+        for chunk, part in zip(todo, parts):
+            result = merge_results(result, part)
+            done.append(chunk)
             if checkpoint:
                 _save_checkpoint(checkpoint, cfg, done, result)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (lo, hi), part in zip(todo, pool.map(_eval_worker,
-                                                     [(cfg, lo, hi) for lo, hi in todo])):
-                result = merge_results(result, part)
-                done.append((lo, hi))
-                if checkpoint:
-                    _save_checkpoint(checkpoint, cfg, done, result)
-    result.elapsed = time.perf_counter() - t0
     return result

@@ -9,7 +9,6 @@ tests/make_goldens.py (regenerate with: python tests/make_goldens.py).
 """
 
 import decimal
-import functools
 import json
 import math
 import random
@@ -30,8 +29,6 @@ from ordstat.cli import survey_result_csv
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "oracle_measurements.json").read_text())["surveys"]
-
-_FACTORIZE = functools.lru_cache(maxsize=None)(factorize)  # shared across criteria
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -54,7 +51,7 @@ def test_criterion_1_order_oracle_equivalence():
     mismatches = 0
     for n in range(1, 10**4 + 1):
         for e in (2, 3, 5, 10):
-            if coprime_order(e, n, _FACTORIZE) != brute_order_step(e, coprime_part(n, e)):
+            if coprime_order(e, n) != brute_order_step(e, coprime_part(n, e)):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     _line(1, mismatches == 0 and elapsed < 60,
@@ -107,7 +104,7 @@ def _enumerated_group_exponent(n: int) -> int:
 def test_criterion_2_lambda_oracle_equivalence():
     mismatches = 0
     for n in range(1, 5001):
-        if carmichael_lambda(_FACTORIZE(n)) != _enumerated_group_exponent(n):
+        if carmichael_lambda(factorize(n)) != _enumerated_group_exponent(n):
             mismatches += 1
     _line(2, mismatches == 0,
           f"lambda equals enumerated max element order for n <= 5000 "
@@ -123,7 +120,7 @@ def test_criterion_3_power_period_equivalence():
                     continue
                 spec = PowerGenSpec(e=e, n=n, u0=u0)
                 cyc = power_period_empirical(spec)
-                if cyc.period != power_period_analytic(spec, _FACTORIZE):
+                if cyc.period != power_period_analytic(spec):
                     violations += 1
                 if cyc.tail > n.bit_length():  # floor(log2 n) + 1
                     violations += 1
@@ -139,7 +136,7 @@ def test_criterion_4_lcg_contract():
             for b in (0, 1, 7):
                 for u0 in (0, 1):
                     spec = LcgSpec(e=e, b=b, n=n, u0=u0)
-                    info = lcg_period_analytic(spec, _FACTORIZE)
+                    info = lcg_period_analytic(spec)
                     cyc = lcg_period_empirical(spec)
                     if info.exact is not None and cyc.period != info.exact:
                         violations += 1
@@ -152,13 +149,12 @@ def test_criterion_4_lcg_contract():
 
 def test_criterion_5_exact_inequalities():
     t0 = time.perf_counter()
-    fac = _FACTORIZE
     violations = 0
 
     # order product bound over all n <= 1e5, e in {2, 3}
     ord_p = {2: {}, 3: {}}
     for n in range(1, 10**5 + 1):
-        f = fac(n)
+        f = factorize(n)
         lam = carmichael_lambda(f)
         for e in (2, 3):
             prod = 1
@@ -166,9 +162,9 @@ def test_criterion_5_exact_inequalities():
             for p in f.primes():
                 o = memo.get(p)
                 if o is None:
-                    o = memo[p] = coprime_order(e, p, fac)
+                    o = memo[p] = coprime_order(e, p)
                 prod *= o
-            if coprime_order(e, n, fac) * n < lam * prod:
+            if coprime_order(e, n) * n < lam * prod:
                 violations += 1
     product_violations = violations
 
@@ -180,13 +176,13 @@ def test_criterion_5_exact_inequalities():
     def lam_of(v):
         r = lam_memo.get(v)
         if r is None:
-            r = lam_memo[v] = carmichael_lambda(fac(v))
+            r = lam_memo[v] = carmichael_lambda(factorize(v))
         return r
 
     def ord_of(e, v):
         r = ord_memo[e].get(v)
         if r is None:
-            r = ord_memo[e][v] = coprime_order(e, v, fac)
+            r = ord_memo[e][v] = coprime_order(e, v)
         return r
 
     for _ in range(10**4):
@@ -203,9 +199,9 @@ def test_criterion_5_exact_inequalities():
     # divisor quotient bound for all n <= 1e4 and every divisor, e = 2
     ord2 = [0] * (10**4 + 1)
     for m in range(1, 10**4 + 1):
-        ord2[m] = ord_memo[2].get(m) or coprime_order(2, m, fac)
+        ord2[m] = ord_memo[2].get(m) or coprime_order(2, m)
     for n in range(1, 10**4 + 1):
-        for j in _divisors(fac(n)):
+        for j in _divisors(factorize(n)):
             if ord2[n // j] * j < ord2[n]:
                 violations += 1
     quotient_violations = violations - product_violations - lcm_violations

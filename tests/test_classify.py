@@ -1,10 +1,9 @@
-import functools
 import math
 from fractions import Fraction
 
 import pytest
 
-from ordstat.arith import factorize, sieve_primes
+from ordstat.arith import sieve_primes
 from ordstat.classify import (EpsilonFn, classify_prime, divisor_quotient_bound,
                               epsilon_default, lcm_order_lower_bound,
                               power_compare, prime_orders_lower_bound,
@@ -79,11 +78,10 @@ def test_classify_examples():
 
 
 def test_classes_partition_primes():
-    fac = functools.lru_cache(maxsize=None)(factorize)
     eps = EpsilonFn()
     for e in (2, 3, 10):
         for p in sieve_primes(100_000):
-            label = classify_prime(p, e, eps, fac)
+            label = classify_prime(p, e, eps)
             assert label in ("L", "M", "H")
             if p in (2, 3, 5) and e % p == 0:
                 assert label == "L"

@@ -6,6 +6,7 @@ import pytest
 import ordstat.cli as cli
 from ordstat.arith import OverflowError64
 from ordstat.cli import main
+from ordstat.survey import KINDS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -87,9 +88,22 @@ def test_survey_class_counts_json(capsys):
     assert doc["total"] == 168
 
 
+def test_survey_every_kind(capsys):
+    for kind in KINDS:
+        doc = run_json(capsys, ["survey", "--kind", kind, "--max", "300"])
+        assert doc["kind"] == kind and doc["total"] > 0, doc
+
+
 def test_survey_empty_range_exits_2(capsys):
     assert main(["survey", "--kind", "ord-n", "--max", "10"]) == 2
     capsys.readouterr()
+
+
+def test_survey_epsilon_off_its_cap_exits_2(capsys):
+    # eps(2^80) = 2/log log 2^80 = 0.498 < 1/2: no single threshold exponent
+    assert main(["survey", "--kind", "ord-n", "--max", str(2**80),
+                 "--epsilon-cap", "0.5"]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_survey_conflicting_flags_exit_2(capsys):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -194,6 +195,21 @@ def test_rsa_pair_sampling_is_deterministic():
     assert other.to_dict() != d1  # seed is part of the outcome
 
 
+def test_epsilon_must_stay_on_its_cap():
+    # eps(x) = min(cap, 2/log log x) drops below 1/2 near x = 2^78.8
+    for kind, x_max in ((ORD_N, 2**79), (LAMBDA_N, 10**30), (SHIFTED_PRIME, 2**80),
+                        (RSA_PAIR, 2**40)):  # a pair is judged at p*l < x_max^2
+        with pytest.raises(ValueError, match="cap"):
+            SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=0.5))
+    for kind, x_max, cap in ((ORD_N, 2**78, 0.5), (RSA_PAIR, 2**39, 0.5), (LAMBDA_N, 10**30, 0.25)):
+        cfg = SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=cap))
+        assert cfg.threshold_exponent(x_max) == (0.5 + cap, Fraction(1, 2) + Fraction(str(cap)))
+    # the other kinds need no constant eps exponent
+    for kind in (HIGH_FACTOR, ONE_MINUS_DELTA, LAMBDA_LAMBDA):
+        SurveyConfig(kind=kind, x_max=10**200, epsilon=EpsilonFn(cap=0.5))
+    SurveyConfig(kind=ORD_N, x_max=2**80, epsilon=EpsilonFn(cap=0.5), exponent_override=0.5)
+
+
 def test_exponent_override_conflicts():
     for kind in (LAMBDA_LAMBDA, ONE_MINUS_DELTA, CLASS_COUNTS):
         with pytest.raises(ValueError):
@@ -201,7 +217,6 @@ def test_exponent_override_conflicts():
 
 
 def test_merge_monoid():
-    import functools
     cfg = SurveyConfig(kind=ORD_N, x_max=120, chunk=25)
     parts = [evaluate_chunk(cfg, lo, hi) for lo, hi in plan_chunks(cfg)]
     assert len(parts) >= 3
@@ -227,6 +242,9 @@ def test_log_ratio_bin_edges():
     assert log_ratio_bin(63, 64) == 19
     assert log_ratio_bin(64, 64) == 20  # statistic 1.0
     assert log_ratio_bin(10**9, 4) == 20  # clamped to the top bin
+    # near-edges closer than any fixed precision are decided by q^20 < n^k
+    assert log_ratio_bin(2**200, 2**400 + 1) == 9
+    assert log_ratio_bin(2**200 + 1, 2**400) == 10
 
 
 def test_item_decisions_reproducible():
@@ -279,12 +297,11 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
 
 def test_order_kernel_matches_orders_module():
     limit = 2 * 10**5
-    fac = functools.lru_cache(maxsize=None)(factorize)
-    lam = [0] + [carmichael_lambda(fac(n)) for n in range(1, limit + 1)]
+    lam = [0] + [carmichael_lambda(factorize(n)) for n in range(1, limit + 1)]
     kernel = OrderKernel(limit, 2)
     for n in range(1, limit + 1):
         assert kernel.lam(n) == lam[n], n
-        f = fac(n)
+        f = factorize(n)
         assert kernel.lpf(n) == (f.factors[-1][0] if f.factors else 1), n
     powers = [b**a for b in (2, 3) for a in range(1, limit.bit_length()) if b**a <= limit]
     for e in (2, 3, 6, 10, 12):
@@ -293,7 +310,7 @@ def test_order_kernel_matches_orders_module():
         for kernel, order in ((OrderKernel(limit, e), range(1, limit + 1)),
                               (OrderKernel(limit, e), sorted(powers, reverse=True))):
             for n in order:
-                assert kernel.ord(n) == coprime_order(e, n, fac), (e, n)
+                assert kernel.ord(n) == coprime_order(e, n), (e, n)
     # above the table, values fall through to the orders module
     small = OrderKernel(1000, 6)
     for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
@@ -329,14 +346,13 @@ def test_surveys_factor_only_through_the_table(monkeypatch):
 def test_rsa_pair_order_is_lcm_of_shifted_orders():
     # the survey takes lcm(ord*(e, p-1), ord*(e, l-1)); every decision must
     # match the definition's ord*(e, lcm(p-1, l-1))
-    fac = functools.lru_cache(maxsize=None)(factorize)
     primes = primes_in_range(2, 3001)
     pairs = [(p, l) for l in primes for p in primes if p < l < 2 * p]
     for e in (2, 3, 6, 10):
         cfg = SurveyConfig(kind=RSA_PAIR, x_max=3000, e=e)
         kernel = OrderKernel(3000, e)
         for p, l in pairs:
-            o = coprime_order(e, lcm(p - 1, l - 1), fac)
+            o = coprime_order(e, lcm(p - 1, l - 1))
             t, exact = cfg.threshold_exponent(p * l)
             want = (power_compare(o, p * l, t, exact) >= 0, log_ratio_bin(o, p * l), None)
             assert evaluate_item(cfg, (p, l), kernel) == want, (e, p, l)

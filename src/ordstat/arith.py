@@ -4,18 +4,23 @@ Primality is a deterministic Miller-Rabin with a witness set valid for all
 n < 2^64, factorization is trial division by sieved small primes followed
 by Brent's cycle variant of Pollard rho with a fixed parameter sequence
 (plus a Pollard p-1 fallback), so every result is reproducible bit for bit.
+The trial stage walks the primes up to _TRIAL_BOUND in blocks of
+_TRIAL_BLOCK and skips a whole block when n is coprime to the block's
+product (one gcd), so only blocks holding a factor of n are divided one
+prime at a time.
 Everything here is a pure function; the sieve helpers return fresh lists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 U64_MAX = 2**64 - 1
 
 _TRIAL_BOUND = 100_000
-_small_primes: list[int] | None = None
+_TRIAL_BLOCK = 64
 
 # Witnesses proving primality for every n < 2^64 (Sinclair's seven-base set).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -102,11 +107,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _trial_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = sieve_primes(_TRIAL_BOUND)
-    return _small_primes
+@functools.cache
+def _trial_table() -> tuple[list[int], list[tuple[int, int, list[int]]]]:
+    """The primes <= _TRIAL_BOUND, and the same primes in runs of
+    _TRIAL_BLOCK as (square of the run's first prime, product, run)."""
+    primes = sieve_primes(_TRIAL_BOUND)
+    runs = [primes[i : i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK)]
+    return primes, [(run[0] * run[0], math.prod(run), run) for run in runs]
 
 
 def _brent_rho(n: int, c: int) -> int | None:
@@ -124,7 +131,7 @@ def _brent_rho(n: int, c: int) -> int | None:
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = math.gcd(q, n)
             k += m
         r <<= 1
@@ -133,13 +140,13 @@ def _brent_rho(n: int, c: int) -> int | None:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
     return g if g != n else None
 
 
 def _pollard_pm1(n: int, bound: int = 10_000) -> int | None:
     a = 2
-    for p in _trial_primes():
+    for p in _trial_table()[0]:
         if p > bound:
             break
         pk = p
@@ -178,12 +185,17 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"{n} is outside the unsigned 64-bit range")
     value = n
     fac: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
+    for first_square, product, run in _trial_table()[1]:
+        if first_square > n:
             break
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
+        if math.gcd(n, product) == 1:
+            continue
+        for p in run:
+            if p * p > n:
+                break
+            while n % p == 0:
+                fac[p] = fac.get(p, 0) + 1
+                n //= p
     if n > 1:
         if n <= _TRIAL_BOUND * _TRIAL_BOUND:
             # cofactor below the trial square has no divisor left: prime

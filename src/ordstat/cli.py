@@ -18,6 +18,7 @@ Surveys read their orders off a smallest-prime-factor table over [1, --max]
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -134,6 +135,7 @@ def _cmd_survey(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordstat",

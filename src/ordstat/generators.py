@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .orders import carmichael_lambda, coprime_order
+from .orders import _order_factors, carmichael_lambda, coprime_order, coprime_part
 from .arith import factorize
 
 
@@ -124,7 +124,10 @@ def lcg_period_empirical(spec: LcgSpec) -> CycleResult:
 
 
 def power_period_analytic(spec: PowerGenSpec) -> int:
-    return coprime_order(spec.e, coprime_order(spec.u0, spec.n))
+    """coprime_order(e, coprime_order(u0, n)), reading the inner order's
+    factorization off its descent instead of factoring it."""
+    inner = _order_factors(spec.u0, factorize(coprime_part(spec.n, spec.u0)).factors)
+    return math.prod(r**b for r, b in _order_factors(spec.e, inner.items()).items())
 
 
 def power_period_empirical(spec: PowerGenSpec) -> CycleResult:

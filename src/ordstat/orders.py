@@ -3,18 +3,21 @@
 The central quantity is coprime_order(e, n): the multiplicative order of e
 modulo the largest divisor of n that is coprime to e.  It is the eventual
 period of the sequence e^i mod n and the building block for both generator
-period formulas.  Orders are computed by descending the group exponent
-(factor lambda(n), then strip prime factors while the power stays 1), never
-by stepping, so single queries stay polylogarithmic.
+period formulas.  Orders are computed per prime power, never by stepping:
+ord(e, p) descends from p - 1 over the primes of p - 1, ord(e, p^a) is
+ord(e, p^(a-1)) or p times it, whichever pow() says, and the order modulo n
+is the lcm over the prime powers of n.  The descent yields the order already
+factored, so a query factors its modulus once (and p - 1 for each prime p
+of it) and never factors lambda(n) or an order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .arith import Factorization, factorize, is_prime, lcm
+from .arith import Factorization, factorize, lcm
 
 
 def carmichael_lambda(f: Factorization) -> int:
@@ -45,19 +48,41 @@ def coprime_part(n: int, e: int) -> int:
     return n
 
 
+def _order_factors(e: int, factors: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """ord*(e, m) as {prime: exponent}, for m the product of p^a over the
+    (p, a) in factors: the order of e modulo the prime powers whose p does
+    not divide e (the others are skipped)."""
+    order: dict[int, int] = {}
+    for p, a in factors:
+        if e % p == 0:
+            continue
+        o = p - 1
+        own: dict[int, int] = {}
+        for r, b in factorize(o).factors:
+            while b and pow(e, o // r, p) == 1:
+                o //= r
+                b -= 1
+            if b:
+                own[r] = b
+        q = p
+        for _ in range(a - 1):
+            q *= p
+            if pow(e, o, q) != 1:
+                o *= p
+                own[p] = own.get(p, 0) + 1
+        for r, b in own.items():
+            if b > order.get(r, 0):
+                order[r] = b
+    return order
+
+
 def multiplicative_order(e: int, n: int) -> int:
     """Least k >= 1 with e^k = 1 mod n; requires gcd(e, n) = 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if math.gcd(e, n) != 1:
         raise ValueError(f"gcd({e}, {n}) > 1: order undefined")
-    if n == 1:
-        return 1
-    k = carmichael_lambda(factorize(n))
-    for q, _ in factorize(k).factors:
-        while k % q == 0 and pow(e, k // q, n) == 1:
-            k //= q
-    return k
+    return math.prod(r**b for r, b in _order_factors(e, factorize(n).factors).items())
 
 
 def coprime_order(e: int, n: int) -> int:
@@ -106,10 +131,11 @@ class OrderProfile:
 
 
 def order_profile(e: int, n: int) -> OrderProfile:
-    nc = coprime_part(n, e)
-    lam = carmichael_lambda(factorize(n))
-    o = multiplicative_order(e, nc)
-    index = None
-    if is_prime(n) and math.gcd(e, n) == 1:
-        index = (n - 1) // o
-    return OrderProfile(n=n, e=e, n_coprime=nc, lambda_n=lam, ord_star=o, index=index)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    f = factorize(n)
+    nc = math.prod(p**a for p, a in f.factors if e % p)
+    o = math.prod(r**b for r, b in _order_factors(e, f.factors).items())
+    index = (n - 1) // o if f.factors == ((n, 1),) and nc == n else None
+    return OrderProfile(n=n, e=e, n_coprime=nc, lambda_n=carmichael_lambda(f),
+                        ord_star=o, index=index)

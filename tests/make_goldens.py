@@ -5,8 +5,8 @@ Standalone brute-force oracle for the survey golden files.  This script is
 deliberately independent of the ordstat package: it imports nothing from
 src/, uses a plain trial-division factorizer, and finds multiplicative
 orders by scanning the sorted divisors of phi(m) in ascending order
-(ordstat itself uses a group-exponent descent, so the two paths share no
-code and no algorithm).
+(ordstat itself descends per prime power from p - 1, so the two paths
+share no code and no algorithm).
 
 All exceedance comparisons here are exact integer comparisons: with the
 default epsilon cap of 1/4 every threshold exponent at desk scale is the

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ordstat import arith
 from ordstat.arith import (Factorization, OverflowError64, factorize, gcd,
                            is_prime, lcm, pow_mod, primes_in_range,
                            sieve_primes)
@@ -113,6 +114,37 @@ def test_factorize_hard_64bit_inputs():
         assert math.prod(p**a for p, a in f.factors) == n
         assert all(is_prime(p) for p, _ in f.factors)
         assert f == factorize(n)  # deterministic
+
+
+def trial_factor(n, primes):
+    """Factor list of n by trial division over primes, which must run past
+    the square root of every cofactor met."""
+    out = {}
+    for p in primes:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_factorize_matches_trial_division_across_trial_blocks():
+    flags = simple_sieve_flags(200_000)
+    oracle_primes = [n for n in range(2, 200_001) if flags[n]]
+    trial = [p for p in oracle_primes if p <= arith._TRIAL_BOUND]
+    block = arith._TRIAL_BLOCK
+    cases = [99991**2, 99991 * 99989, 100003 * 100019, 2 * 99991 * 100003]
+    # the last prime of one block and the first of the next, alone, squared,
+    # together, and beside a prime cofactor below and above 10^10
+    for i in range(block, len(trial), block):
+        last, first = trial[i - 1], trial[i]
+        cases += [last * first, last**2, first**2, last**2 * first, 8 * last * first,
+                  3 * first * 100003, first * 100003 * 100019]
+    for n in cases:
+        assert factorize(n).factors == trial_factor(n, oracle_primes), n
 
 
 def test_factorization_validates():

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import ordstat.cli as cli
-from ordstat.arith import OverflowError64
+from ordstat import arith, generators, orders
+from ordstat.arith import OverflowError64, is_prime
 from ordstat.cli import main
 from ordstat.survey import KINDS
 
@@ -165,3 +166,60 @@ def test_overflow_maps_to_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "order_profile", boom)
     assert main(["compute", "order", "--e", "2", "--n", "7"]) == 3
     assert "overflow" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    argvs = [
+        ["compute", "order", "--e", "2", "--n", "209"],
+        ["compute", "order", "--n", "12"],  # usage error: exit 2
+        ["survey", "--kind", "lambda-n", "--max", "300"],
+        ["period", "power", "--e", "2", "--n", "11", "--u", "3", "--empirical"],
+        ["compute", "order", "--e", "2", "--n", "209"],
+    ]
+    first = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        code = main(argv)
+        first.append((code, *capsys.readouterr()))
+    assert [c for c, _, _ in first] == [0, 2, 0, 0, 0]
+    cli.build_parser.cache_clear()
+    again = []
+    for argv in argvs:
+        code = main(argv)
+        again.append((code, *capsys.readouterr()))
+    assert again == first
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _prime(bits, start, mod4=None):
+    p = start | (1 << (bits - 1)) | 1
+    while not is_prime(p) or (mod4 is not None and p % 4 != mod4):
+        p += 2
+    return p
+
+
+def test_query_factors_its_modulus_once(capsys, monkeypatch):
+    real = arith.factorize
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    for module in (arith, orders, generators, cli):
+        if getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", recording)
+    p, q = _prime(24, 0x9E3779), _prime(37, 0x7F4A7C159)
+    order_n = 2**3 * p * q
+    order_argv = ["compute", "order", "--e", "2", "--n", str(order_n)]
+    r, s = _prime(30, 0x2545F491, mod4=3), _prime(30, 0x3C6EF372, mod4=3)
+    bbs_argv = ["period", "bbs", "--n", str(r * s), "--u", "3"]
+    for argv, modulus, largest in ((order_argv, order_n, q), (bbs_argv, r * s, max(r, s))):
+        seen.clear()
+        assert main(argv) == 0
+        # the coprime part is read off the one factorization of the
+        # modulus; besides it only p - 1 for the primes p of it are factored
+        assert seen.count(modulus) == 1, seen
+        assert all(m < largest for m in seen if m != modulus), seen
+    capsys.readouterr()

@@ -54,6 +54,8 @@ def test_power_period_analytic_examples():
     for u in seeds[:5]:
         assert power_period_analytic(PowerGenSpec(e=2, n=209, u0=u)) == 12
     assert power_period_analytic(PowerGenSpec(e=5, n=2, u0=7)) == 1
+    # n is past 2^64, but its part coprime to the seed is 5: ord(3, ord(2, 5))
+    assert power_period_analytic(PowerGenSpec(e=3, n=5 * 2**70, u0=2)) == 2
 
 
 def test_power_period_empirical_examples():
@@ -72,8 +74,8 @@ def test_max_seed_period_examples():
 
 def test_power_period_formula_small_grid():
     for n in range(2, 400):
-        for e in (2, 3, 10):
-            for u0 in (2, 3, 7):
+        for e in (2, 3, 6, 10):
+            for u0 in (2, 3, 6, 7, 12):
                 if u0 % n == 0:
                     continue
                 spec = PowerGenSpec(e=e, n=n, u0=u0)

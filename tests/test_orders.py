@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ordstat.arith import factorize, lcm
+from ordstat.arith import Factorization, factorize, is_prime, lcm
 from ordstat.orders import (OrderProfile, carmichael_lambda, coprime_order,
                             coprime_part, multiplicative_order, omega,
                             order_profile, smooth_part, squarefree_core)
@@ -88,10 +88,68 @@ def test_multiplicative_order_examples():
 
 
 def test_order_matches_bruteforce():
-    for n in range(1, 1500):
-        for e in (2, 3, 5, 10):
+    for n in range(1, 3000):
+        for e in (-3, 0, 1, 2, 3, 5, 6, 10, 12):
             m = coprime_part(n, e)
-            assert coprime_order(e, n) == brute_order(e, m), (e, n)
+            k = brute_order(e, m)
+            assert coprime_order(e, n) == k, (e, n)
+            if math.gcd(e, n) == 1:
+                assert multiplicative_order(e, n) == k, (e, n)
+            else:
+                with pytest.raises(ValueError):
+                    multiplicative_order(e, n)
+
+
+def test_coprime_order_takes_the_coprime_part_before_factoring():
+    # n is past 2^64, but its part coprime to 2 is 3
+    assert coprime_order(2, 3 * 2**70) == 2
+    assert coprime_order(3, 3**50 * 7) == 6
+    with pytest.raises(ValueError):
+        order_profile(2, 3 * 2**70)
+
+
+def _random_prime(rng, bits, mod4=None):
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p) and (mod4 is None or p % 4 == mod4):
+            return p
+
+
+def _certificate_cases(rng):
+    """(e, m, factors of m): 50 each of 2^a*p*q < 2^64, 60-bit Blum
+    integers, p^k with p < 2^20 and k >= 2, and 2^k."""
+    for _ in range(50):
+        a = rng.randrange(0, 8)
+        p, q = _random_prime(rng, 24), _random_prime(rng, 63 - a - 24)
+        m = 2**a * p * q
+        fac = ((2, a), (p, 1), (q, 1)) if a else ((p, 1), (q, 1))
+        yield rng.choice((2, 3, 6, 10, rng.randrange(2, m))), m, fac
+    for _ in range(50):
+        p, q = sorted((_random_prime(rng, 30, mod4=3), _random_prime(rng, 30, mod4=3)))
+        m = p * q
+        fac = ((p, 1), (q, 1)) if p != q else ((p, 2),)
+        yield rng.choice((2, 3, rng.randrange(2, m))), m, fac
+    for _ in range(50):
+        p = _random_prime(rng, rng.randrange(2, 21))
+        k = rng.randrange(2, max(3, 64 // p.bit_length() + 1))
+        yield rng.choice((2, 3, 10, rng.randrange(2, p**k))), p**k, ((p, k),)
+    for _ in range(50):
+        k = rng.randrange(1, 64)
+        yield rng.randrange(3, 2**64, 2), 2**k, ((2, k),)
+
+
+def test_orders_pass_the_order_certificate():
+    for e, m, fac in _certificate_cases(random.Random(20260418)):
+        assert m < 2**64
+        mc = coprime_part(m, e)
+        k = coprime_order(e, m)
+        assert pow(e, k, mc) == 1 % mc, (e, m)
+        for r, _ in factorize(k).factors:
+            assert pow(e, k // r, mc) != 1 % mc, (e, m, r)
+        prof = order_profile(e, m)
+        assert (prof.n_coprime, prof.ord_star) == (mc, k), (e, m)
+        assert prof.lambda_n == carmichael_lambda(Factorization(m, fac))
+        assert (prof.index is not None) == (len(fac) == 1 and fac[0][1] == 1 and e % m != 0)
 
 
 def test_coprime_order_examples():
@@ -143,6 +201,9 @@ def test_order_profile_examples():
     assert max_element_order(12) == 2
     prof = order_profile(5, 1)
     assert (prof.n_coprime, prof.lambda_n, prof.ord_star, prof.index) == (1, 1, 1, None)
+    # a prime dividing e has no index
+    prof = order_profile(10, 5)
+    assert (prof.n_coprime, prof.lambda_n, prof.ord_star, prof.index) == (1, 4, 1, None)
 
 
 def test_order_profile_invariants():

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import factorize
-from .orders import carmichael_lambda, coprime_order
+from .arith import Factorization, factorize
+from .orders import _order, carmichael_lambda, coprime_order
 from .arith import lcm as lcm64
 
 _GUARD_REL = 1e-9
@@ -166,21 +166,21 @@ def prime_orders_lower_bound(e: int, n: int) -> Fraction:
     An exact rational lower bound for coprime_order(e, n).
     """
     f = factorize(n)
-    prod = 1
-    for p in f.primes():
-        prod *= coprime_order(e, p)
+    prod = math.prod(_order(e, ((p, 1),)) for p in f.primes())
     return Fraction(carmichael_lambda(f) * prod, n)
 
 
 def lcm_order_lower_bound(e: int, a: int, b: int) -> Fraction:
     """ord_a * ord_b * lambda(lcm(a,b)) / (lambda(a) * lambda(b)): an exact
-    rational lower bound for coprime_order(e, lcm(a, b))."""
-    oa = coprime_order(e, a)
-    ob = coprime_order(e, b)
-    m = lcm64(a, b)
-    num = oa * ob * carmichael_lambda(factorize(m))
-    den = carmichael_lambda(factorize(a)) * carmichael_lambda(factorize(b))
-    return Fraction(num, den)
+    rational lower bound for coprime_order(e, lcm(a, b)).  a and b are
+    factored once each; lcm(a, b) takes the larger exponent of each prime."""
+    fa, fb = factorize(a), factorize(b)
+    merged = dict(fa.factors)
+    for p, k in fb.factors:
+        merged[p] = max(merged.get(p, 0), k)
+    fm = Factorization(lcm64(a, b), tuple(sorted(merged.items())))
+    num = _order(e, fa.factors) * _order(e, fb.factors) * carmichael_lambda(fm)
+    return Fraction(num, carmichael_lambda(fa) * carmichael_lambda(fb))
 
 
 def divisor_quotient_bound(e: int, n: int, j: int) -> Fraction:

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .orders import _order_factors, carmichael_lambda, coprime_order, coprime_part
+from .orders import (_order, _order_factors, _split, carmichael_lambda, coprime_order,
+                     coprime_part)
 from .arith import factorize
 
 
@@ -127,7 +128,7 @@ def power_period_analytic(spec: PowerGenSpec) -> int:
     """coprime_order(e, coprime_order(u0, n)), reading the inner order's
     factorization off its descent instead of factoring it."""
     inner = _order_factors(spec.u0, factorize(coprime_part(spec.n, spec.u0)).factors)
-    return math.prod(r**b for r, b in _order_factors(spec.e, inner.items()).items())
+    return _order(spec.e, inner.items())
 
 
 def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
@@ -136,7 +137,10 @@ def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
 
 def max_seed_period(e: int, n: int) -> int:
     """Power-generator period for a seed of maximal order, i.e.
-    coprime_order(e, lambda(n))."""
+    coprime_order(e, lambda(n)).  Every prime of lambda(n) is a prime p of n
+    or a prime of p - 1, so lambda(n) is split over those, never factored."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    return coprime_order(e, carmichael_lambda(factorize(n)))
+    f = factorize(n)
+    primes = [r for p in f.primes() for r in (p, *factorize(p - 1).primes())]
+    return _order(e, _split(carmichael_lambda(f), primes).items())

@@ -4,36 +4,51 @@ The central quantity is coprime_order(e, n): the multiplicative order of e
 modulo the largest divisor of n that is coprime to e.  It is the eventual
 period of the sequence e^i mod n and the building block for both generator
 period formulas.  Orders are computed per prime power, never by stepping:
-ord(e, p) descends from p - 1 over the primes of p - 1, ord(e, p^a) is
-ord(e, p^(a-1)) or p times it, whichever pow() says, and the order modulo n
-is the lcm over the prime powers of n.  The descent yields the order already
-factored, so a query factors its modulus once (and p - 1 for each prime p
-of it) and never factors lambda(n) or an order.
+ord(e, p) descends from p - 1 over the primes of p - 1 (_prime_order),
+ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says, and the
+order modulo n is the lcm over the prime powers of n.  The descent yields
+the order already factored, so a query factors its modulus once (and p - 1
+for each prime p of it) and never factors lambda(n) or an order.
+
+Surveys read the same quantities through an OrderKernel per base, which
+walks a smallest-prime-factor table of [1, min(x_max, 2^27)] (2 bytes per
+integer) into the same descent and lambda rule (_lambda_lcm), and memoizes
+the orders of prime powers that are proper factors of a value (about 90
+bytes each, 3.8 MB after ord-n at 10^6).  Values above the table fall
+through to arith.factorize.  Every path is exact, so neither the table nor
+the memo can change a result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .arith import Factorization, factorize, lcm
+from .arith import Factorization, factorize, primes_in_range
+
+# Largest table the order kernel builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
+SPF_TABLE_MAX = 2**27
+
+
+def _lambda_lcm(prime_powers: Iterable[tuple[int, int]]) -> int:
+    """lcm of lambda(q) over the (p, q = p^a) pairs: lambda(p^a) = (p-1)p^(a-1),
+    except lambda(2) = 1, lambda(4) = 2 and lambda(2^a) = 2^(a-2) for a >= 3."""
+    result = 1
+    for p, q in prime_powers:
+        if p == 2:
+            lam = q >> 1 if q <= 4 else q >> 2
+        else:
+            lam = q - q // p
+        result = math.lcm(result, lam)
+    return result
 
 
 def carmichael_lambda(f: Factorization) -> int:
-    """lambda(value): the exponent of the multiplicative group mod value.
-
-    Prime-power rule: lambda(p^a) = (p-1)p^(a-1), except lambda(2) = 1,
-    lambda(4) = 2 and lambda(2^a) = 2^(a-2) for a >= 3; combined by lcm.
-    """
-    result = 1
-    for p, a in f.factors:
-        if p == 2:
-            lam = 1 if a == 1 else (2 if a == 2 else 1 << (a - 2))
-        else:
-            lam = (p - 1) * p ** (a - 1)
-        result = lcm(result, lam)
-    return result
+    """lambda(value): the exponent of the multiplicative group mod value."""
+    return _lambda_lcm([(p, p**a) for p, a in f.factors])
 
 
 def coprime_part(n: int, e: int) -> int:
@@ -48,6 +63,29 @@ def coprime_part(n: int, e: int) -> int:
     return n
 
 
+def _prime_order(e: int, p: int, factors: Iterable[tuple[int, int]]) -> int:
+    """ord(e, p) for a prime p not dividing e, descending from p - 1 over the
+    primes r of the (r, _) pairs that factor p - 1."""
+    o = p - 1
+    for r, _ in factors:
+        while o % r == 0 and pow(e, o // r, p) == 1:
+            o //= r
+    return o
+
+
+def _split(m: int, primes: Iterable[int]) -> dict[int, int]:
+    """m as {prime: exponent}, given primes that include every prime of m."""
+    out: dict[int, int] = {}
+    for r in primes:
+        b = 0
+        while m % r == 0:
+            m //= r
+            b += 1
+        if b:
+            out[r] = b
+    return out
+
+
 def _order_factors(e: int, factors: Iterable[tuple[int, int]]) -> dict[int, int]:
     """ord*(e, m) as {prime: exponent}, for m the product of p^a over the
     (p, a) in factors: the order of e modulo the prime powers whose p does
@@ -56,24 +94,20 @@ def _order_factors(e: int, factors: Iterable[tuple[int, int]]) -> dict[int, int]
     for p, a in factors:
         if e % p == 0:
             continue
-        o = p - 1
-        own: dict[int, int] = {}
-        for r, b in factorize(o).factors:
-            while b and pow(e, o // r, p) == 1:
-                o //= r
-                b -= 1
-            if b:
-                own[r] = b
-        q = p
-        for _ in range(a - 1):
-            q *= p
-            if pow(e, o, q) != 1:
+        below = factorize(p - 1)
+        o = _prime_order(e, p, below.factors)
+        for k in range(2, a + 1):
+            if pow(e, o, p**k) != 1:
                 o *= p
-                own[p] = own.get(p, 0) + 1
-        for r, b in own.items():
+        for r, b in _split(o, (*below.primes(), p)).items():
             if b > order.get(r, 0):
                 order[r] = b
     return order
+
+
+def _order(e: int, factors: Iterable[tuple[int, int]]) -> int:
+    """ord*(e, m) for m given by its (p, a) factors."""
+    return math.prod(r**b for r, b in _order_factors(e, factors).items())
 
 
 def multiplicative_order(e: int, n: int) -> int:
@@ -82,7 +116,7 @@ def multiplicative_order(e: int, n: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     if math.gcd(e, n) != 1:
         raise ValueError(f"gcd({e}, {n}) > 1: order undefined")
-    return math.prod(r**b for r, b in _order_factors(e, factorize(n).factors).items())
+    return _order(e, factorize(n).factors)
 
 
 def coprime_order(e: int, n: int) -> int:
@@ -135,7 +169,95 @@ def order_profile(e: int, n: int) -> OrderProfile:
         raise ValueError(f"n must be positive, got {n}")
     f = factorize(n)
     nc = math.prod(p**a for p, a in f.factors if e % p)
-    o = math.prod(r**b for r, b in _order_factors(e, f.factors).items())
+    o = _order(e, f.factors)
     index = (n - 1) // o if f.factors == ((n, 1),) and nc == n else None
     return OrderProfile(n=n, e=e, n_coprime=nc, lambda_n=carmichael_lambda(f),
                         ord_star=o, index=index)
+
+
+@functools.lru_cache(maxsize=1)
+def _spf_table(limit: int) -> array:
+    """Smallest prime factor of every composite n <= limit, 0 for 0, 1 and
+    the primes.  A composite's smallest prime factor is at most isqrt(limit),
+    below 2^16 for limit <= 2^32, so 2 bytes per entry suffice."""
+    spf = array("H", bytes(2 * (limit + 1)))
+    # descending, so that each entry ends up holding its smallest prime
+    for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
+        spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+    return spf
+
+
+class OrderKernel:
+    """lambda(n), ord*(e, n) and the largest prime factor of n for one base e,
+    read off the table for 1 <= n <= limit and through arith.factorize above.
+
+    ord*(e, n) is the lcm of ord(e, q) over the prime powers q = p^a exactly
+    dividing n with p not dividing e.  ord(e, q) is memoized only when q is a
+    proper factor of the value being evaluated, so the memo holds at most one
+    entry per prime power up to limit/2 and a survey of primes stores nothing.
+    """
+
+    def __init__(self, limit: int, e: int):
+        self.limit = limit
+        self.e = e
+        self._spf = _spf_table(limit)
+        self._memo: dict[int, int] = {}
+
+    def _prime_powers(self, n: int) -> list[tuple[int, int]]:
+        """(p, p^a) for each prime power exactly dividing 1 <= n <= limit."""
+        spf = self._spf
+        out = []
+        while n > 1:
+            p = spf[n] or n
+            q = p
+            n //= p
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        return out
+
+    def _prime_power_order(self, p: int, q: int, keep: bool) -> int:
+        """ord(e, q) for q = p^a with p not dividing e; memoized when keep."""
+        o = self._memo.get(q)
+        if o is not None:
+            return o
+        if q == p:
+            o = _prime_order(self.e, p, self._prime_powers(p - 1))
+        else:
+            o = self._prime_power_order(p, q // p, True)
+            if pow(self.e, o, q) != 1:
+                o *= p
+        if keep:
+            self._memo[q] = o
+        return o
+
+    def ord(self, n: int) -> int:
+        """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""
+        if not 1 <= n <= self.limit:
+            return coprime_order(self.e, n)
+        e = self.e
+        result = 1
+        for p, q in self._prime_powers(n):
+            if e % p:
+                o = self._prime_power_order(p, q, q < n)
+                result = math.lcm(result, o)
+        return result
+
+    def lam(self, n: int) -> int:
+        """Carmichael lambda(n)."""
+        if not 1 <= n <= self.limit:
+            return carmichael_lambda(factorize(n))
+        return _lambda_lcm(self._prime_powers(n))
+
+    def lpf(self, n: int) -> int:
+        """Largest prime factor of n, 1 for n = 1."""
+        if not 1 <= n <= self.limit:
+            return factorize(n).factors[-1][0]
+        spf = self._spf
+        while spf[n]:
+            n //= spf[n]
+        return n
+
+
+_order_kernel = functools.lru_cache(maxsize=1)(OrderKernel)

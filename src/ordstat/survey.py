@@ -31,11 +31,8 @@ min(cap, 2/log log x) never increases, so 1/2 + eps is one constant per
 config when eps is on its cap at the largest x judged (x_max, or x_max^2 for
 pairs).  That holds below 2^64; a config where it fails is rejected.
 
-Each process builds, on the first chunk it evaluates, one OrderKernel for
-the config's base over a smallest-prime-factor table of [1, min(x_max, 2^27)]
-(2 bytes per integer; its memo holds about 90 bytes per prime power, 3.8 MB
-after ord-n at 10^6), and every kind reads q from it.  Every path is exact,
-so neither the table nor the memo can change a result.  Checkpoints are JSON
+Each process builds, on the first chunk it evaluates, one orders.OrderKernel
+for the config's base, and every kind reads q from it.  Checkpoints are JSON
 carrying a config digest, the completed chunk list, and the partially merged
 result.
 """
@@ -51,17 +48,16 @@ import json
 import math
 import os
 import random
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable
 
-from .arith import factorize, lcm, primes_in_range
+from .arith import lcm, primes_in_range
 from .classify import (_GUARD_REL, DEFAULT_EPSILON, EpsilonFn, _decimal_ctx,
                        classify_order_value, power_compare)
-from .orders import carmichael_lambda, coprime_order
+from .orders import SPF_TABLE_MAX, OrderKernel, _order_kernel
 
 ORD_N = "ord-n"
 SHIFTED_PRIME = "shifted-prime"
@@ -80,11 +76,6 @@ N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
 RSA_FULL_ENUM_LIMIT = 10_000_000
-
-# Largest table the order kernel builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
-# Values above it fall through to the orders module over arith.factorize,
-# which gives the same numbers, so the cap bounds memory and never a result.
-SPF_TABLE_MAX = 2**27
 
 
 class CheckpointError(Exception):
@@ -141,14 +132,6 @@ class SurveyConfig:
             return kind.exponent
         return self.epsilon.exponent(self.x_max**2 if kind.items is _pair_items
                                      else self.x_max)
-
-    def threshold_exponent(self, x: int) -> tuple[float, Fraction | None]:
-        """The exponent t of the threshold x^t at value x, with its exact
-        value when rational."""
-        exponent = _KINDS[self.kind].exponent
-        if callable(exponent):
-            return exponent(x), None
-        return self._threshold
 
 
 @dataclass
@@ -290,115 +273,6 @@ def _one_minus_delta_exceeds(o: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# order kernel over the smallest-prime-factor table
-
-@functools.lru_cache(maxsize=1)
-def _spf_table(limit: int) -> array:
-    """Smallest prime factor of every composite n <= limit, 0 for 0, 1 and
-    the primes.  A composite's smallest prime factor is at most isqrt(limit),
-    below 2^16 for limit <= 2^32, so 2 bytes per entry suffice."""
-    spf = array("H", bytes(2 * (limit + 1)))
-    # descending, so that each entry ends up holding its smallest prime
-    for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
-        spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
-    return spf
-
-
-class OrderKernel:
-    """lambda(n), ord*(e, n) and the largest prime factor of n for one base e.
-
-    Values n <= limit are factored off the smallest-prime-factor table, with
-    no Factorization built.  ord*(e, n) is the lcm of ord(e, q) over the
-    prime powers q = p^a exactly dividing n with p not dividing e.
-    ord(e, p) descends from p - 1 over the primes of p - 1, and
-    ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says.
-    ord(e, q) is memoized only when q is a proper factor of the value being
-    evaluated, so the memo holds at most one entry per prime power up to
-    limit/2 and a survey of primes stores nothing.  Values outside
-    [1, limit] fall through to coprime_order and carmichael_lambda of
-    arith.factorize, which give the same numbers.
-    """
-
-    def __init__(self, limit: int, e: int):
-        self.limit = limit
-        self.e = e
-        self._spf = _spf_table(limit)
-        self._memo: dict[int, int] = {}
-
-    def _prime_powers(self, n: int) -> list[tuple[int, int]]:
-        """(p, p^a) for each prime power exactly dividing 1 <= n <= limit."""
-        spf = self._spf
-        out = []
-        while n > 1:
-            p = spf[n] or n
-            q = p
-            n //= p
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append((p, q))
-        return out
-
-    def _prime_power_order(self, p: int, q: int, keep: bool) -> int:
-        """ord(e, q) for q = p^a with p not dividing e; memoized when keep."""
-        o = self._memo.get(q)
-        if o is not None:
-            return o
-        e = self.e
-        if q == p:
-            o = p - 1
-            for r, _ in self._prime_powers(o):
-                while o % r == 0 and pow(e, o // r, p) == 1:
-                    o //= r
-        else:
-            o = self._prime_power_order(p, q // p, True)
-            if pow(e, o, q) != 1:
-                o *= p
-        if keep:
-            self._memo[q] = o
-        return o
-
-    def ord(self, n: int) -> int:
-        """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""
-        if not 1 <= n <= self.limit:
-            return coprime_order(self.e, n)
-        e = self.e
-        result = 1
-        for p, q in self._prime_powers(n):
-            if e % p:
-                o = self._prime_power_order(p, q, q < n)
-                result = math.lcm(result, o)
-        return result
-
-    def lam(self, n: int) -> int:
-        """Carmichael lambda(n), with lambda(2^a) = 2^(a-2) for a >= 3."""
-        if not 1 <= n <= self.limit:
-            return carmichael_lambda(factorize(n))
-        result = 1
-        for p, q in self._prime_powers(n):
-            if p == 2:
-                lam = q >> 1 if q <= 4 else q >> 2
-            else:
-                lam = q - q // p
-            result = math.lcm(result, lam)
-        return result
-
-    def lpf(self, n: int) -> int:
-        """Largest prime factor of n, 1 for n = 1."""
-        if not 1 <= n <= self.limit:
-            return factorize(n).factors[-1][0]
-        spf = self._spf
-        while spf[n]:
-            n //= spf[n]
-        return n
-
-
-@functools.lru_cache(maxsize=1)
-def _order_kernel(limit: int, e: int) -> OrderKernel:
-    return OrderKernel(limit, e)
-
-
-# ---------------------------------------------------------------------------
 # rsa pair indexing
 
 @functools.lru_cache(maxsize=4)
@@ -529,10 +403,6 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
             for lo in range(low, cfg.x_max + 1, cfg.chunk)]
 
 
-def _chunk_items(cfg: SurveyConfig, lo: int, hi: int):
-    return _KINDS[cfg.kind].items(cfg, lo, hi)
-
-
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
@@ -542,7 +412,7 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     one."""
     kernel = _order_kernel(min(cfg.x_max, SPF_TABLE_MAX), cfg.e)
     result = empty_result(cfg)
-    items = _chunk_items(cfg, lo, hi)
+    items = _KINDS[cfg.kind].items(cfg, lo, hi)
     histogram, counts = result.histogram, result.class_counts
     exceed = 0
     for item in items:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordstat.arith import sieve_primes
+from ordstat.arith import factorize, sieve_primes
 from ordstat.classify import (EpsilonFn, classify_prime, divisor_quotient_bound,
                               epsilon_default, lcm_order_lower_bound,
                               power_compare, prime_orders_lower_bound,
@@ -118,6 +118,9 @@ def test_sqrt_over_log_compare():
 
 def test_prime_orders_lower_bound_examples():
     assert prime_orders_lower_bound(2, 15) == Fraction(32, 15)
+    # 90 = 2 * 3^2 * 5: lambda = 12; ord(6, 5) = 1 and 2, 3 divide the base
+    assert prime_orders_lower_bound(6, 90) == Fraction(2, 15)
+    assert prime_orders_lower_bound(7, 90) == Fraction(12 * 4, 90)  # ord(7, 5) = 4
     for e in (2, 3, 10):
         assert prime_orders_lower_bound(e, 1) == 1
     assert prime_orders_lower_bound(2, 7) == Fraction(18, 7)
@@ -126,8 +129,12 @@ def test_prime_orders_lower_bound_examples():
 
 def test_prime_orders_lower_bound_holds_exactly():
     for n in range(1, 3000):
+        f = factorize(n)
         for e in (2, 3):
-            assert coprime_order(e, n) >= prime_orders_lower_bound(e, n), (e, n)
+            bound = prime_orders_lower_bound(e, n)
+            assert coprime_order(e, n) >= bound, (e, n)
+            prod = math.prod(coprime_order(e, p) for p in f.primes())
+            assert bound == Fraction(carmichael_lambda(f) * prod, n), (e, n)
 
 
 def test_lcm_order_lower_bound():
@@ -137,12 +144,16 @@ def test_lcm_order_lower_bound():
             bound = lcm_order_lower_bound(e, a, a)
             o = coprime_order(e, a)
             assert bound <= o
+            assert bound == Fraction(o * o, carmichael_lambda(factorize(a))), (e, a)
+    # ord*(2, 6) = 2, ord*(2, 10) = 4, lambda(30) = 4, lambda(6) = 2, lambda(10) = 4
     bound = lcm_order_lower_bound(2, 6, 10)
+    assert bound == 4
     assert coprime_order(2, 30) >= bound
     # pl = 209: lambda(lambda(209)) = lambda(90), bound ord*(2, lcm(10, 18))
     bound = lcm_order_lower_bound(2, 10, 18)
     assert coprime_order(2, 90) == 12
-    assert 12 >= bound
+    assert bound == 12
+    assert lcm_order_lower_bound(3, 1, 1) == 1
 
 
 def test_lcm_order_lower_bound_random_pairs():
@@ -153,7 +164,12 @@ def test_lcm_order_lower_bound_random_pairs():
         b = rng.randrange(1, 2000)
         for e in (2, 3):
             m = a // math.gcd(a, b) * b
-            assert coprime_order(e, m) >= lcm_order_lower_bound(e, a, b), (e, a, b)
+            bound = lcm_order_lower_bound(e, a, b)
+            assert coprime_order(e, m) >= bound, (e, a, b)
+            # the defining formula, each quantity computed on its own
+            lam = [carmichael_lambda(factorize(v)) for v in (m, a, b)]
+            want = Fraction(coprime_order(e, a) * coprime_order(e, b) * lam[0], lam[1] * lam[2])
+            assert bound == want, (e, a, b)
 
 
 def test_divisor_quotient_bound():

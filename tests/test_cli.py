@@ -199,7 +199,8 @@ def _prime(bits, start, mod4=None):
     return p
 
 
-def test_query_factors_its_modulus_once(capsys, monkeypatch):
+def _record_factorize(monkeypatch):
+    """The list every later arith.factorize argument is appended to."""
     real = arith.factorize
     seen = []
 
@@ -210,6 +211,11 @@ def test_query_factors_its_modulus_once(capsys, monkeypatch):
     for module in (arith, orders, generators, cli):
         if getattr(module, "factorize", None) is real:
             monkeypatch.setattr(module, "factorize", recording)
+    return seen
+
+
+def test_query_factors_its_modulus_once(capsys, monkeypatch):
+    seen = _record_factorize(monkeypatch)
     p, q = _prime(24, 0x9E3779), _prime(37, 0x7F4A7C159)
     order_n = 2**3 * p * q
     order_argv = ["compute", "order", "--e", "2", "--n", str(order_n)]
@@ -223,3 +229,17 @@ def test_query_factors_its_modulus_once(capsys, monkeypatch):
         assert seen.count(modulus) == 1, seen
         assert all(m < largest for m in seen if m != modulus), seen
     capsys.readouterr()
+
+
+def test_max_seed_period_never_factors_lambda(monkeypatch):
+    # lambda(n) is a 58-bit value here; its primes come from p - 1 and q - 1
+    p, q = 1073741827, 1073741831
+    n = p * q
+    want = {e: orders.coprime_order(e, orders.carmichael_lambda(arith.factorize(n)))
+            for e in (2, 3, 10)}
+    seen = _record_factorize(monkeypatch)
+    for e in (2, 3, 10):
+        seen.clear()
+        assert generators.max_seed_period(e, n) == want[e]
+        assert seen.count(n) == 1, seen
+        assert all(m < q for m in seen if m != n), seen

@@ -70,6 +70,13 @@ def test_max_seed_period_examples():
     assert max_seed_period(2, 7) == 2
     for e in (2, 3, 10):
         assert max_seed_period(e, 2) == 1
+    # lambda(125) = 100 = 2^2 * 5^2: the 5s come from n, not from p - 1 = 4
+    assert max_seed_period(3, 125) == 20
+    from ordstat.orders import carmichael_lambda
+    for n in range(2, 3000):
+        lam = carmichael_lambda(factorize(n))
+        for e in (2, 3, 10):
+            assert max_seed_period(e, n) == coprime_order(e, lam), (e, n)
 
 
 def test_power_period_formula_small_grid():

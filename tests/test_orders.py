@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ordstat.arith import Factorization, factorize, is_prime, lcm
-from ordstat.orders import (OrderProfile, carmichael_lambda, coprime_order,
+from ordstat.arith import Factorization, factorize, is_prime, lcm, primes_in_range
+from ordstat.orders import (OrderKernel, OrderProfile, carmichael_lambda, coprime_order,
                             coprime_part, multiplicative_order, omega,
                             order_profile, smooth_part, squarefree_core)
 
@@ -219,3 +219,99 @@ def test_order_profile_invariants():
                 assert pow(e, prof.ord_star // q, prof.n_coprime) != 1 % prof.n_coprime
             if prof.index is not None:
                 assert prof.index * prof.ord_star == n - 1
+
+
+def _largest_prime_factors(limit):
+    """lpf[m] for 1 <= m <= limit (lpf[1] = 1), by a sieve of its own: each
+    prime p overwrites its multiples in ascending order, the largest last."""
+    lpf = list(range(limit + 1))
+    for p in range(2, limit // 2 + 1):
+        if lpf[p] == p:
+            lpf[2 * p :: p] = [p] * (limit // p - 1)
+    return lpf
+
+
+def _prime_powers_by_table(m, lpf):
+    """(p, p^a) for each prime power exactly dividing m, largest p first."""
+    out = []
+    while m > 1:
+        p, q = lpf[m], 1
+        while m % p == 0:
+            m //= p
+            q *= p
+        out.append((p, q))
+    return out
+
+
+def _e_free(n, e):
+    """The largest divisor of n coprime to e."""
+    while (g := math.gcd(n, e)) > 1:
+        n //= g
+    return n
+
+
+def test_order_kernel_passes_the_order_certificate():
+    limit = 2 * 10**5
+    lpf = _largest_prime_factors(limit)
+    kernel = OrderKernel(limit, 2)
+    for n in range(1, limit + 1):
+        lam = 1  # lambda(p^a) = (p-1)p^(a-1), but lambda(2^a) = 2^(a-2) for a >= 3
+        for p, q in _prime_powers_by_table(n, lpf):
+            lam = math.lcm(lam, (q // 2 if q <= 4 else q // 4) if p == 2 else q - q // p)
+        assert kernel.lam(n) == lam, n
+        assert kernel.lpf(n) == lpf[n], n
+    powers = [b**a for b in (2, 3) for a in range(1, limit.bit_length()) if b**a <= limit]
+    for e in (2, 3, 6, 10, 12):
+        certified = {}  # e-free part n' -> its certified order
+        # the first kernel meets every prime power before any multiple of it,
+        # the second meets the powers of 2 and 3 largest first with an empty memo
+        for kernel, order in ((OrderKernel(limit, e), range(1, limit + 1)),
+                              (OrderKernel(limit, e), sorted(powers, reverse=True))):
+            for n in order:
+                o = kernel.ord(n)
+                m = _e_free(n, e)
+                if m not in certified:
+                    assert pow(e, o, m) == 1 % m, (e, n)
+                    for r, _ in _prime_powers_by_table(o, lpf):
+                        assert pow(e, o // r, m) != 1 % m, (e, n, r)
+                    certified[m] = o
+                assert o == certified[m], (e, n)
+    # above the table, values fall through to the orders module
+    small = OrderKernel(1000, 6)
+    for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
+        assert small.ord(n) == coprime_order(6, n), n
+        assert small.lam(n) == carmichael_lambda(factorize(n)), n
+        assert small.lpf(n) == factorize(n).factors[-1][0], n
+    for method in (small.ord, small.lam, small.lpf):
+        with pytest.raises(ValueError):
+            method(0)
+
+
+def test_order_kernel_memo_holds_only_proper_factors():
+    kernel = OrderKernel(10**4, 2)
+    for p in primes_in_range(3, 10**4 + 1):
+        kernel.ord(p)
+    assert kernel._memo == {}
+    assert kernel.ord(3**4 * 7) == coprime_order(2, 3**4 * 7)
+    assert sorted(kernel._memo) == [3, 7, 9, 27, 81]
+
+
+def test_orders_and_kernel_match_sympy():
+    pytest.importorskip("sympy")
+    from sympy import reduced_totient
+    from sympy.ntheory import n_order
+
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randrange(1, 2**40)
+        e = rng.choice((2, 3, 6, 10, 12, rng.randrange(2, 2**40)))
+        m = _e_free(n, e)
+        assert coprime_order(e, n) == (n_order(e, m) if m > 1 else 1), (e, n)
+        assert carmichael_lambda(factorize(n)) == reduced_totient(n), n
+    limit = 10**5
+    for e in (2, 3, 6, 10, 12):
+        kernel = OrderKernel(limit, e)
+        for n in rng.sample(range(1, limit + 1), 400):
+            m = _e_free(n, e)
+            assert kernel.ord(n) == (n_order(e, m) if m > 1 else 1), (e, n)
+            assert kernel.lam(n) == reduced_totient(n), n

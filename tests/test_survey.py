@@ -13,13 +13,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import factorize, lcm, primes_in_range
 from ordstat.classify import EpsilonFn, power_compare
-from ordstat.orders import carmichael_lambda, coprime_order
-from ordstat.survey import (CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
+from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order
+from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
-                            RSA_PAIR, SHIFTED_PRIME, OrderKernel,
+                            RSA_PAIR, SHIFTED_PRIME,
                             SurveyConfig, empty_result, evaluate_chunk,
                             evaluate_item, log_ratio_bin, merge_results,
                             plan_chunks, rsa_pair_count, run_survey)
@@ -109,8 +110,8 @@ def test_one_minus_delta_threshold():
     # threshold is 1 - sqrt(log log x / log x), rising toward 1
     ts = []
     for x in (100, 10**5, 10**9):
-        t, exact = cfg.threshold_exponent(x)
-        assert exact is None
+        t = _KINDS[ONE_MINUS_DELTA].exponent(x)
+        assert isinstance(t, float)  # irrational: no exact value to compare
         assert t == 1.0 - math.sqrt(math.log(math.log(x)) / math.log(x))
         assert 0.0 < t < 1.0
         ts.append(t)
@@ -136,7 +137,7 @@ def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
     # near-ties at survey scale: the float threshold lands within the 1e-9 band
     ties = []
     for n in itertools.count(10**8):
-        t, _ = SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n).threshold_exponent(n)
+        t = _KINDS[ONE_MINUS_DELTA].exponent(n)
         thr = math.exp(t * math.log(n))
         if abs(round(thr) - thr) <= 1e-9 * thr:
             ties.append((round(thr), n))
@@ -149,7 +150,7 @@ def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
     # (about 1e-14) is far above 50 digits; an o between the true threshold
     # and the one implied by repr() of the float exponent tells them apart
     n = 10**200
-    t, _ = SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n).threshold_exponent(n)
+    t = _KINDS[ONE_MINUS_DELTA].exponent(n)
     ctx = decimal.Context(prec=80)
     lnn = ctx.ln(decimal.Decimal(n))
     true_thr = ctx.exp(ctx.multiply(ctx.subtract(
@@ -172,7 +173,7 @@ def test_class_counts_partition():
 def test_rsa_pair_full_enumeration():
     cfg = SurveyConfig(kind=RSA_PAIR, x_max=19, chunk=5)
     chunks = plan_chunks(cfg)
-    pairs = [item for lo, hi in chunks for item in survey_mod._chunk_items(cfg, lo, hi)]
+    pairs = [item for lo, hi in chunks for item in _KINDS[RSA_PAIR].items(cfg, lo, hi)]
     assert (11, 19) in pairs
     assert all(p < l < 2 * p for p, l in pairs)
     r = run_survey(cfg)
@@ -203,7 +204,7 @@ def test_epsilon_must_stay_on_its_cap():
             SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=0.5))
     for kind, x_max, cap in ((ORD_N, 2**78, 0.5), (RSA_PAIR, 2**39, 0.5), (LAMBDA_N, 10**30, 0.25)):
         cfg = SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=cap))
-        assert cfg.threshold_exponent(x_max) == (0.5 + cap, Fraction(1, 2) + Fraction(str(cap)))
+        assert cfg._threshold == (0.5 + cap, Fraction(1, 2) + Fraction(str(cap)))
     # the other kinds need no constant eps exponent
     for kind in (HIGH_FACTOR, ONE_MINUS_DELTA, LAMBDA_LAMBDA):
         SurveyConfig(kind=kind, x_max=10**200, epsilon=EpsilonFn(cap=0.5))
@@ -253,7 +254,7 @@ def test_item_decisions_reproducible():
     recount = 0
     for n in range(16, 501):
         o = coprime_order(2, n)
-        t, exact = cfg.threshold_exponent(n)
+        t, exact = cfg._threshold
         from ordstat.classify import power_compare
         if power_compare(o, n, t, exact) > 0:
             recount += 1
@@ -295,50 +296,16 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
         run_survey(cfg, checkpoint=str(tmp_path / "other.ckpt"))
 
 
-def test_order_kernel_matches_orders_module():
-    limit = 2 * 10**5
-    lam = [0] + [carmichael_lambda(factorize(n)) for n in range(1, limit + 1)]
-    kernel = OrderKernel(limit, 2)
-    for n in range(1, limit + 1):
-        assert kernel.lam(n) == lam[n], n
-        f = factorize(n)
-        assert kernel.lpf(n) == (f.factors[-1][0] if f.factors else 1), n
-    powers = [b**a for b in (2, 3) for a in range(1, limit.bit_length()) if b**a <= limit]
-    for e in (2, 3, 6, 10, 12):
-        # the first kernel meets every prime power before any multiple of it,
-        # the second meets the powers of 2 and 3 largest first with an empty memo
-        for kernel, order in ((OrderKernel(limit, e), range(1, limit + 1)),
-                              (OrderKernel(limit, e), sorted(powers, reverse=True))):
-            for n in order:
-                assert kernel.ord(n) == coprime_order(e, n), (e, n)
-    # above the table, values fall through to the orders module
-    small = OrderKernel(1000, 6)
-    for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
-        assert small.ord(n) == coprime_order(6, n), n
-        assert small.lam(n) == carmichael_lambda(factorize(n)), n
-        assert small.lpf(n) == factorize(n).factors[-1][0], n
-    for method in (small.ord, small.lam, small.lpf):
-        with pytest.raises(ValueError):
-            method(0)
-
-
-def test_order_kernel_memo_holds_only_proper_factors():
-    kernel = OrderKernel(10**4, 2)
-    for p in primes_in_range(3, 10**4 + 1):
-        kernel.ord(p)
-    assert kernel._memo == {}
-    assert kernel.ord(3**4 * 7) == coprime_order(2, 3**4 * 7)
-    assert sorted(kernel._memo) == [3, 7, 9, 27, 81]
-
-
 def test_surveys_factor_only_through_the_table(monkeypatch):
     def fail(name):
         def no_fall_through(*args):
             raise AssertionError(f"survey fell through to {name}{args}")
         return no_fall_through
 
+    # the kernel lives in the orders module and falls through to these there
     for name in ("factorize", "coprime_order", "carmichael_lambda"):
-        monkeypatch.setattr(survey_mod, name, fail(name))
+        assert not hasattr(survey_mod, name)
+        monkeypatch.setattr(orders_mod, name, fail(name))
     for kind in KINDS:
         assert run_survey(SurveyConfig(kind=kind, x_max=2000, chunk=700)).total > 0
 
@@ -353,7 +320,7 @@ def test_rsa_pair_order_is_lcm_of_shifted_orders():
         kernel = OrderKernel(3000, e)
         for p, l in pairs:
             o = coprime_order(e, lcm(p - 1, l - 1))
-            t, exact = cfg.threshold_exponent(p * l)
+            t, exact = cfg._threshold
             want = (power_compare(o, p * l, t, exact) >= 0, log_ratio_bin(o, p * l), None)
             assert evaluate_item(cfg, (p, l), kernel) == want, (e, p, l)
 

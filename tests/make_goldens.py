@@ -10,8 +10,10 @@ share no code and no algorithm).
 
 All exceedance comparisons here are exact integer comparisons: with the
 default epsilon cap of 1/4 every threshold exponent at desk scale is the
-rational 3/4 (or 1/2 for the fixed-threshold trend windows, or 677/1000
-for the large-factor survey), so k > n^(3/4) is decided as k^4 > n^3.
+rational 3/4 (or 1/2 for the fixed-threshold trend windows, 677/1000 for
+the large-factor survey, 3/5 and 7/10 for the shifted-prime and L/M/H keys
+at cap 1/10, 333/1000 for a fixed exponent 0.333), so k > n^(a/b) is
+decided as k^b > n^a.
 Histogram bins are exact too: the 0.05-wide bin of log(q)/log(n) is the
 largest b <= 20 with n^b <= q^20.  The only float comparisons left are the
 sqrt(p)/log(p) class boundary and the lambda-lambda threshold
@@ -129,9 +131,10 @@ def epsilon(x, cap=EPS_CAP):
     return min(cap, 2.0 / math.log(math.log(xc)))
 
 
-def exceeds_three_quarters(k, n, strict):
-    """k > n^(3/4) (or >=) as an exact integer comparison."""
-    lhs, rhs = k**4, n**3
+def exceeds_power(k, n, strict, a=3, b=4):
+    """k > n^(a/b) (or >=) as an exact integer comparison; a/b = 3/4 is
+    1/2 + eps(n) with the default cap."""
+    lhs, rhs = k**b, n**a
     return lhs > rhs if strict else lhs >= rhs
 
 
@@ -200,8 +203,10 @@ def self_check():
     assert euler_phi(10) == 4
     assert sorted_divisors(12) == [1, 2, 3, 4, 6, 12]
     assert [exact_bin(q, 64) for q in (1, 7, 8, 63, 64, 10**9)] == [0, 9, 10, 19, 20, 20]
-    # every threshold exponent used below must really be capped at 1/4
+    # every threshold exponent used below must really be capped
     assert epsilon(2) == EPS_CAP and epsilon(10**6) == EPS_CAP
+    assert epsilon(10**6, cap=0.1) == 0.1
+    assert exceeds_power(8, 16, strict=False) and not exceeds_power(8, 16, strict=True)
     # 16^(1 - sqrt(log log 16 / log 16)) = 2.977...
     assert one_minus_delta_exceeds(3, 16) and not one_minus_delta_exceeds(2, 16)
     # lambda(lambda(167)) = 82: log(167/82) / (lnln^2 * lnlnln) = 0.51...
@@ -232,29 +237,25 @@ def measure_ord_n(x_max, e=2):
     tally = Tally()
     for n in range(16, x_max + 1):
         o = order_coprime(e, n)
-        tally.add(exceeds_three_quarters(o, n, strict=True), o, n)
+        tally.add(exceeds_power(o, n, strict=True), o, n)
     return tally
 
 
-def measure_shifted_prime(primes, x_max, e=2):
+def measure_shifted_prime(primes, x_max, e=2, a=3, b=4):
     tally = Tally()
     for p in primes:
         if p > x_max:
             break
         o = order_coprime(e, p - 1)
-        tally.add(exceeds_three_quarters(o, p, strict=False), o, p)
+        tally.add(exceeds_power(o, p, strict=False, a=a, b=b), o, p)
     return tally
 
 
-def measure_lambda_n(x_max, e=2, lo=16, fixed_half=False):
+def measure_lambda_n(x_max, e=2, lo=16, a=3, b=4):
     tally = Tally()
     for n in range(lo, x_max + 1):
         o = order_coprime(e, lambda_formula(n))
-        if fixed_half:
-            hit = o * o > n
-        else:
-            hit = exceeds_three_quarters(o, n, strict=True)
-        tally.add(hit, o, n)
+        tally.add(exceeds_power(o, n, strict=True, a=a, b=b), o, n)
     return tally
 
 
@@ -302,25 +303,27 @@ def measure_rsa_pair(primes, x_max, e=2):
             if 2 * p > l:
                 m = (p - 1) * (l - 1) // math.gcd(p - 1, l - 1)
                 o = order_coprime(e, m)
-                tally.add(exceeds_three_quarters(o, p * l, strict=False), o, p * l)
+                tally.add(exceeds_power(o, p * l, strict=False), o, p * l)
     return tally
 
 
-def measure_class_counts(primes, x_max, e=2):
+def measure_class_counts(primes, x_max, e=2, a=1, b=1):
     """The L/M/H triple, and a tally whose exceed counts H and whose
-    histogram bins log(ord)/log(p)."""
+    histogram bins log(ord)/log(p).  The M/H boundary p^(1/2 + 2*eps(p)) is
+    p^(a/b): p^1 with the capped default epsilon, p^(7/10) at cap 1/10."""
     counts = {"L": 0, "M": 0, "H": 0}
     tally = Tally()
     for p in primes:
         if p > x_max:
             break
         o = order_coprime(e, p)
-        tally.add(o > p, o, p)
+        high = exceeds_power(o, p, strict=True, a=a, b=b)
+        tally.add(high, o, p)
         low_threshold = math.sqrt(p) / math.log(p)
         assert abs(o - low_threshold) > 1e-6 * low_threshold, (p, o)
         if o <= low_threshold:
             counts["L"] += 1
-        elif o <= p:  # p^(1/2 + 2*eps(p)) = p^1 with the capped default epsilon
+        elif not high:
             counts["M"] += 1
         else:
             counts["H"] += 1
@@ -342,7 +345,12 @@ def compute(log):
             ("high-factor@100000", lambda: measure_high_factor(primes_1e6, 10**5)),
             ("rsa-pair@3000", lambda: measure_rsa_pair(primes_1e6, 3000)),
             ("one-minus-delta@100000", lambda: measure_one_minus_delta(10**5)),
-            ("ord-n@10000,e=6", lambda: measure_ord_n(10**4, e=6))):
+            ("ord-n@10000,e=6", lambda: measure_ord_n(10**4, e=6)),
+            # a fixed exponent drops the floor to 2
+            ("lambda-n@10000,exponent=0.333",
+             lambda: measure_lambda_n(10**4, lo=2, a=333, b=1000)),
+            ("shifted-prime@10000,cap=0.1",  # t = 1/2 + 1/10 = 3/5
+             lambda: measure_shifted_prime(primes_1e6, 10**4, a=3, b=5))):
         tally = measure()
         surveys[key] = tally.as_dict()
         log(f"{key}: {tally.exceed}/{tally.total}")
@@ -357,11 +365,14 @@ def compute(log):
         if x == 10**5:  # the triples stay whole; the tally gets its own key
             surveys[f"class-counts@{x},histogram"] = tally.as_dict()
         log(f"class-counts@{x}: {counts}")
+    counts, tally = measure_class_counts(primes_1e6, 10**4, a=7, b=10)
+    surveys["class-counts@10000,cap=0.1"] = {"class_counts": counts, **tally.as_dict()}
+    log(f"class-counts@10000,cap=0.1: {counts}")
 
     trend = {}
     for k in (10, 14, 18):
         x = 2**k
-        tally = measure_lambda_n(2 * x, lo=x + 1, fixed_half=True)
+        tally = measure_lambda_n(2 * x, lo=x + 1, a=1, b=2)
         trend[f"2^{k}"] = tally.as_dict(histogram=False)
         log(f"lambda-n trend (2^{k}, 2^{k+1}]: {tally.exceed}/{tally.total}")
     golden["trend_lambda_n_half"] = trend

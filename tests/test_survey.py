@@ -365,7 +365,15 @@ def test_histograms_and_remaining_kinds_match_oracle():
             ("one-minus-delta@100000", SurveyConfig(kind=ONE_MINUS_DELTA, x_max=10**5)),
             ("class-counts@100000,histogram", SurveyConfig(kind=CLASS_COUNTS, x_max=10**5)),
             ("rsa-pair@3000", SurveyConfig(kind=RSA_PAIR, x_max=3000)),
-            ("ord-n@10000,e=6", SurveyConfig(kind=ORD_N, x_max=10**4, e=6))):
+            ("ord-n@10000,e=6", SurveyConfig(kind=ORD_N, x_max=10**4, e=6)),
+            # the exact-integer tier at t = 3/5 with >= and at the M/H
+            # boundary o^10 vs p^7, and the decimal tier at t = 333/1000
+            ("shifted-prime@10000,cap=0.1",
+             SurveyConfig(kind=SHIFTED_PRIME, x_max=10**4, epsilon=EpsilonFn(cap=0.1))),
+            ("class-counts@10000,cap=0.1",
+             SurveyConfig(kind=CLASS_COUNTS, x_max=10**4, epsilon=EpsilonFn(cap=0.1))),
+            ("lambda-n@10000,exponent=0.333",
+             SurveyConfig(kind=LAMBDA_N, x_max=10**4, exponent_override=0.333))):
         want = GOLDEN["surveys"][key]
         got = run_survey(cfg, workers=2).to_dict()
         assert not got["sampled"]

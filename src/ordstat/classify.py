@@ -1,17 +1,28 @@
-"""Prime classification by order size, and exact inequality bounds.
+"""The package's one threshold rule, prime classification by order size,
+and exact inequality bounds.
 
-Primes split into three classes for a base e and a slowly decaying
-threshold function eps(x):
+Every count the package reports turns on an integer q >= 1 against x^t for
+an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
+class boundaries, and the lambda-lambda, deficiency-bin and one-minus-delta
+thresholds, each written as an exponent of x, a Fraction or a formula of
+log x.  power_compare decides them all from u = log q / log x, which the
+caller takes once per item and shares among its decisions, in three tiers:
+
+    float    |u - t| > 1e-9 (relative): the float comparison decides
+    integer  otherwise, for t = a/b with b <= 64: q^b against x^a
+    decimal  otherwise: log q / log x against t by t's own formula, both in
+             50-digit decimal
+
+so every decision is exact at ties, deterministic and free of libm's
+rounding.  The guard, the decimal context and the denominator limit live
+here only.
+
+Primes split into three classes for a base e and a threshold function
+eps(x) = min(cap, 2/log log x):
 
     L:  coprime_order(e, p) <= sqrt(p) / log(p)
     M:  otherwise, coprime_order(e, p) <= p^(1/2 + 2*eps(p))
     H:  the rest
-
-Threshold comparisons are float-first with an exactness guard: whenever an
-integer lands within 1e-9 relative distance of a threshold, the comparison
-is redone either as an exact integer power comparison (rational exponents)
-or in 50-digit decimal arithmetic, so classification is deterministic at
-boundaries and across platforms.
 
 The *_bound functions return exact Fractions: lower bounds on orders that
 callers can assert with no floating point involved.
@@ -20,58 +31,58 @@ callers can assert with no floating point involved.
 from __future__ import annotations
 
 import decimal
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable
 
 from .arith import Factorization, factorize
 from .orders import _order, carmichael_lambda, coprime_order
 from .arith import lcm as lcm64
 
 _GUARD_REL = 1e-9
-_DECIMAL_PREC = 50
+_DECIMAL = decimal.Context(prec=50)
 _EXACT_DENOM_LIMIT = 64
 _ALWAYS_CAPPED_BELOW = 2**64
 
+# the names a threshold formula f(log x, log log x, m) calls on m, for the
+# decimal tier; the float tier passes the math module
+_DECIMAL_MATH = SimpleNamespace(log=decimal.Decimal.ln, sqrt=decimal.Decimal.sqrt)
 
-def _decimal_ctx() -> decimal.Context:
-    return decimal.Context(prec=_DECIMAL_PREC)
+EPSILON_FORM = "min(cap, 2/loglog x)"
+EPSILON_MIN_X = 16
 
 
-def power_compare(k: int, base: int, expo: float, exact: Fraction | None = None) -> int:
-    """Sign of k - base**expo for integer k, base >= 2.
+def power_compare(q: int, x: int, u: float, t: float,
+                  exact: Fraction | Callable) -> int:
+    """Sign of q - x^exact for integers q >= 1 and x >= 2, given
+    u = log q / log x and t, the float value of exact.
 
-    Near ties are settled exactly when the exponent is rational with a small
-    denominator, otherwise in high-precision decimal.
+    exact is a Fraction or a formula exact(log x, log log x, m) of the
+    exponent, written with m.log, m.sqrt and arithmetic operators, so that
+    the decimal tier evaluates the very formula that gave t.
     """
-    t = math.exp(expo * math.log(base))
-    if abs(k - t) > _GUARD_REL * max(t, 1.0):
-        return -1 if k < t else 1
-    if exact is not None and exact.denominator <= _EXACT_DENOM_LIMIT:
-        lhs = k**exact.denominator
-        rhs = base**exact.numerator
+    if abs(u - t) > _GUARD_REL * (t if t > 1.0 else 1.0):
+        return 1 if u > t else -1
+    rational = isinstance(exact, Fraction)
+    if rational and exact.denominator <= _EXACT_DENOM_LIMIT:
+        a, b = exact.numerator, exact.denominator
+        lhs, rhs = q**b * x**max(-a, 0), x**max(a, 0)
         return (lhs > rhs) - (lhs < rhs)
-    ctx = _decimal_ctx()
-    if exact is not None:
-        de = ctx.divide(decimal.Decimal(exact.numerator), decimal.Decimal(exact.denominator))
-    else:
-        de = decimal.Decimal(repr(expo))
-    rhs_d = ctx.exp(ctx.multiply(de, ctx.ln(decimal.Decimal(base))))
-    lhs_d = decimal.Decimal(k)
-    return (lhs_d > rhs_d) - (lhs_d < rhs_d)
+    with decimal.localcontext(_DECIMAL):
+        lnx = decimal.Decimal(x).ln()
+        if rational:
+            td = decimal.Decimal(exact.numerator) / exact.denominator
+        else:
+            td = exact(lnx, lnx.ln(), _DECIMAL_MATH)
+        d = decimal.Decimal(q).ln() / lnx - td
+    return (d > 0) - (d < 0)
 
 
-def sqrt_over_log_compare(k: int, p: int) -> int:
-    """Sign of k - sqrt(p)/log(p), with the same near-tie escalation."""
-    t = math.sqrt(p) / math.log(p)
-    if abs(k - t) > _GUARD_REL * max(t, 1.0):
-        return -1 if k < t else 1
-    ctx = _decimal_ctx()
-    dp = decimal.Decimal(p)
-    rhs = ctx.divide(ctx.sqrt(dp), ctx.ln(dp))
-    lhs = decimal.Decimal(k)
-    return (lhs > rhs) - (lhs < rhs)
+def _sqrt_over_log_exponent(lnx, llx, m):
+    """t with x^t = sqrt(x) / log(x)."""
+    return (lnx - 2 * llx) / (2 * lnx)
 
 
 @dataclass(frozen=True)
@@ -84,21 +95,10 @@ class EpsilonFn:
     """
 
     cap: float = 0.25
-    form: str = "min(cap, 2/loglog x)"
-    min_x: int = field(default=16, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.cap <= 0.5:
             raise ValueError(f"cap must be in (0, 1/2], got {self.cap}")
-
-    @functools.cached_property
-    def cap_exact(self) -> Fraction:
-        return Fraction(str(self.cap))
-
-    @functools.cached_property
-    def _capped_exponents(self) -> dict[int, tuple[float, Fraction]]:
-        """(1/2 + multiplier*cap, its exact value), filled per multiplier."""
-        return {}
 
     @property
     def lower_bound_floor(self) -> float:
@@ -109,29 +109,27 @@ class EpsilonFn:
             return math.inf
 
     def __call__(self, x: float) -> float:
-        if x < self.min_x:
-            raise ValueError(f"epsilon undefined for x < {self.min_x}, got {x}")
+        if x < EPSILON_MIN_X:
+            raise ValueError(f"epsilon undefined for x < {EPSILON_MIN_X}, got {x}")
         return min(self.cap, 2.0 / math.log(math.log(x)))
 
     def at(self, x: float) -> float:
         """eps evaluated with the argument clamped up to the domain floor;
         used by surveys that also examine small primes."""
-        return self(max(float(x), float(self.min_x)))
+        return self(max(float(x), float(EPSILON_MIN_X)))
 
     def is_capped(self, x: float) -> bool:
-        return 2.0 / math.log(math.log(max(float(x), float(self.min_x)))) >= self.cap
+        return 2.0 / math.log(math.log(max(float(x), float(EPSILON_MIN_X)))) >= self.cap
 
-    def exponent(self, x: float, multiplier: int = 1) -> tuple[float, Fraction | None]:
-        """1/2 + multiplier*eps(x), plus its exact rational value whenever
-        eps is sitting on the cap (always, at desk scale)."""
+    def exponent(self, x: float, multiplier: int = 1) -> Fraction:
+        """1/2 + multiplier*eps(x), exactly.  Defined while eps sits on its
+        cap, which it does at every x below 2^64; off the cap eps is
+        irrational, and this raises ValueError."""
         # below 2^64, 2/log log x > 0.527 > 1/2 >= cap: no log needed
         if x >= _ALWAYS_CAPPED_BELOW and not self.is_capped(x):
-            return 0.5 + multiplier * self.at(x), None
-        pair = self._capped_exponents.get(multiplier)
-        if pair is None:
-            pair = (0.5 + multiplier * self.cap, Fraction(1, 2) + multiplier * self.cap_exact)
-            self._capped_exponents[multiplier] = pair
-        return pair
+            raise ValueError(f"eps leaves its cap {self.cap} below x = {x}, "
+                             f"so 1/2 + eps is no constant there")
+        return Fraction(1, 2) + multiplier * Fraction(str(self.cap))
 
 
 DEFAULT_EPSILON = EpsilonFn()
@@ -142,14 +140,22 @@ def epsilon_default(x: float, cap: float = 0.25) -> float:
     return EpsilonFn(cap=cap)(x)
 
 
+def order_class(o: int, p: int, u: float, lnp: float, t: float, exact: Fraction) -> str:
+    """Class label of the prime p whose coprime_order value o is known,
+    given u = log o / log p, lnp = log p and the M/H exponent 1/2 + 2*eps
+    as the Fraction exact with float value t."""
+    llp = math.log(lnp)
+    if power_compare(o, p, u, _sqrt_over_log_exponent(lnp, llp, math),
+                     _sqrt_over_log_exponent) <= 0:
+        return "L"
+    return "M" if power_compare(o, p, u, t, exact) <= 0 else "H"
+
+
 def classify_order_value(o: int, p: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     """Class label for a prime p whose coprime_order value is already known."""
-    if sqrt_over_log_compare(o, p) <= 0:
-        return "L"
-    t, exact = eps.exponent(p, multiplier=2)
-    if power_compare(o, p, t, exact) <= 0:
-        return "M"
-    return "H"
+    exact = eps.exponent(p, multiplier=2)
+    lnp = math.log(p)
+    return order_class(o, p, math.log(o) / lnp, lnp, float(exact), exact)
 
 
 def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:

@@ -8,7 +8,7 @@ chunks, evaluated by any number of workers, checkpointed, and resumed, with
 bit-identical output throughout.
 
 Each kind is one _Kind record in _KINDS: its items, q and x, the test, the
-statistic's bin, the exponent t and the lowest item.
+exponent t and the lowest item.
 
     kind             items       q                        x    test      t
     ord-n            n >= 16     ord*(e, n)               n    q >  x^t  1/2 + eps
@@ -20,16 +20,20 @@ statistic's bin, the exponent t and the lowest item.
     class-counts     primes p    ord*(e, p)               p    class H of classify's L/M/H
     rsa-pair         p < l < 2p  lcm(ord*(e, p - 1), ord*(e, l - 1))  pl  q >= x^t  1/2 + eps
 
-The statistic is log(q)/log(x), except for lambda-lambda's deficiency
-log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  The rsa-pair
+The statistic is u = log(q)/log(x), except for lambda-lambda's deficiency
+log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  Each test
+and bin edge is one call of classify.power_compare, the one threshold rule,
+on the item's u: an item takes log q and log x once, and lambda-lambda log
+log n once for its test and its bin.  The rsa-pair
 q equals ord*(e, lcm(p - 1, l - 1)): the e-free part of an lcm is the lcm of
 the e-free parts, and the order modulo an lcm is the lcm of the orders.  With
 the default cap 1/4 class-counts finds no H prime by construction, since
 ord*(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).  A fixed --exponent replaces t
-and lowers the 16 floor to 2; the last three kinds reject it.  eps(x) =
-min(cap, 2/log log x) never increases, so 1/2 + eps is one constant per
-config when eps is on its cap at the largest x judged (x_max, or x_max^2 for
-pairs).  That holds below 2^64; a config where it fails is rejected.
+and lowers the 16 floor to 2; lambda-lambda, one-minus-delta and
+class-counts reject it.  eps(x) = min(cap, 2/log log x) never increases, so
+1/2 + eps (and class-counts' 1/2 + 2 eps) is one Fraction per config when
+eps is on its cap at the largest x judged (x_max, or x_max^2 for pairs).
+That holds below 2^64; a config where it fails is rejected.
 
 Each process builds, on the first chunk it evaluates, one orders.OrderKernel
 for the config's base, and every kind reads q from it.  Checkpoints are JSON
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import decimal
 import functools
 import hashlib
 import json
@@ -55,8 +58,8 @@ from itertools import repeat
 from typing import Callable
 
 from .arith import lcm, primes_in_range
-from .classify import (_GUARD_REL, DEFAULT_EPSILON, EpsilonFn, _decimal_ctx,
-                       classify_order_value, power_compare)
+from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, order_class,
+                       power_compare)
 from .orders import SPF_TABLE_MAX, OrderKernel, _order_kernel
 
 ORD_N = "ord-n"
@@ -75,7 +78,6 @@ N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 
 DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
-RSA_FULL_ENUM_LIMIT = 10_000_000
 
 
 class CheckpointError(Exception):
@@ -108,9 +110,8 @@ class SurveyConfig:
             raise ValueError(
                 f"empty range: x_max = {self.x_max} is below the survey floor "
                 f"{self.low()} for kind {self.kind}")
-        if kind.exponent == "eps" and self._threshold[1] is None:
-            raise ValueError(f"eps leaves its cap {self.epsilon.cap} below the largest "
-                             f"value judged at x_max = {self.x_max}")
+        if kind.exponent is not None:
+            self._threshold  # computed now: eps off its cap raises ValueError here
 
     def low(self) -> int:
         """Lowest surveyed value: x_min if given, else the kind's floor,
@@ -120,18 +121,22 @@ class SurveyConfig:
         return _KINDS[self.kind].floor if self.exponent_override is None else 2
 
     @functools.cached_property
-    def _threshold(self) -> tuple[float, Fraction | None]:
-        """(t, exact t) for every x^t this config compares with.  1/2 + eps
-        is taken at the largest x judged, which is its value at every x as
-        long as eps is on its cap there (the non-increasing eps is then
-        capped over the whole range); __post_init__ demands that."""
+    def _threshold(self) -> Fraction:
+        """The t of every x^t this config compares with.  1/2 + m*eps is
+        taken at the largest x judged, which is its value at every x as long
+        as eps is on its cap there (the non-increasing eps is then capped
+        over the whole range); EpsilonFn.exponent raises if it is not."""
         if self.exponent_override is not None:
-            return float(self.exponent_override), Fraction(str(self.exponent_override))
+            return Fraction(str(self.exponent_override))
         kind = _KINDS[self.kind]
-        if isinstance(kind.exponent, tuple):
+        if isinstance(kind.exponent, Fraction):
             return kind.exponent
         return self.epsilon.exponent(self.x_max**2 if kind.items is _pair_items
-                                     else self.x_max)
+                                     else self.x_max, kind.exponent)
+
+    @functools.cached_property
+    def _threshold_float(self) -> float:
+        return float(self._threshold)
 
 
 @dataclass
@@ -197,79 +202,72 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 
 
 # ---------------------------------------------------------------------------
-# statistic binning
+# statistic bins and the kinds' own tests
 
-def log_ratio_bin(q: int, n: int) -> int:
-    """Bin index of log(q)/log(n) in the fixed 0.05-wide grid.
-
-    Values on a bin edge (possible: q and n can be exact powers) go to the
-    right bin; anything within 1e-9 of an edge is re-decided exactly: the bin
-    is the largest b with n^b <= q^20, so it is nearest or nearest - 1.
-    """
-    if q <= 1:
-        return 0
-    u = math.log(q) / math.log(n) * 20.0
-    nearest = round(u)
-    if abs(u - nearest) > _GUARD_REL * max(u, 1.0):
-        b = math.floor(u)
-    else:
-        b = nearest - (q**20 < n**nearest)
-    return min(max(b, 0), N_BINS - 1)
+_BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
 
 
-def _deficiency_bin(lamlam: int, n: int) -> int | None:
-    """Bin of log(n/lamlam) / ((log log n)^2 * log log log n); None while
-    the denominator is not positive (n <= 15)."""
-    ll = math.log(math.log(n)) if n >= 3 else -1.0
-    if ll <= 1.0:
+def log_ratio_bin(q: int, x: int, u: float) -> int:
+    """Bin of u = log(q)/log(x) in the fixed 0.05-wide grid: the largest
+    k <= 20 with q >= x^(k/20) (0 if none), so a value on an edge goes to
+    the right bin.  Only the edge k nearest u, among 1..20, is in doubt."""
+    k = min(max(round(20.0 * u), 1), N_BINS - 1)
+    return k - (power_compare(q, x, u, k / 20, _BIN_EDGES[k]) < 0)
+
+
+def _deficiency_scale(lnx, llx, m):
+    """(log log x)^2 log log log x / (20 log x): the exponent step from one
+    deficiency bin edge to the next."""
+    return llx * llx * m.log(llx) / (20 * lnx)
+
+
+def _deficiency_edge(k, lnx, llx, m):
+    """t with q <= x^t exactly when the deficiency of q is at least k/20
+    (the float path, with the scale w at hand, takes 1 - k*w itself)."""
+    return 1 - k * _deficiency_scale(lnx, llx, m)
+
+
+_DEFICIENCY_EDGES = tuple(functools.partial(_deficiency_edge, k) for k in range(N_BINS))
+
+
+def _deficiency_bin(q: int, x: int, u: float, lnx: float, llx: float) -> int | None:
+    """Bin of the deficiency log(x/q) / ((log log x)^2 log log log x)
+    = (1 - u) / (20 w), w the scale; None while the denominator is not
+    positive (x <= 15)."""
+    if llx <= 1.0:
         return None
-    denom = ll * ll * math.log(ll)
-    u = (math.log(n) - math.log(lamlam)) / denom * 20.0
-    nearest = round(u)
-    if abs(u - nearest) <= _GUARD_REL * max(abs(u), 1.0):
-        ctx = _decimal_ctx()
-        lnn = ctx.ln(decimal.Decimal(n))
-        lnln = ctx.ln(lnn)
-        denom_d = ctx.multiply(ctx.multiply(lnln, lnln), ctx.ln(lnln))
-        num_d = ctx.subtract(lnn, ctx.ln(decimal.Decimal(lamlam)))
-        ud = ctx.multiply(ctx.divide(num_d, denom_d), decimal.Decimal(20))
-        b = int(ud.to_integral_value(rounding=decimal.ROUND_FLOOR))
-    else:
-        b = math.floor(u)
-    return min(max(b, 0), N_BINS - 1)
+    w = _deficiency_scale(lnx, llx, math)
+    k = min(max(round((1.0 - u) / w), 1), N_BINS - 1)
+    return k - (power_compare(q, x, u, 1.0 - k * w, _DEFICIENCY_EDGES[k]) > 0)
 
 
-# ---------------------------------------------------------------------------
-# the kinds' own tests
-
-def _lamlam_exceeds(lamlam: int, n: int) -> bool:
-    """lambda(lambda(n)) > n / exp((log log n)^3), guarded like the rest."""
-    t = n * math.exp(-math.log(math.log(n)) ** 3)
-    if abs(lamlam - t) > _GUARD_REL * max(t, 1.0):
-        return lamlam > t
-    ctx = _decimal_ctx()
-    lnln = ctx.ln(ctx.ln(decimal.Decimal(n)))
-    rhs = ctx.multiply(decimal.Decimal(n), ctx.exp(-ctx.power(lnln, decimal.Decimal(3))))
-    return decimal.Decimal(lamlam) > rhs
+def _lamlam_exponent(lnx, llx, m):
+    """t with x^t = x / exp((log log x)^3)."""
+    return 1 - llx**3 / lnx
 
 
-def _one_minus_delta_exponent(n: int) -> float:
-    return 1.0 - math.sqrt(math.log(math.log(n)) / math.log(n))
+def _one_minus_delta_exponent(lnx, llx, m):
+    return 1 - m.sqrt(llx / lnx)
 
 
-def _one_minus_delta_exceeds(o: int, n: int) -> bool:
-    """o > n^t for the float exponent t = 1 - sqrt(log log n / log n).
+def _lamlam_test(cfg: SurveyConfig, q: int, x: int, u: float, lnx: float):
+    """q = lambda(lambda(x)) > x / exp((log log x)^3), and the deficiency bin."""
+    llx = math.log(lnx)
+    exceeds = power_compare(q, x, u, _lamlam_exponent(lnx, llx, math), _lamlam_exponent) > 0
+    return exceeds, _deficiency_bin(q, x, u, lnx, llx), None
 
-    Inside the guard band the exponent itself is recomputed from n in
-    50-digit decimal, so the decision does not depend on libm's rounding
-    of t."""
-    thr = math.exp(_one_minus_delta_exponent(n) * math.log(n))
-    if abs(o - thr) > _GUARD_REL * max(thr, 1.0):
-        return o > thr
-    ctx = _decimal_ctx()
-    lnn = ctx.ln(decimal.Decimal(n))
-    t_d = ctx.subtract(decimal.Decimal(1), ctx.sqrt(ctx.divide(ctx.ln(lnn), lnn)))
-    return decimal.Decimal(o) > ctx.exp(ctx.multiply(t_d, lnn))
+
+def _one_minus_delta_test(cfg: SurveyConfig, q: int, x: int, u: float, lnx: float):
+    """q > x^(1 - sqrt(log log x / log x)), the exponent taken from x each
+    time (the decimal tier recomputes it from x, not from its float)."""
+    t = _one_minus_delta_exponent(lnx, math.log(lnx), math)
+    return power_compare(q, x, u, t, _one_minus_delta_exponent) > 0, log_ratio_bin(q, x, u), None
+
+
+def _class_test(cfg: SurveyConfig, q: int, x: int, u: float, lnx: float):
+    """classify's L/M/H label, with the config's M/H exponent; H exceeds."""
+    label = order_class(q, x, u, lnx, cfg._threshold_float, cfg._threshold)
+    return label == "H", log_ratio_bin(q, x, u), label
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +302,10 @@ def _rsa_sample_indices(x_max: int, sample_size: int, seed: int) -> range | tupl
     """Sorted global indices of the pairs to evaluate: range(total) to
     enumerate them all, else a seeded sample of sample_size."""
     total = rsa_pair_count(x_max)
-    if total <= RSA_FULL_ENUM_LIMIT and total <= sample_size:
+    if total <= sample_size:
         return range(total)
-    k = min(sample_size, total)
     rng = random.Random(seed)
-    return tuple(sorted(rng.sample(range(total), k)))
+    return tuple(sorted(rng.sample(range(total), sample_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +323,21 @@ def _pair_items(cfg: SurveyConfig, lo: int, hi: int) -> list[tuple[int, int]]:
 class _Kind:
     """What sets a survey kind apart.  items(cfg, lo, hi) lists the items
     whose index lies in [lo, hi); value(kernel, item) gives the quantity q
-    and the value x it is judged against; test is the least
-    power_compare(q, x, t) sign that exceeds (1 for q > x^t, 0 for
-    q >= x^t), or the kind's own test(q, x) -> exceeds; a kind that tallies
-    classes has test(q, x, eps) -> label, and its last class exceeds.
-    stat(q, x) is the histogram bin or None.  exponent is t: "eps" for
-    1/2 + eps, a fixed (float, Fraction), or, with an own test, t(x) or
-    None.  floor is the lowest item under that t.  A plain slotted class:
-    it is built at import and read on every item."""
+    and the value x it is judged against.  test is the least
+    power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
+    q >= x^t), with u = log q / log x binned; or the kind's own
+    test(cfg, q, x, u, log x) -> (exceeds, bin, label).  exponent is the
+    config's t: an int m for 1/2 + m*eps, a Fraction, or None when the own
+    test carries its formula.  floor is the lowest item under that t;
+    classes are the labels a kind tallies.  A plain slotted class: it is
+    built at import and read on every item."""
 
-    __slots__ = ("items", "value", "test", "stat", "exponent", "floor", "classes")
+    __slots__ = ("items", "value", "test", "exponent", "floor", "classes")
 
     def __init__(self, items: Callable, value: Callable, test: int | Callable,
-                 stat: Callable, exponent: str | tuple[float, Fraction] | Callable | None,
-                 floor: int = 2, classes: tuple[str, ...] = ()):
-        self.items, self.value, self.test, self.stat = items, value, test, stat
+                 exponent: int | Fraction | None, floor: int = 2,
+                 classes: tuple[str, ...] = ()):
+        self.items, self.value, self.test = items, value, test
         self.exponent, self.floor, self.classes = exponent, floor, classes
 
 
@@ -353,23 +350,18 @@ def _prime_items(cfg: SurveyConfig, lo: int, hi: int) -> list[int]:
 
 
 _KINDS = {
-    ORD_N: _Kind(_int_items, lambda k, n: (k.ord(n), n), 1, log_ratio_bin, "eps", 16),
-    LAMBDA_N: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n), 1, log_ratio_bin,
-                    "eps", 16),
+    ORD_N: _Kind(_int_items, lambda k, n: (k.ord(n), n), 1, 1, 16),
+    LAMBDA_N: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n), 1, 1, 16),
     ONE_MINUS_DELTA: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n),
-                           _one_minus_delta_exceeds, log_ratio_bin,
-                           _one_minus_delta_exponent, 16),
-    LAMBDA_LAMBDA: _Kind(_int_items, lambda k, n: (k.lam(k.lam(n)), n),
-                         _lamlam_exceeds, _deficiency_bin, None),
-    SHIFTED_PRIME: _Kind(_prime_items, lambda k, p: (k.ord(p - 1), p), 0, log_ratio_bin,
-                         "eps"),
-    HIGH_FACTOR: _Kind(_prime_items, lambda k, p: (k.lpf(p - 1), p), 1, log_ratio_bin,
-                       (0.677, Fraction(677, 1000))),
-    CLASS_COUNTS: _Kind(_prime_items, lambda k, p: (k.ord(p), p), classify_order_value,
-                        log_ratio_bin, None, classes=("L", "M", "H")),
+                           _one_minus_delta_test, None, 16),
+    LAMBDA_LAMBDA: _Kind(_int_items, lambda k, n: (k.lam(k.lam(n)), n), _lamlam_test, None),
+    SHIFTED_PRIME: _Kind(_prime_items, lambda k, p: (k.ord(p - 1), p), 0, 1),
+    HIGH_FACTOR: _Kind(_prime_items, lambda k, p: (k.lpf(p - 1), p), 1, Fraction(677, 1000)),
+    CLASS_COUNTS: _Kind(_prime_items, lambda k, p: (k.ord(p), p), _class_test, 2,
+                        classes=("L", "M", "H")),
     RSA_PAIR: _Kind(_pair_items,
                     lambda k, pl: (lcm(k.ord(pl[0] - 1), k.ord(pl[1] - 1)), pl[0] * pl[1]),
-                    0, log_ratio_bin, "eps"),
+                    0, 1),
 }
 
 
@@ -383,14 +375,13 @@ def evaluate_item(cfg: SurveyConfig, item,
     """
     kind = _KINDS[cfg.kind]
     q, x = kind.value(kernel, item)
+    lnx = math.log(x)
+    u = math.log(q) / lnx
     test = kind.test
     if test.__class__ is int:
-        t, exact = cfg._threshold
-        return power_compare(q, x, t, exact) >= test, kind.stat(q, x), None
-    if kind.classes:
-        label = test(q, x, cfg.epsilon)
-        return label == kind.classes[-1], kind.stat(q, x), label
-    return test(q, x), kind.stat(q, x), None
+        exceeds = power_compare(q, x, u, cfg._threshold_float, cfg._threshold) >= test
+        return exceeds, log_ratio_bin(q, x, u), None
+    return test(cfg, q, x, u, lnx)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +423,7 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
 def config_digest(cfg: SurveyConfig) -> str:
     payload = {
         "kind": cfg.kind, "e": cfg.e, "x_max": cfg.x_max, "x_min": cfg.low(),
-        "epsilon_cap": cfg.epsilon.cap, "epsilon_form": cfg.epsilon.form,
+        "epsilon_cap": cfg.epsilon.cap, "epsilon_form": EPSILON_FORM,
         "exponent": cfg.exponent_override, "chunk": cfg.chunk,
         "seed": cfg.seed, "sample_size": cfg.sample_size,
     }

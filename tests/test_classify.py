@@ -1,13 +1,14 @@
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
 
 from ordstat.arith import factorize, sieve_primes
-from ordstat.classify import (EpsilonFn, classify_prime, divisor_quotient_bound,
+from ordstat.classify import (EpsilonFn, _sqrt_over_log_exponent, classify_order_value,
+                              classify_prime, divisor_quotient_bound,
                               epsilon_default, lcm_order_lower_bound,
-                              power_compare, prime_orders_lower_bound,
-                              sqrt_over_log_compare)
+                              power_compare, prime_orders_lower_bound)
 from ordstat.orders import carmichael_lambda, coprime_order
 
 
@@ -30,16 +31,18 @@ def test_epsilon_clamp_semantics():
 
 
 def test_epsilon_exponent_matches_is_capped_path():
-    # exponent() skips the log-log test below 2^64; it must agree with it
+    # exponent() skips the log-log test below 2^64; it must agree with it,
+    # and off the cap, where 1/2 + m*eps is irrational, it refuses
     for cap in (0.1, 0.25, 0.5):
         eps = EpsilonFn(cap=cap)
         for x in (16, 10**6, 2**63, 2**64 - 1, 2**64, 10**30):
             for m in (1, 2):
                 if eps.is_capped(x):
-                    want = (0.5 + m * cap, Fraction(1, 2) + m * Fraction(str(cap)))
+                    want = Fraction(1, 2) + m * Fraction(str(cap))
+                    assert eps.exponent(x, multiplier=m) == want, (cap, x, m)
                 else:
-                    want = (0.5 + m * eps.at(x), None)
-                assert eps.exponent(x, multiplier=m) == want, (cap, x, m)
+                    with pytest.raises(ValueError, match="cap"):
+                        eps.exponent(x, multiplier=m)
     assert not EpsilonFn(cap=0.5).is_capped(10**30)  # both branches are swept
 
 
@@ -95,25 +98,39 @@ def test_classify_with_small_cap_yields_high_class():
     assert "M" in labels.values()
 
 
+def _compare(q, x, exact):
+    """power_compare with u and the float exponent taken here."""
+    t = float(exact) if isinstance(exact, Fraction) else exact(
+        math.log(x), math.log(math.log(x)), math)
+    return power_compare(q, x, math.log(q) / math.log(x), t, exact)
+
+
 def test_power_compare_boundaries():
-    assert power_compare(8, 64, 0.5, Fraction(1, 2)) == 0
-    assert power_compare(9, 64, 0.5, Fraction(1, 2)) == 1
-    assert power_compare(7, 64, 0.5, Fraction(1, 2)) == -1
-    assert power_compare(7, 7, 1.0, Fraction(1)) == 0
-    assert power_compare(6, 7, 1.0, Fraction(1)) == -1
-    assert power_compare(1000, 10, 3.0, Fraction(3)) == 0
-    # decimal fallback path: no exact exponent, integer sitting on the line;
-    # the sign must at least be deterministic across calls
-    r = power_compare(22, 10, math.log10(22))
-    assert r in (-1, 0, 1)
-    assert r == power_compare(22, 10, math.log10(22))
+    assert _compare(8, 64, Fraction(1, 2)) == 0
+    assert _compare(9, 64, Fraction(1, 2)) == 1
+    assert _compare(7, 64, Fraction(1, 2)) == -1
+    assert _compare(7, 7, Fraction(1)) == 0
+    assert _compare(6, 7, Fraction(1)) == -1
+    assert _compare(1000, 10, Fraction(3)) == 0
+    # decimal tier: 22 sits on 10^t for t the 16-digit log10(22), whose
+    # denominator 10^16 is past the integer tier; the sign is the one the
+    # 80-digit value of 10^t gives, on every call
+    t = Fraction(repr(math.log10(22)))
+    ctx = decimal.Context(prec=80)
+    thr = ctx.exp(ctx.multiply(ctx.divide(decimal.Decimal(t.numerator), t.denominator),
+                               ctx.ln(decimal.Decimal(10))))
+    want = (22 > thr) - (22 < thr)
+    assert want != 0 and _compare(22, 10, t) == want == _compare(22, 10, t)
 
 
 def test_sqrt_over_log_compare():
+    # x^t = sqrt(x)/log(x) for the L/M formula
     for p in (3, 7, 101, 99991):
         t = math.sqrt(p) / math.log(p)
-        assert sqrt_over_log_compare(math.floor(t), p) <= 0
-        assert sqrt_over_log_compare(math.ceil(t) + 1, p) > 0
+        assert _compare(math.floor(t), p, _sqrt_over_log_exponent) <= 0
+        assert _compare(math.ceil(t) + 1, p, _sqrt_over_log_exponent) > 0
+        lnp = math.log(p)
+        assert p ** _sqrt_over_log_exponent(lnp, math.log(lnp), math) == pytest.approx(t)
 
 
 def test_prime_orders_lower_bound_examples():

@@ -16,16 +16,30 @@ import pytest
 import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import factorize, lcm, primes_in_range
-from ordstat.classify import EpsilonFn, power_compare
+from ordstat.classify import EpsilonFn, classify_order_value, power_compare
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
-                            RSA_PAIR, SHIFTED_PRIME,
-                            SurveyConfig, empty_result, evaluate_chunk,
+                            RSA_PAIR, SHIFTED_PRIME, _one_minus_delta_exponent,
+                            SurveyConfig, config_digest, empty_result, evaluate_chunk,
                             evaluate_item, log_ratio_bin, merge_results,
                             plan_chunks, rsa_pair_count, run_survey)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "oracle_measurements.json").read_text())
+
+
+def one_minus_delta_t(x):
+    """The one-minus-delta exponent at x, in floats, by the survey's formula."""
+    return _one_minus_delta_exponent(math.log(x), math.log(math.log(x)), math)
+
+
+def threshold_sign(cfg, q, x):
+    """power_compare of q against x^t for the config's t."""
+    return power_compare(q, x, math.log(q) / math.log(x), cfg._threshold_float, cfg._threshold)
+
+
+def ratio_bin(q, x):
+    return log_ratio_bin(q, x, math.log(q) / math.log(x))
 
 
 def brute_coprime_order(e, n):
@@ -110,7 +124,7 @@ def test_one_minus_delta_threshold():
     # threshold is 1 - sqrt(log log x / log x), rising toward 1
     ts = []
     for x in (100, 10**5, 10**9):
-        t = _KINDS[ONE_MINUS_DELTA].exponent(x)
+        t = one_minus_delta_t(x)
         assert isinstance(t, float)  # irrational: no exact value to compare
         assert t == 1.0 - math.sqrt(math.log(math.log(x)) / math.log(x))
         assert 0.0 < t < 1.0
@@ -137,7 +151,7 @@ def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
     # near-ties at survey scale: the float threshold lands within the 1e-9 band
     ties = []
     for n in itertools.count(10**8):
-        t = _KINDS[ONE_MINUS_DELTA].exponent(n)
+        t = one_minus_delta_t(n)
         thr = math.exp(t * math.log(n))
         if abs(round(thr) - thr) <= 1e-9 * thr:
             ties.append((round(thr), n))
@@ -150,7 +164,7 @@ def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
     # (about 1e-14) is far above 50 digits; an o between the true threshold
     # and the one implied by repr() of the float exponent tells them apart
     n = 10**200
-    t = _KINDS[ONE_MINUS_DELTA].exponent(n)
+    t = one_minus_delta_t(n)
     ctx = decimal.Context(prec=80)
     lnn = ctx.ln(decimal.Decimal(n))
     true_thr = ctx.exp(ctx.multiply(ctx.subtract(
@@ -160,6 +174,153 @@ def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
     o = int((true_thr + repr_thr) / 2)
     assert abs(o - math.exp(t * math.log(n))) <= 1e-9 * math.exp(t * math.log(n))
     assert decide(o, n) == _one_minus_delta_oracle(o, n)
+    # near 10^30 one step of n moves the threshold by 1e-30 of itself: at
+    # the n where it crosses an integer, no float can tell n from n + 1
+    for target in (10**22 + 1, 2 * 10**22, 5 * 10**22 + 3):
+        n0 = _last_below(10**29, 10**31, lambda n: _one_minus_delta_oracle(target, n))
+        for n in (n0, n0 + 1):
+            for k in (target - 1, target, target + 1):
+                assert decide(k, n) == _one_minus_delta_oracle(k, n), (k, n)
+
+
+D80 = decimal.Context(prec=80)
+
+
+def _ln80(v):
+    return D80.ln(decimal.Decimal(v))
+
+
+def _in80(formula):
+    """formula run with every decimal operator at 80 digits."""
+    @functools.wraps(formula)
+    def run(*args):
+        with decimal.localcontext(D80):
+            return formula(*args)
+    return run
+
+
+def _last_below(lo, hi, below):
+    """Largest n in [lo, hi) with below(n), for below monotone from True
+    at lo to False at hi."""
+    assert below(lo) and not below(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo
+
+
+def _stub(q):
+    """A kernel whose ord() is q, and whose lam(lam(n)) is q for n != -1."""
+    return SimpleNamespace(ord=lambda m: q, lam=lambda m: q if m == -1 else -1)
+
+
+def test_power_threshold_near_ties_follow_exact_integers():
+    def decide(kind, q, x, **config):
+        exceeds, stat_bin, _ = evaluate_item(SurveyConfig(kind=kind, x_max=x, **config),
+                                             x, _stub(q))
+        return exceeds, stat_bin
+
+    def exact_bin(q, x):  # the largest b <= 20 with x^b <= q^20
+        return max(b for b in range(21) if x**b <= q**20)
+
+    # 8 = 16^(3/4) exactly: ord-n asks q > x^t, shifted-prime q >= x^t
+    for q in (7, 8, 9):
+        assert decide(ORD_N, q, 16) == (q**4 > 16**3, exact_bin(q, 16)), q
+        assert decide(SHIFTED_PRIME, q, 16) == (q**4 >= 16**3, exact_bin(q, 16)), q
+    assert not decide(ORD_N, 8, 16)[0] and decide(SHIFTED_PRIME, 8, 16)[0]
+    assert decide(ORD_N, 8, 16)[1] == 15
+    # near 10^30 the integers around x^(3/4) = x^(15/20) are closer to it
+    # than any float can tell; t = 3/4 and the bin edge 15/20 are exact
+    for x in range(10**30, 10**30 + 4):
+        r = int(D80.exp(D80.multiply(decimal.Decimal("0.75"), _ln80(x))))
+        for q in (r - 1, r, r + 1, r + 2):
+            want = (q**4 > x**3, exact_bin(q, x))
+            assert decide(ORD_N, q, x) == want, (q, x)
+            assert decide(SHIFTED_PRIME, q, x) == (q**4 >= x**3, want[1]), (q, x)
+    # a fixed exponent 0.333 = 333/1000 is past the integer tier: decimal
+    for x in range(10**90, 10**90 + 4):
+        r = int(D80.exp(D80.multiply(decimal.Decimal("0.333"), _ln80(x))))
+        for q in (r - 1, r, r + 1, r + 2):
+            exceeds, _ = decide(LAMBDA_N, q, x, exponent_override=0.333)
+            assert exceeds == (q**1000 > x**333), (q, x)
+
+
+def test_class_boundaries_near_ties():
+    # M/H: 128 = 1024^(7/10) exactly at cap 1/10, and M takes the tie
+    cap = EpsilonFn(cap=0.1)
+    assert [classify_order_value(o, 1024, cap) for o in (127, 128, 129)] == ["M", "M", "H"]
+    for p in range(10**30, 10**30 + 4):  # o^10 against p^7 past float precision
+        r = int(D80.exp(D80.multiply(decimal.Decimal("0.7"), _ln80(p))))
+        for o in (r - 1, r, r + 1, r + 2):
+            assert classify_order_value(o, p, cap) == ("M" if o**10 <= p**7 else "H"), (o, p)
+
+    # L/M: o against sqrt(p)/log(p), at the p where that crosses an integer
+    @_in80
+    def sqrt_over_log(p):
+        return decimal.Decimal(p).sqrt() / _ln80(p)
+
+    for target in (10**13, 10**13 + 7, 3 * 10**13):
+        p0 = _last_below(10**29, 10**31, lambda p: sqrt_over_log(p) <= target)
+        for p in (p0, p0 + 1):
+            cfg = SurveyConfig(kind=CLASS_COUNTS, x_max=p)
+            for o in (target - 1, target, target + 1):
+                label = evaluate_item(cfg, p, _stub(o))[2]
+                assert (label == "L") == (o <= sqrt_over_log(p)), (o, p)
+                assert label == classify_order_value(o, p)
+
+
+def test_lambda_lambda_near_ties_follow_the_decimal_oracle():
+    def decide(q, n):
+        return evaluate_item(SurveyConfig(kind=LAMBDA_LAMBDA, x_max=n), n, _stub(q))
+
+    @_in80
+    def lamlam_threshold(n):  # n / exp((log log n)^3)
+        return n * (-_ln80(n).ln() ** 3).exp()
+
+    @_in80
+    def deficiency_bin(q, n):  # floor(20 log(n/q) / (lnln^2 lnlnln)), clamped
+        ll = D80.ln(_ln80(n))
+        u = 20 * (_ln80(n) - _ln80(q)) / (ll * ll * D80.ln(ll))
+        return min(max(int(u.to_integral_value(rounding=decimal.ROUND_FLOOR)), 0), 20)
+
+    # the threshold falls below 1 past n = 10^3 and only climbs back through
+    # the integers near log n = 95, where one step of n moves it by 1e-43
+    lo, hi = int(math.exp(94)), int(math.exp(101))
+    for target in (2, 3, 5):
+        n0 = _last_below(lo, hi, lambda n: lamlam_threshold(n) <= target)
+        for n in (n0, n0 + 1):
+            for q in (target - 1, target, target + 1):
+                assert decide(q, n)[0] == (q > lamlam_threshold(n)), (q, n)
+    # deficiency bin edge k: q = n^(1 - k w(n)), w = lnln^2 lnlnln / (20 ln);
+    # find the n where that crosses an integer
+    for k in (5, 10, 19):
+        @_in80
+        def edge(n):
+            ll = _ln80(n).ln()
+            return ((1 - k * ll * ll * ll.ln() / (20 * _ln80(n))) * _ln80(n)).exp()
+        target = int(edge(10**25)) + 1
+        n0 = _last_below(10**24, 10**26, lambda n: edge(n) <= target)
+        for n in (n0, n0 + 1):
+            for q in (target - 1, target, target + 1):
+                assert decide(q, n)[1] == deficiency_bin(q, n), (k, q, n)
+            assert {deficiency_bin(target, m) for m in (n0, n0 + 1)} == {k - 1, k}
+
+
+def test_rsa_pair_sample_as_large_as_the_pairs_is_the_enumeration():
+    total = rsa_pair_count(100)
+    assert total == 118
+    full = run_survey(SurveyConfig(kind=RSA_PAIR, x_max=100, sample_size=total))
+    assert not full.sampled and full.total == total
+    sample = run_survey(SurveyConfig(kind=RSA_PAIR, x_max=100, sample_size=total - 1))
+    assert sample.sampled and sample.total == total - 1
+    huge = run_survey(SurveyConfig(kind=RSA_PAIR, x_max=100, sample_size=10**6))
+    assert huge.to_dict() == {**full.to_dict(), "sample_size": 10**6}
+
+
+def test_config_digest_is_stable():
+    # a checkpoint written before EpsilonFn lost its form field still resumes
+    assert config_digest(SurveyConfig(kind=LAMBDA_N, x_max=100000)) == (
+        "86b551b18bd6124729a0af0c1275c4d86ef093ad7d2b573e8479d53c24406eb8")
 
 
 def test_class_counts_partition():
@@ -204,7 +365,8 @@ def test_epsilon_must_stay_on_its_cap():
             SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=0.5))
     for kind, x_max, cap in ((ORD_N, 2**78, 0.5), (RSA_PAIR, 2**39, 0.5), (LAMBDA_N, 10**30, 0.25)):
         cfg = SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=cap))
-        assert cfg._threshold == (0.5 + cap, Fraction(1, 2) + Fraction(str(cap)))
+        assert cfg._threshold == Fraction(1, 2) + Fraction(str(cap))
+        assert cfg._threshold_float == 0.5 + cap
     # the other kinds need no constant eps exponent
     for kind in (HIGH_FACTOR, ONE_MINUS_DELTA, LAMBDA_LAMBDA):
         SurveyConfig(kind=kind, x_max=10**200, epsilon=EpsilonFn(cap=0.5))
@@ -237,15 +399,15 @@ def test_run_survey_worker_and_chunk_invariance():
 
 
 def test_log_ratio_bin_edges():
-    assert log_ratio_bin(1, 50) == 0
-    assert log_ratio_bin(8, 64) == 10   # exactly 0.5 goes to bin [0.50, 0.55)
-    assert log_ratio_bin(7, 64) < 10
-    assert log_ratio_bin(63, 64) == 19
-    assert log_ratio_bin(64, 64) == 20  # statistic 1.0
-    assert log_ratio_bin(10**9, 4) == 20  # clamped to the top bin
+    assert ratio_bin(1, 50) == 0
+    assert ratio_bin(8, 64) == 10   # exactly 0.5 goes to bin [0.50, 0.55)
+    assert ratio_bin(7, 64) < 10
+    assert ratio_bin(63, 64) == 19
+    assert ratio_bin(64, 64) == 20  # statistic 1.0
+    assert ratio_bin(10**9, 4) == 20  # clamped to the top bin
     # near-edges closer than any fixed precision are decided by q^20 < n^k
-    assert log_ratio_bin(2**200, 2**400 + 1) == 9
-    assert log_ratio_bin(2**200 + 1, 2**400) == 10
+    assert ratio_bin(2**200, 2**400 + 1) == 9
+    assert ratio_bin(2**200 + 1, 2**400) == 10
 
 
 def test_item_decisions_reproducible():
@@ -254,9 +416,7 @@ def test_item_decisions_reproducible():
     recount = 0
     for n in range(16, 501):
         o = coprime_order(2, n)
-        t, exact = cfg._threshold
-        from ordstat.classify import power_compare
-        if power_compare(o, n, t, exact) > 0:
+        if threshold_sign(cfg, o, n) > 0:
             recount += 1
     assert recount == r.exceed
 
@@ -320,8 +480,7 @@ def test_rsa_pair_order_is_lcm_of_shifted_orders():
         kernel = OrderKernel(3000, e)
         for p, l in pairs:
             o = coprime_order(e, lcm(p - 1, l - 1))
-            t, exact = cfg._threshold
-            want = (power_compare(o, p * l, t, exact) >= 0, log_ratio_bin(o, p * l), None)
+            want = (threshold_sign(cfg, o, p * l) >= 0, ratio_bin(o, p * l), None)
             assert evaluate_item(cfg, (p, l), kernel) == want, (e, p, l)
 
 

@@ -345,7 +345,6 @@ def compute(log):
             ("high-factor@100000", lambda: measure_high_factor(primes_1e6, 10**5)),
             ("rsa-pair@3000", lambda: measure_rsa_pair(primes_1e6, 3000)),
             ("one-minus-delta@100000", lambda: measure_one_minus_delta(10**5)),
-            ("ord-n@10000,e=6", lambda: measure_ord_n(10**4, e=6)),
             # a fixed exponent drops the floor to 2
             ("lambda-n@10000,exponent=0.333",
              lambda: measure_lambda_n(10**4, lo=2, a=333, b=1000)),
@@ -354,6 +353,22 @@ def compute(log):
         tally = measure()
         surveys[key] = tally.as_dict()
         log(f"{key}: {tally.exceed}/{tally.total}")
+
+    # other bases: the primes dividing e are skipped, which e = 2 barely tests
+    for e in (3, 6, 10):
+        for key, measure in (
+                (f"ord-n@10000,e={e}", lambda: measure_ord_n(10**4, e=e)),
+                (f"lambda-n@10000,e={e}", lambda: measure_lambda_n(10**4, e=e)),
+                (f"one-minus-delta@10000,e={e}", lambda: measure_one_minus_delta(10**4, e=e)),
+                (f"shifted-prime@10000,e={e}",
+                 lambda: measure_shifted_prime(primes_1e6, 10**4, e=e)),
+                (f"rsa-pair@3000,e={e}", lambda: measure_rsa_pair(primes_1e6, 3000, e=e))):
+            tally = measure()
+            surveys[key] = tally.as_dict()
+            log(f"{key}: {tally.exceed}/{tally.total}")
+        counts, tally = measure_class_counts(primes_1e6, 10**4, e=e)
+        surveys[f"class-counts@10000,e={e}"] = {"class_counts": counts, **tally.as_dict()}
+        log(f"class-counts@10000,e={e}: {counts}")
 
     lamlam = measure_lambda_lambda(10**5)
     surveys["lambda-lambda@100000"] = lamlam

@@ -524,7 +524,12 @@ def test_histograms_and_remaining_kinds_match_oracle():
             ("one-minus-delta@100000", SurveyConfig(kind=ONE_MINUS_DELTA, x_max=10**5)),
             ("class-counts@100000,histogram", SurveyConfig(kind=CLASS_COUNTS, x_max=10**5)),
             ("rsa-pair@3000", SurveyConfig(kind=RSA_PAIR, x_max=3000)),
-            ("ord-n@10000,e=6", SurveyConfig(kind=ORD_N, x_max=10**4, e=6)),
+            # other bases, where the primes dividing e are skipped
+            *((f"{kind}@10000,e={e}", SurveyConfig(kind=kind, x_max=10**4, e=e))
+              for e in (3, 6, 10)
+              for kind in (ORD_N, LAMBDA_N, ONE_MINUS_DELTA, SHIFTED_PRIME, CLASS_COUNTS)),
+            *((f"rsa-pair@3000,e={e}", SurveyConfig(kind=RSA_PAIR, x_max=3000, e=e))
+              for e in (3, 6, 10)),
             # the exact-integer tier at t = 3/5 with >= and at the M/H
             # boundary o^10 vs p^7, and the decimal tier at t = 333/1000
             ("shifted-prime@10000,cap=0.1",

@@ -138,9 +138,11 @@ def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
 def max_seed_period(e: int, n: int) -> int:
     """Power-generator period for a seed of maximal order, i.e.
     coprime_order(e, lambda(n)).  Every prime of lambda(n) is a prime p of n
-    or a prime of p - 1, so lambda(n) is split over those, never factored."""
+    or a prime of p - 1, so lambda(n) is split over those, never factored;
+    the descent reuses each p - 1 factored here."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     f = factorize(n)
-    primes = [r for p in f.primes() for r in (p, *factorize(p - 1).primes())]
-    return _order(e, _split(carmichael_lambda(f), primes).items())
+    below = {p: factorize(p - 1) for p in f.primes()}
+    primes = [r for p, fp in below.items() for r in (p, *fp.primes())]
+    return _order(e, _split(carmichael_lambda(f), primes).items(), below)

@@ -14,9 +14,11 @@ Surveys read the same quantities through an OrderKernel per base, which
 walks a smallest-prime-factor table of [1, min(x_max, 2^27)] (2 bytes per
 integer) into the same descent and lambda rule (_lambda_lcm), and memoizes
 the orders of prime powers that are proper factors of a value (about 90
-bytes each, 3.8 MB after ord-n at 10^6).  Values above the table fall
-through to arith.factorize.  Every path is exact, so neither the table nor
-the memo can change a result.
+bytes each).  The survey's integer kinds ask the kernel only at prime
+powers and keep its answers in their own value array (survey._sieve_values),
+so the memo stays small: 218 entries after ord-n at 10^6, 13,236 after
+lambda-n.  Values above the table fall through to arith.factorize.  Every
+path is exact, so neither the table nor the memo can change a result.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .arith import Factorization, factorize, primes_in_range
 
@@ -86,15 +88,17 @@ def _split(m: int, primes: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def _order_factors(e: int, factors: Iterable[tuple[int, int]]) -> dict[int, int]:
+def _order_factors(e: int, factors: Iterable[tuple[int, int]],
+                   known: Mapping[int, Factorization] | None = None) -> dict[int, int]:
     """ord*(e, m) as {prime: exponent}, for m the product of p^a over the
     (p, a) in factors: the order of e modulo the prime powers whose p does
-    not divide e (the others are skipped)."""
+    not divide e (the others are skipped).  known maps primes p to the
+    factorization of p - 1 where the caller already has it."""
     order: dict[int, int] = {}
     for p, a in factors:
         if e % p == 0:
             continue
-        below = factorize(p - 1)
+        below = known[p] if known and p in known else factorize(p - 1)
         o = _prime_order(e, p, below.factors)
         for k in range(2, a + 1):
             if pow(e, o, p**k) != 1:
@@ -105,9 +109,10 @@ def _order_factors(e: int, factors: Iterable[tuple[int, int]]) -> dict[int, int]
     return order
 
 
-def _order(e: int, factors: Iterable[tuple[int, int]]) -> int:
+def _order(e: int, factors: Iterable[tuple[int, int]],
+           known: Mapping[int, Factorization] | None = None) -> int:
     """ord*(e, m) for m given by its (p, a) factors."""
-    return math.prod(r**b for r, b in _order_factors(e, factors).items())
+    return math.prod(r**b for r, b in _order_factors(e, factors, known).items())
 
 
 def multiplicative_order(e: int, n: int) -> int:

@@ -36,9 +36,15 @@ eps is on its cap at the largest x judged (x_max, or x_max^2 for pairs).
 That holds below 2^64; a config where it fails is rejected.
 
 Each process builds, on the first chunk it evaluates, one orders.OrderKernel
-for the config's base, and every kind reads q from it.  Checkpoints are JSON
-carrying a config digest, the completed chunk list, and the partially merged
-result.
+for the config's base, and every kind reads q from it.  The kinds over
+primes and pairs read it per item.  The four integer kinds read it only at
+prime powers: their q is lcm-multiplicative (q(n) is the lcm of q(p^a) over
+the prime powers p^a exactly dividing n, and q(p^a) divides q(p^(a+1))), so
+a chunk's q values come from a sieve over its prime powers (_sieve_values).
+The prime-power values are kept in one array per process, 4 bytes per odd
+integer up to the table's limit, which is 2 bytes per integer like the
+table.  Checkpoints are JSON carrying a config digest, the completed chunk
+list, and the partially merged result.
 """
 
 from __future__ import annotations
@@ -51,11 +57,13 @@ import json
 import math
 import os
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable
+from operator import floordiv
+from typing import Callable, Iterable, Iterator
 
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, order_class,
@@ -78,6 +86,8 @@ N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 
 DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
+
+Decision = tuple[bool, int | None, str | None]  # exceeds, histogram bin, class label
 
 
 class CheckpointError(Exception):
@@ -349,11 +359,14 @@ def _prime_items(cfg: SurveyConfig, lo: int, hi: int) -> list[int]:
     return primes_in_range(lo, hi)
 
 
+def _ord_lambda(k: OrderKernel, n: int) -> tuple[int, int]:
+    return k.ord(k.lam(n)), n
+
+
 _KINDS = {
     ORD_N: _Kind(_int_items, lambda k, n: (k.ord(n), n), 1, 1, 16),
-    LAMBDA_N: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n), 1, 1, 16),
-    ONE_MINUS_DELTA: _Kind(_int_items, lambda k, n: (k.ord(k.lam(n)), n),
-                           _one_minus_delta_test, None, 16),
+    LAMBDA_N: _Kind(_int_items, _ord_lambda, 1, 1, 16),
+    ONE_MINUS_DELTA: _Kind(_int_items, _ord_lambda, _one_minus_delta_test, None, 16),
     LAMBDA_LAMBDA: _Kind(_int_items, lambda k, n: (k.lam(k.lam(n)), n), _lamlam_test, None),
     SHIFTED_PRIME: _Kind(_prime_items, lambda k, p: (k.ord(p - 1), p), 0, 1),
     HIGH_FACTOR: _Kind(_prime_items, lambda k, p: (k.lpf(p - 1), p), 1, Fraction(677, 1000)),
@@ -365,23 +378,80 @@ _KINDS = {
 }
 
 
-def evaluate_item(cfg: SurveyConfig, item,
-                  kernel: OrderKernel) -> tuple[bool, int | None, str | None]:
+def _value(kind: _Kind, kernel: OrderKernel, item) -> tuple[int, int]:
+    """kind.value(kernel, item), naming the item if it overflows."""
+    try:
+        return kind.value(kernel, item)
+    except OverflowError as exc:
+        raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=1)
+def _value_array(kernel: OrderKernel, kind: _Kind) -> array:
+    """q(Q) of an integer kind at index Q // 2 for the odd Q <= kernel.limit,
+    0 until computed: 4 bytes per odd integer, 2 per integer of the range."""
+    return array("I", [0]) * (kernel.limit // 2 + 1)
+
+
+def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[int]:
+    """q(n) for each n in [lo, hi), for an integer kind.  Its q is the lcm of
+    q(p^a) over the prime powers p^a exactly dividing n, and q(p^a) divides
+    q(p^(a+1)); so every multiple of each prime power Q = p^k < hi, for the
+    primes p <= sqrt(hi - 1), takes the lcm with q(Q) and loses a p from
+    its cofactor, which ends as 1 or the one prime r of n above sqrt(hi - 1),
+    whose q(r) comes last.  q(Q) is kind.value itself, kept for odd Q in
+    _value_array and taken anew for the few powers of 2 of each chunk."""
+    limit, cache = kernel.limit, _value_array(kernel, kind)
+
+    def prime_power_value(Q: int) -> int:
+        if Q & 1 and Q <= limit:
+            v = cache[Q >> 1]
+            if not v:
+                v = cache[Q >> 1] = _value(kind, kernel, Q)[0]
+            return v
+        return _value(kind, kernel, Q)[0]
+
+    size = hi - lo
+    qs, cofactor = [1] * size, list(range(lo, hi))
+    for p in primes_in_range(2, math.isqrt(hi - 1) + 1):
+        Q = p
+        while Q < hi:
+            first = -lo % Q
+            if first < size:
+                cofactor[first::Q] = map(floordiv, cofactor[first::Q], repeat(p))
+                v = prime_power_value(Q)
+                if v > 1:
+                    qs[first::Q] = map(math.lcm, qs[first::Q], repeat(v))
+            Q *= p
+    return [math.lcm(q, prime_power_value(r)) if r > 1 else q for q, r in zip(qs, cofactor)]
+
+
+def _decisions(cfg: SurveyConfig, values: Iterable[tuple[int, int]]) -> Iterator[Decision]:
+    """(exceeds, histogram bin, class label) for each (q, x) of values: the
+    one loop where every decision is made, binding the kind's test and the
+    threshold once."""
+    test, log = _KINDS[cfg.kind].test, math.log
+    if test.__class__ is int:
+        t_float, t = cfg._threshold_float, cfg._threshold
+        for q, x in values:
+            lnx = log(x)
+            u = log(q) / lnx
+            yield power_compare(q, x, u, t_float, t) >= test, log_ratio_bin(q, x, u), None
+    else:
+        for q, x in values:
+            lnx = log(x)
+            yield test(cfg, q, x, log(q) / lnx, lnx)
+
+
+def evaluate_item(cfg: SurveyConfig, item, kernel: OrderKernel) -> Decision:
     """Evaluate one survey item: (exceeds, histogram bin, class label).
 
     The item is an integer for all kinds except rsa-pair, where it is the
-    prime pair (p, l).  This is the single place every exceed decision is
-    made, so any count is reproducible item by item.
+    prime pair (p, l).  q is read for this item alone, where evaluate_chunk
+    reads the integer kinds' q off its sieve; both judge it in _decisions,
+    so any count is reproducible item by item.
     """
-    kind = _KINDS[cfg.kind]
-    q, x = kind.value(kernel, item)
-    lnx = math.log(x)
-    u = math.log(q) / lnx
-    test = kind.test
-    if test.__class__ is int:
-        exceeds = power_compare(q, x, u, cfg._threshold_float, cfg._threshold) >= test
-        return exceeds, log_ratio_bin(q, x, u), None
-    return test(cfg, q, x, u, lnx)
+    return next(_decisions(cfg, (_value(_KINDS[cfg.kind], kernel, item),)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +467,22 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
+    The integer kinds read q off the chunk's sieve, the others per item.
     The order kernel reads the table over [1, min(x_max, SPF_TABLE_MAX)]
     and is built on a process's first chunk, so pool workers build their own
     under any start method, and surveys with the same range and base share
     one."""
     kernel = _order_kernel(min(cfg.x_max, SPF_TABLE_MAX), cfg.e)
+    kind = _KINDS[cfg.kind]
     result = empty_result(cfg)
-    items = _KINDS[cfg.kind].items(cfg, lo, hi)
+    items = kind.items(cfg, lo, hi)
+    if kind.items is _int_items:
+        values = zip(_sieve_values(kind, kernel, lo, hi), items)
+    else:
+        values = (_value(kind, kernel, item) for item in items)
     histogram, counts = result.histogram, result.class_counts
     exceed = 0
-    for item in items:
-        try:
-            exceeds, stat_bin, label = evaluate_item(cfg, item, kernel)
-        except OverflowError as exc:
-            raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
+    for exceeds, stat_bin, label in _decisions(cfg, values):
         exceed += exceeds
         if stat_bin is not None:
             histogram[stat_bin] += 1

@@ -28,7 +28,7 @@ Run from the repository root:
     python tests/make_goldens.py           # rewrite the golden file
     python tests/make_goldens.py --check   # recompute, diff, write nothing
 
-Takes about a minute and a quarter.  --check exits 1 if any recomputed value
+Takes about a minute and a half.  --check exits 1 if any recomputed value
 differs from the committed file.
 """
 

@@ -243,3 +243,11 @@ def test_max_seed_period_never_factors_lambda(monkeypatch):
         assert generators.max_seed_period(e, n) == want[e]
         assert seen.count(n) == 1, seen
         assert all(m < q for m in seen if m != n), seen
+        assert len(set(seen)) == len(seen), seen
+    # p^2 | n puts p among the primes of lambda(n): its p - 1 is factored once
+    n = p * p * 7
+    for e in (2, 3, 10):
+        want = orders.coprime_order(e, orders.carmichael_lambda(arith.factorize(n)))
+        seen.clear()
+        assert generators.max_seed_period(e, n) == want
+        assert seen.count(p - 1) == 1 and len(set(seen)) == len(seen), seen

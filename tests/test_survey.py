@@ -17,6 +17,7 @@ import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import factorize, lcm, primes_in_range
 from ordstat.classify import EpsilonFn, classify_order_value, power_compare
+from ordstat.cli import main
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
@@ -468,6 +469,84 @@ def test_surveys_factor_only_through_the_table(monkeypatch):
         monkeypatch.setattr(orders_mod, name, fail(name))
     for kind in KINDS:
         assert run_survey(SurveyConfig(kind=kind, x_max=2000, chunk=700)).total > 0
+
+
+INT_KINDS = (ORD_N, LAMBDA_N, ONE_MINUS_DELTA, LAMBDA_LAMBDA)
+
+
+def _per_item_result(cfg):
+    """The survey's result from evaluate_item on every item, no sieve."""
+    kernel = OrderKernel(cfg.x_max, cfg.e)
+    result = empty_result(cfg)
+    for n in range(cfg.low(), cfg.x_max + 1):
+        exceeds, stat_bin, label = evaluate_item(cfg, n, kernel)
+        result.total += 1
+        result.exceed += exceeds
+        if stat_bin is not None:
+            result.histogram[stat_bin] += 1
+        if label is not None:
+            result.class_counts[label] += 1
+    return result.to_dict()
+
+
+def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
+    # an integer kind's q(n) is the lcm of q(p^a) over p^a || n: the chunk
+    # sieve must give kind.value at every n, whatever the chunk boundaries
+    assert {k for k in KINDS if _KINDS[k].items is _KINDS[ORD_N].items} == set(INT_KINDS)
+    x = 2 * 10**5
+    # chunks of 1 and 7 on windows holding 2, 3, 2^17, 3^11 and 7^6
+    small = [(2, 600), (131_000, 131_100), (177_100, 177_200), (117_600, 117_700)]
+    want = {}
+    for e in (2, 3, 6, 10, 12):
+        kernel = OrderKernel(x, e)
+        for name in INT_KINDS:
+            kind = _KINDS[name]
+            # one-minus-delta shares lambda-n's value; lambda-lambda's is free of e
+            key = kind.value if name == LAMBDA_LAMBDA else (kind.value, e)
+            if key not in want:
+                want[key] = [None, None] + [kind.value(kernel, n)[0] for n in range(2, x + 1)]
+            for chunk, windows in ((10**4, [(2, x + 1)]), (1777, [(2, x + 1)]),
+                                   (7, small), (1, small)):
+                for lo, hi in windows:
+                    got = [q for a in range(lo, hi, chunk)
+                           for q in survey_mod._sieve_values(kind, kernel, a, min(a + chunk, hi))]
+                    assert got == want[key][lo:hi], (e, name, chunk, lo)
+    # whole surveys: an x_min window, and a fixed exponent, whose floor is 2
+    for name in (ORD_N, LAMBDA_N):
+        for cfg in (SurveyConfig(kind=name, e=6, x_min=65_000, x_max=66_000, chunk=77),
+                    SurveyConfig(kind=name, e=12, x_max=3000, exponent_override=0.5, chunk=7)):
+            assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
+    for name in (ONE_MINUS_DELTA, LAMBDA_LAMBDA):
+        cfg = SurveyConfig(kind=name, e=10, x_min=3, x_max=3000, chunk=1)
+        assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
+    # the value array belongs to one kernel: the same kind and range at
+    # another base must not read it
+    for e in (2, 3, 2, 12):
+        cfg = SurveyConfig(kind=LAMBDA_N, e=e, x_max=3000)
+        assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
+    # past the table, prime powers and cofactors are valued uncached
+    monkeypatch.setattr(survey_mod, "SPF_TABLE_MAX", 500)
+    for name in INT_KINDS:
+        cfg = SurveyConfig(kind=name, e=6, x_max=3000, chunk=1000)
+        assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
+
+
+def test_overflow_names_the_item(monkeypatch, capsys):
+    real = OrderKernel.ord
+
+    def ord_overflows_at_101(kernel, n):
+        if n == 101:
+            raise OverflowError("stub")
+        return real(kernel, n)
+
+    monkeypatch.setattr(OrderKernel, "ord", ord_overflows_at_101)
+    survey_mod._value_array.cache_clear()  # no q(101) kept from an earlier test
+    # ord-n reads ord(101) in the chunk sieve, class-counts for the item 101
+    for kind in (ORD_N, CLASS_COUNTS):
+        with pytest.raises(OverflowError, match="survey item 101 overflowed: stub"):
+            run_survey(SurveyConfig(kind=kind, x_max=300, chunk=50))
+        assert main(["survey", "--kind", kind, "--max", "300"]) == 3
+        assert "survey item 101 overflowed" in capsys.readouterr().err
 
 
 def test_rsa_pair_order_is_lcm_of_shifted_orders():

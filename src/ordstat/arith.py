@@ -2,8 +2,9 @@
 
 Primality is a deterministic Miller-Rabin with a witness set valid for all
 n < 2^64, factorization is trial division by sieved small primes followed
-by Brent's cycle variant of Pollard rho with a fixed parameter sequence
-(plus a Pollard p-1 fallback), so every result is reproducible bit for bit.
+by Brent's cycle variant of Pollard rho with the increments c = 1, 2, ...
+tried in turn until a round splits n, so every result is reproducible bit
+for bit.
 The trial stage walks the primes up to _TRIAL_BOUND in blocks of
 _TRIAL_BLOCK and skips a whole block when n is coprime to the block's
 product (one gcd), so only blocks holding a factor of n are divided one
@@ -108,12 +109,12 @@ def is_prime(n: int) -> bool:
 
 
 @functools.cache
-def _trial_table() -> tuple[list[int], list[tuple[int, int, list[int]]]]:
-    """The primes <= _TRIAL_BOUND, and the same primes in runs of
-    _TRIAL_BLOCK as (square of the run's first prime, product, run)."""
+def _trial_table() -> list[tuple[int, int, list[int]]]:
+    """The primes <= _TRIAL_BOUND in runs of _TRIAL_BLOCK, each as
+    (square of the run's first prime, product, run)."""
     primes = sieve_primes(_TRIAL_BOUND)
     runs = [primes[i : i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK)]
-    return primes, [(run[0] * run[0], math.prod(run), run) for run in runs]
+    return [(run[0] * run[0], math.prod(run), run) for run in runs]
 
 
 def _brent_rho(n: int, c: int) -> int | None:
@@ -144,19 +145,6 @@ def _brent_rho(n: int, c: int) -> int | None:
     return g if g != n else None
 
 
-def _pollard_pm1(n: int, bound: int = 10_000) -> int | None:
-    a = 2
-    for p in _trial_table()[0]:
-        if p > bound:
-            break
-        pk = p
-        while pk * p <= bound:
-            pk *= p
-        a = pow(a, pk, n)
-    g = math.gcd(a - 1, n)
-    return g if 1 < g < n else None
-
-
 def _split(n: int, out: dict[int, int]) -> None:
     # n here has no prime factor <= _TRIAL_BOUND
     if n == 1:
@@ -164,14 +152,8 @@ def _split(n: int, out: dict[int, int]) -> None:
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    d = None
     c = 1
-    while d is None:
-        if c == 4:
-            d = _pollard_pm1(n)
-            if d is not None:
-                break
-        d = _brent_rho(n, c)
+    while (d := _brent_rho(n, c)) is None:
         c += 1
     _split(d, out)
     _split(n // d, out)
@@ -185,7 +167,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"{n} is outside the unsigned 64-bit range")
     value = n
     fac: dict[int, int] = {}
-    for first_square, product, run in _trial_table()[1]:
+    for first_square, product, run in _trial_table():
         if first_square > n:
             break
         if math.gcd(n, product) == 1:

@@ -113,11 +113,6 @@ class EpsilonFn:
             raise ValueError(f"epsilon undefined for x < {EPSILON_MIN_X}, got {x}")
         return min(self.cap, 2.0 / math.log(math.log(x)))
 
-    def at(self, x: float) -> float:
-        """eps evaluated with the argument clamped up to the domain floor;
-        used by surveys that also examine small primes."""
-        return self(max(float(x), float(EPSILON_MIN_X)))
-
     def is_capped(self, x: float) -> bool:
         return 2.0 / math.log(math.log(max(float(x), float(EPSILON_MIN_X)))) >= self.cap
 

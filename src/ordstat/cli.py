@@ -7,6 +7,11 @@
     ordstat period bbs --n 11 --u 3
     ordstat survey --kind lambda-n --e 2 --max 100000 --format csv
 
+Each compute and period subcommand is one row of _COMMANDS: its flags (from
+_FLAGS) and a function from the parsed arguments to the JSON document printed
+after "schema": 1.  The period rows share _orbit for --empirical, and bbs
+is power with e = 2.
+
 All output is deterministic for a given argument list: JSON documents carry
 a "schema" field and survey CSV has a fixed column set (summary row first,
 then the 21 histogram bins in ascending order).  Exit codes: 0 success,
@@ -24,9 +29,8 @@ import sys
 
 from .arith import factorize
 from .classify import EpsilonFn, classify_prime
-from .generators import (LcgSpec, PowerGenSpec, lcg_period_analytic,
-                         lcg_period_empirical, power_period_analytic,
-                         power_period_empirical)
+from .generators import (LcgSpec, PowerGenSpec, brent_cycle, lcg_period_analytic,
+                         power_period_analytic)
 from .orders import carmichael_lambda, omega, order_profile, smooth_part, squarefree_core
 from .survey import (DEFAULT_RSA_SAMPLE, DEFAULT_SEED, KINDS, CheckpointError,
                      SurveyConfig, SurveyResult, run_survey)
@@ -35,63 +39,78 @@ SURVEY_CSV_COLUMNS = ("kind", "e", "x_max", "total", "exceed", "fraction",
                       "bin_lo", "bin_hi", "bin_count")
 
 
-def _emit_json(doc: dict, out=None) -> None:
-    (out or sys.stdout).write(json.dumps(doc) + "\n")
+def _order_doc(args) -> dict:
+    prof = order_profile(args.e, args.n)
+    doc = {"n": prof.n, "e": prof.e, "n_coprime": prof.n_coprime,
+           "lambda": prof.lambda_n, "ord_star": prof.ord_star}
+    if prof.index is not None:
+        doc["index"] = prof.index
+    return doc
 
 
-def _cmd_compute(args) -> int:
-    sub = args.quantity
-    if sub == "order":
-        prof = order_profile(args.e, args.n)
-        doc = {"schema": 1, "n": prof.n, "e": prof.e, "n_coprime": prof.n_coprime,
-               "lambda": prof.lambda_n, "ord_star": prof.ord_star}
-        if prof.index is not None:
-            doc["index"] = prof.index
-    elif sub == "lambda":
-        doc = {"schema": 1, "n": args.n, "lambda": carmichael_lambda(factorize(args.n))}
-    elif sub == "core":
-        doc = {"schema": 1, "n": args.n, "core": squarefree_core(args.n)}
-    elif sub == "omega":
-        doc = {"schema": 1, "n": args.n, "omega": omega(args.n)}
-    elif sub == "smooth-part":
-        allowed = frozenset(int(p) for p in args.primes.split(","))
-        value = smooth_part(args.n, lambda p: p in allowed)
-        doc = {"schema": 1, "n": args.n, "primes": sorted(allowed), "smooth_part": value}
-    elif sub == "classify":
-        eps = EpsilonFn(cap=args.epsilon_cap)
-        doc = {"schema": 1, "p": args.p, "e": args.e,
-               "class": classify_prime(args.p, args.e, eps)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown compute quantity {sub!r}")
-    _emit_json(doc)
-    return 0
+def _smooth_part_doc(args) -> dict:
+    allowed = frozenset(int(p) for p in args.primes.split(","))
+    return {"n": args.n, "primes": sorted(allowed),
+            "smooth_part": smooth_part(args.n, lambda p: p in allowed)}
 
 
-def _cmd_period(args) -> int:
-    gen = args.generator
-    if gen == "lcg":
-        spec = LcgSpec(e=args.e, b=args.b, n=args.n, u0=args.u)
-        info = lcg_period_analytic(spec)
-        doc = {"schema": 1, "generator": "lcg", "e": spec.e, "b": spec.b,
-               "n": spec.n, "u0": spec.u0,
-               "exact": info.exact, "divisor_bound": info.divisor_bound}
-        if args.empirical:
-            cyc = lcg_period_empirical(spec)
-            doc["empirical_period"] = cyc.period
-            doc["tail"] = cyc.tail
-            doc["agree"] = (info.exact == cyc.period if info.exact is not None
-                            else info.divisor_bound % cyc.period == 0)
-    else:
-        e = 2 if gen == "bbs" else args.e
-        spec = PowerGenSpec(e=e, n=args.n, u0=args.u)
-        doc = {"schema": 1, "generator": "power", "e": spec.e, "n": spec.n,
-               "u0": spec.u0, "analytic": power_period_analytic(spec)}
-        if args.empirical:
-            cyc = power_period_empirical(spec)
-            doc["empirical_period"] = cyc.period
-            doc["tail"] = cyc.tail
-            doc["agree"] = doc["analytic"] == cyc.period
-    _emit_json(doc)
+def _orbit(args, doc: dict, spec, agrees) -> dict:
+    """doc, plus on --empirical the period and tail of spec's walked orbit
+    and agrees(period): whether it matches the analytic value."""
+    if args.empirical:
+        cycle = brent_cycle(spec.step, spec.u0)
+        doc.update(empirical_period=cycle.period, tail=cycle.tail,
+                   agree=agrees(cycle.period))
+    return doc
+
+
+def _lcg_doc(args) -> dict:
+    spec = LcgSpec(e=args.e, b=args.b, n=args.n, u0=args.u)
+    info = lcg_period_analytic(spec)
+    doc = {"generator": "lcg", "e": spec.e, "b": spec.b, "n": spec.n, "u0": spec.u0,
+           "exact": info.exact, "divisor_bound": info.divisor_bound}
+    return _orbit(args, doc, spec, lambda t: info.exact == t if info.exact is not None
+                  else info.divisor_bound % t == 0)
+
+
+def _power_doc(args, e: int) -> dict:
+    spec = PowerGenSpec(e=e, n=args.n, u0=args.u)
+    analytic = power_period_analytic(spec)
+    doc = {"generator": "power", "e": spec.e, "n": spec.n, "u0": spec.u0,
+           "analytic": analytic}
+    return _orbit(args, doc, spec, lambda t: t == analytic)
+
+
+_FLAGS = {
+    **{flag: dict(type=int, required=True) for flag in ("n", "e", "p", "b", "u")},
+    "primes": dict(type=str, required=True,
+                   help="comma-separated primes allowed in the smooth part"),
+    "epsilon-cap": dict(type=float, default=EpsilonFn.cap),
+    "empirical": dict(action="store_true"),
+}
+
+# command: (dest of its subcommand, help, {subcommand: (flags, document)})
+_COMMANDS = {
+    "compute": ("quantity", "single order-function values", {
+        "order": ("n e", _order_doc),
+        "lambda": ("n", lambda a: {"n": a.n, "lambda": carmichael_lambda(factorize(a.n))}),
+        "core": ("n", lambda a: {"n": a.n, "core": squarefree_core(a.n)}),
+        "omega": ("n", lambda a: {"n": a.n, "omega": omega(a.n)}),
+        "smooth-part": ("n primes", _smooth_part_doc),
+        "classify": ("p e epsilon-cap", lambda a: {
+            "p": a.p, "e": a.e,
+            "class": classify_prime(a.p, a.e, EpsilonFn(cap=a.epsilon_cap))}),
+    }),
+    "period": ("generator", "generator period, analytic and empirical", {
+        "lcg": ("e b n u empirical", _lcg_doc),
+        "power": ("e n u empirical", lambda a: _power_doc(a, a.e)),
+        "bbs": ("n u empirical", lambda a: _power_doc(a, 2)),
+    }),
+}
+
+
+def _cmd_doc(args) -> int:
+    sys.stdout.write(json.dumps({"schema": 1, **args.doc(args)}) + "\n")
     return 0
 
 
@@ -141,49 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ordstat",
         description="Multiplicative order statistics and generator periods.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    compute = commands.add_parser("compute", help="single order-function values")
-    cq = compute.add_subparsers(dest="quantity", required=True)
-    for name in ("order", "lambda", "core", "omega"):
-        sp = cq.add_parser(name)
-        sp.add_argument("--n", type=int, required=True)
-        if name == "order":
-            sp.add_argument("--e", type=int, required=True)
-        sp.set_defaults(func=_cmd_compute)
-    sp = cq.add_parser("smooth-part")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--primes", type=str, required=True,
-                    help="comma-separated primes allowed in the smooth part")
-    sp.set_defaults(func=_cmd_compute)
-    sp = cq.add_parser("classify")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--epsilon-cap", type=float, default=EpsilonFn.cap)
-    sp.set_defaults(func=_cmd_compute)
-
-    period = commands.add_parser("period", help="generator period, analytic and empirical")
-    pg = period.add_subparsers(dest="generator", required=True)
-    sp = pg.add_parser("lcg")
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--u", type=int, required=True)
-    sp.add_argument("--empirical", action="store_true")
-    sp.set_defaults(func=_cmd_period)
-    for name in ("power", "bbs"):
-        sp = pg.add_parser(name)
-        if name == "power":
-            sp.add_argument("--e", type=int, required=True)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--u", type=int, required=True)
-        sp.add_argument("--empirical", action="store_true")
-        sp.set_defaults(func=_cmd_period)
-
+    for command, (dest, help_, rows) in _COMMANDS.items():
+        subcommands = commands.add_parser(command, help=help_).add_subparsers(
+            dest=dest, required=True)
+        for name, (flags, doc) in rows.items():
+            sp = subcommands.add_parser(name)
+            for flag in flags.split():
+                sp.add_argument(f"--{flag}", **_FLAGS[flag])
+            sp.set_defaults(func=_cmd_doc, doc=doc)
     sv = commands.add_parser("survey", help="range surveys with CSV/JSON reports")
     sv.add_argument("--kind", required=True, choices=KINDS)
     sv.add_argument("--e", type=int, default=SurveyConfig.e)
     sv.add_argument("--max", type=int, required=True)
-    sv.add_argument("--epsilon-cap", type=float, default=EpsilonFn.cap)
+    sv.add_argument("--epsilon-cap", **_FLAGS["epsilon-cap"])
     sv.add_argument("--exponent", type=float, default=None,
                     help="fixed threshold exponent replacing 1/2 + eps(n)")
     sv.add_argument("--workers", type=int, default=1)

@@ -33,7 +33,8 @@ and lowers the 16 floor to 2; lambda-lambda, one-minus-delta and
 class-counts reject it.  eps(x) = min(cap, 2/log log x) never increases, so
 1/2 + eps (and class-counts' 1/2 + 2 eps) is one Fraction per config when
 eps is on its cap at the largest x judged (x_max, or x_max^2 for pairs).
-That holds below 2^64; a config where it fails is rejected.
+That holds below 2^64; a config where it fails is rejected.  An x_min
+below the floor is taken as given, but one-minus-delta needs n >= 3.
 
 Each process builds, on the first chunk it evaluates, one orders.OrderKernel
 for the config's base, and every kind reads q from it.  The kinds over
@@ -120,6 +121,8 @@ class SurveyConfig:
             raise ValueError(
                 f"empty range: x_max = {self.x_max} is below the survey floor "
                 f"{self.low()} for kind {self.kind}")
+        if self.kind == ONE_MINUS_DELTA and self.low() < 3:  # log log 2 < 0
+            raise ValueError(f"kind {self.kind} needs n >= 3, got x_min = {self.x_min}")
         if kind.exponent is not None:
             self._threshold  # computed now: eps off its cap raises ValueError here
 

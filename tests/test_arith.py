@@ -116,6 +116,21 @@ def test_factorize_hard_64bit_inputs():
         assert f == factorize(n)  # deterministic
 
 
+def test_factorize_retries_rho_with_the_next_increment(monkeypatch):
+    n = 280997 * 2403361  # above the trial square, so it goes to rho
+    assert arith._brent_rho(n, 1) is None
+    rounds = []
+    real = arith._brent_rho
+
+    def recording(m, c):
+        rounds.append((m, c, real(m, c)))
+        return rounds[-1][2]
+
+    monkeypatch.setattr(arith, "_brent_rho", recording)
+    assert factorize(n).factors == ((280997, 1), (2403361, 1))
+    assert rounds == [(n, 1, None), (n, 2, 280997)]
+
+
 def trial_factor(n, primes):
     """Factor list of n by trial division over primes, which must run past
     the square root of every cofactor met."""

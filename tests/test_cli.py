@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,88 @@ def test_period_lcg(capsys):
     assert doc["divisor_bound"] == 8
     assert doc["empirical_period"] == 4
     assert doc["agree"] is True
+
+
+# (argv, exit code, exact stdout) for every compute and period subcommand
+EXACT_OUTPUT = [
+    ("compute order --e 2 --n 12", 0,
+     '{"schema": 1, "n": 12, "e": 2, "n_coprime": 3, "lambda": 2, "ord_star": 2}\n'),
+    ("compute order --e 2 --n 7", 0,
+     '{"schema": 1, "n": 7, "e": 2, "n_coprime": 7, "lambda": 6, "ord_star": 3,'
+     ' "index": 2}\n'),
+    ("compute order --e 10 --n 1", 0,
+     '{"schema": 1, "n": 1, "e": 10, "n_coprime": 1, "lambda": 1, "ord_star": 1}\n'),
+    ("compute order --e 2 --n 0", 2, ""),
+    ("compute lambda --n 8", 0, '{"schema": 1, "n": 8, "lambda": 2}\n'),
+    ("compute core --n 12", 0, '{"schema": 1, "n": 12, "core": 6}\n'),
+    ("compute omega --n 30", 0, '{"schema": 1, "n": 30, "omega": 3}\n'),
+    ("compute smooth-part --n 90 --primes 2,3", 0,
+     '{"schema": 1, "n": 90, "primes": [2, 3], "smooth_part": 18}\n'),
+    ("compute smooth-part --n 360 --primes 5,2,2", 0,
+     '{"schema": 1, "n": 360, "primes": [2, 5], "smooth_part": 40}\n'),
+    ("compute classify --p 7 --e 2", 0, '{"schema": 1, "p": 7, "e": 2, "class": "M"}\n'),
+    ("compute classify --p 1000003 --e 2 --epsilon-cap 0.5", 0,
+     '{"schema": 1, "p": 1000003, "e": 2, "class": "M"}\n'),
+    # exact set: gcd(e - 1, n) = 1 and the shifted seed is coprime to n
+    ("period lcg --e 3 --b 1 --n 7 --u 0", 0,
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 7, "u0": 0, "exact": 6,'
+     ' "divisor_bound": 6}\n'),
+    ("period lcg --e 3 --b 1 --n 7 --u 0 --empirical", 0,
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 7, "u0": 0, "exact": 6,'
+     ' "divisor_bound": 6, "empirical_period": 6, "tail": 0, "agree": true}\n'),
+    # exact None: gcd(e - 1, n) = 2
+    ("period lcg --e 3 --b 1 --n 10 --u 0", 0,
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 10, "u0": 0, "exact": null,'
+     ' "divisor_bound": 8}\n'),
+    ("period lcg --e 3 --b 1 --n 10 --u 0 --empirical", 0,
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 10, "u0": 0, "exact": null,'
+     ' "divisor_bound": 8, "empirical_period": 4, "tail": 0, "agree": true}\n'),
+    ("period lcg --e 1 --b 1 --n 10 --u 0", 2, ""),
+    ("period power --e 2 --n 11 --u 3", 0,
+     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4}\n'),
+    ("period power --e 3 --n 77 --u 2 --empirical", 0,
+     '{"schema": 1, "generator": "power", "e": 3, "n": 77, "u0": 2, "analytic": 4,'
+     ' "empirical_period": 4, "tail": 1, "agree": true}\n'),
+    ("period power --e 2 --n 11 --u 1", 2, ""),
+    ("period bbs --n 11 --u 3", 0,
+     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4}\n'),
+    ("period bbs --n 11 --u 3 --empirical", 0,
+     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4,'
+     ' "empirical_period": 4, "tail": 0, "agree": true}\n'),
+    ("period bbs --e 3 --n 11 --u 3", 2, ""),  # bbs fixes e = 2
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", EXACT_OUTPUT, ids=[a for a, _, _ in EXACT_OUTPUT])
+def test_compute_and_period_output_is_exact(capsys, argv, code, stdout):
+    assert main(argv.split()) == code
+    assert capsys.readouterr().out == stdout
+
+
+def _readme_examples():
+    """(argv, shown output lines) for each `$ ordstat` line of the README."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    examples = []
+    for line in lines:
+        if line.startswith("$ ordstat "):
+            examples.append((shlex.split(line[len("$ ordstat "):], comments=True), []))
+        elif line.startswith("```"):
+            examples.append(None)
+        elif examples and examples[-1] is not None:
+            examples[-1][1].append(line)
+    return [ex for ex in examples if ex is not None]
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    shown = [(argv, out) for argv, out in _readme_examples() if argv[0] != "survey"]
+    assert len(shown) == 6 and all(out for _, out in shown), shown
+    for argv, out in shown:
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        if len(out) == 1:
+            assert printed == out[0] + "\n", argv
+        else:  # wrapped in the README
+            assert json.loads(printed) == json.loads(" ".join(out)), argv
 
 
 def test_survey_class_counts_json(capsys):

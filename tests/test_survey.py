@@ -76,6 +76,18 @@ def test_ord_n_rejects_empty_default_range():
         SurveyConfig(kind=ORD_N, x_max=10)
 
 
+def test_one_minus_delta_needs_n_at_least_3():
+    # 1 - sqrt(log log n / log n) is undefined at n = 2, where log log 2 < 0
+    with pytest.raises(ValueError, match="one-minus-delta needs n >= 3"):
+        SurveyConfig(kind=ONE_MINUS_DELTA, x_max=100, x_min=2)
+    r = run_survey(SurveyConfig(kind=ONE_MINUS_DELTA, x_max=100, x_min=3))
+    assert r.total == 98 and sum(r.histogram) == 98
+    # every other kind still surveys from 2
+    for name in KINDS:
+        if name != ONE_MINUS_DELTA:
+            assert run_survey(SurveyConfig(kind=name, x_max=100, x_min=2)).total > 0, name
+
+
 def test_shifted_prime_small():
     r = run_survey(SurveyConfig(kind=SHIFTED_PRIME, x_max=10))
     assert r.total == 4  # every prime <= 10 evaluated

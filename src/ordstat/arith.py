@@ -15,6 +15,7 @@ Everything here is a pure function; the sieve helpers return fresh lists.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -187,24 +188,14 @@ def factorize(n: int) -> Factorization:
     return Factorization(value, tuple(sorted(fac.items())))
 
 
-def _base_sieve(limit: int) -> bytearray:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return flags
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p < hi, by a segmented sieve over [lo, hi)."""
-    if hi <= lo or hi <= 2:
-        return []
+    """Primes p with lo <= p < hi, by a segmented sieve over [lo, hi) whose
+    base primes, those up to sqrt(hi - 1), come from a call of its own."""
     lo = max(lo, 2)
+    if hi <= lo:
+        return []
     root = math.isqrt(hi - 1)
-    base_flags = _base_sieve(root)
-    base = [p for p in range(2, root + 1) if base_flags[p]]
+    base = primes_in_range(2, root + 1)
     out: list[int] = []
     segment = max(1 << 16, root)
     for start in range(lo, hi, segment):
@@ -212,10 +203,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         flags = bytearray([1]) * (end - start)
         for p in base:
             first = max(p * p, (start + p - 1) // p * p)
-            if first >= end:
-                continue
-            flags[first - start :: p] = bytearray(len(range(first, end, p)))
-        out.extend(start + i for i, f in enumerate(flags) if f)
+            if first < end:
+                flags[first - start :: p] = bytes(len(range(first, end, p)))
+        out.extend(itertools.compress(range(start, end), flags))
     return out
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
 
-from .arith import Factorization, factorize
+from .arith import Factorization, factorize, is_prime
 from .orders import _order, carmichael_lambda, coprime_order
 from .arith import lcm as lcm64
 
@@ -158,6 +158,8 @@ def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
 
     Primes dividing e have coprime_order 1 and always land in L.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return classify_order_value(coprime_order(e, p), p, eps)
 
 

@@ -17,7 +17,8 @@ a "schema" field and survey CSV has a fixed column set (summary row first,
 then the 21 histogram bins in ascending order).  Exit codes: 0 success,
 2 usage or domain error, 3 arithmetic overflow, 4 I/O or corrupt state.
 Surveys read their orders off a smallest-prime-factor table over [1, --max]
-(capped at 2^27), which costs 2 bytes per integer and is built per process.
+(capped at 2^27) and keep them in arrays beside it, each 2 bytes per
+integer and built per process.  Flags are matched whole, never by prefix.
 """
 
 from __future__ import annotations
@@ -157,18 +158,19 @@ def _cmd_survey(args) -> int:
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ordstat",
+        prog="ordstat", allow_abbrev=False,
         description="Multiplicative order statistics and generator periods.")
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (dest, help_, rows) in _COMMANDS.items():
-        subcommands = commands.add_parser(command, help=help_).add_subparsers(
-            dest=dest, required=True)
+        subcommands = commands.add_parser(
+            command, help=help_, allow_abbrev=False).add_subparsers(dest=dest, required=True)
         for name, (flags, doc) in rows.items():
-            sp = subcommands.add_parser(name)
+            sp = subcommands.add_parser(name, allow_abbrev=False)
             for flag in flags.split():
                 sp.add_argument(f"--{flag}", **_FLAGS[flag])
             sp.set_defaults(func=_cmd_doc, doc=doc)
-    sv = commands.add_parser("survey", help="range surveys with CSV/JSON reports")
+    sv = commands.add_parser("survey", help="range surveys with CSV/JSON reports",
+                             allow_abbrev=False)
     sv.add_argument("--kind", required=True, choices=KINDS)
     sv.add_argument("--e", type=int, default=SurveyConfig.e)
     sv.add_argument("--max", type=int, required=True)

@@ -11,14 +11,13 @@ the order already factored, so a query factors its modulus once (and p - 1
 for each prime p of it) and never factors lambda(n) or an order.
 
 Surveys read the same quantities through an OrderKernel per base, which
-walks a smallest-prime-factor table of [1, min(x_max, 2^27)] (2 bytes per
-integer) into the same descent and lambda rule (_lambda_lcm), and memoizes
-the orders of prime powers that are proper factors of a value (about 90
-bytes each).  The survey's integer kinds ask the kernel only at prime
-powers and keep its answers in their own value array (survey._sieve_values),
-so the memo stays small: 218 entries after ord-n at 10^6, 13,236 after
-lambda-n.  Values above the table fall through to arith.factorize.  Every
-path is exact, so neither the table nor the memo can change a result.
+walks a smallest-prime-factor table of [1, min(x_max, 2^27)] into the same
+descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey
+process's state: the table, its orders ord(e, q) of the prime powers q,
+and the survey's value arrays (survey._sieve_values), each 2 bytes per
+integer up to the limit.  Replacing the kernel frees them all.  Values
+above the table fall through to arith.factorize.  Every path is exact, so
+no array can change a result.
 """
 
 from __future__ import annotations
@@ -180,33 +179,39 @@ def order_profile(e: int, n: int) -> OrderProfile:
                         ord_star=o, index=index)
 
 
-@functools.lru_cache(maxsize=1)
-def _spf_table(limit: int) -> array:
-    """Smallest prime factor of every composite n <= limit, 0 for 0, 1 and
-    the primes.  A composite's smallest prime factor is at most isqrt(limit),
-    below 2^16 for limit <= 2^32, so 2 bytes per entry suffice."""
-    spf = array("H", bytes(2 * (limit + 1)))
-    # descending, so that each entry ends up holding its smallest prime
-    for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
-        spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
-    return spf
-
-
 class OrderKernel:
     """lambda(n), ord*(e, n) and the largest prime factor of n for one base e,
     read off the table for 1 <= n <= limit and through arith.factorize above.
 
-    ord*(e, n) is the lcm of ord(e, q) over the prime powers q = p^a exactly
-    dividing n with p not dividing e.  ord(e, q) is memoized only when q is a
-    proper factor of the value being evaluated, so the memo holds at most one
-    entry per prime power up to limit/2 and a survey of primes stores nothing.
+    The table holds the smallest prime factor of every composite n <= limit
+    and 0 for 0, 1 and the primes: that factor is at most isqrt(limit),
+    below 2^16 for limit <= 2^32, so 2 bytes per entry suffice.  ord*(e, n)
+    is the lcm of ord(e, q) over the prime powers q = p^a exactly dividing
+    n with p not dividing e.  It is kept, once computed, for every prime
+    power q <= limit, in an array of 4 bytes per odd integer: odd q at index
+    q // 2, and q = 2^a at index -a - 1, in a tail of limit.bit_length()
+    entries after the odd ones.
     """
 
     def __init__(self, limit: int, e: int):
         self.limit = limit
         self.e = e
-        self._spf = _spf_table(limit)
-        self._memo: dict[int, int] = {}
+        spf = array("H", bytes(2 * (limit + 1)))
+        # descending, so that each entry ends up holding its smallest prime
+        for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
+            spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+        self._spf = spf
+        self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
+        self._arrays: dict = {}
+
+    def values(self, key) -> array:
+        """The kernel's array for key: one value per odd integer Q <= limit,
+        at index Q // 2, 0 until the owner of key computes it.  4 bytes per
+        odd integer, 2 per integer; one array per key for the kernel's life."""
+        a = self._arrays.get(key)
+        if a is None:
+            a = self._arrays[key] = array("I", [0]) * (self.limit // 2 + 1)
+        return a
 
     def _prime_powers(self, n: int) -> list[tuple[int, int]]:
         """(p, p^a) for each prime power exactly dividing 1 <= n <= limit."""
@@ -222,19 +227,18 @@ class OrderKernel:
             out.append((p, q))
         return out
 
-    def _prime_power_order(self, p: int, q: int, keep: bool) -> int:
-        """ord(e, q) for q = p^a with p not dividing e; memoized when keep."""
-        o = self._memo.get(q)
-        if o is not None:
-            return o
-        if q == p:
-            o = _prime_order(self.e, p, self._prime_powers(p - 1))
-        else:
-            o = self._prime_power_order(p, q // p, True)
-            if pow(self.e, o, q) != 1:
-                o *= p
-        if keep:
-            self._memo[q] = o
+    def _prime_power_order(self, p: int, q: int) -> int:
+        """ord(e, q) for q = p^a <= limit with p not dividing e."""
+        i = q >> 1 if q & 1 else -q.bit_length()
+        o = self._orders[i]
+        if not o:
+            if q == p:
+                o = _prime_order(self.e, p, self._prime_powers(p - 1))
+            else:
+                o = self._prime_power_order(p, q // p)
+                if pow(self.e, o, q) != 1:
+                    o *= p
+            self._orders[i] = o
         return o
 
     def ord(self, n: int) -> int:
@@ -245,8 +249,7 @@ class OrderKernel:
         result = 1
         for p, q in self._prime_powers(n):
             if e % p:
-                o = self._prime_power_order(p, q, q < n)
-                result = math.lcm(result, o)
+                result = math.lcm(result, self._prime_power_order(p, q))
         return result
 
     def lam(self, n: int) -> int:

@@ -42,10 +42,11 @@ primes and pairs read it per item.  The four integer kinds read it only at
 prime powers: their q is lcm-multiplicative (q(n) is the lcm of q(p^a) over
 the prime powers p^a exactly dividing n, and q(p^a) divides q(p^(a+1))), so
 a chunk's q values come from a sieve over its prime powers (_sieve_values).
-The prime-power values are kept in one array per process, 4 bytes per odd
-integer up to the table's limit, which is 2 bytes per integer like the
-table.  Checkpoints are JSON carrying a config digest, the completed chunk
-list, and the partially merged result.
+The prime-power values are kept in an array the kernel owns, one per value
+function, 2 bytes per integer up to the table's limit like the table; a
+survey at another range or base replaces the kernel and frees them all.
+Checkpoints are JSON carrying a config digest, the completed chunk list,
+and the partially merged result.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import json
 import math
 import os
 import random
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -389,13 +389,6 @@ def _value(kind: _Kind, kernel: OrderKernel, item) -> tuple[int, int]:
         raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=1)
-def _value_array(kernel: OrderKernel, kind: _Kind) -> array:
-    """q(Q) of an integer kind at index Q // 2 for the odd Q <= kernel.limit,
-    0 until computed: 4 bytes per odd integer, 2 per integer of the range."""
-    return array("I", [0]) * (kernel.limit // 2 + 1)
-
-
 def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[int]:
     """q(n) for each n in [lo, hi), for an integer kind.  Its q is the lcm of
     q(p^a) over the prime powers p^a exactly dividing n, and q(p^a) divides
@@ -403,8 +396,9 @@ def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[in
     primes p <= sqrt(hi - 1), takes the lcm with q(Q) and loses a p from
     its cofactor, which ends as 1 or the one prime r of n above sqrt(hi - 1),
     whose q(r) comes last.  q(Q) is kind.value itself, kept for odd Q in
-    _value_array and taken anew for the few powers of 2 of each chunk."""
-    limit, cache = kernel.limit, _value_array(kernel, kind)
+    the kernel's array for kind.value (lambda-n and one-minus-delta share
+    one) and taken anew for the few powers of 2 of each chunk."""
+    limit, cache = kernel.limit, kernel.values(kind.value)
 
     def prime_power_value(Q: int) -> int:
         if Q & 1 and Q <= limit:

@@ -190,6 +190,11 @@ def test_primes_in_range_segments():
     assert pieces == whole
     assert primes_in_range(100, 100) == []
     assert primes_in_range(89, 90) == [89]
+    # ranges starting below 2, ending at hi <= 3, and across the 2^16 segment edge
+    edge = 1 << 16
+    for lo, hi in [(-5, 30), (0, 2), (1, 3), (-1, 3), (2, 3), (0, 1), (3, 3),
+                   (edge - 200, edge + 200), (2, edge + 300), (edge - 1, 2 * edge + 7)]:
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi) if is_prime(n)], (lo, hi)
 
 
 def test_gcd_lcm_examples():

@@ -129,6 +129,9 @@ EXACT_OUTPUT = [
      '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4,'
      ' "empirical_period": 4, "tail": 0, "agree": true}\n'),
     ("period bbs --e 3 --n 11 --u 3", 2, ""),  # bbs fixes e = 2
+    ("period bbs --e --n 11 --u 3", 2, ""),  # --e is no prefix of --empirical
+    ("compute classify --p 8 --e 2", 2, ""),  # p must be prime
+    ("compute classify --p 1 --e 2", 2, ""),
 ]
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ordstat.arith import Factorization, factorize, is_prime, lcm, primes_in_range
+from ordstat.arith import Factorization, factorize, is_prime, lcm
 from ordstat.orders import (OrderKernel, OrderProfile, carmichael_lambda, coprime_order,
                             coprime_part, multiplicative_order, omega,
                             order_profile, smooth_part, squarefree_core)
@@ -264,7 +264,7 @@ def test_order_kernel_passes_the_order_certificate():
     for e in (2, 3, 6, 10, 12):
         certified = {}  # e-free part n' -> its certified order
         # the first kernel meets every prime power before any multiple of it,
-        # the second meets the powers of 2 and 3 largest first with an empty memo
+        # the second meets the powers of 2 and 3 largest first with nothing kept
         for kernel, order in ((OrderKernel(limit, e), range(1, limit + 1)),
                               (OrderKernel(limit, e), sorted(powers, reverse=True))):
             for n in order:
@@ -285,15 +285,6 @@ def test_order_kernel_passes_the_order_certificate():
     for method in (small.ord, small.lam, small.lpf):
         with pytest.raises(ValueError):
             method(0)
-
-
-def test_order_kernel_memo_holds_only_proper_factors():
-    kernel = OrderKernel(10**4, 2)
-    for p in primes_in_range(3, 10**4 + 1):
-        kernel.ord(p)
-    assert kernel._memo == {}
-    assert kernel.ord(3**4 * 7) == coprime_order(2, 3**4 * 7)
-    assert sorted(kernel._memo) == [3, 7, 9, 27, 81]
 
 
 def test_orders_and_kernel_match_sympy():

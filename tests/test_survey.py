@@ -1,5 +1,6 @@
 import decimal
 import functools
+import gc
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -552,13 +554,23 @@ def test_overflow_names_the_item(monkeypatch, capsys):
         return real(kernel, n)
 
     monkeypatch.setattr(OrderKernel, "ord", ord_overflows_at_101)
-    survey_mod._value_array.cache_clear()  # no q(101) kept from an earlier test
+    orders_mod._order_kernel.cache_clear()  # no q(101) kept from an earlier test
     # ord-n reads ord(101) in the chunk sieve, class-counts for the item 101
     for kind in (ORD_N, CLASS_COUNTS):
         with pytest.raises(OverflowError, match="survey item 101 overflowed: stub"):
             run_survey(SurveyConfig(kind=kind, x_max=300, chunk=50))
         assert main(["survey", "--kind", kind, "--max", "300"]) == 3
         assert "survey item 101 overflowed" in capsys.readouterr().err
+
+
+def test_a_new_kernel_frees_the_old_one():
+    # the kernel owns the table and every array: once a survey at another
+    # range replaces it, nothing keeps it alive
+    run_survey(SurveyConfig(kind=LAMBDA_N, x_max=20_000))
+    old = weakref.ref(orders_mod._order_kernel(20_000, 2))
+    run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=5_000))
+    gc.collect()
+    assert old() is None
 
 
 def test_rsa_pair_order_is_lcm_of_shifted_orders():

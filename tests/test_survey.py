@@ -436,6 +436,30 @@ def test_item_decisions_reproducible():
     assert recount == r.exceed
 
 
+def _every_kind(x, e):
+    """One config per kind at x and base e; rsa-pair at 3000 for its cost."""
+    return [SurveyConfig(kind=kind, x_max=3000 if kind == RSA_PAIR else x, e=e)
+            for kind in KINDS]
+
+
+def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
+    # every decision near a tie is made exactly, so a libm that rounds its
+    # logs differently, by up to 3 ulps either way, changes no count
+    configs = [cfg for e in (2, 3) for cfg in _every_kind(10**4, e)]
+    want = [run_survey(cfg).to_dict() for cfg in configs]
+    real_log = math.log
+
+    def log_off_by_ulps(x, *base):
+        y, h = real_log(x, *base), hash((x, 7))
+        toward = math.inf if h & 4 else -math.inf
+        for _ in range(h & 3):
+            y = math.nextafter(y, toward)
+        return y
+
+    monkeypatch.setattr(math, "log", log_off_by_ulps)
+    assert [run_survey(cfg).to_dict() for cfg in configs] == want
+
+
 def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
     cfg = SurveyConfig(kind=ORD_N, x_max=2000, chunk=200)
     clean = run_survey(cfg).to_dict()

@@ -5,15 +5,19 @@ Every count the package reports turns on an integer q >= 1 against x^t for
 an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
 class boundaries, and the lambda-lambda, deficiency-bin and one-minus-delta
 thresholds, each written as an exponent of x, a Fraction or a formula of
-log x.  power_compare decides them all from u = log q / log x, which the
-caller takes once per item and shares among its decisions, in three tiers:
+log x.  Each is decided from u = log q / log x, which the caller takes
+once per item and shares among its decisions, in three tiers:
 
-    float    |u - t| > 1e-9 (relative): the float comparison decides
+    float    |u - t| > guard(t) (1e-9, relative above 1): the float
+             comparison decides; a survey's column deciders take this tier
+             themselves, a chunk at a time, with this same guard(t), and
+             call power_compare only for the items inside the band
     integer  otherwise, for t = a/b with b <= 64: q^b against x^a
     decimal  otherwise: log q / log x against t by t's own formula, both in
              50-digit decimal
 
-so every decision is exact at ties, deterministic and free of libm's
+power_compare runs all three, so every decision, fast path or not, is
+the one it would make: exact at ties, deterministic and free of libm's
 rounding.  The guard, the decimal context and the denominator limit live
 here only.
 
@@ -54,6 +58,12 @@ EPSILON_FORM = "min(cap, 2/loglog x)"
 EPSILON_MIN_X = 16
 
 
+def guard(t: float) -> float:
+    """Half-width of the band around the float exponent t: for |u - t|
+    above it the float tier of power_compare decides q against x^t."""
+    return _GUARD_REL * (t if t > 1.0 else 1.0)
+
+
 def power_compare(q: int, x: int, u: float, t: float,
                   exact: Fraction | Callable) -> int:
     """Sign of q - x^exact for integers q >= 1 and x >= 2, given
@@ -63,7 +73,7 @@ def power_compare(q: int, x: int, u: float, t: float,
     exponent, written with m.log, m.sqrt and arithmetic operators, so that
     the decimal tier evaluates the very formula that gave t.
     """
-    if abs(u - t) > _GUARD_REL * (t if t > 1.0 else 1.0):
+    if abs(u - t) > guard(t):
         return 1 if u > t else -1
     rational = isinstance(exact, Fraction)
     if rational and exact.denominator <= _EXACT_DENOM_LIMIT:

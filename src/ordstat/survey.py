@@ -21,10 +21,16 @@ exponent t and the lowest item.
     rsa-pair         p < l < 2p  lcm(ord*(e, p - 1), ord*(e, l - 1))  pl  q >= x^t  1/2 + eps
 
 The statistic is u = log(q)/log(x), except for lambda-lambda's deficiency
-log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  Each test
-and bin edge is one call of classify.power_compare, the one threshold rule,
-on the item's u: an item takes log q and log x once, and lambda-lambda log
-log n once for its test and its bin.  The rsa-pair
+log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
+is decided as columns: the kind's columns function gives its q and x
+columns, every item takes log q and log x once, and one column decider per
+test shape (_fixed_exponent, _lambda_lambda, _one_minus_delta, _classes)
+tallies the tests and bins into the chunk's result.  Each decision is the
+one classify.power_compare, the one threshold rule, makes on the item's u:
+the decider takes power_compare's float tier itself when |u - t| is above
+classify.guard(t), and passes only the items inside that band to
+power_compare.  lambda-lambda takes log log n once for its test and its
+bin.  The rsa-pair
 q equals ord*(e, lcm(p - 1, l - 1)): the e-free part of an lcm is the lcm of
 the e-free parts, and the order modulo an lcm is the lcm of the orders.  With
 the default cap 1/4 class-counts finds no H prime by construction, since
@@ -45,8 +51,9 @@ a chunk's q values come from a sieve over its prime powers (_sieve_values).
 The prime-power values are kept in an array the kernel owns, one per value
 function, 2 bytes per integer up to the table's limit like the table; a
 survey at another range or base replaces the kernel and frees them all.
-Checkpoints are JSON carrying a config digest, the completed chunk list,
-and the partially merged result.
+Checkpoints are JSON carrying a config digest, the completed chunks with
+their item counts, and the partially merged result; a checkpoint whose
+chunks and counts do not add up is refused, never resumed.
 """
 
 from __future__ import annotations
@@ -63,12 +70,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv
-from typing import Callable, Iterable, Iterator
+from operator import floordiv, truediv
+from typing import Callable
 
 from .arith import lcm, primes_in_range
-from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, order_class,
-                       power_compare)
+from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _sqrt_over_log_exponent,
+                       guard, order_class, power_compare)
 from .orders import SPF_TABLE_MAX, OrderKernel, _order_kernel
 
 ORD_N = "ord-n"
@@ -215,17 +222,46 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 
 
 # ---------------------------------------------------------------------------
-# statistic bins and the kinds' own tests
+# the column deciders: each tallies a chunk's decisions into its result,
+# reading u against t as power_compare's float tier does outside its band
 
 _BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
 
 
+def _exceed(qs, xs, us, ts, exact, least: int = 1) -> int:
+    """How many items have power_compare(q, x, u, t, exact) >= least, for
+    t from the column ts of float exponents."""
+    return sum([u > t if abs(u - t) > guard(t) else power_compare(q, x, u, t, exact) >= least
+                for q, x, u, t in zip(qs, xs, us, ts)])
+
+
+def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
+    """Add to histogram the bin of each u = log(q)/log(x) in the fixed
+    0.05-wide grid: the largest k <= 20 with q >= x^(k/20) (0 if none), so
+    a value on an edge goes to the right bin.  Only the edge k nearest u,
+    among 1..20, is in doubt."""
+    for q, x, u in zip(qs, xs, us):
+        k = round(20.0 * u)
+        if not 0 < k < N_BINS:  # min(max(k, 1), 20) at a fraction of the cost
+            k = 1 if k < 1 else N_BINS - 1
+        e = k / 20
+        below = u < e if abs(u - e) > guard(e) else power_compare(q, x, u, e, _BIN_EDGES[k]) < 0
+        histogram[k - below] += 1
+
+
 def log_ratio_bin(q: int, x: int, u: float) -> int:
-    """Bin of u = log(q)/log(x) in the fixed 0.05-wide grid: the largest
-    k <= 20 with q >= x^(k/20) (0 if none), so a value on an edge goes to
-    the right bin.  Only the edge k nearest u, among 1..20, is in doubt."""
-    k = min(max(round(20.0 * u), 1), N_BINS - 1)
-    return k - (power_compare(q, x, u, k / 20, _BIN_EDGES[k]) < 0)
+    """The bin of one u = log(q)/log(x), as _tally_u_bins takes it."""
+    histogram = [0] * N_BINS
+    _tally_u_bins(histogram, (q,), (x,), (u,))
+    return histogram.index(1)
+
+
+def _fixed_exponent(least: int, cfg: SurveyConfig, result: SurveyResult,
+                    qs, xs, us, lnxs) -> None:
+    """q against x^t for the config's one t, exceeding when power_compare's
+    sign is at least least (1 for q > x^t, 0 for q >= x^t); and the u bins."""
+    result.exceed = _exceed(qs, xs, us, repeat(cfg._threshold_float), cfg._threshold, least)
+    _tally_u_bins(result.histogram, qs, xs, us)
 
 
 def _deficiency_scale(lnx, llx, m):
@@ -243,44 +279,55 @@ def _deficiency_edge(k, lnx, llx, m):
 _DEFICIENCY_EDGES = tuple(functools.partial(_deficiency_edge, k) for k in range(N_BINS))
 
 
-def _deficiency_bin(q: int, x: int, u: float, lnx: float, llx: float) -> int | None:
-    """Bin of the deficiency log(x/q) / ((log log x)^2 log log log x)
-    = (1 - u) / (20 w), w the scale; None while the denominator is not
-    positive (x <= 15)."""
-    if llx <= 1.0:
-        return None
-    w = _deficiency_scale(lnx, llx, math)
-    k = min(max(round((1.0 - u) / w), 1), N_BINS - 1)
-    return k - (power_compare(q, x, u, 1.0 - k * w, _DEFICIENCY_EDGES[k]) > 0)
-
-
 def _lamlam_exponent(lnx, llx, m):
     """t with x^t = x / exp((log log x)^3)."""
     return 1 - llx**3 / lnx
+
+
+def _lambda_lambda(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
+    """q = lambda(lambda(x)) > x / exp((log log x)^3); and the bin of the
+    deficiency log(x/q) / ((log log x)^2 log log log x) = (1 - u) / (20 w),
+    w the scale, for the x whose denominator is positive (x > 15)."""
+    llxs, histogram = list(map(math.log, lnxs)), result.histogram
+    result.exceed = _exceed(qs, xs, us, map(_lamlam_exponent, lnxs, llxs, repeat(math)),
+                            _lamlam_exponent)
+    for q, x, u, lnx, llx in zip(qs, xs, us, lnxs, llxs):
+        if llx > 1.0:
+            w = _deficiency_scale(lnx, llx, math)
+            k = round((1.0 - u) / w)
+            if not 0 < k < N_BINS:
+                k = 1 if k < 1 else N_BINS - 1
+            t = 1.0 - k * w
+            above = u > t if abs(u - t) > guard(t) else power_compare(
+                q, x, u, t, _DEFICIENCY_EDGES[k]) > 0
+            histogram[k - above] += 1
 
 
 def _one_minus_delta_exponent(lnx, llx, m):
     return 1 - m.sqrt(llx / lnx)
 
 
-def _lamlam_test(cfg: SurveyConfig, q: int, x: int, u: float, lnx: float):
-    """q = lambda(lambda(x)) > x / exp((log log x)^3), and the deficiency bin."""
-    llx = math.log(lnx)
-    exceeds = power_compare(q, x, u, _lamlam_exponent(lnx, llx, math), _lamlam_exponent) > 0
-    return exceeds, _deficiency_bin(q, x, u, lnx, llx), None
-
-
-def _one_minus_delta_test(cfg: SurveyConfig, q: int, x: int, u: float, lnx: float):
+def _one_minus_delta(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
     """q > x^(1 - sqrt(log log x / log x)), the exponent taken from x each
-    time (the decimal tier recomputes it from x, not from its float)."""
-    t = _one_minus_delta_exponent(lnx, math.log(lnx), math)
-    return power_compare(q, x, u, t, _one_minus_delta_exponent) > 0, log_ratio_bin(q, x, u), None
+    time (the decimal tier recomputes it from x, not from its float); and
+    the u bins."""
+    ts = map(_one_minus_delta_exponent, lnxs, map(math.log, lnxs), repeat(math))
+    result.exceed = _exceed(qs, xs, us, ts, _one_minus_delta_exponent)
+    _tally_u_bins(result.histogram, qs, xs, us)
 
 
-def _class_test(cfg: SurveyConfig, q: int, x: int, u: float, lnx: float):
-    """classify's L/M/H label, with the config's M/H exponent; H exceeds."""
-    label = order_class(q, x, u, lnx, cfg._threshold_float, cfg._threshold)
-    return label == "H", log_ratio_bin(q, x, u), label
+def _classes(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
+    """classify's L/M/H label, with the config's M/H exponent; H exceeds;
+    and the u bins.  A label is read off u when u is clear of both
+    boundaries' bands, else classify.order_class makes it."""
+    t, exact = cfg._threshold_float, cfg._threshold
+    for q, x, u, lnx in zip(qs, xs, us, lnxs):
+        b = _sqrt_over_log_exponent(lnx, math.log(lnx), math)
+        result.class_counts[("L" if u < b else "M" if u < t else "H")
+                            if abs(u - b) > guard(b) and abs(u - t) > guard(t)
+                            else order_class(q, x, u, lnx, t, exact)] += 1
+    result.exceed = result.class_counts["H"]
+    _tally_u_bins(result.histogram, qs, xs, us)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +383,24 @@ def _pair_items(cfg: SurveyConfig, lo: int, hi: int) -> list[tuple[int, int]]:
 class _Kind:
     """What sets a survey kind apart.  items(cfg, lo, hi) lists the items
     whose index lies in [lo, hi); value(kernel, item) gives the quantity q
-    and the value x it is judged against.  test is the least
+    and the value x it is judged against; columns(kind, cfg, kernel, lo, hi)
+    gives the q and x of those items as two columns.  test is the least
     power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
-    q >= x^t), with u = log q / log x binned; or the kind's own
-    test(cfg, q, x, u, log x) -> (exceeds, bin, label).  exponent is the
+    q >= x^t), with u = log q / log x binned; or the column decider
+    test(cfg, result, qs, xs, us, lnxs) of a kind with a test of its own.
+    decide is the kind's column decider either way.  exponent is the
     config's t: an int m for 1/2 + m*eps, a Fraction, or None when the own
     test carries its formula.  floor is the lowest item under that t;
-    classes are the labels a kind tallies.  A plain slotted class: it is
-    built at import and read on every item."""
+    classes are the labels a kind tallies."""
 
-    __slots__ = ("items", "value", "test", "exponent", "floor", "classes")
+    __slots__ = ("items", "columns", "value", "test", "decide", "exponent", "floor",
+                 "classes")
 
-    def __init__(self, items: Callable, value: Callable, test: int | Callable,
-                 exponent: int | Fraction | None, floor: int = 2,
+    def __init__(self, items: Callable, columns: Callable, value: Callable,
+                 test: int | Callable, exponent: int | Fraction | None, floor: int = 2,
                  classes: tuple[str, ...] = ()):
-        self.items, self.value, self.test = items, value, test
+        self.items, self.columns, self.value, self.test = items, columns, value, test
+        self.decide = test if callable(test) else functools.partial(_fixed_exponent, test)
         self.exponent, self.floor, self.classes = exponent, floor, classes
 
 
@@ -362,20 +412,33 @@ def _prime_items(cfg: SurveyConfig, lo: int, hi: int) -> list[int]:
     return primes_in_range(lo, hi)
 
 
+def _sieved(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
+    """An integer kind's columns: q off the chunk's sieve, x the items."""
+    return _sieve_values(kind, kernel, lo, hi), kind.items(cfg, lo, hi)
+
+
+def _per_item(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
+    """The columns of q and x, read item by item."""
+    values = [_value(kind, kernel, item) for item in kind.items(cfg, lo, hi)]
+    return [q for q, _ in values], [x for _, x in values]
+
+
 def _ord_lambda(k: OrderKernel, n: int) -> tuple[int, int]:
     return k.ord(k.lam(n)), n
 
 
 _KINDS = {
-    ORD_N: _Kind(_int_items, lambda k, n: (k.ord(n), n), 1, 1, 16),
-    LAMBDA_N: _Kind(_int_items, _ord_lambda, 1, 1, 16),
-    ONE_MINUS_DELTA: _Kind(_int_items, _ord_lambda, _one_minus_delta_test, None, 16),
-    LAMBDA_LAMBDA: _Kind(_int_items, lambda k, n: (k.lam(k.lam(n)), n), _lamlam_test, None),
-    SHIFTED_PRIME: _Kind(_prime_items, lambda k, p: (k.ord(p - 1), p), 0, 1),
-    HIGH_FACTOR: _Kind(_prime_items, lambda k, p: (k.lpf(p - 1), p), 1, Fraction(677, 1000)),
-    CLASS_COUNTS: _Kind(_prime_items, lambda k, p: (k.ord(p), p), _class_test, 2,
+    ORD_N: _Kind(_int_items, _sieved, lambda k, n: (k.ord(n), n), 1, 1, 16),
+    LAMBDA_N: _Kind(_int_items, _sieved, _ord_lambda, 1, 1, 16),
+    ONE_MINUS_DELTA: _Kind(_int_items, _sieved, _ord_lambda, _one_minus_delta, None, 16),
+    LAMBDA_LAMBDA: _Kind(_int_items, _sieved, lambda k, n: (k.lam(k.lam(n)), n), _lambda_lambda,
+                         None),
+    SHIFTED_PRIME: _Kind(_prime_items, _per_item, lambda k, p: (k.ord(p - 1), p), 0, 1),
+    HIGH_FACTOR: _Kind(_prime_items, _per_item, lambda k, p: (k.lpf(p - 1), p), 1,
+                       Fraction(677, 1000)),
+    CLASS_COUNTS: _Kind(_prime_items, _per_item, lambda k, p: (k.ord(p), p), _classes, 2,
                         classes=("L", "M", "H")),
-    RSA_PAIR: _Kind(_pair_items,
+    RSA_PAIR: _Kind(_pair_items, _per_item,
                     lambda k, pl: (lcm(k.ord(pl[0] - 1), k.ord(pl[1] - 1)), pl[0] * pl[1]),
                     0, 1),
 }
@@ -423,21 +486,15 @@ def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[in
     return [math.lcm(q, prime_power_value(r)) if r > 1 else q for q, r in zip(qs, cofactor)]
 
 
-def _decisions(cfg: SurveyConfig, values: Iterable[tuple[int, int]]) -> Iterator[Decision]:
-    """(exceeds, histogram bin, class label) for each (q, x) of values: the
-    one loop where every decision is made, binding the kind's test and the
-    threshold once."""
-    test, log = _KINDS[cfg.kind].test, math.log
-    if test.__class__ is int:
-        t_float, t = cfg._threshold_float, cfg._threshold
-        for q, x in values:
-            lnx = log(x)
-            u = log(q) / lnx
-            yield power_compare(q, x, u, t_float, t) >= test, log_ratio_bin(q, x, u), None
-    else:
-        for q, x in values:
-            lnx = log(x)
-            yield test(cfg, q, x, log(q) / lnx, lnx)
+def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
+    """The result of the items whose q and x are the columns qs and xs: each
+    takes log q and log x once, and the kind's decider tallies the rest."""
+    result = empty_result(cfg)
+    lnxs = list(map(math.log, xs))
+    us = list(map(truediv, map(math.log, qs), lnxs))
+    _KINDS[cfg.kind].decide(cfg, result, qs, xs, us, lnxs)
+    result.total = len(us)
+    return result
 
 
 def evaluate_item(cfg: SurveyConfig, item, kernel: OrderKernel) -> Decision:
@@ -445,10 +502,14 @@ def evaluate_item(cfg: SurveyConfig, item, kernel: OrderKernel) -> Decision:
 
     The item is an integer for all kinds except rsa-pair, where it is the
     prime pair (p, l).  q is read for this item alone, where evaluate_chunk
-    reads the integer kinds' q off its sieve; both judge it in _decisions,
+    reads a chunk's columns; both decide them through the kind's decider,
     so any count is reproducible item by item.
     """
-    return next(_decisions(cfg, (_value(_KINDS[cfg.kind], kernel, item),)))
+    q, x = _value(_KINDS[cfg.kind], kernel, item)
+    result = _decide(cfg, [q], [x])
+    labels = [label for label, n in (result.class_counts or {}).items() if n]
+    return (result.exceed == 1, result.histogram.index(1) if any(result.histogram) else None,
+            labels[0] if labels else None)
 
 
 # ---------------------------------------------------------------------------
@@ -464,29 +525,14 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
-    The integer kinds read q off the chunk's sieve, the others per item.
-    The order kernel reads the table over [1, min(x_max, SPF_TABLE_MAX)]
-    and is built on a process's first chunk, so pool workers build their own
-    under any start method, and surveys with the same range and base share
-    one."""
+    The kind's columns function reads their q and x, and its decider decides
+    them all.  The order kernel reads the table over
+    [1, min(x_max, SPF_TABLE_MAX)] and is built on a process's first chunk,
+    so pool workers build their own under any start method, and surveys
+    with the same range and base share one."""
     kernel = _order_kernel(min(cfg.x_max, SPF_TABLE_MAX), cfg.e)
     kind = _KINDS[cfg.kind]
-    result = empty_result(cfg)
-    items = kind.items(cfg, lo, hi)
-    if kind.items is _int_items:
-        values = zip(_sieve_values(kind, kernel, lo, hi), items)
-    else:
-        values = (_value(kind, kernel, item) for item in items)
-    histogram, counts = result.histogram, result.class_counts
-    exceed = 0
-    for exceeds, stat_bin, label in _decisions(cfg, values):
-        exceed += exceeds
-        if stat_bin is not None:
-            histogram[stat_bin] += 1
-        if label is not None:
-            counts[label] += 1
-    result.total, result.exceed = len(items), exceed
-    return result
+    return _decide(cfg, *kind.columns(kind, cfg, kernel, lo, hi))
 
 
 def config_digest(cfg: SurveyConfig) -> str:
@@ -500,10 +546,10 @@ def config_digest(cfg: SurveyConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _save_checkpoint(path: str, cfg: SurveyConfig, done: list[tuple[int, int]],
+def _save_checkpoint(path: str, cfg: SurveyConfig, done: list[tuple[int, int, int]],
                      partial: SurveyResult) -> None:
     doc = {
-        "schema": 1,
+        "schema": 2,
         "config_sha256": config_digest(cfg),
         "done": [list(c) for c in done],
         "partial": {
@@ -520,48 +566,77 @@ def _save_checkpoint(path: str, cfg: SurveyConfig, done: list[tuple[int, int]],
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path: str, cfg: SurveyConfig) -> tuple[list[tuple[int, int]], SurveyResult]:
+def _load_checkpoint(path: str, cfg: SurveyConfig
+                     ) -> tuple[list[tuple[int, int, int]], SurveyResult]:
+    """The done chunks, each (lo, hi, its item count), and the merged result
+    of a checkpoint; CheckpointError unless they can be the state of a run
+    of cfg, so that a resumed run counts every chunk exactly once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != 1:
+    if doc.get("schema") != 2:
         raise CheckpointError(f"checkpoint {path} has unknown schema {doc.get('schema')!r}")
     if doc.get("config_sha256") != config_digest(cfg):
         raise CheckpointError(f"checkpoint {path} belongs to a different survey config")
     try:
-        done = [(int(lo), int(hi)) for lo, hi in doc["done"]]
+        done = [(int(lo), int(hi), int(total)) for lo, hi, total in doc["done"]]
         p = doc["partial"]
+        counts = p["class_counts"]
         partial = SurveyResult(
             config=cfg, total=int(p["total"]), exceed=int(p["exceed"]),
             histogram=[int(x) for x in p["histogram"]],
-            class_counts=p["class_counts"], sampled=bool(p["sampled"]),
+            class_counts=None if counts is None else {k: int(v) for k, v in counts.items()},
+            sampled=bool(p["sampled"]),
         )
         if len(partial.histogram) != N_BINS:
             raise ValueError("bad histogram length")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is corrupt: {exc}") from exc
+    kind, chunks = _KINDS[cfg.kind], [(lo, hi) for lo, hi, _ in done]
+    counts = partial.class_counts or {}
+    for fault, found in (
+            ("a done chunk that is not one of the survey's",
+             not set(chunks) <= set(plan_chunks(cfg))),
+            ("a chunk done twice", len(set(chunks)) < len(chunks)),
+            ("a chunk count other than its range's size",
+             kind.items is _int_items and any(n != hi - lo for lo, hi, n in done)),
+            ("a total other than the sum of the done chunks' counts",
+             partial.total != sum(n for _, _, n in done)),
+            ("a negative count", min(partial.exceed, *partial.histogram, *counts.values()) < 0),
+            ("more items exceeding or binned than the total",
+             max(partial.exceed, sum(partial.histogram)) > partial.total),
+            ("class counts other than the kind's", set(counts) != set(kind.classes)
+             or bool(counts) and sum(counts.values()) != partial.total),
+            ("a sampled flag other than the config's",
+             partial.sampled != empty_result(cfg).sampled)):
+        if found:
+            raise CheckpointError(f"checkpoint {path} is inconsistent: {fault}")
     return done, partial
 
 
 def run_survey(cfg: SurveyConfig, workers: int = 1,
                checkpoint: str | None = None) -> SurveyResult:
     """Run the configured survey over chunks; the result is a pure function
-    of cfg, identical for any worker count, chunking, or resume history."""
+    of cfg, identical for any worker count, chunking, or resume history.
+    The pool has no more workers than chunks left to do."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint and os.path.exists(checkpoint):
         done, result = _load_checkpoint(checkpoint, cfg)
     else:
         done, result = [], empty_result(cfg)
-    done_set = set(done)
+    done_set = {(lo, hi) for lo, hi, _ in done}
     todo = [c for c in plan_chunks(cfg) if c not in done_set]
     los, his = [lo for lo, _ in todo], [hi for _, hi in todo]
     pooled = workers > 1 and len(todo) > 1
-    with ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext() as pool:
+    with (ProcessPoolExecutor(min(workers, len(todo))) if pooled
+          else contextlib.nullcontext()) as pool:
         parts = (pool.map if pooled else map)(evaluate_chunk, repeat(cfg), los, his)
-        for chunk, part in zip(todo, parts):
+        for (lo, hi), part in zip(todo, parts):
             result = merge_results(result, part)
-            done.append(chunk)
+            done.append((lo, hi, part.total))
             if checkpoint:
                 _save_checkpoint(checkpoint, cfg, done, result)
     return result

@@ -186,6 +186,12 @@ def test_survey_empty_range_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_survey_without_a_worker_exits_2(capsys):
+    for workers in ("0", "-3"):
+        assert main(["survey", "--kind", "ord-n", "--max", "100", "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_survey_epsilon_off_its_cap_exits_2(capsys):
     # eps(2^80) = 2/log log 2^80 = 0.498 < 1/2: no single threshold exponent
     assert main(["survey", "--kind", "ord-n", "--max", str(2**80),

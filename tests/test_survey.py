@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import ordstat.classify as classify_mod
 import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import factorize, lcm, primes_in_range
@@ -460,6 +461,33 @@ def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
     assert [run_survey(cfg).to_dict() for cfg in configs] == want
 
 
+def test_the_float_tier_is_only_a_shortcut(monkeypatch):
+    # with an infinite guard every decision, the column fast path's too, is
+    # made by power_compare's exact tiers: the counts must not move, and
+    # power_compare must see each decision: the test (for class-counts L/M)
+    # of every item, the bin of every binned item, and M/H of every prime
+    # above L
+    configs = [*_every_kind(2000, 2),
+               *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
+                 for kind in KINDS if not callable(_KINDS[kind].test))]
+    want = [run_survey(cfg).to_dict() for cfg in configs]
+    calls = []
+    real_compare = classify_mod.power_compare
+
+    def compare_counted(*args):
+        calls.append(args)
+        return real_compare(*args)
+
+    monkeypatch.setattr(classify_mod, "_GUARD_REL", math.inf)
+    for module in (classify_mod, survey_mod):
+        monkeypatch.setattr(module, "power_compare", compare_counted)
+    for cfg, report in zip(configs, want):
+        calls.clear()
+        assert run_survey(cfg).to_dict() == report, cfg
+        above_l = sum((report["class_counts"] or {}).get(c, 0) for c in "MH")
+        assert len(calls) == report["total"] + sum(report["histogram"]) + above_l, cfg
+
+
 def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
     cfg = SurveyConfig(kind=ORD_N, x_max=2000, chunk=200)
     clean = run_survey(cfg).to_dict()
@@ -493,6 +521,74 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
                        checkpoint=str(tmp_path / "other.ckpt"))
     with pytest.raises(CheckpointError):
         run_survey(cfg, checkpoint=str(tmp_path / "other.ckpt"))
+
+
+def test_tampered_checkpoints_are_refused(tmp_path, capsys):
+    # a checkpoint whose done chunks and partial counts do not add up would
+    # resume to a wrong report (deleting the last done chunk made lambda-n
+    # count it twice): each tampering below must exit 4 instead
+    def set_partial(key, value):
+        return lambda doc: doc["partial"].__setitem__(key, value)
+
+    for kind, x_max, chunk in ((LAMBDA_N, 5000, 1000), (CLASS_COUNTS, 5000, 1000),
+                               (RSA_PAIR, 500, 100)):
+        args = ["survey", "--kind", kind, "--max", str(x_max), "--chunk", str(chunk)]
+        path, report = tmp_path / f"{kind}.ckpt", tmp_path / f"{kind}.json"
+        assert main(args + ["--checkpoint", str(path), "--out", str(report)]) == 0
+        doc = json.loads(path.read_text())
+        total = doc["partial"]["total"]
+        tamperings = [
+            lambda doc: doc["done"].pop(),                      # counted, not done
+            lambda doc: doc["done"].append(doc["done"][0]),     # done twice
+            lambda doc: doc["done"].append([1, 2, 0]),          # not a chunk of the survey
+            lambda doc: doc["done"][0].__setitem__(2, doc["done"][0][2] + 1),
+            set_partial("total", total + 1),
+            set_partial("exceed", total + 1),
+            set_partial("histogram", [total + 1] + [0] * 20),
+            set_partial("class_counts", {"L": total, "Z": 0}),
+            set_partial("sampled", not doc["partial"]["sampled"]),
+        ]
+        if kind == CLASS_COUNTS:
+            tamperings += [set_partial("class_counts", {"L": 1, "M": 0, "H": 0}),
+                           set_partial("class_counts", None)]
+        for edit in tamperings:
+            tampered = json.loads(json.dumps(doc))
+            edit(tampered)
+            path.write_text(json.dumps(tampered))
+            assert main(args + ["--checkpoint", str(path)]) == 4, tampered
+            assert "inconsistent" in capsys.readouterr().err
+        # untouched, it resumes to the byte-identical report
+        path.write_text(json.dumps(doc))
+        resumed = tmp_path / "resumed.json"
+        assert main(args + ["--checkpoint", str(path), "--out", str(resumed)]) == 0
+        assert resumed.read_bytes() == report.read_bytes()
+    capsys.readouterr()
+
+
+def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
+    cfg = SurveyConfig(kind=ORD_N, x_max=300, chunk=100)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_survey(cfg, workers=workers)
+
+    class RecordingPool:  # runs the chunks in this process
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", RecordingPool)
+    assert len(plan_chunks(cfg)) == 3
+    assert run_survey(cfg, workers=64).to_dict() == run_survey(cfg).to_dict()
+    assert RecordingPool.sizes == [3]
 
 
 def test_surveys_factor_only_through_the_table(monkeypatch):

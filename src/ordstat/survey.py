@@ -240,12 +240,14 @@ def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
     0.05-wide grid: the largest k <= 20 with q >= x^(k/20) (0 if none), so
     a value on an edge goes to the right bin.  Only the edge k nearest u,
     among 1..20, is in doubt."""
+    edges = [k / 20 for k in range(N_BINS)]
+    guards = list(map(guard, edges))
     for q, x, u in zip(qs, xs, us):
         k = round(20.0 * u)
         if not 0 < k < N_BINS:  # min(max(k, 1), 20) at a fraction of the cost
             k = 1 if k < 1 else N_BINS - 1
-        e = k / 20
-        below = u < e if abs(u - e) > guard(e) else power_compare(q, x, u, e, _BIN_EDGES[k]) < 0
+        e = edges[k]
+        below = u < e if abs(u - e) > guards[k] else power_compare(q, x, u, e, _BIN_EDGES[k]) < 0
         histogram[k - below] += 1
 
 
@@ -288,10 +290,12 @@ def _lambda_lambda(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) ->
     """q = lambda(lambda(x)) > x / exp((log log x)^3); and the bin of the
     deficiency log(x/q) / ((log log x)^2 log log log x) = (1 - u) / (20 w),
     w the scale, for the x whose denominator is positive (x > 15)."""
-    llxs, histogram = list(map(math.log, lnxs)), result.histogram
-    result.exceed = _exceed(qs, xs, us, map(_lamlam_exponent, lnxs, llxs, repeat(math)),
-                            _lamlam_exponent)
-    for q, x, u, lnx, llx in zip(qs, xs, us, lnxs, llxs):
+    log, histogram, exceed = math.log, result.histogram, 0
+    for q, x, u, lnx in zip(qs, xs, us, lnxs):
+        llx = log(lnx)
+        t = _lamlam_exponent(lnx, llx, math)
+        exceed += (u > t if abs(u - t) > guard(t)
+                   else power_compare(q, x, u, t, _lamlam_exponent) > 0)
         if llx > 1.0:
             w = _deficiency_scale(lnx, llx, math)
             k = round((1.0 - u) / w)
@@ -301,6 +305,7 @@ def _lambda_lambda(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) ->
             above = u > t if abs(u - t) > guard(t) else power_compare(
                 q, x, u, t, _DEFICIENCY_EDGES[k]) > 0
             histogram[k - above] += 1
+    result.exceed = exceed
 
 
 def _one_minus_delta_exponent(lnx, llx, m):

@@ -145,22 +145,15 @@ def epsilon_default(x: float, cap: float = 0.25) -> float:
     return EpsilonFn(cap=cap)(x)
 
 
-def order_class(o: int, p: int, u: float, lnp: float, t: float, exact: Fraction) -> str:
-    """Class label of the prime p whose coprime_order value o is known,
-    given u = log o / log p, lnp = log p and the M/H exponent 1/2 + 2*eps
-    as the Fraction exact with float value t."""
-    llp = math.log(lnp)
-    if power_compare(o, p, u, _sqrt_over_log_exponent(lnp, llp, math),
-                     _sqrt_over_log_exponent) <= 0:
-        return "L"
-    return "M" if power_compare(o, p, u, t, exact) <= 0 else "H"
-
-
 def classify_order_value(o: int, p: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     """Class label for a prime p whose coprime_order value is already known."""
     exact = eps.exponent(p, multiplier=2)
     lnp = math.log(p)
-    return order_class(o, p, math.log(o) / lnp, lnp, float(exact), exact)
+    u = math.log(o) / lnp
+    if power_compare(o, p, u, _sqrt_over_log_exponent(lnp, math.log(lnp), math),
+                     _sqrt_over_log_exponent) <= 0:
+        return "L"
+    return "M" if power_compare(o, p, u, float(exact), exact) <= 0 else "H"
 
 
 def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:

@@ -70,12 +70,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, truediv
+from operator import and_, floordiv, truediv
 from typing import Callable
 
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _sqrt_over_log_exponent,
-                       guard, order_class, power_compare)
+                       guard, power_compare)
 from .orders import SPF_TABLE_MAX, OrderKernel, _order_kernel
 
 ORD_N = "ord-n"
@@ -228,11 +228,11 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 _BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
 
 
-def _exceed(qs, xs, us, ts, exact, least: int = 1) -> int:
-    """How many items have power_compare(q, x, u, t, exact) >= least, for
-    t from the column ts of float exponents."""
-    return sum([u > t if abs(u - t) > guard(t) else power_compare(q, x, u, t, exact) >= least
-                for q, x, u, t in zip(qs, xs, us, ts)])
+def _above(qs, xs, us, ts, exact, least: int = 1) -> list[bool]:
+    """power_compare(q, x, u, t, exact) >= least for each item, t from the
+    column ts of float exponents."""
+    return [u > t if abs(u - t) > guard(t) else power_compare(q, x, u, t, exact) >= least
+            for q, x, u, t in zip(qs, xs, us, ts)]
 
 
 def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
@@ -262,7 +262,7 @@ def _fixed_exponent(least: int, cfg: SurveyConfig, result: SurveyResult,
                     qs, xs, us, lnxs) -> None:
     """q against x^t for the config's one t, exceeding when power_compare's
     sign is at least least (1 for q > x^t, 0 for q >= x^t); and the u bins."""
-    result.exceed = _exceed(qs, xs, us, repeat(cfg._threshold_float), cfg._threshold, least)
+    result.exceed = sum(_above(qs, xs, us, repeat(cfg._threshold_float), cfg._threshold, least))
     _tally_u_bins(result.histogram, qs, xs, us)
 
 
@@ -317,21 +317,20 @@ def _one_minus_delta(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) 
     time (the decimal tier recomputes it from x, not from its float); and
     the u bins."""
     ts = map(_one_minus_delta_exponent, lnxs, map(math.log, lnxs), repeat(math))
-    result.exceed = _exceed(qs, xs, us, ts, _one_minus_delta_exponent)
+    result.exceed = sum(_above(qs, xs, us, ts, _one_minus_delta_exponent))
     _tally_u_bins(result.histogram, qs, xs, us)
 
 
 def _classes(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
-    """classify's L/M/H label, with the config's M/H exponent; H exceeds;
-    and the u bins.  A label is read off u when u is clear of both
-    boundaries' bands, else classify.order_class makes it."""
-    t, exact = cfg._threshold_float, cfg._threshold
-    for q, x, u, lnx in zip(qs, xs, us, lnxs):
-        b = _sqrt_over_log_exponent(lnx, math.log(lnx), math)
-        result.class_counts[("L" if u < b else "M" if u < t else "H")
-                            if abs(u - b) > guard(b) and abs(u - t) > guard(t)
-                            else order_class(q, x, u, lnx, t, exact)] += 1
-    result.exceed = result.class_counts["H"]
+    """classify's L/M/H labels: L for q <= sqrt(x)/log(x), else H for
+    q > x^t, t the config's M/H exponent, else M; H exceeds.  And the u
+    bins."""
+    l_to_m = map(_sqrt_over_log_exponent, lnxs, map(math.log, lnxs), repeat(math))
+    above_l = _above(qs, xs, us, l_to_m, _sqrt_over_log_exponent)
+    above_m = _above(qs, xs, us, repeat(cfg._threshold_float), cfg._threshold)
+    high = sum(map(and_, above_l, above_m))
+    result.class_counts.update(L=above_l.count(False), M=sum(above_l) - high, H=high)
+    result.exceed = high
     _tally_u_bins(result.histogram, qs, xs, us)
 
 

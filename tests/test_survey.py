@@ -464,9 +464,8 @@ def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
 def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     # with an infinite guard every decision, the column fast path's too, is
     # made by power_compare's exact tiers: the counts must not move, and
-    # power_compare must see each decision: the test (for class-counts L/M)
-    # of every item, the bin of every binned item, and M/H of every prime
-    # above L
+    # power_compare must see each decision: the test of every item (for
+    # class-counts, both class boundaries) and the bin of every binned item
     configs = [*_every_kind(2000, 2),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
                  for kind in KINDS if not callable(_KINDS[kind].test))]
@@ -484,8 +483,8 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     for cfg, report in zip(configs, want):
         calls.clear()
         assert run_survey(cfg).to_dict() == report, cfg
-        above_l = sum((report["class_counts"] or {}).get(c, 0) for c in "MH")
-        assert len(calls) == report["total"] + sum(report["histogram"]) + above_l, cfg
+        tests = 2 if report["class_counts"] else 1
+        assert len(calls) == tests * report["total"] + sum(report["histogram"]), cfg
 
 
 def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):

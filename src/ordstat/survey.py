@@ -53,7 +53,10 @@ function, 2 bytes per integer up to the table's limit like the table; a
 survey at another range or base replaces the kernel and frees them all.
 Checkpoints are JSON carrying a config digest, the completed chunks with
 their item counts, and the partially merged result; a checkpoint whose
-chunks and counts do not add up is refused, never resumed.
+chunks and counts do not add up is refused, never resumed.  A run writes
+its checkpoint after the first chunk, then at most once every
+CHECKPOINT_EVERY_S (one second), and once more when it ends or is
+interrupted, so a killed run loses at most about a second of chunks.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import and_, floordiv, truediv
+from time import monotonic
 from typing import Callable
 
 from .arith import lcm, primes_in_range
@@ -94,6 +98,8 @@ N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 
 DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
+
+CHECKPOINT_EVERY_S = 1.0  # least time between two checkpoint writes within a run
 
 Decision = tuple[bool, int | None, str | None]  # exceeds, histogram bin, class label
 
@@ -228,11 +234,21 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 _BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
 
 
-def _above(qs, xs, us, ts, exact, least: int = 1) -> list[bool]:
-    """power_compare(q, x, u, t, exact) >= least for each item, t from the
-    column ts of float exponents."""
-    return [u > t if abs(u - t) > guard(t) else power_compare(q, x, u, t, exact) >= least
+def _above(qs, xs, us, ts, exact) -> list[bool]:
+    """power_compare(q, x, u, t, exact) > 0 for each item, t from the column
+    ts of float exponents."""
+    return [u > t if abs(u - t) > guard(t) else power_compare(q, x, u, t, exact) > 0
             for q, x, u, t in zip(qs, xs, us, ts)]
+
+
+def _above_fixed(qs, xs, us, cfg: SurveyConfig, least: int = 1) -> list[bool]:
+    """power_compare(q, x, u, t, exact) >= least for each item, for the
+    config's one exponent: exact, its float t and the guard of t are taken
+    once for the column."""
+    t, exact = cfg._threshold_float, cfg._threshold
+    band = guard(t)
+    return [u > t if abs(u - t) > band else power_compare(q, x, u, t, exact) >= least
+            for q, x, u in zip(qs, xs, us)]
 
 
 def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
@@ -262,7 +278,7 @@ def _fixed_exponent(least: int, cfg: SurveyConfig, result: SurveyResult,
                     qs, xs, us, lnxs) -> None:
     """q against x^t for the config's one t, exceeding when power_compare's
     sign is at least least (1 for q > x^t, 0 for q >= x^t); and the u bins."""
-    result.exceed = sum(_above(qs, xs, us, repeat(cfg._threshold_float), cfg._threshold, least))
+    result.exceed = sum(_above_fixed(qs, xs, us, cfg, least))
     _tally_u_bins(result.histogram, qs, xs, us)
 
 
@@ -327,7 +343,7 @@ def _classes(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
     bins."""
     l_to_m = map(_sqrt_over_log_exponent, lnxs, map(math.log, lnxs), repeat(math))
     above_l = _above(qs, xs, us, l_to_m, _sqrt_over_log_exponent)
-    above_m = _above(qs, xs, us, repeat(cfg._threshold_float), cfg._threshold)
+    above_m = _above_fixed(qs, xs, us, cfg)
     high = sum(map(and_, above_l, above_m))
     result.class_counts.update(L=above_l.count(False), M=sum(above_l) - high, H=high)
     result.exceed = high
@@ -552,6 +568,9 @@ def config_digest(cfg: SurveyConfig) -> str:
 
 def _save_checkpoint(path: str, cfg: SurveyConfig, done: list[tuple[int, int, int]],
                      partial: SurveyResult) -> None:
+    """Replace the checkpoint at path, by a rename, with the run's state.
+    json.dumps encodes in one shot where json.dump streams through the
+    pure-Python encoder; both write the same bytes."""
     doc = {
         "schema": 2,
         "config_sha256": config_digest(cfg),
@@ -566,7 +585,7 @@ def _save_checkpoint(path: str, cfg: SurveyConfig, done: list[tuple[int, int, in
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
     os.replace(tmp, path)
 
 
@@ -624,7 +643,11 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
                checkpoint: str | None = None) -> SurveyResult:
     """Run the configured survey over chunks; the result is a pure function
     of cfg, identical for any worker count, chunking, or resume history.
-    The pool has no more workers than chunks left to do."""
+    The pool has no more workers than chunks left to do, and takes them in
+    batches of about an eighth of each worker's share.  The checkpoint is
+    written after the first chunk, so a bad path fails at once, then at
+    most every CHECKPOINT_EVERY_S seconds, and once more when the loop ends
+    for any reason, an exception or KeyboardInterrupt included."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint and os.path.exists(checkpoint):
@@ -634,13 +657,22 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     done_set = {(lo, hi) for lo, hi, _ in done}
     todo = [c for c in plan_chunks(cfg) if c not in done_set]
     los, his = [lo for lo, _ in todo], [hi for _, hi in todo]
-    pooled = workers > 1 and len(todo) > 1
-    with (ProcessPoolExecutor(min(workers, len(todo))) if pooled
-          else contextlib.nullcontext()) as pool:
-        parts = (pool.map if pooled else map)(evaluate_chunk, repeat(cfg), los, his)
-        for (lo, hi), part in zip(todo, parts):
-            result = merge_results(result, part)
-            done.append((lo, hi, part.total))
-            if checkpoint:
+    workers = min(workers, len(todo))
+    pooled = workers > 1
+    saved, written = len(done), -math.inf
+    with (ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext()) as pool:
+        parts = (pool.map(evaluate_chunk, repeat(cfg), los, his,
+                          chunksize=max(1, len(todo) // (8 * workers)))
+                 if pooled else map(evaluate_chunk, repeat(cfg), los, his))
+        try:
+            for (lo, hi), part in zip(todo, parts):
+                result = merge_results(result, part)
+                done.append((lo, hi, part.total))
+                if checkpoint and monotonic() - written >= CHECKPOINT_EVERY_S:
+                    saved = len(done)  # a write that fails is not tried again
+                    _save_checkpoint(checkpoint, cfg, done, result)
+                    written = monotonic()
+        finally:
+            if checkpoint and len(done) > saved:
                 _save_checkpoint(checkpoint, cfg, done, result)
     return result

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import ordstat.cli as cli
-from ordstat import arith, generators, orders
+from ordstat import arith, generators, orders, survey
 from ordstat.arith import OverflowError64, is_prime
 from ordstat.cli import main
 from ordstat.survey import KINDS
@@ -250,6 +250,18 @@ def test_corrupt_checkpoint_exits_4(tmp_path, capsys):
     assert main(["survey", "--kind", "lambda-n", "--max", "500",
                  "--checkpoint", str(bad)]) == 4
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_unwritable_checkpoint_exits_4_at_the_first_chunk(tmp_path, capsys, monkeypatch):
+    # checkpoint writes are throttled, but the first chunk's is not: a path
+    # that cannot be written fails before the rest of the survey runs
+    evaluated, evaluate = [], survey.evaluate_chunk
+    monkeypatch.setattr(survey, "evaluate_chunk",
+                        lambda cfg, lo, hi: evaluated.append(lo) or evaluate(cfg, lo, hi))
+    assert main(["survey", "--kind", "lambda-n", "--max", "5000", "--chunk", "100",
+                 "--checkpoint", str(tmp_path / "missing" / "x.ckpt")]) == 4
+    assert len(evaluated) <= 1
+    assert "x.ckpt" in capsys.readouterr().err
 
 
 def test_overflow_maps_to_exit_3(capsys, monkeypatch):

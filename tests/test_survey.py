@@ -522,6 +522,48 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
         run_survey(cfg, checkpoint=str(tmp_path / "other.ckpt"))
 
 
+def test_checkpoint_writes_do_not_grow_with_the_chunk_count(tmp_path, monkeypatch):
+    # rewriting the whole checkpoint after every chunk costs time quadratic
+    # in the chunk count.  The stubbed clock passes CHECKPOINT_EVERY_S once
+    # in the run, whatever the machine's speed: the first chunk's write, one
+    # throttled write and the last one are all the run may make
+    cfg = SurveyConfig(kind=LAMBDA_N, x_max=2 * 10**4, chunk=10)
+    chunks = plan_chunks(cfg)
+    assert len(chunks) > 1990
+    clean = run_survey(cfg).to_dict()
+    ticks = itertools.count()
+    monkeypatch.setattr(survey_mod, "monotonic",
+                        lambda: next(ticks) * survey_mod.CHECKPOINT_EVERY_S / 1500)
+    writes, save = [], survey_mod._save_checkpoint
+    monkeypatch.setattr(survey_mod, "_save_checkpoint",
+                        lambda path, cfg, done, partial: writes.append(len(done))
+                        or save(path, cfg, done, partial))
+    evaluated, evaluate, interrupt_at = [], survey_mod.evaluate_chunk, None
+
+    def counted(cfg, lo, hi):
+        if (lo, hi) == interrupt_at:
+            raise KeyboardInterrupt
+        evaluated.append(lo)
+        return evaluate(cfg, lo, hi)
+
+    monkeypatch.setattr(survey_mod, "evaluate_chunk", counted)
+    ckpt = tmp_path / "survey.ckpt"
+    assert run_survey(cfg, checkpoint=str(ckpt)).to_dict() == clean
+    assert len(writes) <= 3 and writes[0] == 1 and writes[-1] == len(chunks)
+    # the finished file resumes to the identical report, evaluating nothing
+    evaluated.clear()
+    assert run_survey(cfg, checkpoint=str(ckpt)).to_dict() == clean
+    assert evaluated == []
+
+    # an interrupt at the fourth chunk leaves exactly the three done before it
+    interrupt_at, ckpt = chunks[3], tmp_path / "interrupted.ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        run_survey(cfg, checkpoint=str(ckpt))
+    assert json.loads(ckpt.read_text())["done"] == [[lo, hi, hi - lo] for lo, hi in chunks[:3]]
+    interrupt_at = None
+    assert run_survey(cfg, checkpoint=str(ckpt)).to_dict() == clean
+
+
 def test_tampered_checkpoints_are_refused(tmp_path, capsys):
     # a checkpoint whose done chunks and partial counts do not add up would
     # resume to a wrong report (deleting the last done chunk made lambda-n
@@ -571,7 +613,7 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
             run_survey(cfg, workers=workers)
 
     class RecordingPool:  # runs the chunks in this process
-        sizes = []
+        sizes, chunksizes = [], []
 
         def __init__(self, max_workers):
             self.sizes.append(max_workers)
@@ -582,12 +624,20 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, *iterables, chunksize=1):
+            self.chunksizes.append(chunksize)
+            return map(fn, *iterables)
 
     monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", RecordingPool)
     assert len(plan_chunks(cfg)) == 3
     assert run_survey(cfg, workers=64).to_dict() == run_survey(cfg).to_dict()
     assert RecordingPool.sizes == [3]
+    assert 1 <= RecordingPool.chunksizes[0] <= 3
+    # many chunks go to the pool in batches, each no larger than what is left
+    fine = SurveyConfig(kind=ORD_N, x_max=300, chunk=1)
+    assert run_survey(fine, workers=2).to_dict() == run_survey(fine).to_dict()
+    assert RecordingPool.sizes[1] == 2
+    assert 1 < RecordingPool.chunksizes[1] <= len(plan_chunks(fine))
 
 
 def test_surveys_factor_only_through_the_table(monkeypatch):

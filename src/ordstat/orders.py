@@ -13,11 +13,13 @@ for each prime p of it) and never factors lambda(n) or an order.
 Surveys read the same quantities through an OrderKernel per base, which
 walks a smallest-prime-factor table of [1, min(x_max, 2^27)] into the same
 descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey
-process's state: the table, its orders ord(e, q) of the prime powers q,
-and the survey's value arrays (survey._sieve_values), each 2 bytes per
-integer up to the limit.  Replacing the kernel frees them all.  Values
-above the table fall through to arith.factorize.  Every path is exact, so
-no array can change a result.
+process's state: the table, its orders ord(e, q) of the prime powers q
+(which class-counts reads per prime), and the arrays in which the survey
+keeps its other per-integer values (OrderKernel.kept: the integer kinds'
+prime-power values, and ord*(e, p - 1) per prime for shifted-prime and
+rsa-pair), each 2 bytes per integer up to the limit.  Replacing the kernel
+frees them all.  Values above the table fall through to arith.factorize.
+Every path is exact, so no array can change a result.
 """
 
 from __future__ import annotations
@@ -187,10 +189,11 @@ class OrderKernel:
     and 0 for 0, 1 and the primes: that factor is at most isqrt(limit),
     below 2^16 for limit <= 2^32, so 2 bytes per entry suffice.  ord*(e, n)
     is the lcm of ord(e, q) over the prime powers q = p^a exactly dividing
-    n with p not dividing e.  It is kept, once computed, for every prime
-    power q <= limit, in an array of 4 bytes per odd integer: odd q at index
-    q // 2, and q = 2^a at index -a - 1, in a tail of limit.bit_length()
-    entries after the odd ones.
+    n with p not dividing e.  ord(e, q) is kept, once computed, for every
+    prime power q <= limit, in an array of 4 bytes per odd integer: odd q at
+    index q // 2, and q = 2^a at index -a - 1, in a tail of
+    limit.bit_length() entries after the odd ones.  prime_order reads it
+    for a prime q.
     """
 
     def __init__(self, limit: int, e: int):
@@ -204,14 +207,24 @@ class OrderKernel:
         self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
         self._arrays: dict = {}
 
-    def values(self, key) -> array:
-        """The kernel's array for key: one value per odd integer Q <= limit,
-        at index Q // 2, 0 until the owner of key computes it.  4 bytes per
-        odd integer, 2 per integer; one array per key for the kernel's life."""
-        a = self._arrays.get(key)
-        if a is None:
-            a = self._arrays[key] = array("I", [0]) * (self.limit // 2 + 1)
-        return a
+    def kept(self, key, value: Callable[[int], int]) -> Callable[[int], int]:
+        """value, each value(n) for odd 1 <= n <= limit kept once computed in
+        the kernel's array for key, at index n // 2; value must be positive
+        (0 marks a value not yet computed) and below 2^32.  4 bytes per odd
+        integer, 2 per integer; one array per key for the kernel's life,
+        shared by every value kept under that key."""
+        limit, kept = self.limit, self._arrays.get(key)
+        if kept is None:
+            kept = self._arrays[key] = array("I", [0]) * (limit // 2 + 1)
+
+        def kept_value(n: int) -> int:
+            if n & 1 and n <= limit:
+                v = kept[n >> 1]
+                if not v:
+                    v = kept[n >> 1] = value(n)
+                return v
+            return value(n)
+        return kept_value
 
     def _prime_powers(self, n: int) -> list[tuple[int, int]]:
         """(p, p^a) for each prime power exactly dividing 1 <= n <= limit."""
@@ -240,6 +253,15 @@ class OrderKernel:
                     o *= p
             self._orders[i] = o
         return o
+
+    def prime_order(self, p: int) -> int:
+        """ord*(e, p) for a prime p: ord(e, p), read off the order array for
+        p <= limit, or 1 when p divides e."""
+        if self.e % p == 0:
+            return 1
+        if p > self.limit:
+            return coprime_order(self.e, p)
+        return self._prime_power_order(p, p)
 
     def ord(self, n: int) -> int:
         """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""

@@ -43,14 +43,18 @@ That holds below 2^64; a config where it fails is rejected.  An x_min
 below the floor is taken as given, but one-minus-delta needs n >= 3.
 
 Each process builds, on the first chunk it evaluates, one orders.OrderKernel
-for the config's base, and every kind reads q from it.  The kinds over
-primes and pairs read it per item.  The four integer kinds read it only at
-prime powers: their q is lcm-multiplicative (q(n) is the lcm of q(p^a) over
-the prime powers p^a exactly dividing n, and q(p^a) divides q(p^(a+1))), so
-a chunk's q values come from a sieve over its prime powers (_sieve_values).
-The prime-power values are kept in an array the kernel owns, one per value
-function, 2 bytes per integer up to the table's limit like the table; a
-survey at another range or base replaces the kernel and frees them all.
+for the config's base, and every kind reads q from it, through arrays the
+kernel owns that keep each value once computed (OrderKernel.kept), 2 bytes
+per integer up to the table's limit like the table.  The kinds over primes
+read per prime: class-counts reads ord(e, p) off the kernel's order array
+(OrderKernel.prime_order); shifted-prime keeps ord*(e, p - 1) in an array
+that rsa-pair shares and reads twice per pair; high-factor reads the table
+directly.  The four integer kinds read the kernel only at prime powers:
+their q is lcm-multiplicative (q(n) is the lcm of q(p^a) over the prime
+powers p^a exactly dividing n, and q(p^a) divides q(p^(a+1))), so a chunk's
+q values come from a sieve over its prime powers (_sieve_values), which
+keeps q(p^a) in one array per quantity.  A survey at another range or base
+replaces the kernel and frees them all.
 Checkpoints are JSON carrying a config digest, the completed chunks with
 their item counts, and the partially merged result; a checkpoint whose
 chunks and counts do not add up is refused, never resumed.  A run writes
@@ -402,10 +406,11 @@ def _pair_items(cfg: SurveyConfig, lo: int, hi: int) -> list[tuple[int, int]]:
 
 class _Kind:
     """What sets a survey kind apart.  items(cfg, lo, hi) lists the items
-    whose index lies in [lo, hi); value(kernel, item) gives the quantity q
-    and the value x it is judged against; columns(kind, cfg, kernel, lo, hi)
-    gives the q and x of those items as two columns.  test is the least
-    power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
+    whose index lies in [lo, hi); reader(kernel) gives the function that
+    reads an item's quantity q off the kernel, the value x it is judged
+    against being the item (p * l for a pair); columns(kind, cfg, kernel,
+    lo, hi) gives the q and x of those items as two columns.  test is the
+    least power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
     q >= x^t), with u = log q / log x binned; or the column decider
     test(cfg, result, qs, xs, us, lnxs) of a kind with a test of its own.
     decide is the kind's column decider either way.  exponent is the
@@ -413,13 +418,14 @@ class _Kind:
     test carries its formula.  floor is the lowest item under that t;
     classes are the labels a kind tallies."""
 
-    __slots__ = ("items", "columns", "value", "test", "decide", "exponent", "floor",
+    __slots__ = ("items", "columns", "reader", "test", "decide", "exponent", "floor",
                  "classes")
 
-    def __init__(self, items: Callable, columns: Callable, value: Callable,
-                 test: int | Callable, exponent: int | Fraction | None, floor: int = 2,
+    def __init__(self, items: Callable, reader: Callable, test: int | Callable,
+                 exponent: int | Fraction | None, floor: int = 2,
                  classes: tuple[str, ...] = ()):
-        self.items, self.columns, self.value, self.test = items, columns, value, test
+        self.items, self.reader, self.test = items, reader, test
+        self.columns = _sieved if items is _int_items else _read
         self.decide = test if callable(test) else functools.partial(_fixed_exponent, test)
         self.exponent, self.floor, self.classes = exponent, floor, classes
 
@@ -432,44 +438,60 @@ def _prime_items(cfg: SurveyConfig, lo: int, hi: int) -> list[int]:
     return primes_in_range(lo, hi)
 
 
+def _named(read: Callable) -> Callable:
+    """read, its OverflowError naming the item it was reading."""
+    def named(item):
+        try:
+            return read(item)
+        except OverflowError as exc:
+            raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
+    return named
+
+
+def _x(item) -> int:
+    """The value an item is judged against: the item, or p * l for a pair."""
+    return item if isinstance(item, int) else item[0] * item[1]
+
+
 def _sieved(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
     """An integer kind's columns: q off the chunk's sieve, x the items."""
     return _sieve_values(kind, kernel, lo, hi), kind.items(cfg, lo, hi)
 
 
-def _per_item(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
-    """The columns of q and x, read item by item."""
-    values = [_value(kind, kernel, item) for item in kind.items(cfg, lo, hi)]
-    return [q for q, _ in values], [x for _, x in values]
+def _read(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
+    """A prime or pair kind's columns, read item by item."""
+    items = kind.items(cfg, lo, hi)
+    return (list(map(_named(kind.reader(kernel)), items)),
+            items if kind.items is _prime_items else list(map(_x, items)))
 
 
-def _ord_lambda(k: OrderKernel, n: int) -> tuple[int, int]:
-    return k.ord(k.lam(n)), n
+def _ord_lambda(k: OrderKernel) -> Callable[[int], int]:
+    return lambda n: k.ord(k.lam(n))
+
+
+def _shifted_orders(k: OrderKernel) -> Callable[[int], int]:
+    """p -> ord*(e, p - 1), kept per odd prime p in one kernel array that
+    shifted-prime and rsa-pair share."""
+    return k.kept(_shifted_orders, lambda p: k.ord(p - 1))
+
+
+def _pair_orders(k: OrderKernel) -> Callable[[tuple[int, int]], int]:
+    """(p, l) -> lcm(ord*(e, p - 1), ord*(e, l - 1)), off the shifted orders."""
+    shifted = _shifted_orders(k)
+    return lambda pl: lcm(shifted(pl[0]), shifted(pl[1]))
 
 
 _KINDS = {
-    ORD_N: _Kind(_int_items, _sieved, lambda k, n: (k.ord(n), n), 1, 1, 16),
-    LAMBDA_N: _Kind(_int_items, _sieved, _ord_lambda, 1, 1, 16),
-    ONE_MINUS_DELTA: _Kind(_int_items, _sieved, _ord_lambda, _one_minus_delta, None, 16),
-    LAMBDA_LAMBDA: _Kind(_int_items, _sieved, lambda k, n: (k.lam(k.lam(n)), n), _lambda_lambda,
-                         None),
-    SHIFTED_PRIME: _Kind(_prime_items, _per_item, lambda k, p: (k.ord(p - 1), p), 0, 1),
-    HIGH_FACTOR: _Kind(_prime_items, _per_item, lambda k, p: (k.lpf(p - 1), p), 1,
-                       Fraction(677, 1000)),
-    CLASS_COUNTS: _Kind(_prime_items, _per_item, lambda k, p: (k.ord(p), p), _classes, 2,
+    ORD_N: _Kind(_int_items, lambda k: k.ord, 1, 1, 16),
+    LAMBDA_N: _Kind(_int_items, _ord_lambda, 1, 1, 16),
+    ONE_MINUS_DELTA: _Kind(_int_items, _ord_lambda, _one_minus_delta, None, 16),
+    LAMBDA_LAMBDA: _Kind(_int_items, lambda k: lambda n: k.lam(k.lam(n)), _lambda_lambda, None),
+    SHIFTED_PRIME: _Kind(_prime_items, _shifted_orders, 0, 1),
+    HIGH_FACTOR: _Kind(_prime_items, lambda k: lambda p: k.lpf(p - 1), 1, Fraction(677, 1000)),
+    CLASS_COUNTS: _Kind(_prime_items, lambda k: k.prime_order, _classes, 2,
                         classes=("L", "M", "H")),
-    RSA_PAIR: _Kind(_pair_items, _per_item,
-                    lambda k, pl: (lcm(k.ord(pl[0] - 1), k.ord(pl[1] - 1)), pl[0] * pl[1]),
-                    0, 1),
+    RSA_PAIR: _Kind(_pair_items, _pair_orders, 0, 1),
 }
-
-
-def _value(kind: _Kind, kernel: OrderKernel, item) -> tuple[int, int]:
-    """kind.value(kernel, item), naming the item if it overflows."""
-    try:
-        return kind.value(kernel, item)
-    except OverflowError as exc:
-        raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
 
 
 def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[int]:
@@ -478,19 +500,10 @@ def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[in
     q(p^(a+1)); so every multiple of each prime power Q = p^k < hi, for the
     primes p <= sqrt(hi - 1), takes the lcm with q(Q) and loses a p from
     its cofactor, which ends as 1 or the one prime r of n above sqrt(hi - 1),
-    whose q(r) comes last.  q(Q) is kind.value itself, kept for odd Q in
-    the kernel's array for kind.value (lambda-n and one-minus-delta share
-    one) and taken anew for the few powers of 2 of each chunk."""
-    limit, cache = kernel.limit, kernel.values(kind.value)
-
-    def prime_power_value(Q: int) -> int:
-        if Q & 1 and Q <= limit:
-            v = cache[Q >> 1]
-            if not v:
-                v = cache[Q >> 1] = _value(kind, kernel, Q)[0]
-            return v
-        return _value(kind, kernel, Q)[0]
-
+    whose q(r) comes last.  q(Q) is the kind's reader itself, kept for odd Q
+    in the kernel's array for kind.reader (lambda-n and one-minus-delta
+    share one) and taken anew for the few powers of 2 of each chunk."""
+    prime_power_value = kernel.kept(kind.reader, _named(kind.reader(kernel)))
     size = hi - lo
     qs, cofactor = [1] * size, list(range(lo, hi))
     for p in primes_in_range(2, math.isqrt(hi - 1) + 1):
@@ -522,11 +535,10 @@ def evaluate_item(cfg: SurveyConfig, item, kernel: OrderKernel) -> Decision:
 
     The item is an integer for all kinds except rsa-pair, where it is the
     prime pair (p, l).  q is read for this item alone, where evaluate_chunk
-    reads a chunk's columns; both decide them through the kind's decider,
-    so any count is reproducible item by item.
+    reads or sieves a chunk's columns; both decide them through the kind's
+    decider, so any count is reproducible item by item.
     """
-    q, x = _value(_KINDS[cfg.kind], kernel, item)
-    result = _decide(cfg, [q], [x])
+    result = _decide(cfg, [_named(_KINDS[cfg.kind].reader(kernel))(item)], [_x(item)])
     labels = [label for label, n in (result.class_counts or {}).items() if n]
     return (result.exceed == 1, result.histogram.index(1) if any(result.histogram) else None,
             labels[0] if labels else None)
@@ -647,7 +659,10 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     batches of about an eighth of each worker's share.  The checkpoint is
     written after the first chunk, so a bad path fails at once, then at
     most every CHECKPOINT_EVERY_S seconds, and once more when the loop ends
-    for any reason, an exception or KeyboardInterrupt included."""
+    for any reason, an exception or KeyboardInterrupt included.  When the
+    loop stops early, the pool drops the chunks it has not started, so an
+    exception surfaces once the running ones end, not after the whole
+    survey."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint and os.path.exists(checkpoint):
@@ -673,6 +688,8 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
                     _save_checkpoint(checkpoint, cfg, done, result)
                     written = monotonic()
         finally:
+            if pooled:  # chunks queued but not started are dropped, not run
+                pool.shutdown(cancel_futures=True)
             if checkpoint and len(done) > saved:
                 _save_checkpoint(checkpoint, cfg, done, result)
     return result

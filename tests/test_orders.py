@@ -276,12 +276,16 @@ def test_order_kernel_passes_the_order_certificate():
                         assert pow(e, o // r, m) != 1 % m, (e, n, r)
                     certified[m] = o
                 assert o == certified[m], (e, n)
+                if lpf[n] == n > 1:  # a prime's order, read off the order array
+                    assert kernel.prime_order(n) == o, (e, n)
     # above the table, values fall through to the orders module
     small = OrderKernel(1000, 6)
     for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
         assert small.ord(n) == coprime_order(6, n), n
         assert small.lam(n) == carmichael_lambda(factorize(n)), n
         assert small.lpf(n) == factorize(n).factors[-1][0], n
+        if is_prime(n):
+            assert small.prime_order(n) == coprime_order(6, n), n
     for method in (small.ord, small.lam, small.lpf):
         with pytest.raises(ValueError):
             method(0)

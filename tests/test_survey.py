@@ -4,7 +4,9 @@ import gc
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -226,8 +228,10 @@ def _last_below(lo, hi, below):
 
 
 def _stub(q):
-    """A kernel whose ord() is q, and whose lam(lam(n)) is q for n != -1."""
-    return SimpleNamespace(ord=lambda m: q, lam=lambda m: q if m == -1 else -1)
+    """A kernel whose ord() and prime_order() are q, whose lam(lam(n)) is q
+    for n != -1, and which keeps no value."""
+    return SimpleNamespace(ord=lambda m: q, prime_order=lambda p: q,
+                           lam=lambda m: q if m == -1 else -1, kept=lambda key, value: value)
 
 
 def test_power_threshold_near_ties_follow_exact_integers():
@@ -613,7 +617,7 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
             run_survey(cfg, workers=workers)
 
     class RecordingPool:  # runs the chunks in this process
-        sizes, chunksizes = [], []
+        sizes, chunksizes, cancels = [], [], []
 
         def __init__(self, max_workers):
             self.sizes.append(max_workers)
@@ -628,6 +632,9 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
             self.chunksizes.append(chunksize)
             return map(fn, *iterables)
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.cancels.append(cancel_futures)
+
     monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", RecordingPool)
     assert len(plan_chunks(cfg)) == 3
     assert run_survey(cfg, workers=64).to_dict() == run_survey(cfg).to_dict()
@@ -638,6 +645,41 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
     assert run_survey(fine, workers=2).to_dict() == run_survey(fine).to_dict()
     assert RecordingPool.sizes[1] == 2
     assert 1 < RecordingPool.chunksizes[1] <= len(plan_chunks(fine))
+    assert RecordingPool.cancels == [True, True]
+
+
+def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
+    # a pool must not run the rest of the survey after the parent fails: the
+    # merge raises at the third chunk, and the workers, which record each
+    # chunk they evaluate, stop once their running batches end
+    log = tmp_path / "evaluated"
+    real_decide, real_merge = survey_mod._decide, survey_mod.merge_results
+
+    def recording_decide(cfg, qs, xs):
+        with open(log, "a") as fh:
+            fh.write(".")
+        return real_decide(cfg, qs, xs)
+
+    merged = []
+
+    def failing_merge(a, b):
+        merged.append(b)
+        if len(merged) == 3:
+            raise RuntimeError("merge failure")
+        return real_merge(a, b)
+
+    # the workers are forked, so they run the recording _decide
+    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", functools.partial(
+        survey_mod.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(survey_mod, "_decide", recording_decide)
+    monkeypatch.setattr(survey_mod, "merge_results", failing_merge)
+    cfg = SurveyConfig(kind=ORD_N, x_max=10**5, chunk=100)
+    with pytest.raises(RuntimeError, match="merge failure"):
+        run_survey(cfg, workers=2)
+    # the 1000 chunks go out in batches of 1000 // 16 = 62; besides the
+    # first batch, only those running or in the pool's queue of 3 are run
+    assert len(merged) == 3
+    assert 3 <= len(log.read_text()) <= 3 * len(plan_chunks(cfg)) // 4
 
 
 def test_surveys_factor_only_through_the_table(monkeypatch):
@@ -674,7 +716,7 @@ def _per_item_result(cfg):
 
 def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
     # an integer kind's q(n) is the lcm of q(p^a) over p^a || n: the chunk
-    # sieve must give kind.value at every n, whatever the chunk boundaries
+    # sieve must give the kind's reader at every n, whatever the chunk boundaries
     assert {k for k in KINDS if _KINDS[k].items is _KINDS[ORD_N].items} == set(INT_KINDS)
     x = 2 * 10**5
     # chunks of 1 and 7 on windows holding 2, 3, 2^17, 3^11 and 7^6
@@ -684,10 +726,10 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
         kernel = OrderKernel(x, e)
         for name in INT_KINDS:
             kind = _KINDS[name]
-            # one-minus-delta shares lambda-n's value; lambda-lambda's is free of e
-            key = kind.value if name == LAMBDA_LAMBDA else (kind.value, e)
+            # one-minus-delta shares lambda-n's reader; lambda-lambda's is free of e
+            key = kind.reader if name == LAMBDA_LAMBDA else (kind.reader, e)
             if key not in want:
-                want[key] = [None, None] + [kind.value(kernel, n)[0] for n in range(2, x + 1)]
+                want[key] = [None, None] + list(map(kind.reader(kernel), range(2, x + 1)))
             for chunk, windows in ((10**4, [(2, x + 1)]), (1777, [(2, x + 1)]),
                                    (7, small), (1, small)):
                 for lo, hi in windows:
@@ -715,21 +757,89 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
 
 
 def test_overflow_names_the_item(monkeypatch, capsys):
-    real = OrderKernel.ord
+    def overflowing_at_100_and_101(method):
+        real = getattr(OrderKernel, method)
 
-    def ord_overflows_at_101(kernel, n):
-        if n == 101:
-            raise OverflowError("stub")
-        return real(kernel, n)
+        def stub(kernel, n):
+            if n in (100, 101):
+                raise OverflowError("stub")
+            return real(kernel, n)
+        monkeypatch.setattr(OrderKernel, method, stub)
 
-    monkeypatch.setattr(OrderKernel, "ord", ord_overflows_at_101)
-    orders_mod._order_kernel.cache_clear()  # no q(101) kept from an earlier test
-    # ord-n reads ord(101) in the chunk sieve, class-counts for the item 101
-    for kind in (ORD_N, CLASS_COUNTS):
-        with pytest.raises(OverflowError, match="survey item 101 overflowed: stub"):
+    # ord-n reads ord(101) in the chunk sieve, class-counts prime_order(101)
+    # for the item 101, shifted-prime ord(100) and high-factor lpf(100) for
+    # it, and rsa-pair ord(100) for (53, 101), the first pair holding 101
+    for method in ("ord", "prime_order", "lpf"):
+        overflowing_at_100_and_101(method)
+    for kind, item in ((ORD_N, "101"), (CLASS_COUNTS, "101"), (SHIFTED_PRIME, "101"),
+                       (HIGH_FACTOR, "101"), (RSA_PAIR, "(53, 101)")):
+        orders_mod._order_kernel.cache_clear()  # no q(101) kept from an earlier run
+        with pytest.raises(OverflowError, match=re.escape(f"survey item {item} overflowed: stub")):
             run_survey(SurveyConfig(kind=kind, x_max=300, chunk=50))
+        orders_mod._order_kernel.cache_clear()
         assert main(["survey", "--kind", kind, "--max", "300"]) == 3
-        assert "survey item 101 overflowed" in capsys.readouterr().err
+        assert f"survey item {item} overflowed" in capsys.readouterr().err
+
+
+PRIME_KINDS = (SHIFTED_PRIME, RSA_PAIR, HIGH_FACTOR, CLASS_COUNTS)
+
+
+def test_the_kernel_arrays_change_nothing_but_the_speed():
+    # the README's claim, attacked on the prime and pair kinds: a report must
+    # not depend on which arrays an earlier survey filled, in which order,
+    # nor in which process
+    configs = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR else 10**4,
+                            chunk=1000)
+               for e in (2, 3, 6) for kind in PRIME_KINDS]
+
+    def fresh(cfg):
+        orders_mod._order_kernel.cache_clear()
+        return run_survey(cfg).to_dict()
+
+    want = list(map(fresh, configs))
+    assert [run_survey(cfg).to_dict() for cfg in configs] == want
+    assert [run_survey(cfg).to_dict() for cfg in reversed(configs)] == want[::-1]
+    assert [run_survey(cfg, workers=2).to_dict() for cfg in configs] == want
+    # one range, the base switched away and back: a kernel's arrays are
+    # never read at another base
+    for e in (2, 3, 2):
+        for kind in PRIME_KINDS:
+            cfg = SurveyConfig(kind=kind, e=e, x_max=3000, chunk=1000)
+            assert run_survey(cfg).to_dict() == fresh(cfg), cfg
+
+
+def test_each_prime_order_is_computed_once_per_process(monkeypatch):
+    # rsa-pair reads shifted-prime's ord*(e, p - 1) array and class-counts
+    # the kernel's ord(e, p) array: after shifted-prime, rsa-pair at the same
+    # range and base asks the kernel for no order, class-counts never asks
+    # it for ord*(e, n), and no prime is descended twice
+    descended, asked = [], []
+    real_descent, real_ord = orders_mod._prime_order, OrderKernel.ord
+
+    def recording_descent(e, p, factors):
+        descended.append(p)
+        return real_descent(e, p, factors)
+
+    def recording_ord(kernel, n):
+        asked.append(n)
+        return real_ord(kernel, n)
+
+    monkeypatch.setattr(orders_mod, "_prime_order", recording_descent)
+    monkeypatch.setattr(OrderKernel, "ord", recording_ord)
+    primes = primes_in_range(2, 10**4 + 1)
+    for e in (2, 3, 6):
+        orders_mod._order_kernel.cache_clear()
+        descended.clear()
+        run_survey(SurveyConfig(kind=SHIFTED_PRIME, x_max=10**4, e=e))
+        before = len(descended)
+        asked.clear()
+        run_survey(SurveyConfig(kind=RSA_PAIR, x_max=10**4, e=e, sample_size=20_000))
+        assert (len(descended), asked) == (before, []), e
+        for _ in range(2):
+            run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=10**4, e=e, chunk=777))
+        assert asked == [], e
+        assert len(descended) == len(set(descended)) <= len(primes), e
+        assert set(descended) == {p for p in primes if e % p}, e
 
 
 def test_a_new_kernel_frees_the_old_one():

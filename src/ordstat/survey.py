@@ -61,6 +61,11 @@ chunks and counts do not add up is refused, never resumed.  A run writes
 its checkpoint after the first chunk, then at most once every
 CHECKPOINT_EVERY_S (one second), and once more when it ends or is
 interrupted, so a killed run loses at most about a second of chunks.
+A process loads only what it runs: the process pool (concurrent.futures,
+and with it multiprocessing) at its first pooled run_survey, and hashlib,
+for the config digest, at its first checkpoint read or write.  Importing
+this module, a one-worker survey without a checkpoint and the CLI's
+compute and period commands load neither.
 """
 
 from __future__ import annotations
@@ -68,12 +73,11 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -568,6 +572,9 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
 
 
 def config_digest(cfg: SurveyConfig) -> str:
+    """The sha256 of cfg's canonical JSON.  Only checkpoints call this, so
+    hashlib loads at a process's first checkpoint read or write."""
+    import hashlib
     payload = {
         "kind": cfg.kind, "e": cfg.e, "x_max": cfg.x_max, "x_min": cfg.low(),
         "epsilon_cap": cfg.epsilon.cap, "epsilon_form": EPSILON_FORM,
@@ -651,6 +658,16 @@ def _load_checkpoint(path: str, cfg: SurveyConfig
     return done, partial
 
 
+def __getattr__(name: str):
+    """Import the process pool on first use, so that only a pooled survey
+    loads multiprocessing; run_survey reads it as a module attribute, where
+    a test may replace it."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_survey(cfg: SurveyConfig, workers: int = 1,
                checkpoint: str | None = None) -> SurveyResult:
     """Run the configured survey over chunks; the result is a pure function
@@ -662,7 +679,8 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     for any reason, an exception or KeyboardInterrupt included.  When the
     loop stops early, the pool drops the chunks it has not started, so an
     exception surfaces once the running ones end, not after the whole
-    survey."""
+    survey.  The pool's module is imported when a run first needs more than
+    one worker, and hashlib when it first reads or writes a checkpoint."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint and os.path.exists(checkpoint):
@@ -675,7 +693,8 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     workers = min(workers, len(todo))
     pooled = workers > 1
     saved, written = len(done), -math.inf
-    with (ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext()) as pool:
+    with (sys.modules[__name__].ProcessPoolExecutor(workers) if pooled
+          else contextlib.nullcontext()) as pool:
         parts = (pool.map(evaluate_chunk, repeat(cfg), los, his,
                           chunksize=max(1, len(todo) // (8 * workers)))
                  if pooled else map(evaluate_chunk, repeat(cfg), los, his))

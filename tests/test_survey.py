@@ -682,6 +682,48 @@ def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
     assert 3 <= len(log.read_text()) <= 3 * len(plan_chunks(cfg)) // 4
 
 
+def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
+    # a fresh process that imports the CLI and runs two queries and a
+    # one-worker survey without a checkpoint loads nothing of the process
+    # pool or hashlib beyond what a bare interpreter holds; a checkpoint and
+    # the pool then load them, so the probe sees what it looks for
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        import ordstat, ordstat.cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ordstat.cli.main(list(argv)) == 0, argv
+
+        def loaded():
+            print(" ".join(sorted(sys.modules)))
+
+        run("compute", "order", "--e", "2", "--n", "12")
+        run("period", "bbs", "--n", "11", "--u", "3")
+        run("survey", "--kind", "lambda-n", "--max", "3000", "--workers", "1")
+        loaded()
+        run("survey", "--kind", "lambda-n", "--max", "3000", "--checkpoint", sys.argv[1])
+        ordstat.survey.ProcessPoolExecutor
+        loaded()
+    """)
+    src = str(Path(survey_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def modules(*args):
+        proc = subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return [{m for m in line.split() if m.split(".")[0] in
+                 ("multiprocessing", "concurrent", "hashlib", "_hashlib")}
+                for line in proc.stdout.splitlines()]
+
+    [bare] = modules("-c", "import sys; print(' '.join(sorted(sys.modules)))")
+    cold, warm = modules("-c", probe, str(tmp_path / "ckpt.json"))
+    assert cold - bare == set()
+    assert {"hashlib", "concurrent.futures", "multiprocessing"} <= warm - bare
+
+
 def test_surveys_factor_only_through_the_table(monkeypatch):
     def fail(name):
         def no_fall_through(*args):
@@ -854,14 +896,25 @@ def test_a_new_kernel_frees_the_old_one():
 
 def test_rsa_pair_order_is_lcm_of_shifted_orders():
     # the survey takes lcm(ord*(e, p-1), ord*(e, l-1)); every decision must
-    # match the definition's ord*(e, lcm(p-1, l-1))
+    # match the definition's ord*(e, lcm(p-1, l-1)), taken here from the
+    # factorization of lcm(p-1, l-1): the larger exponent of each prime of
+    # p-1 and l-1, each factored once, as is every prime's r-1 for the descent
     primes = primes_in_range(2, 3001)
     pairs = [(p, l) for l in primes for p in primes if p < l < 2 * p]
+    below = {p: factorize(p - 1) for p in primes}
+    lcm_factors = {}
+    for p, l in pairs:
+        merged = dict(below[p].factors)
+        for r, a in below[l].factors:
+            merged[r] = max(a, merged.get(r, 0))
+        lcm_factors[p, l] = merged
+        assert math.prod(r**a for r, a in merged.items()) == lcm(p - 1, l - 1)
     for e in (2, 3, 6, 10):
         cfg = SurveyConfig(kind=RSA_PAIR, x_max=3000, e=e)
         kernel = OrderKernel(3000, e)
         for p, l in pairs:
-            o = coprime_order(e, lcm(p - 1, l - 1))
+            # ord*(e, m) skips the primes of m that divide e, as coprime_order does
+            o = orders_mod._order(e, lcm_factors[p, l].items(), below)
             want = (threshold_sign(cfg, o, p * l) >= 0, ratio_bin(o, p * l), None)
             assert evaluate_item(cfg, (p, l), kernel) == want, (e, p, l)
 

@@ -15,6 +15,6 @@ from .classify import (DEFAULT_EPSILON, EpsilonFn, classify_prime,
 from .survey import (CLASS_COUNTS, CheckpointError, HIGH_FACTOR,
                      LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
                      RSA_PAIR, SHIFTED_PRIME, SurveyConfig, SurveyResult,
-                     evaluate_chunk, evaluate_item, merge_results, run_survey)
+                     evaluate_chunk, merge_results, run_survey)
 
 __version__ = "0.1.0"

@@ -9,15 +9,16 @@ log x.  Each is decided from u = log q / log x, which the caller takes
 once per item and shares among its decisions, in three tiers:
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
-             comparison decides; a survey's column deciders take this tier
-             themselves, a chunk at a time, with this same guard(t), and
-             call power_compare only for the items inside the band
+             comparison decides
     integer  otherwise, for t = a/b with b <= 64: q^b against x^a
     decimal  otherwise: log q / log x against t by t's own formula, both in
              50-digit decimal
 
-power_compare runs all three, so every decision, fast path or not, is
-the one it would make: exact at ties, deterministic and free of libm's
+The column functions (_above, _above_fixed, and the survey's bin and
+lambda-lambda deciders) take the float tier themselves, a column of items
+at a time, and call power_compare, which holds the two exact tiers, only
+for the items inside the band.  So every decision is the one the exact
+tiers would make: exact at ties, deterministic and free of libm's
 rounding.  The guard, the decimal context and the denominator limit live
 here only.
 
@@ -27,6 +28,9 @@ eps(x) = min(cap, 2/log log x):
     L:  coprime_order(e, p) <= sqrt(p) / log(p)
     M:  otherwise, coprime_order(e, p) <= p^(1/2 + 2*eps(p))
     H:  the rest
+
+order_classes is that rule, on a column: class-counts calls it on a
+survey's chunk, classify_prime on a column of one.
 
 The *_bound functions return exact Fractions: lower bounds on orders that
 callers can assert with no floating point involved.
@@ -38,6 +42,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Callable
 
@@ -60,21 +65,18 @@ EPSILON_MIN_X = 16
 
 def guard(t: float) -> float:
     """Half-width of the band around the float exponent t: for |u - t|
-    above it the float tier of power_compare decides q against x^t."""
+    above it the float comparison of u with t decides q against x^t."""
     return _GUARD_REL * (t if t > 1.0 else 1.0)
 
 
-def power_compare(q: int, x: int, u: float, t: float,
-                  exact: Fraction | Callable) -> int:
-    """Sign of q - x^exact for integers q >= 1 and x >= 2, given
-    u = log q / log x and t, the float value of exact.
+def power_compare(q: int, x: int, exact: Fraction | Callable) -> int:
+    """Sign of q - x^exact for integers q >= 1 and x >= 2, by the exact
+    tiers: the callers take the float tier themselves, outside the guard.
 
     exact is a Fraction or a formula exact(log x, log log x, m) of the
     exponent, written with m.log, m.sqrt and arithmetic operators, so that
-    the decimal tier evaluates the very formula that gave t.
+    the decimal tier evaluates the very formula that gave the float t.
     """
-    if abs(u - t) > guard(t):
-        return 1 if u > t else -1
     rational = isinstance(exact, Fraction)
     if rational and exact.denominator <= _EXACT_DENOM_LIMIT:
         a, b = exact.numerator, exact.denominator
@@ -88,6 +90,23 @@ def power_compare(q: int, x: int, u: float, t: float,
             td = exact(lnx, lnx.ln(), _DECIMAL_MATH)
         d = decimal.Decimal(q).ln() / lnx - td
     return (d > 0) - (d < 0)
+
+
+def _above(qs, xs, us, ts, exact) -> list[bool]:
+    """q > x^exact for each item, given u = log q / log x and t, the float
+    value of exact, from the columns us and ts."""
+    return [u > t if abs(u - t) > guard(t) else power_compare(q, x, exact) > 0
+            for q, x, u, t in zip(qs, xs, us, ts)]
+
+
+def _above_fixed(qs, xs, us, exact: Fraction, least: int = 1) -> list[bool]:
+    """power_compare(q, x, exact) >= least for each item (least 1 for
+    q > x^exact, 0 for q >= x^exact), for one exponent: its float t and
+    the guard of t are taken once for the column."""
+    t = float(exact)
+    band = guard(t)
+    return [u > t if abs(u - t) > band else power_compare(q, x, exact) >= least
+            for q, x, u in zip(qs, xs, us)]
 
 
 def _sqrt_over_log_exponent(lnx, llx, m):
@@ -145,15 +164,15 @@ def epsilon_default(x: float, cap: float = 0.25) -> float:
     return EpsilonFn(cap=cap)(x)
 
 
-def classify_order_value(o: int, p: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
-    """Class label for a prime p whose coprime_order value is already known."""
-    exact = eps.exponent(p, multiplier=2)
-    lnp = math.log(p)
-    u = math.log(o) / lnp
-    if power_compare(o, p, u, _sqrt_over_log_exponent(lnp, math.log(lnp), math),
-                     _sqrt_over_log_exponent) <= 0:
-        return "L"
-    return "M" if power_compare(o, p, u, float(exact), exact) <= 0 else "H"
+def order_classes(qs, ps, us, lnps, m_to_h: Fraction) -> list[str]:
+    """The class of each prime p of the column ps whose order is q, the
+    same item of qs, given u = log q / log p and log p: L for
+    q <= sqrt(p)/log(p), else H for q > p^m_to_h, else M.  m_to_h is
+    1/2 + 2*eps(p), one Fraction while eps is on its cap."""
+    l_to_m = map(_sqrt_over_log_exponent, lnps, map(math.log, lnps), repeat(math))
+    above_l = _above(qs, ps, us, l_to_m, _sqrt_over_log_exponent)
+    above_m = _above_fixed(qs, ps, us, m_to_h)
+    return ["L" if not l else "H" if m else "M" for l, m in zip(above_l, above_m)]
 
 
 def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
@@ -163,7 +182,9 @@ def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return classify_order_value(coprime_order(e, p), p, eps)
+    o, lnp = coprime_order(e, p), math.log(p)
+    return order_classes((o,), (p,), (math.log(o) / lnp,), (lnp,),
+                         eps.exponent(p, multiplier=2))[0]
 
 
 def prime_orders_lower_bound(e: int, n: int) -> Fraction:

@@ -14,12 +14,13 @@ Surveys read the same quantities through an OrderKernel per base, which
 walks a smallest-prime-factor table of [1, min(x_max, 2^27)] into the same
 descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey
 process's state: the table, its orders ord(e, q) of the prime powers q
-(which class-counts reads per prime), and the arrays in which the survey
-keeps its other per-integer values (OrderKernel.kept: the integer kinds'
-prime-power values, and ord*(e, p - 1) per prime for shifted-prime and
-rsa-pair), each 2 bytes per integer up to the limit.  Replacing the kernel
-frees them all.  Values above the table fall through to arith.factorize.
-Every path is exact, so no array can change a result.
+(which class-counts reads per prime), built when the first order is asked,
+and the arrays in which the survey keeps its other per-integer values
+(OrderKernel.kept: the integer kinds' prime-power values, and
+ord*(e, p - 1) per prime for shifted-prime and rsa-pair), each 2 bytes per
+integer up to the limit.  Replacing the kernel frees them all.  Values
+above the table fall through to arith.factorize.  Every path is exact, so
+no array can change a result.
 """
 
 from __future__ import annotations
@@ -190,10 +191,12 @@ class OrderKernel:
     below 2^16 for limit <= 2^32, so 2 bytes per entry suffice.  ord*(e, n)
     is the lcm of ord(e, q) over the prime powers q = p^a exactly dividing
     n with p not dividing e.  ord(e, q) is kept, once computed, for every
-    prime power q <= limit, in an array of 4 bytes per odd integer: odd q at
-    index q // 2, and q = 2^a at index -a - 1, in a tail of
-    limit.bit_length() entries after the odd ones.  prime_order reads it
-    for a prime q.
+    prime power q <= limit, in the order array (_orders), built on its first
+    use: 4 bytes per odd integer, odd q at index q // 2, and q = 2^a at
+    index -a - 1, in a tail of limit.bit_length() entries after the odd
+    ones.  prime_order reads it for a prime q.  A kernel that is never
+    asked for an order (lambda and largest prime factors only) never
+    builds it.
     """
 
     def __init__(self, limit: int, e: int):
@@ -204,7 +207,7 @@ class OrderKernel:
         for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
             spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
         self._spf = spf
-        self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
+        self._orders: array | None = None  # built on the first order asked
         self._arrays: dict = {}
 
     def kept(self, key, value: Callable[[int], int]) -> Callable[[int], int]:
@@ -242,8 +245,12 @@ class OrderKernel:
 
     def _prime_power_order(self, p: int, q: int) -> int:
         """ord(e, q) for q = p^a <= limit with p not dividing e."""
+        orders = self._orders
+        if orders is None:
+            limit = self.limit
+            orders = self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
         i = q >> 1 if q & 1 else -q.bit_length()
-        o = self._orders[i]
+        o = orders[i]
         if not o:
             if q == p:
                 o = _prime_order(self.e, p, self._prime_powers(p - 1))
@@ -251,7 +258,7 @@ class OrderKernel:
                 o = self._prime_power_order(p, q // p)
                 if pow(self.e, o, q) != 1:
                     o *= p
-            self._orders[i] = o
+            orders[i] = o
         return o
 
     def prime_order(self, p: int) -> int:

@@ -25,14 +25,17 @@ log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
 is decided as columns: the kind's columns function gives its q and x
 columns, every item takes log q and log x once, and one column decider per
 test shape (_fixed_exponent, _lambda_lambda, _one_minus_delta, _classes)
-tallies the tests and bins into the chunk's result.  Each decision is the
-one classify.power_compare, the one threshold rule, makes on the item's u:
-the decider takes power_compare's float tier itself when |u - t| is above
-classify.guard(t), and passes only the items inside that band to
-power_compare.  lambda-lambda takes log log n once for its test and its
-bin.  The rsa-pair
-q equals ord*(e, lcm(p - 1, l - 1)): the e-free part of an lcm is the lcm of
-the e-free parts, and the order modulo an lcm is the lcm of the orders.  With
+tallies the tests and bins into the chunk's result.  Each decision follows
+classify's one threshold rule on the item's u: a column function takes the
+float tier when |u - t| is above classify.guard(t), and passes only the
+items inside that band to classify.power_compare, which holds the exact
+tiers.  The x^t tests and one-minus-delta's go through classify's column
+functions, class-counts' L/M/H labels through classify.order_classes, the
+one class rule that classify_prime also calls; the u bins and
+lambda-lambda's test and deficiency bin are decided here, lambda-lambda
+taking log log n once for both.  The rsa-pair q equals
+ord*(e, lcm(p - 1, l - 1)): the e-free part of an lcm is the lcm of the
+e-free parts, and the order modulo an lcm is the lcm of the orders.  With
 the default cap 1/4 class-counts finds no H prime by construction, since
 ord*(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).  A fixed --exponent replaces t
 and lowers the 16 floor to 2; lambda-lambda, one-minus-delta and
@@ -81,13 +84,13 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import and_, floordiv, truediv
+from operator import floordiv, truediv
 from time import monotonic
 from typing import Callable
 
 from .arith import lcm, primes_in_range
-from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _sqrt_over_log_exponent,
-                       guard, power_compare)
+from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _above, _above_fixed,
+                       guard, order_classes, power_compare)
 from .orders import SPF_TABLE_MAX, OrderKernel, _order_kernel
 
 ORD_N = "ord-n"
@@ -108,9 +111,6 @@ DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
 
 CHECKPOINT_EVERY_S = 1.0  # least time between two checkpoint writes within a run
-
-Decision = tuple[bool, int | None, str | None]  # exceeds, histogram bin, class label
-
 
 class CheckpointError(Exception):
     """The checkpoint file is corrupt or belongs to another survey."""
@@ -167,10 +167,6 @@ class SurveyConfig:
             return kind.exponent
         return self.epsilon.exponent(self.x_max**2 if kind.items is _pair_items
                                      else self.x_max, kind.exponent)
-
-    @functools.cached_property
-    def _threshold_float(self) -> float:
-        return float(self._threshold)
 
 
 @dataclass
@@ -237,26 +233,10 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 
 # ---------------------------------------------------------------------------
 # the column deciders: each tallies a chunk's decisions into its result,
-# reading u against t as power_compare's float tier does outside its band
+# taking the float tier outside classify.guard's band and power_compare's
+# exact tiers inside it
 
 _BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
-
-
-def _above(qs, xs, us, ts, exact) -> list[bool]:
-    """power_compare(q, x, u, t, exact) > 0 for each item, t from the column
-    ts of float exponents."""
-    return [u > t if abs(u - t) > guard(t) else power_compare(q, x, u, t, exact) > 0
-            for q, x, u, t in zip(qs, xs, us, ts)]
-
-
-def _above_fixed(qs, xs, us, cfg: SurveyConfig, least: int = 1) -> list[bool]:
-    """power_compare(q, x, u, t, exact) >= least for each item, for the
-    config's one exponent: exact, its float t and the guard of t are taken
-    once for the column."""
-    t, exact = cfg._threshold_float, cfg._threshold
-    band = guard(t)
-    return [u > t if abs(u - t) > band else power_compare(q, x, u, t, exact) >= least
-            for q, x, u in zip(qs, xs, us)]
 
 
 def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
@@ -271,22 +251,15 @@ def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
         if not 0 < k < N_BINS:  # min(max(k, 1), 20) at a fraction of the cost
             k = 1 if k < 1 else N_BINS - 1
         e = edges[k]
-        below = u < e if abs(u - e) > guards[k] else power_compare(q, x, u, e, _BIN_EDGES[k]) < 0
+        below = u < e if abs(u - e) > guards[k] else power_compare(q, x, _BIN_EDGES[k]) < 0
         histogram[k - below] += 1
-
-
-def log_ratio_bin(q: int, x: int, u: float) -> int:
-    """The bin of one u = log(q)/log(x), as _tally_u_bins takes it."""
-    histogram = [0] * N_BINS
-    _tally_u_bins(histogram, (q,), (x,), (u,))
-    return histogram.index(1)
 
 
 def _fixed_exponent(least: int, cfg: SurveyConfig, result: SurveyResult,
                     qs, xs, us, lnxs) -> None:
     """q against x^t for the config's one t, exceeding when power_compare's
     sign is at least least (1 for q > x^t, 0 for q >= x^t); and the u bins."""
-    result.exceed = sum(_above_fixed(qs, xs, us, cfg, least))
+    result.exceed = sum(_above_fixed(qs, xs, us, cfg._threshold, least))
     _tally_u_bins(result.histogram, qs, xs, us)
 
 
@@ -319,7 +292,7 @@ def _lambda_lambda(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) ->
         llx = log(lnx)
         t = _lamlam_exponent(lnx, llx, math)
         exceed += (u > t if abs(u - t) > guard(t)
-                   else power_compare(q, x, u, t, _lamlam_exponent) > 0)
+                   else power_compare(q, x, _lamlam_exponent) > 0)
         if llx > 1.0:
             w = _deficiency_scale(lnx, llx, math)
             k = round((1.0 - u) / w)
@@ -327,7 +300,7 @@ def _lambda_lambda(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) ->
                 k = 1 if k < 1 else N_BINS - 1
             t = 1.0 - k * w
             above = u > t if abs(u - t) > guard(t) else power_compare(
-                q, x, u, t, _DEFICIENCY_EDGES[k]) > 0
+                q, x, _DEFICIENCY_EDGES[k]) > 0
             histogram[k - above] += 1
     result.exceed = exceed
 
@@ -346,15 +319,11 @@ def _one_minus_delta(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) 
 
 
 def _classes(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
-    """classify's L/M/H labels: L for q <= sqrt(x)/log(x), else H for
-    q > x^t, t the config's M/H exponent, else M; H exceeds.  And the u
-    bins."""
-    l_to_m = map(_sqrt_over_log_exponent, lnxs, map(math.log, lnxs), repeat(math))
-    above_l = _above(qs, xs, us, l_to_m, _sqrt_over_log_exponent)
-    above_m = _above_fixed(qs, xs, us, cfg)
-    high = sum(map(and_, above_l, above_m))
-    result.class_counts.update(L=above_l.count(False), M=sum(above_l) - high, H=high)
-    result.exceed = high
+    """classify.order_classes' L/M/H labels, the config's t the M/H
+    exponent; H exceeds.  And the u bins."""
+    labels = order_classes(qs, xs, us, lnxs, cfg._threshold)
+    result.class_counts = {label: labels.count(label) for label in result.class_counts}
+    result.exceed = result.class_counts["H"]
     _tally_u_bins(result.histogram, qs, xs, us)
 
 
@@ -534,20 +503,6 @@ def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
     return result
 
 
-def evaluate_item(cfg: SurveyConfig, item, kernel: OrderKernel) -> Decision:
-    """Evaluate one survey item: (exceeds, histogram bin, class label).
-
-    The item is an integer for all kinds except rsa-pair, where it is the
-    prime pair (p, l).  q is read for this item alone, where evaluate_chunk
-    reads or sieves a chunk's columns; both decide them through the kind's
-    decider, so any count is reproducible item by item.
-    """
-    result = _decide(cfg, [_named(_KINDS[cfg.kind].reader(kernel))(item)], [_x(item)])
-    labels = [label for label, n in (result.class_counts or {}).items() if n]
-    return (result.exceed == 1, result.histogram.index(1) if any(result.histogram) else None,
-            labels[0] if labels else None)
-
-
 # ---------------------------------------------------------------------------
 # chunked execution
 
@@ -616,8 +571,10 @@ def _load_checkpoint(path: str, cfg: SurveyConfig
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("schema") != 2:
         raise CheckpointError(f"checkpoint {path} has unknown schema {doc.get('schema')!r}")
     if doc.get("config_sha256") != config_digest(cfg):

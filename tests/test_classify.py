@@ -1,15 +1,17 @@
 import decimal
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ordstat.arith import factorize, sieve_primes
-from ordstat.classify import (EpsilonFn, _sqrt_over_log_exponent, classify_order_value,
-                              classify_prime, divisor_quotient_bound,
-                              epsilon_default, lcm_order_lower_bound,
-                              power_compare, prime_orders_lower_bound)
+from ordstat.classify import (EpsilonFn, _above, _sqrt_over_log_exponent, classify_prime,
+                              divisor_quotient_bound, epsilon_default,
+                              lcm_order_lower_bound, power_compare,
+                              prime_orders_lower_bound)
 from ordstat.orders import carmichael_lambda, coprime_order
+from ordstat.survey import CLASS_COUNTS, SurveyConfig, run_survey
 
 
 def test_epsilon_examples():
@@ -81,13 +83,19 @@ def test_classify_examples():
 
 
 def test_classes_partition_primes():
-    eps = EpsilonFn()
-    for e in (2, 3, 10):
-        for p in sieve_primes(100_000):
-            label = classify_prime(p, e, eps)
-            assert label in ("L", "M", "H")
-            if p in (2, 3, 5) and e % p == 0:
-                assert label == "L"
+    # and compute classify and class-counts, both through order_classes,
+    # label every prime alike
+    for eps, x in ((EpsilonFn(), 100_000), (EpsilonFn(cap=0.1), 10_000)):
+        for e in (2, 3, 10):
+            labels = Counter()
+            for p in sieve_primes(x):
+                label = classify_prime(p, e, eps)
+                assert label in ("L", "M", "H")
+                if p in (2, 3, 5) and e % p == 0:
+                    assert label == "L"
+                labels[label] += 1
+            survey = run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=x, e=e, epsilon=eps))
+            assert survey.class_counts == {label: labels[label] for label in "LMH"}, (eps, e)
 
 
 def test_classify_with_small_cap_yields_high_class():
@@ -99,10 +107,13 @@ def test_classify_with_small_cap_yields_high_class():
 
 
 def _compare(q, x, exact):
-    """power_compare with u and the float exponent taken here."""
+    """power_compare's exact sign, which the column function _above, its
+    float tier included, must agree with."""
     t = float(exact) if isinstance(exact, Fraction) else exact(
         math.log(x), math.log(math.log(x)), math)
-    return power_compare(q, x, math.log(q) / math.log(x), t, exact)
+    sign = power_compare(q, x, exact)
+    assert _above([q], [x], [math.log(q) / math.log(x)], [t], exact) == [sign > 0]
+    return sign
 
 
 def test_power_compare_boundaries():

@@ -245,11 +245,17 @@ def test_survey_json_round_trips(capsys):
 
 
 def test_corrupt_checkpoint_exits_4(tmp_path, capsys):
-    bad = tmp_path / "bad.ckpt"
-    bad.write_text("not a checkpoint at all")
-    assert main(["survey", "--kind", "lambda-n", "--max", "500",
-                 "--checkpoint", str(bad)]) == 4
-    assert "not valid JSON" in capsys.readouterr().err
+    # text that is not JSON, bytes that are not UTF-8, and JSON that is no object
+    for content, message in ((b"not a checkpoint at all", "not valid JSON"),
+                             (b"\xff\xfe", "not valid JSON"),
+                             (b"[]", "not a JSON object"),
+                             (b'"x"', "not a JSON object"),
+                             (b"null", "not a JSON object")):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(content)
+        assert main(["survey", "--kind", "lambda-n", "--max", "500",
+                     "--checkpoint", str(bad)]) == 4, content
+        assert message in capsys.readouterr().err, content
 
 
 def test_unwritable_checkpoint_exits_4_at_the_first_chunk(tmp_path, capsys, monkeypatch):

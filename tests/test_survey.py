@@ -13,7 +13,6 @@ import textwrap
 import weakref
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -21,15 +20,14 @@ import ordstat.classify as classify_mod
 import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import factorize, lcm, primes_in_range
-from ordstat.classify import EpsilonFn, classify_order_value, power_compare
+from ordstat.classify import EpsilonFn, power_compare
 from ordstat.cli import main
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
                             RSA_PAIR, SHIFTED_PRIME, _one_minus_delta_exponent,
                             SurveyConfig, config_digest, empty_result, evaluate_chunk,
-                            evaluate_item, log_ratio_bin, merge_results,
-                            plan_chunks, rsa_pair_count, run_survey)
+                            merge_results, plan_chunks, rsa_pair_count, run_survey)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "oracle_measurements.json").read_text())
 
@@ -40,12 +38,30 @@ def one_minus_delta_t(x):
 
 
 def threshold_sign(cfg, q, x):
-    """power_compare of q against x^t for the config's t."""
-    return power_compare(q, x, math.log(q) / math.log(x), cfg._threshold_float, cfg._threshold)
+    """The exact sign of q against x^t for the config's t."""
+    return power_compare(q, x, cfg._threshold)
+
+
+def decision(cfg, q, x):
+    """(exceeds, histogram bin, class label) of one item whose quantity q
+    is judged against x, the bin and the label None where the kind takes
+    none: the survey's column decision on a column of one."""
+    r = survey_mod._decide(cfg, [q], [x])
+    labels = [label for label, n in (r.class_counts or {}).items() if n]
+    return (r.exceed == 1, r.histogram.index(1) if any(r.histogram) else None,
+            labels[0] if labels else None)
+
+
+def item_decision(cfg, item, kernel):
+    """decision of a survey item, q read off kernel by the kind's reader,
+    x the item or p * l for a pair (p, l)."""
+    q = _KINDS[cfg.kind].reader(kernel)(item)
+    return decision(cfg, q, item if isinstance(item, int) else item[0] * item[1])
 
 
 def ratio_bin(q, x):
-    return log_ratio_bin(q, x, math.log(q) / math.log(x))
+    """The u bin of q against x, which every kind but lambda-lambda takes."""
+    return decision(SurveyConfig(kind=ORD_N, x_max=x, exponent_override=0.5), q, x)[1]
 
 
 def brute_coprime_order(e, n):
@@ -97,7 +113,7 @@ def test_shifted_prime_small():
     r = run_survey(SurveyConfig(kind=SHIFTED_PRIME, x_max=10))
     assert r.total == 4  # every prime <= 10 evaluated
     # p = 7 under the default epsilon: ord*(2, 6) = 2 < 7^(3/4)
-    exceeds, _, _ = evaluate_item(SurveyConfig(kind=SHIFTED_PRIME, x_max=10), 7,
+    exceeds, _, _ = item_decision(SurveyConfig(kind=SHIFTED_PRIME, x_max=10), 7,
                                   OrderKernel(10, 2))
     assert not exceeds
 
@@ -129,9 +145,9 @@ def test_lambda_lambda_guard_semantics():
 
 def test_high_factor_items():
     cfg = SurveyConfig(kind=HIGH_FACTOR, x_max=100)
-    exceeds, _, _ = evaluate_item(cfg, 23, OrderKernel(100, 2))
+    exceeds, _, _ = item_decision(cfg, 23, OrderKernel(100, 2))
     assert exceeds  # 22 = 2*11 and 11 > 23^0.677
-    exceeds, _, _ = evaluate_item(cfg, 2, OrderKernel(100, 2))
+    exceeds, _, _ = item_decision(cfg, 2, OrderKernel(100, 2))
     assert not exceeds
 
 
@@ -159,12 +175,8 @@ def _one_minus_delta_oracle(o, n):
 
 
 def test_one_minus_delta_near_ties_follow_the_decimal_oracle():
-    def fixed_order(o):  # a kernel whose ord() is o for every argument
-        return SimpleNamespace(lam=lambda n: n, ord=lambda m: o)
-
     def decide(o, n):
-        cfg = SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n)
-        return evaluate_item(cfg, n, fixed_order(o))[0]
+        return decision(SurveyConfig(kind=ONE_MINUS_DELTA, x_max=n), o, n)[0]
 
     # near-ties at survey scale: the float threshold lands within the 1e-9 band
     ties = []
@@ -227,17 +239,9 @@ def _last_below(lo, hi, below):
     return lo
 
 
-def _stub(q):
-    """A kernel whose ord() and prime_order() are q, whose lam(lam(n)) is q
-    for n != -1, and which keeps no value."""
-    return SimpleNamespace(ord=lambda m: q, prime_order=lambda p: q,
-                           lam=lambda m: q if m == -1 else -1, kept=lambda key, value: value)
-
-
 def test_power_threshold_near_ties_follow_exact_integers():
     def decide(kind, q, x, **config):
-        exceeds, stat_bin, _ = evaluate_item(SurveyConfig(kind=kind, x_max=x, **config),
-                                             x, _stub(q))
+        exceeds, stat_bin, _ = decision(SurveyConfig(kind=kind, x_max=x, **config), q, x)
         return exceeds, stat_bin
 
     def exact_bin(q, x):  # the largest b <= 20 with x^b <= q^20
@@ -266,13 +270,16 @@ def test_power_threshold_near_ties_follow_exact_integers():
 
 
 def test_class_boundaries_near_ties():
+    def label(o, p, cap=0.25):  # class-counts' label for the order o at p
+        return decision(SurveyConfig(kind=CLASS_COUNTS, x_max=p, epsilon=EpsilonFn(cap)),
+                        o, p)[2]
+
     # M/H: 128 = 1024^(7/10) exactly at cap 1/10, and M takes the tie
-    cap = EpsilonFn(cap=0.1)
-    assert [classify_order_value(o, 1024, cap) for o in (127, 128, 129)] == ["M", "M", "H"]
+    assert [label(o, 1024, 0.1) for o in (127, 128, 129)] == ["M", "M", "H"]
     for p in range(10**30, 10**30 + 4):  # o^10 against p^7 past float precision
         r = int(D80.exp(D80.multiply(decimal.Decimal("0.7"), _ln80(p))))
         for o in (r - 1, r, r + 1, r + 2):
-            assert classify_order_value(o, p, cap) == ("M" if o**10 <= p**7 else "H"), (o, p)
+            assert label(o, p, 0.1) == ("M" if o**10 <= p**7 else "H"), (o, p)
 
     # L/M: o against sqrt(p)/log(p), at the p where that crosses an integer
     @_in80
@@ -282,16 +289,14 @@ def test_class_boundaries_near_ties():
     for target in (10**13, 10**13 + 7, 3 * 10**13):
         p0 = _last_below(10**29, 10**31, lambda p: sqrt_over_log(p) <= target)
         for p in (p0, p0 + 1):
-            cfg = SurveyConfig(kind=CLASS_COUNTS, x_max=p)
             for o in (target - 1, target, target + 1):
-                label = evaluate_item(cfg, p, _stub(o))[2]
-                assert (label == "L") == (o <= sqrt_over_log(p)), (o, p)
-                assert label == classify_order_value(o, p)
+                # o is far below p = p^(1/2 + 2/4), the M/H boundary at cap 1/4
+                assert label(o, p) == ("L" if o <= sqrt_over_log(p) else "M"), (o, p)
 
 
 def test_lambda_lambda_near_ties_follow_the_decimal_oracle():
     def decide(q, n):
-        return evaluate_item(SurveyConfig(kind=LAMBDA_LAMBDA, x_max=n), n, _stub(q))
+        return decision(SurveyConfig(kind=LAMBDA_LAMBDA, x_max=n), q, n)
 
     @_in80
     def lamlam_threshold(n):  # n / exp((log log n)^3)
@@ -361,7 +366,7 @@ def test_rsa_pair_full_enumeration():
     assert r.total == len(pairs) == rsa_pair_count(19)
     assert not r.sampled
     # pair (11, 19): lambda(209) = lcm(10, 18) = 90, ord*(2, 90) = 12 < 209^(3/4)
-    exceeds, _, _ = evaluate_item(cfg, (11, 19), OrderKernel(19, 2))
+    exceeds, _, _ = item_decision(cfg, (11, 19), OrderKernel(19, 2))
     assert not exceeds
 
 
@@ -386,7 +391,7 @@ def test_epsilon_must_stay_on_its_cap():
     for kind, x_max, cap in ((ORD_N, 2**78, 0.5), (RSA_PAIR, 2**39, 0.5), (LAMBDA_N, 10**30, 0.25)):
         cfg = SurveyConfig(kind=kind, x_max=x_max, epsilon=EpsilonFn(cap=cap))
         assert cfg._threshold == Fraction(1, 2) + Fraction(str(cap))
-        assert cfg._threshold_float == 0.5 + cap
+        assert float(cfg._threshold) == 0.5 + cap
     # the other kinds need no constant eps exponent
     for kind in (HIGH_FACTOR, ONE_MINUS_DELTA, LAMBDA_LAMBDA):
         SurveyConfig(kind=kind, x_max=10**200, epsilon=EpsilonFn(cap=0.5))
@@ -742,18 +747,11 @@ INT_KINDS = (ORD_N, LAMBDA_N, ONE_MINUS_DELTA, LAMBDA_LAMBDA)
 
 
 def _per_item_result(cfg):
-    """The survey's result from evaluate_item on every item, no sieve."""
-    kernel = OrderKernel(cfg.x_max, cfg.e)
-    result = empty_result(cfg)
-    for n in range(cfg.low(), cfg.x_max + 1):
-        exceeds, stat_bin, label = evaluate_item(cfg, n, kernel)
-        result.total += 1
-        result.exceed += exceeds
-        if stat_bin is not None:
-            result.histogram[stat_bin] += 1
-        if label is not None:
-            result.class_counts[label] += 1
-    return result.to_dict()
+    """The survey's result with each q read item by item off a new kernel
+    by the kind's reader, no sieve, and the items decided as one column."""
+    items = range(cfg.low(), cfg.x_max + 1)
+    read = _KINDS[cfg.kind].reader(OrderKernel(cfg.x_max, cfg.e))
+    return survey_mod._decide(cfg, list(map(read, items)), list(items)).to_dict()
 
 
 def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
@@ -885,13 +883,26 @@ def test_each_prime_order_is_computed_once_per_process(monkeypatch):
 
 
 def test_a_new_kernel_frees_the_old_one():
-    # the kernel owns the table and every array: once a survey at another
-    # range replaces it, nothing keeps it alive
-    run_survey(SurveyConfig(kind=LAMBDA_N, x_max=20_000))
-    old = weakref.ref(orders_mod._order_kernel(20_000, 2))
-    run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=5_000))
-    gc.collect()
-    assert old() is None
+    # the kernel owns the table and every array, and nothing it owns refers
+    # back to it: once a survey at another range replaces it, it is freed at
+    # once, with the cyclic collector off, whichever kind it served.  The
+    # order array is built on first use: lambda-lambda and high-factor,
+    # which ask for no order, never build it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kind in KINDS:
+            orders_mod._order_kernel.cache_clear()
+            run_survey(SurveyConfig(kind=kind, x_max=3000, chunk=700))
+            kernel = orders_mod._order_kernel(3000, 2)
+            assert (kernel._orders is None) == (kind in (LAMBDA_LAMBDA, HIGH_FACTOR)), kind
+            old = weakref.ref(kernel)
+            del kernel
+            run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=2000))
+            assert old() is None, kind
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rsa_pair_order_is_lcm_of_shifted_orders():
@@ -916,7 +927,7 @@ def test_rsa_pair_order_is_lcm_of_shifted_orders():
             # ord*(e, m) skips the primes of m that divide e, as coprime_order does
             o = orders_mod._order(e, lcm_factors[p, l].items(), below)
             want = (threshold_sign(cfg, o, p * l) >= 0, ratio_bin(o, p * l), None)
-            assert evaluate_item(cfg, (p, l), kernel) == want, (e, p, l)
+            assert item_decision(cfg, (p, l), kernel) == want, (e, p, l)
 
 
 def test_worker_count_invariance_under_spawn(tmp_path):

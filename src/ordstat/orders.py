@@ -11,16 +11,17 @@ the order already factored, so a query factors its modulus once (and p - 1
 for each prime p of it) and never factors lambda(n) or an order.
 
 Surveys read the same quantities through an OrderKernel per base, which
-walks a smallest-prime-factor table of [1, min(x_max, 2^27)] into the same
-descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey
-process's state: the table, its orders ord(e, q) of the prime powers q
-(which class-counts reads per prime), built when the first order is asked,
-and the arrays in which the survey keeps its other per-integer values
-(OrderKernel.kept: the integer kinds' prime-power values, and
-ord*(e, p - 1) per prime for shifted-prime and rsa-pair), each 2 bytes per
-integer up to the limit.  Replacing the kernel frees them all.  Values
-above the table fall through to arith.factorize.  Every path is exact, so
-no array can change a result.
+gets each factorization from one place (OrderKernel._prime_powers): a
+smallest-prime-factor table of [1, min(x_max, 2^27)], and arith.factorize
+above it.  Either way it runs the same descent and lambda rule
+(_lambda_lcm).  The kernel owns all of a survey process's state: the table,
+its orders ord(e, q) of the prime powers q <= limit (which class-counts
+reads per prime), built when the first order is asked, and the arrays in
+which the survey keeps its other per-integer values (OrderKernel.kept: the
+integer kinds' prime-power values, and ord*(e, p - 1) per prime for
+shifted-prime and rsa-pair), each 2 bytes per integer up to the limit.
+Replacing the kernel frees them all.  Every path is exact, so neither the
+table nor an array can change a result.
 """
 
 from __future__ import annotations
@@ -184,19 +185,19 @@ def order_profile(e: int, n: int) -> OrderProfile:
 
 class OrderKernel:
     """lambda(n), ord*(e, n) and the largest prime factor of n for one base e,
-    read off the table for 1 <= n <= limit and through arith.factorize above.
+    all from n's prime powers, which _prime_powers alone gets: off the table
+    for 1 <= n <= limit, through arith.factorize above it.
 
     The table holds the smallest prime factor of every composite n <= limit
     and 0 for 0, 1 and the primes: that factor is at most isqrt(limit),
     below 2^16 for limit <= 2^32, so 2 bytes per entry suffice.  ord*(e, n)
     is the lcm of ord(e, q) over the prime powers q = p^a exactly dividing
-    n with p not dividing e.  ord(e, q) is kept, once computed, for every
-    prime power q <= limit, in the order array (_orders), built on its first
-    use: 4 bytes per odd integer, odd q at index q // 2, and q = 2^a at
-    index -a - 1, in a tail of limit.bit_length() entries after the odd
-    ones.  prime_order reads it for a prime q.  A kernel that is never
-    asked for an order (lambda and largest prime factors only) never
-    builds it.
+    n with p not dividing e.  ord(e, q), one descent and lift at any q, is
+    kept once computed for q <= limit in the order array (_orders), built
+    on its first use: 4 bytes per odd integer, odd q at index q // 2, and
+    q = 2^a at index -a - 1, in a tail of limit.bit_length() entries after
+    the odd ones.  prime_order reads it for a prime q.  A kernel never asked
+    for an order (lambda and largest prime factors only) never builds it.
     """
 
     def __init__(self, limit: int, e: int):
@@ -230,7 +231,10 @@ class OrderKernel:
         return kept_value
 
     def _prime_powers(self, n: int) -> list[tuple[int, int]]:
-        """(p, p^a) for each prime power exactly dividing 1 <= n <= limit."""
+        """(p, p^a) for each prime power exactly dividing n >= 1, p rising:
+        off the table for n <= limit, through arith.factorize above it."""
+        if not 1 <= n <= self.limit:
+            return [(p, p**a) for p, a in factorize(n).factors]
         spf = self._spf
         out = []
         while n > 1:
@@ -244,36 +248,34 @@ class OrderKernel:
         return out
 
     def _prime_power_order(self, p: int, q: int) -> int:
-        """ord(e, q) for q = p^a <= limit with p not dividing e."""
-        orders = self._orders
-        if orders is None:
-            limit = self.limit
-            orders = self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
-        i = q >> 1 if q & 1 else -q.bit_length()
-        o = orders[i]
-        if not o:
-            if q == p:
-                o = _prime_order(self.e, p, self._prime_powers(p - 1))
-            else:
-                o = self._prime_power_order(p, q // p)
-                if pow(self.e, o, q) != 1:
-                    o *= p
+        """ord(e, q) for q = p^a with p not dividing e: descended from p - 1
+        for q = p, else ord(e, q / p) or p times it; kept in the order array
+        for q <= limit."""
+        limit, i = self.limit, None  # i: q's index in the order array
+        if q <= limit:
+            orders = self._orders
+            if orders is None:
+                orders = self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
+            i = q >> 1 if q & 1 else -q.bit_length()
+            o = orders[i]
+            if o:
+                return o
+        if q == p:
+            o = _prime_order(self.e, p, self._prime_powers(p - 1))
+        else:
+            o = self._prime_power_order(p, q // p)
+            if pow(self.e, o, q) != 1:
+                o *= p
+        if i is not None:
             orders[i] = o
         return o
 
     def prime_order(self, p: int) -> int:
-        """ord*(e, p) for a prime p: ord(e, p), read off the order array for
-        p <= limit, or 1 when p divides e."""
-        if self.e % p == 0:
-            return 1
-        if p > self.limit:
-            return coprime_order(self.e, p)
-        return self._prime_power_order(p, p)
+        """ord*(e, p) for a prime p: ord(e, p), or 1 when p divides e."""
+        return 1 if self.e % p == 0 else self._prime_power_order(p, p)
 
     def ord(self, n: int) -> int:
         """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""
-        if not 1 <= n <= self.limit:
-            return coprime_order(self.e, n)
         e = self.e
         result = 1
         for p, q in self._prime_powers(n):
@@ -283,18 +285,12 @@ class OrderKernel:
 
     def lam(self, n: int) -> int:
         """Carmichael lambda(n)."""
-        if not 1 <= n <= self.limit:
-            return carmichael_lambda(factorize(n))
         return _lambda_lcm(self._prime_powers(n))
 
     def lpf(self, n: int) -> int:
         """Largest prime factor of n, 1 for n = 1."""
-        if not 1 <= n <= self.limit:
-            return factorize(n).factors[-1][0]
-        spf = self._spf
-        while spf[n]:
-            n //= spf[n]
-        return n
+        powers = self._prime_powers(n)
+        return powers[-1][0] if powers else 1
 
 
 _order_kernel = functools.lru_cache(maxsize=1)(OrderKernel)

@@ -81,6 +81,7 @@ import math
 import os
 import random
 import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -136,6 +137,8 @@ class SurveyConfig:
             raise ValueError(f"base must be >= 2, got {self.e}")
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        if self.sample_size < 1:  # every kind's digest carries it
+            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.exponent_override is not None and callable(kind.test):
             raise ValueError(f"--exponent conflicts with kind {self.kind}")
         if self.x_max < self.low():
@@ -237,21 +240,22 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 # exact tiers inside it
 
 _BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
+_U_EDGES = tuple(k / 20 for k in range(N_BINS))  # _BIN_EDGES as floats
 
 
 def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
     """Add to histogram the bin of each u = log(q)/log(x) in the fixed
     0.05-wide grid: the largest k <= 20 with q >= x^(k/20) (0 if none), so
     a value on an edge goes to the right bin.  Only the edge k nearest u,
-    among 1..20, is in doubt."""
-    edges = [k / 20 for k in range(N_BINS)]
-    guards = list(map(guard, edges))
+    among 1..20, is in doubt.  Every edge is at most 1, where guard(t) is
+    guard(1), so one band serves them all."""
+    band = guard(1.0)
     for q, x, u in zip(qs, xs, us):
         k = round(20.0 * u)
         if not 0 < k < N_BINS:  # min(max(k, 1), 20) at a fraction of the cost
             k = 1 if k < 1 else N_BINS - 1
-        e = edges[k]
-        below = u < e if abs(u - e) > guards[k] else power_compare(q, x, _BIN_EDGES[k]) < 0
+        e = _U_EDGES[k]
+        below = u < e if abs(u - e) > band else power_compare(q, x, _BIN_EDGES[k]) < 0
         histogram[k - below] += 1
 
 
@@ -355,14 +359,14 @@ def _rsa_pair_at(primes: list[int], cum: list[int], t: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=4)
-def _rsa_sample_indices(x_max: int, sample_size: int, seed: int) -> range | tuple[int, ...]:
+def _rsa_sample_indices(x_max: int, sample_size: int, seed: int) -> range | array:
     """Sorted global indices of the pairs to evaluate: range(total) to
-    enumerate them all, else a seeded sample of sample_size."""
+    enumerate them all, else a seeded sample of sample_size, 8 bytes each."""
     total = rsa_pair_count(x_max)
     if total <= sample_size:
         return range(total)
     rng = random.Random(seed)
-    return tuple(sorted(rng.sample(range(total), sample_size)))
+    return array("Q", sorted(rng.sample(range(total), sample_size)))
 
 
 # ---------------------------------------------------------------------------

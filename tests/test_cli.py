@@ -192,6 +192,12 @@ def test_survey_without_a_worker_exits_2(capsys):
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def test_survey_without_a_sample_exits_2(capsys):
+    for size in ("0", "-5"):
+        assert main(["survey", "--kind", "rsa-pair", "--max", "30", "--sample-size", size]) == 2
+        assert "sample_size must be >= 1" in capsys.readouterr().err
+
+
 def test_survey_epsilon_off_its_cap_exits_2(capsys):
     # eps(2^80) = 2/log log 2^80 = 0.498 < 1/2: no single threshold exponent
     assert main(["survey", "--kind", "ord-n", "--max", str(2**80),

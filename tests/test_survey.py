@@ -59,9 +59,13 @@ def item_decision(cfg, item, kernel):
     return decision(cfg, q, item if isinstance(item, int) else item[0] * item[1])
 
 
+_BINNING = SurveyConfig(kind=ORD_N, x_max=2, exponent_override=0.5)
+
+
 def ratio_bin(q, x):
-    """The u bin of q against x, which every kind but lambda-lambda takes."""
-    return decision(SurveyConfig(kind=ORD_N, x_max=x, exponent_override=0.5), q, x)[1]
+    """The u bin of q against x, which every kind but lambda-lambda takes;
+    it depends on neither the config's range nor its exponent."""
+    return decision(_BINNING, q, x)[1]
 
 
 def brute_coprime_order(e, n):
@@ -378,6 +382,12 @@ def test_rsa_pair_sampling_is_deterministic():
                                  chunk=13), workers=2)
     d1, d2 = r1.to_dict(), r2.to_dict()
     assert d1 == d2
+    # the sample's seeded draw is part of the report: the same pairs as ever
+    assert d1 == {
+        "schema": 1, "kind": "rsa-pair", "e": 2, "x_max": 500, "x_min": 2,
+        "epsilon_cap": 0.25, "exponent": None, "seed": 11, "sample_size": 40,
+        "sampled": True, "total": 40, "exceed": 1, "fraction": "1/40", "class_counts": None,
+        "histogram": [0, 0, 0, 0, 2, 3, 3, 5, 9, 7, 2, 4, 3, 0, 1, 0, 1, 0, 0, 0, 0]}
     other = run_survey(SurveyConfig(kind=RSA_PAIR, x_max=500, sample_size=40, seed=12))
     assert other.to_dict() != d1  # seed is part of the outcome
 
@@ -822,30 +832,53 @@ def test_overflow_names_the_item(monkeypatch, capsys):
 
 
 PRIME_KINDS = (SHIFTED_PRIME, RSA_PAIR, HIGH_FACTOR, CLASS_COUNTS)
+PRIME_CONFIGS = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR else 10**4,
+                              chunk=1000)
+                 for e in (2, 3, 6) for kind in PRIME_KINDS]
+
+
+def fresh_report(cfg):
+    """cfg's report on a new kernel."""
+    orders_mod._order_kernel.cache_clear()
+    return run_survey(cfg).to_dict()
 
 
 def test_the_kernel_arrays_change_nothing_but_the_speed():
     # the README's claim, attacked on the prime and pair kinds: a report must
     # not depend on which arrays an earlier survey filled, in which order,
     # nor in which process
-    configs = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR else 10**4,
-                            chunk=1000)
-               for e in (2, 3, 6) for kind in PRIME_KINDS]
-
-    def fresh(cfg):
-        orders_mod._order_kernel.cache_clear()
-        return run_survey(cfg).to_dict()
-
-    want = list(map(fresh, configs))
-    assert [run_survey(cfg).to_dict() for cfg in configs] == want
-    assert [run_survey(cfg).to_dict() for cfg in reversed(configs)] == want[::-1]
-    assert [run_survey(cfg, workers=2).to_dict() for cfg in configs] == want
+    want = list(map(fresh_report, PRIME_CONFIGS))
+    assert [run_survey(cfg).to_dict() for cfg in PRIME_CONFIGS] == want
+    assert [run_survey(cfg).to_dict() for cfg in reversed(PRIME_CONFIGS)] == want[::-1]
+    assert [run_survey(cfg, workers=2).to_dict() for cfg in PRIME_CONFIGS] == want
     # one range, the base switched away and back: a kernel's arrays are
     # never read at another base
     for e in (2, 3, 2):
         for kind in PRIME_KINDS:
             cfg = SurveyConfig(kind=kind, e=e, x_max=3000, chunk=1000)
-            assert run_survey(cfg).to_dict() == fresh(cfg), cfg
+            assert run_survey(cfg).to_dict() == fresh_report(cfg), cfg
+
+
+def test_the_prime_kinds_read_the_same_past_the_table(monkeypatch):
+    # above its table the kernel factors through arith.factorize into the
+    # same descent: with the cap lowered, ord(e, p), ord*(e, p - 1) and
+    # lpf(p - 1) leave the table, and every report equals the full table's
+    # (the integer kinds are surveyed past the cap in
+    # test_chunk_sieve_matches_the_kernel_per_item)
+    want = list(map(fresh_report, PRIME_CONFIGS))
+    factored = []
+    real_factorize = orders_mod.factorize
+
+    def recording_factorize(n):
+        factored.append(n)
+        return real_factorize(n)
+
+    monkeypatch.setattr(orders_mod, "factorize", recording_factorize)
+    monkeypatch.setattr(survey_mod, "SPF_TABLE_MAX", 2**10)
+    for cfg, report in zip(PRIME_CONFIGS, want):
+        factored.clear()
+        assert fresh_report(cfg) == report, cfg
+        assert factored and min(factored) > 2**10, cfg
 
 
 def test_each_prime_order_is_computed_once_per_process(monkeypatch):

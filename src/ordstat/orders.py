@@ -12,16 +12,17 @@ for each prime p of it) and never factors lambda(n) or an order.
 
 Surveys read the same quantities through an OrderKernel per base, which
 gets each factorization from one place (OrderKernel._prime_powers): a
-smallest-prime-factor table of [1, min(x_max, 2^27)], and arith.factorize
-above it.  Either way it runs the same descent and lambda rule
-(_lambda_lcm).  The kernel owns all of a survey process's state: the table,
-its orders ord(e, q) of the prime powers q <= limit (which class-counts
-reads per prime), built when the first order is asked, and the arrays in
-which the survey keeps its other per-integer values (OrderKernel.kept: the
-integer kinds' prime-power values, and ord*(e, p - 1) per prime for
-shifted-prime and rsa-pair), each 2 bytes per integer up to the limit.
-Replacing the kernel frees them all.  Every path is exact, so neither the
-table nor an array can change a result.
+smallest-prime-factor table of [1, min(x_max, SPF_TABLE_MAX)], and
+arith.factorize above it.  Only the kernel knows that cap.  Either way it
+runs the same descent and lambda rule (_lambda_lcm).  The kernel owns all
+of a survey process's state: the table and at most three arrays, one for
+each quantity it keeps at the prime powers q up to its limit:
+O(q) = ord*(e, q), L(q) = ord*(e, lambda(q)) and LL(q) = lambda(lambda(q)),
+each 2 bytes per integer and built on the quantity's first use.  Every
+survey kind's q is the lcm of one quantity over its item's prime powers,
+so kinds with one quantity share its array.  Replacing the kernel frees
+them all.  Every path is exact, so neither the table nor an array can
+change a result.
 """
 
 from __future__ import annotations
@@ -184,51 +185,63 @@ def order_profile(e: int, n: int) -> OrderProfile:
 
 
 class OrderKernel:
-    """lambda(n), ord*(e, n) and the largest prime factor of n for one base e,
-    all from n's prime powers, which _prime_powers alone gets: off the table
-    for 1 <= n <= limit, through arith.factorize above it.
+    """The survey quantities for one base e, at a prime power q = p^a:
 
-    The table holds the smallest prime factor of every composite n <= limit
-    and 0 for 0, 1 and the primes: that factor is at most isqrt(limit),
-    below 2^16 for limit <= 2^32, so 2 bytes per entry suffice.  ord*(e, n)
-    is the lcm of ord(e, q) over the prime powers q = p^a exactly dividing
-    n with p not dividing e.  ord(e, q), one descent and lift at any q, is
-    kept once computed for q <= limit in the order array (_orders), built
-    on its first use: 4 bytes per odd integer, odd q at index q // 2, and
-    q = 2^a at index -a - 1, in a tail of limit.bit_length() entries after
-    the odd ones.  prime_order reads it for a prime q.  A kernel never asked
-    for an order (lambda and largest prime factors only) never builds it.
+        O(q)    ord*(e, q): ord(e, q), or 1 when p divides e
+        L(q)    ord*(e, lambda(q))
+        LL(q)   lambda(lambda(q))
+        lpf     the largest prime factor of q - 1, for a prime q
+
+    O(p) descends from p - 1 (_prime_order) and O(p^a) is O(p^(a-1)) or p
+    times it, as one pow() decides.  L and LL take lambda(q) by the lambda
+    rule, then ord and lam below.  O, L and LL are kept once computed for
+    q <= limit, each in one array of its own, built on the quantity's first
+    use, under one slot rule: odd q at index q // 2, and q = 2^a at index
+    -a - 1, in a tail of limit.bit_length() entries after the odd ones.
+    That is 4 bytes per odd integer, 2 per integer, like the table.  lpf is
+    cheap and kept nowhere.
+
+    The kernel also gives ord*(e, n), lambda(n) and the largest prime
+    factor of n at any n >= 1, from n's prime powers, which _prime_powers
+    alone gets: off the table for n <= limit, through arith.factorize above
+    it.  The table covers [1, limit], limit = min(the limit asked,
+    SPF_TABLE_MAX).  It holds the smallest prime factor of every composite
+    n and 0 for 0, 1 and the primes: that factor is at most isqrt(limit),
+    below 2^16, so 2 bytes per entry suffice.
     """
 
     def __init__(self, limit: int, e: int):
-        self.limit = limit
+        limit = self.limit = min(limit, SPF_TABLE_MAX)
         self.e = e
         spf = array("H", bytes(2 * (limit + 1)))
         # descending, so that each entry ends up holding its smallest prime
         for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
             spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
         self._spf = spf
-        self._orders: array | None = None  # built on the first order asked
-        self._arrays: dict = {}
+        self._kept: dict[str, array] = {}
 
-    def kept(self, key, value: Callable[[int], int]) -> Callable[[int], int]:
-        """value, each value(n) for odd 1 <= n <= limit kept once computed in
-        the kernel's array for key, at index n // 2; value must be positive
-        (0 marks a value not yet computed) and below 2^32.  4 bytes per odd
-        integer, 2 per integer; one array per key for the kernel's life,
-        shared by every value kept under that key."""
-        limit, kept = self.limit, self._arrays.get(key)
+    def values(self, quantity: str, qs: Iterable[int]) -> list[int]:
+        """The column of quantity ("O", "L", "LL" or "lpf") at each q of qs,
+        a prime power, or 1 where O, L and LL are 1: q = 1's slot holds 1
+        from the start, and 0 marks a value not yet computed."""
+        if quantity == "lpf":
+            return [self.lpf(q - 1) for q in qs]
+        limit, compute = self.limit, _QUANTITIES[quantity]
+        kept = self._kept.get(quantity)
         if kept is None:
-            kept = self._arrays[key] = array("I", [0]) * (limit // 2 + 1)
-
-        def kept_value(n: int) -> int:
-            if n & 1 and n <= limit:
-                v = kept[n >> 1]
-                if not v:
-                    v = kept[n >> 1] = value(n)
-                return v
-            return value(n)
-        return kept_value
+            kept = self._kept[quantity] = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
+            kept[0] = 1
+        out = []
+        for q in qs:
+            if q > limit:
+                v = compute(self, *self._prime_powers(q)[0])
+            else:
+                i = q >> 1 if q & 1 else -q.bit_length()
+                v = kept[i]
+                if not v:  # q's prime is its table entry, or q when q is prime
+                    v = kept[i] = compute(self, self._spf[q] or q, q)
+            out.append(v)
+        return out
 
     def _prime_powers(self, n: int) -> list[tuple[int, int]]:
         """(p, p^a) for each prime power exactly dividing n >= 1, p rising:
@@ -247,41 +260,9 @@ class OrderKernel:
             out.append((p, q))
         return out
 
-    def _prime_power_order(self, p: int, q: int) -> int:
-        """ord(e, q) for q = p^a with p not dividing e: descended from p - 1
-        for q = p, else ord(e, q / p) or p times it; kept in the order array
-        for q <= limit."""
-        limit, i = self.limit, None  # i: q's index in the order array
-        if q <= limit:
-            orders = self._orders
-            if orders is None:
-                orders = self._orders = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
-            i = q >> 1 if q & 1 else -q.bit_length()
-            o = orders[i]
-            if o:
-                return o
-        if q == p:
-            o = _prime_order(self.e, p, self._prime_powers(p - 1))
-        else:
-            o = self._prime_power_order(p, q // p)
-            if pow(self.e, o, q) != 1:
-                o *= p
-        if i is not None:
-            orders[i] = o
-        return o
-
-    def prime_order(self, p: int) -> int:
-        """ord*(e, p) for a prime p: ord(e, p), or 1 when p divides e."""
-        return 1 if self.e % p == 0 else self._prime_power_order(p, p)
-
     def ord(self, n: int) -> int:
         """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""
-        e = self.e
-        result = 1
-        for p, q in self._prime_powers(n):
-            if e % p:
-                result = math.lcm(result, self._prime_power_order(p, q))
-        return result
+        return math.lcm(*self.values("O", [q for _, q in self._prime_powers(n)]))
 
     def lam(self, n: int) -> int:
         """Carmichael lambda(n)."""
@@ -292,5 +273,24 @@ class OrderKernel:
         powers = self._prime_powers(n)
         return powers[-1][0] if powers else 1
 
+
+def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
+    """O(q) at q = p^a: descended from p - 1 for q = p, without
+    OrderKernel.ord, else O(q / p) or p times it."""
+    e = kernel.e
+    if e % p == 0:
+        return 1
+    if q == p:
+        return _prime_order(e, p, kernel._prime_powers(p - 1))
+    [o] = kernel.values("O", [q // p])
+    return o if pow(e, o, q) == 1 else o * p
+
+
+# How the kernel computes each kept quantity at a prime power q = p^a.
+_QUANTITIES = {
+    "O": _prime_power_order,
+    "L": lambda kernel, p, q: kernel.ord(_lambda_lcm([(p, q)])),
+    "LL": lambda kernel, p, q: kernel.lam(_lambda_lcm([(p, q)])),
+}
 
 _order_kernel = functools.lru_cache(maxsize=1)(OrderKernel)

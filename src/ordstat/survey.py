@@ -7,23 +7,26 @@ commutative monoid over disjoint ranges, so a survey can be split into
 chunks, evaluated by any number of workers, checkpointed, and resumed, with
 bit-identical output throughout.
 
-Each kind is one _Kind record in _KINDS: its items, q and x, the test, the
-exponent t and the lowest item.
+Each kind is one _Kind record in _KINDS: a population (every integer, the
+primes, or the pairs of primes p < l < 2p), one quantity of the order
+kernel (orders.OrderKernel: O, L, LL or lpf) at a prime power, the test,
+the exponent t and the lowest item.  An item's q is the lcm of the
+quantity over the item's prime powers.
 
-    kind             items       q                        x    test      t
-    ord-n            n >= 16     ord*(e, n)               n    q >  x^t  1/2 + eps
-    lambda-n         n >= 16     ord*(e, lambda(n))       n    q >  x^t  1/2 + eps
-    one-minus-delta  n >= 16     ord*(e, lambda(n))       n    q >  x^t  1 - sqrt(log log n / log n)
-    lambda-lambda    n           lambda(lambda(n))        n    q >  n / exp((log log n)^3)
-    shifted-prime    primes p    ord*(e, p - 1)           p    q >= x^t  1/2 + eps
-    high-factor      primes p    largest prime of p - 1   p    q >  x^t  677/1000
-    class-counts     primes p    ord*(e, p)               p    class H of classify's L/M/H
-    rsa-pair         p < l < 2p  lcm(ord*(e, p - 1), ord*(e, l - 1))  pl  q >= x^t  1/2 + eps
+    kind             items       quantity  q                   x    test      t
+    ord-n            n >= 16     O         ord*(e, n)          n    q >  x^t  1/2 + eps
+    lambda-n         n >= 16     L         ord*(e, lambda(n))  n    q >  x^t  1/2 + eps
+    one-minus-delta  n >= 16     L         ord*(e, lambda(n))  n    q >  x^t  1 - sqrt(log log n / log n)
+    lambda-lambda    n           LL        lambda(lambda(n))   n    q >  n / exp((log log n)^3)
+    shifted-prime    primes p    L         ord*(e, p - 1)      p    q >= x^t  1/2 + eps
+    high-factor      primes p    lpf       largest prime of p - 1  p  q >  x^t  677/1000
+    class-counts     primes p    O         ord*(e, p)          p    class H of classify's L/M/H
+    rsa-pair         p < l < 2p  L         lcm(ord*(e, p - 1), ord*(e, l - 1))  pl  q >= x^t  1/2 + eps
 
 The statistic is u = log(q)/log(x), except for lambda-lambda's deficiency
 log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
-is decided as columns: the kind's columns function gives its q and x
-columns, every item takes log q and log x once, and one column decider per
+is decided as columns: the kind's population gives its q and x columns,
+every item takes log q and log x once, and one column decider per
 test shape (_fixed_exponent, _lambda_lambda, _one_minus_delta, _classes)
 tallies the tests and bins into the chunk's result.  Each decision follows
 classify's one threshold rule on the item's u: a column function takes the
@@ -34,30 +37,29 @@ functions, class-counts' L/M/H labels through classify.order_classes, the
 one class rule that classify_prime also calls; the u bins and
 lambda-lambda's test and deficiency bin are decided here, lambda-lambda
 taking log log n once for both.  The rsa-pair q equals
-ord*(e, lcm(p - 1, l - 1)): the e-free part of an lcm is the lcm of the
-e-free parts, and the order modulo an lcm is the lcm of the orders.  With
-the default cap 1/4 class-counts finds no H prime by construction, since
-ord*(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).  A fixed --exponent replaces t
-and lowers the 16 floor to 2; lambda-lambda, one-minus-delta and
-class-counts reject it.  eps(x) = min(cap, 2/log log x) never increases, so
-1/2 + eps (and class-counts' 1/2 + 2 eps) is one Fraction per config when
-eps is on its cap at the largest x judged (x_max, or x_max^2 for pairs).
-That holds below 2^64; a config where it fails is rejected.  An x_min
-below the floor is taken as given, but one-minus-delta needs n >= 3.
+ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the e-free part of an lcm
+is the lcm of the e-free parts, and the order modulo an lcm is the lcm of
+the orders.  With the default cap 1/4 class-counts finds no H prime by
+construction, since ord*(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).  A fixed
+--exponent replaces t and lowers the 16 floor to 2; lambda-lambda,
+one-minus-delta and class-counts reject it.  eps(x) = min(cap,
+2/log log x) never increases, so 1/2 + eps (and class-counts' 1/2 + 2 eps)
+is one Fraction per config when eps is on its cap at the largest x judged
+(x_max, or x_max^2 for pairs).  That holds below 2^64; a config where it
+fails is rejected.  An x_min below the floor is taken as given, but
+one-minus-delta needs n >= 3.
 
 Each process builds, on the first chunk it evaluates, one orders.OrderKernel
-for the config's base, and every kind reads q from it, through arrays the
-kernel owns that keep each value once computed (OrderKernel.kept), 2 bytes
-per integer up to the table's limit like the table.  The kinds over primes
-read per prime: class-counts reads ord(e, p) off the kernel's order array
-(OrderKernel.prime_order); shifted-prime keeps ord*(e, p - 1) in an array
-that rsa-pair shares and reads twice per pair; high-factor reads the table
-directly.  The four integer kinds read the kernel only at prime powers:
-their q is lcm-multiplicative (q(n) is the lcm of q(p^a) over the prime
-powers p^a exactly dividing n, and q(p^a) divides q(p^(a+1))), so a chunk's
-q values come from a sieve over its prime powers (_sieve_values), which
-keeps q(p^a) in one array per quantity.  A survey at another range or base
-replaces the kernel and frees them all.
+for the config's range and base, and every kind reads its quantity off it a
+column at a time (OrderKernel.values).  The kernel keeps O, L and LL, each
+in one array, so kinds with one quantity share its array: ord-n and
+class-counts share O; lambda-n, one-minus-delta, shifted-prime and
+rsa-pair share L (which fills O as well); lambda-lambda keeps LL, and
+high-factor keeps none.  A prime is its own prime power, and a pair costs
+two reads.  For the integers, the quantity at p^a divides the quantity at
+p^(a+1), so a chunk's q values come from a sieve over its prime powers
+(_sieve_values).  A survey at another range or base replaces the kernel
+and frees its arrays with it.
 Checkpoints are JSON carrying a config digest, the completed chunks with
 their item counts, and the partially merged result; a checkpoint whose
 chunks and counts do not add up is refused, never resumed.  A run writes
@@ -92,7 +94,7 @@ from typing import Callable
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _above, _above_fixed,
                        guard, order_classes, power_compare)
-from .orders import SPF_TABLE_MAX, OrderKernel, _order_kernel
+from .orders import OrderKernel, _order_kernel
 
 ORD_N = "ord-n"
 SHIFTED_PRIME = "shifted-prime"
@@ -168,7 +170,7 @@ class SurveyConfig:
         kind = _KINDS[self.kind]
         if isinstance(kind.exponent, Fraction):
             return kind.exponent
-        return self.epsilon.exponent(self.x_max**2 if kind.items is _pair_items
+        return self.epsilon.exponent(self.x_max**2 if kind.population is _pairs
                                      else self.x_max, kind.exponent)
 
 
@@ -187,7 +189,7 @@ class SurveyResult:
 
     def to_dict(self) -> dict:
         cfg = self.config
-        pairs = _KINDS[cfg.kind].items is _pair_items
+        pairs = _KINDS[cfg.kind].population is _pairs
         return {
             "schema": 1,
             "kind": cfg.kind,
@@ -211,7 +213,7 @@ def empty_result(config: SurveyConfig) -> SurveyResult:
     """The result of no items: zero counts, plus the class tally and the
     sampled flag, which depend on the config alone."""
     kind = _KINDS[config.kind]
-    sampled = kind.items is _pair_items and not isinstance(
+    sampled = kind.population is _pairs and not isinstance(
         _rsa_sample_indices(config.x_max, config.sample_size, config.seed), range)
     return SurveyResult(config=config, class_counts=dict.fromkeys(kind.classes, 0) or None,
                         sampled=sampled)
@@ -382,12 +384,12 @@ def _pair_items(cfg: SurveyConfig, lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 class _Kind:
-    """What sets a survey kind apart.  items(cfg, lo, hi) lists the items
-    whose index lies in [lo, hi); reader(kernel) gives the function that
-    reads an item's quantity q off the kernel, the value x it is judged
-    against being the item (p * l for a pair); columns(kind, cfg, kernel,
-    lo, hi) gives the q and x of those items as two columns.  test is the
-    least power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
+    """What sets a survey kind apart: one population, one kernel quantity
+    and one test.  population(quantity, cfg, kernel, lo, hi) gives the q
+    and x columns of the items whose index lies in [lo, hi), q being the
+    lcm of the kernel's quantity ("O", "L", "LL" or "lpf",
+    OrderKernel.values) over an item's prime powers.  test is the least
+    power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
     q >= x^t), with u = log q / log x binned; or the column decider
     test(cfg, result, qs, xs, us, lnxs) of a kind with a test of its own.
     decide is the kind's column decider either way.  exponent is the
@@ -395,105 +397,86 @@ class _Kind:
     test carries its formula.  floor is the lowest item under that t;
     classes are the labels a kind tallies."""
 
-    __slots__ = ("items", "columns", "reader", "test", "decide", "exponent", "floor",
-                 "classes")
+    __slots__ = ("population", "quantity", "test", "decide", "exponent", "floor", "classes")
 
-    def __init__(self, items: Callable, reader: Callable, test: int | Callable,
+    def __init__(self, population: Callable, quantity: str, test: int | Callable,
                  exponent: int | Fraction | None, floor: int = 2,
                  classes: tuple[str, ...] = ()):
-        self.items, self.reader, self.test = items, reader, test
-        self.columns = _sieved if items is _int_items else _read
+        self.population, self.quantity, self.test = population, quantity, test
         self.decide = test if callable(test) else functools.partial(_fixed_exponent, test)
         self.exponent, self.floor, self.classes = exponent, floor, classes
 
 
-def _int_items(cfg: SurveyConfig, lo: int, hi: int) -> range:
-    return range(lo, hi)
+def _read(column: Callable[[list], list[int]], items: list) -> list[int]:
+    """column(items), whose OverflowError names the first item that
+    overflows, found by reading the items again one at a time."""
+    try:
+        return column(items)
+    except OverflowError:
+        for item in items:
+            try:
+                column([item])
+            except OverflowError as exc:
+                raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
+        raise
 
 
-def _prime_items(cfg: SurveyConfig, lo: int, hi: int) -> list[int]:
-    return primes_in_range(lo, hi)
+def _integers(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
+    """Every integer n in [lo, hi): q off the chunk's sieve, x = n."""
+    return _sieve_values(quantity, kernel, lo, hi), range(lo, hi)
 
 
-def _named(read: Callable) -> Callable:
-    """read, its OverflowError naming the item it was reading."""
-    def named(item):
-        try:
-            return read(item)
-        except OverflowError as exc:
-            raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
-    return named
+def _primes(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
+    """The primes p in [lo, hi), each its own prime power: q is the
+    quantity at p, x = p."""
+    primes = primes_in_range(lo, hi)
+    return _read(functools.partial(kernel.values, quantity), primes), primes
 
 
-def _x(item) -> int:
-    """The value an item is judged against: the item, or p * l for a pair."""
-    return item if isinstance(item, int) else item[0] * item[1]
-
-
-def _sieved(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
-    """An integer kind's columns: q off the chunk's sieve, x the items."""
-    return _sieve_values(kind, kernel, lo, hi), kind.items(cfg, lo, hi)
-
-
-def _read(kind: _Kind, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
-    """A prime or pair kind's columns, read item by item."""
-    items = kind.items(cfg, lo, hi)
-    return (list(map(_named(kind.reader(kernel)), items)),
-            items if kind.items is _prime_items else list(map(_x, items)))
-
-
-def _ord_lambda(k: OrderKernel) -> Callable[[int], int]:
-    return lambda n: k.ord(k.lam(n))
-
-
-def _shifted_orders(k: OrderKernel) -> Callable[[int], int]:
-    """p -> ord*(e, p - 1), kept per odd prime p in one kernel array that
-    shifted-prime and rsa-pair share."""
-    return k.kept(_shifted_orders, lambda p: k.ord(p - 1))
-
-
-def _pair_orders(k: OrderKernel) -> Callable[[tuple[int, int]], int]:
-    """(p, l) -> lcm(ord*(e, p - 1), ord*(e, l - 1)), off the shifted orders."""
-    shifted = _shifted_orders(k)
-    return lambda pl: lcm(shifted(pl[0]), shifted(pl[1]))
+def _pairs(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
+    """The pairs (p, l) of _pair_items: q is the lcm of the quantity at p
+    and at l, x = p * l."""
+    def column(pairs):
+        return list(map(lcm, kernel.values(quantity, [p for p, _ in pairs]),
+                        kernel.values(quantity, [l for _, l in pairs])))
+    pairs = _pair_items(cfg, lo, hi)
+    return _read(column, pairs), [p * l for p, l in pairs]
 
 
 _KINDS = {
-    ORD_N: _Kind(_int_items, lambda k: k.ord, 1, 1, 16),
-    LAMBDA_N: _Kind(_int_items, _ord_lambda, 1, 1, 16),
-    ONE_MINUS_DELTA: _Kind(_int_items, _ord_lambda, _one_minus_delta, None, 16),
-    LAMBDA_LAMBDA: _Kind(_int_items, lambda k: lambda n: k.lam(k.lam(n)), _lambda_lambda, None),
-    SHIFTED_PRIME: _Kind(_prime_items, _shifted_orders, 0, 1),
-    HIGH_FACTOR: _Kind(_prime_items, lambda k: lambda p: k.lpf(p - 1), 1, Fraction(677, 1000)),
-    CLASS_COUNTS: _Kind(_prime_items, lambda k: k.prime_order, _classes, 2,
-                        classes=("L", "M", "H")),
-    RSA_PAIR: _Kind(_pair_items, _pair_orders, 0, 1),
+    ORD_N: _Kind(_integers, "O", 1, 1, 16),
+    LAMBDA_N: _Kind(_integers, "L", 1, 1, 16),
+    ONE_MINUS_DELTA: _Kind(_integers, "L", _one_minus_delta, None, 16),
+    LAMBDA_LAMBDA: _Kind(_integers, "LL", _lambda_lambda, None),
+    SHIFTED_PRIME: _Kind(_primes, "L", 0, 1),
+    HIGH_FACTOR: _Kind(_primes, "lpf", 1, Fraction(677, 1000)),
+    CLASS_COUNTS: _Kind(_primes, "O", _classes, 2, classes=("L", "M", "H")),
+    RSA_PAIR: _Kind(_pairs, "L", 0, 1),
 }
 
 
-def _sieve_values(kind: _Kind, kernel: OrderKernel, lo: int, hi: int) -> list[int]:
-    """q(n) for each n in [lo, hi), for an integer kind.  Its q is the lcm of
-    q(p^a) over the prime powers p^a exactly dividing n, and q(p^a) divides
-    q(p^(a+1)); so every multiple of each prime power Q = p^k < hi, for the
-    primes p <= sqrt(hi - 1), takes the lcm with q(Q) and loses a p from
-    its cofactor, which ends as 1 or the one prime r of n above sqrt(hi - 1),
-    whose q(r) comes last.  q(Q) is the kind's reader itself, kept for odd Q
-    in the kernel's array for kind.reader (lambda-n and one-minus-delta
-    share one) and taken anew for the few powers of 2 of each chunk."""
-    prime_power_value = kernel.kept(kind.reader, _named(kind.reader(kernel)))
-    size = hi - lo
-    qs, cofactor = [1] * size, list(range(lo, hi))
+def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[int]:
+    """The lcm of the kernel's quantity over the prime powers p^a exactly
+    dividing n, for each n in [lo, hi).  The quantity at p^a divides it at
+    p^(a+1), so every multiple of each prime power Q = p^k < hi, for the
+    primes p <= sqrt(hi - 1), takes the lcm with the quantity at Q and loses
+    a p from its cofactor, which ends as 1 or the one prime r of n above
+    sqrt(hi - 1), whose value comes last.  Both the Q and the r are read as
+    one column each."""
+    read = functools.partial(_read, functools.partial(kernel.values, quantity))
+    size, powers = hi - lo, []
     for p in primes_in_range(2, math.isqrt(hi - 1) + 1):
         Q = p
-        while Q < hi:
-            first = -lo % Q
-            if first < size:
-                cofactor[first::Q] = map(floordiv, cofactor[first::Q], repeat(p))
-                v = prime_power_value(Q)
-                if v > 1:
-                    qs[first::Q] = map(math.lcm, qs[first::Q], repeat(v))
+        while Q < hi and -lo % Q < size:  # p * Q has a multiple here only if Q has
+            powers.append((p, Q))
             Q *= p
-    return [math.lcm(q, prime_power_value(r)) if r > 1 else q for q, r in zip(qs, cofactor)]
+    qs, cofactor = [1] * size, list(range(lo, hi))
+    for (p, Q), v in zip(powers, read([Q for _, Q in powers])):
+        first = -lo % Q
+        cofactor[first::Q] = map(floordiv, cofactor[first::Q], repeat(p))
+        if v > 1:
+            qs[first::Q] = map(math.lcm, qs[first::Q], repeat(v))
+    return list(map(math.lcm, qs, read(cofactor)))
 
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
@@ -520,14 +503,13 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
-    The kind's columns function reads their q and x, and its decider decides
-    them all.  The order kernel reads the table over
-    [1, min(x_max, SPF_TABLE_MAX)] and is built on a process's first chunk,
-    so pool workers build their own under any start method, and surveys
-    with the same range and base share one."""
-    kernel = _order_kernel(min(cfg.x_max, SPF_TABLE_MAX), cfg.e)
+    The kind's population reads their q and x, and its decider decides
+    them all.  The order kernel for x_max and the base is built on a
+    process's first chunk, so pool workers build their own under any start
+    method, and surveys with the same range and base share one."""
+    kernel = _order_kernel(cfg.x_max, cfg.e)
     kind = _KINDS[cfg.kind]
-    return _decide(cfg, *kind.columns(kind, cfg, kernel, lo, hi))
+    return _decide(cfg, *kind.population(kind.quantity, cfg, kernel, lo, hi))
 
 
 def config_digest(cfg: SurveyConfig) -> str:
@@ -604,7 +586,7 @@ def _load_checkpoint(path: str, cfg: SurveyConfig
              not set(chunks) <= set(plan_chunks(cfg))),
             ("a chunk done twice", len(set(chunks)) < len(chunks)),
             ("a chunk count other than its range's size",
-             kind.items is _int_items and any(n != hi - lo for lo, hi, n in done)),
+             kind.population is _integers and any(n != hi - lo for lo, hi, n in done)),
             ("a total other than the sum of the done chunks' counts",
              partial.total != sum(n for _, _, n in done)),
             ("a negative count", min(partial.exceed, *partial.histogram, *counts.values()) < 0),

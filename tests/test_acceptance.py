@@ -61,7 +61,9 @@ def test_criterion_1_order_oracle_equivalence():
 
 def _enumerated_group_exponent(n: int) -> int:
     """Max element order mod n over every unit, independent of the
-    prime-power lambda rule: trial-division phi, then per-element descent."""
+    prime-power lambda rule: trial-division phi, then per-element descent.
+    A unit a with a^best = 1 has an order dividing best, so it cannot raise
+    the maximum and is skipped."""
     if n == 1:
         return 1
     phi = 1
@@ -90,7 +92,7 @@ def _enumerated_group_exponent(n: int) -> int:
         qs.append(t)
     best = 1
     for a in range(1, n):
-        if math.gcd(a, n) != 1:
+        if math.gcd(a, n) != 1 or pow(a, best, n) == 1:
             continue
         k = phi
         for q in qs:

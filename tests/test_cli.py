@@ -167,6 +167,17 @@ def test_readme_examples_print_what_they_show(capsys):
             assert json.loads(printed) == json.loads(" ".join(out)), argv
 
 
+def test_readme_library_example_prints_the_golden_counts(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    total, exceed, fraction = capsys.readouterr().out.split()
+    golden = json.loads((GOLDEN_DIR / "oracle_measurements.json").read_text())
+    want = golden["surveys"]["lambda-n@100000"]
+    assert (int(total), int(exceed)) == (want["total"], want["exceed"])
+    assert float(fraction) == want["exceed"] / want["total"]
+
+
 def test_survey_class_counts_json(capsys):
     doc = run_json(capsys, ["survey", "--kind", "class-counts", "--e", "2",
                             "--max", "1000"])

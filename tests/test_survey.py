@@ -52,10 +52,21 @@ def decision(cfg, q, x):
             labels[0] if labels else None)
 
 
+def defined_q(kind, kernel):
+    """item -> the kind's q as the survey module's table defines it, from
+    the kernel's ord, lam and lpf at the item: no sieve, and no kind's
+    column."""
+    k = kernel
+    return {ORD_N: k.ord, LAMBDA_N: lambda n: k.ord(k.lam(n)),
+            ONE_MINUS_DELTA: lambda n: k.ord(k.lam(n)), LAMBDA_LAMBDA: lambda n: k.lam(k.lam(n)),
+            SHIFTED_PRIME: lambda p: k.ord(p - 1), HIGH_FACTOR: lambda p: k.lpf(p - 1),
+            CLASS_COUNTS: k.ord, RSA_PAIR: lambda pl: lcm(k.ord(pl[0] - 1), k.ord(pl[1] - 1))}[kind]
+
+
 def item_decision(cfg, item, kernel):
-    """decision of a survey item, q read off kernel by the kind's reader,
-    x the item or p * l for a pair (p, l)."""
-    q = _KINDS[cfg.kind].reader(kernel)(item)
+    """decision of a survey item, q read off kernel by the kind's
+    definition, x the item or p * l for a pair (p, l)."""
+    q = defined_q(cfg.kind, kernel)(item)
     return decision(cfg, q, item if isinstance(item, int) else item[0] * item[1])
 
 
@@ -363,7 +374,7 @@ def test_class_counts_partition():
 def test_rsa_pair_full_enumeration():
     cfg = SurveyConfig(kind=RSA_PAIR, x_max=19, chunk=5)
     chunks = plan_chunks(cfg)
-    pairs = [item for lo, hi in chunks for item in _KINDS[RSA_PAIR].items(cfg, lo, hi)]
+    pairs = [item for lo, hi in chunks for item in survey_mod._pair_items(cfg, lo, hi)]
     assert (11, 19) in pairs
     assert all(p < l < 2 * p for p, l in pairs)
     r = run_survey(cfg)
@@ -758,16 +769,17 @@ INT_KINDS = (ORD_N, LAMBDA_N, ONE_MINUS_DELTA, LAMBDA_LAMBDA)
 
 def _per_item_result(cfg):
     """The survey's result with each q read item by item off a new kernel
-    by the kind's reader, no sieve, and the items decided as one column."""
+    by the kind's definition, no sieve, and the items decided as one column."""
     items = range(cfg.low(), cfg.x_max + 1)
-    read = _KINDS[cfg.kind].reader(OrderKernel(cfg.x_max, cfg.e))
+    read = defined_q(cfg.kind, OrderKernel(cfg.x_max, cfg.e))
     return survey_mod._decide(cfg, list(map(read, items)), list(items)).to_dict()
 
 
 def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
-    # an integer kind's q(n) is the lcm of q(p^a) over p^a || n: the chunk
-    # sieve must give the kind's reader at every n, whatever the chunk boundaries
-    assert {k for k in KINDS if _KINDS[k].items is _KINDS[ORD_N].items} == set(INT_KINDS)
+    # an integer kind's q(n) is the lcm of its quantity over p^a || n: the
+    # chunk sieve must give the kind's definition at every n, whatever the
+    # chunk boundaries
+    assert {k for k in KINDS if _KINDS[k].population is _KINDS[ORD_N].population} == set(INT_KINDS)
     x = 2 * 10**5
     # chunks of 1 and 7 on windows holding 2, 3, 2^17, 3^11 and 7^6
     small = [(2, 600), (131_000, 131_100), (177_100, 177_200), (117_600, 117_700)]
@@ -776,15 +788,16 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
         kernel = OrderKernel(x, e)
         for name in INT_KINDS:
             kind = _KINDS[name]
-            # one-minus-delta shares lambda-n's reader; lambda-lambda's is free of e
-            key = kind.reader if name == LAMBDA_LAMBDA else (kind.reader, e)
+            # one-minus-delta shares lambda-n's quantity; lambda-lambda's is free of e
+            key = kind.quantity if name == LAMBDA_LAMBDA else (kind.quantity, e)
             if key not in want:
-                want[key] = [None, None] + list(map(kind.reader(kernel), range(2, x + 1)))
+                want[key] = [None, None] + list(map(defined_q(name, kernel), range(2, x + 1)))
             for chunk, windows in ((10**4, [(2, x + 1)]), (1777, [(2, x + 1)]),
                                    (7, small), (1, small)):
                 for lo, hi in windows:
                     got = [q for a in range(lo, hi, chunk)
-                           for q in survey_mod._sieve_values(kind, kernel, a, min(a + chunk, hi))]
+                           for q in survey_mod._sieve_values(kind.quantity, kernel, a,
+                                                             min(a + chunk, hi))]
                     assert got == want[key][lo:hi], (e, name, chunk, lo)
     # whole surveys: an x_min window, and a fixed exponent, whose floor is 2
     for name in (ORD_N, LAMBDA_N):
@@ -800,27 +813,27 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
         cfg = SurveyConfig(kind=LAMBDA_N, e=e, x_max=3000)
         assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
     # past the table, prime powers and cofactors are valued uncached
-    monkeypatch.setattr(survey_mod, "SPF_TABLE_MAX", 500)
+    monkeypatch.setattr(orders_mod, "SPF_TABLE_MAX", 500)
     for name in INT_KINDS:
         cfg = SurveyConfig(kind=name, e=6, x_max=3000, chunk=1000)
         assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
 
 
 def test_overflow_names_the_item(monkeypatch, capsys):
-    def overflowing_at_100_and_101(method):
-        real = getattr(OrderKernel, method)
-
-        def stub(kernel, n):
-            if n in (100, 101):
+    def overflowing_at(bad, real):
+        def stub(kernel, *args):
+            if args[-1] == bad:
                 raise OverflowError("stub")
-            return real(kernel, n)
-        monkeypatch.setattr(OrderKernel, method, stub)
+            return real(kernel, *args)
+        return stub
 
-    # ord-n reads ord(101) in the chunk sieve, class-counts prime_order(101)
-    # for the item 101, shifted-prime ord(100) and high-factor lpf(100) for
-    # it, and rsa-pair ord(100) for (53, 101), the first pair holding 101
-    for method in ("ord", "prime_order", "lpf"):
-        overflowing_at_100_and_101(method)
+    # ord-n computes O(101) in the chunk sieve and class-counts for the item
+    # 101, shifted-prime L(101) and high-factor lpf(100) for it, and
+    # rsa-pair L(101) for (53, 101), the first pair holding 101
+    for quantity in ("O", "L"):
+        monkeypatch.setitem(orders_mod._QUANTITIES, quantity,
+                            overflowing_at(101, orders_mod._QUANTITIES[quantity]))
+    monkeypatch.setattr(OrderKernel, "lpf", overflowing_at(100, OrderKernel.lpf))
     for kind, item in ((ORD_N, "101"), (CLASS_COUNTS, "101"), (SHIFTED_PRIME, "101"),
                        (HIGH_FACTOR, "101"), (RSA_PAIR, "(53, 101)")):
         orders_mod._order_kernel.cache_clear()  # no q(101) kept from an earlier run
@@ -857,6 +870,14 @@ def test_the_kernel_arrays_change_nothing_but_the_speed():
         for kind in PRIME_KINDS:
             cfg = SurveyConfig(kind=kind, e=e, x_max=3000, chunk=1000)
             assert run_survey(cfg).to_dict() == fresh_report(cfg), cfg
+    # the kinds that share an array, back to back at one range and base:
+    # ord-n and class-counts share O; lambda-n, shifted-prime, rsa-pair and
+    # one-minus-delta share L
+    for sequence in ((ORD_N, CLASS_COUNTS), (LAMBDA_N, SHIFTED_PRIME, RSA_PAIR, ONE_MINUS_DELTA)):
+        configs = [SurveyConfig(kind=kind, e=6, x_max=3000, chunk=1000) for kind in sequence]
+        want = list(map(fresh_report, configs))
+        orders_mod._order_kernel.cache_clear()
+        assert [run_survey(cfg).to_dict() for cfg in configs] == want, sequence
 
 
 def test_the_prime_kinds_read_the_same_past_the_table(monkeypatch):
@@ -874,7 +895,7 @@ def test_the_prime_kinds_read_the_same_past_the_table(monkeypatch):
         return real_factorize(n)
 
     monkeypatch.setattr(orders_mod, "factorize", recording_factorize)
-    monkeypatch.setattr(survey_mod, "SPF_TABLE_MAX", 2**10)
+    monkeypatch.setattr(orders_mod, "SPF_TABLE_MAX", 2**10)
     for cfg, report in zip(PRIME_CONFIGS, want):
         factored.clear()
         assert fresh_report(cfg) == report, cfg
@@ -882,10 +903,10 @@ def test_the_prime_kinds_read_the_same_past_the_table(monkeypatch):
 
 
 def test_each_prime_order_is_computed_once_per_process(monkeypatch):
-    # rsa-pair reads shifted-prime's ord*(e, p - 1) array and class-counts
-    # the kernel's ord(e, p) array: after shifted-prime, rsa-pair at the same
-    # range and base asks the kernel for no order, class-counts never asks
-    # it for ord*(e, n), and no prime is descended twice
+    # shifted-prime and rsa-pair read the kernel's L array, class-counts its
+    # O array: after shifted-prime, rsa-pair at the same range and base asks
+    # the kernel for no order, class-counts never asks it for ord*(e, n),
+    # and no prime is descended twice
     descended, asked = [], []
     real_descent, real_ord = orders_mod._prime_order, OrderKernel.ord
 
@@ -919,8 +940,8 @@ def test_a_new_kernel_frees_the_old_one():
     # the kernel owns the table and every array, and nothing it owns refers
     # back to it: once a survey at another range replaces it, it is freed at
     # once, with the cyclic collector off, whichever kind it served.  The
-    # order array is built on first use: lambda-lambda and high-factor,
-    # which ask for no order, never build it
+    # O array is built on first use: lambda-lambda and high-factor, which
+    # ask for no order, never build it
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -928,7 +949,7 @@ def test_a_new_kernel_frees_the_old_one():
             orders_mod._order_kernel.cache_clear()
             run_survey(SurveyConfig(kind=kind, x_max=3000, chunk=700))
             kernel = orders_mod._order_kernel(3000, 2)
-            assert (kernel._orders is None) == (kind in (LAMBDA_LAMBDA, HIGH_FACTOR)), kind
+            assert ("O" not in kernel._kept) == (kind in (LAMBDA_LAMBDA, HIGH_FACTOR)), kind
             old = weakref.ref(kernel)
             del kernel
             run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=2000))
@@ -961,6 +982,31 @@ def test_rsa_pair_order_is_lcm_of_shifted_orders():
             o = orders_mod._order(e, lcm_factors[p, l].items(), below)
             want = (threshold_sign(cfg, o, p * l) >= 0, ratio_bin(o, p * l), None)
             assert item_decision(cfg, (p, l), kernel) == want, (e, p, l)
+
+
+def test_the_kinds_sharing_an_array_agree_where_they_meet():
+    # the kernel's arrays are shared on three identities, checked here with
+    # each side read on a fresh kernel of its own: shifted-prime's q at p is
+    # lambda-n's, since lambda(p) = p - 1; class-counts' q at p is ord-n's;
+    # and rsa-pair's q at (p, l) is lambda-n's at pl, since lambda(pl) =
+    # lcm(p - 1, l - 1)
+    def q_at_x(kind, e, x_max):
+        """{x: q} over the kind's whole range, read by its population."""
+        k = _KINDS[kind]
+        qs, xs = k.population(k.quantity, SurveyConfig(kind=kind, e=e, x_max=x_max),
+                              OrderKernel(x_max, e), 2, x_max + 1)
+        return dict(zip(xs, qs))
+
+    for e in (2, 3, 6):
+        lambda_n, ord_n = q_at_x(LAMBDA_N, e, 10**4), q_at_x(ORD_N, e, 10**4)
+        shifted, classes = q_at_x(SHIFTED_PRIME, e, 10**4), q_at_x(CLASS_COUNTS, e, 10**4)
+        assert len(shifted) == len(classes) == 1229
+        assert shifted == {p: lambda_n[p] for p in shifted}, e
+        assert classes == {p: ord_n[p] for p in classes}, e
+        # lambda-n's q at pl <= 3000^2, by its definition off a fresh kernel
+        pairs, lambda_n_at = q_at_x(RSA_PAIR, e, 3000), defined_q(LAMBDA_N, OrderKernel(3000, e))
+        assert len(pairs) == rsa_pair_count(3000)
+        assert pairs == {pl: lambda_n_at(pl) for pl in pairs}, e
 
 
 def test_worker_count_invariance_under_spawn(tmp_path):

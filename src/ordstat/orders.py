@@ -13,7 +13,8 @@ for each prime p of it) and never factors lambda(n) or an order.
 Surveys read the same quantities through an OrderKernel per base, which
 gets each factorization from one place (OrderKernel._prime_powers): a
 smallest-prime-factor table of [1, min(x_max, SPF_TABLE_MAX)], and
-arith.factorize above it.  Only the kernel knows that cap.  Either way it
+arith.factorize above it.  Only this module knows that cap: surveys ask
+_survey_kernel for the kernel of their x_max and base.  Either way it
 runs the same descent and lambda rule (_lambda_lcm).  The kernel owns all
 of a survey process's state: the table and at most three arrays, one for
 each quantity it keeps at the prime powers q up to its limit:
@@ -204,14 +205,14 @@ class OrderKernel:
     The kernel also gives ord*(e, n), lambda(n) and the largest prime
     factor of n at any n >= 1, from n's prime powers, which _prime_powers
     alone gets: off the table for n <= limit, through arith.factorize above
-    it.  The table covers [1, limit], limit = min(the limit asked,
-    SPF_TABLE_MAX).  It holds the smallest prime factor of every composite
-    n and 0 for 0, 1 and the primes: that factor is at most isqrt(limit),
-    below 2^16, so 2 bytes per entry suffice.
+    it.  The table covers [1, limit].  It holds the smallest prime factor
+    of every composite n and 0 for 0, 1 and the primes: that factor is at
+    most isqrt(limit), below 2^16 for limit <= 2^32, so 2 bytes per entry
+    suffice.
     """
 
     def __init__(self, limit: int, e: int):
-        limit = self.limit = min(limit, SPF_TABLE_MAX)
+        self.limit = limit
         self.e = e
         spf = array("H", bytes(2 * (limit + 1)))
         # descending, so that each entry ends up holding its smallest prime
@@ -220,26 +221,27 @@ class OrderKernel:
         self._spf = spf
         self._kept: dict[str, array] = {}
 
-    def values(self, quantity: str, qs: Iterable[int]) -> list[int]:
-        """The column of quantity ("O", "L", "LL" or "lpf") at each q of qs,
-        a prime power, or 1 where O, L and LL are 1: q = 1's slot holds 1
-        from the start, and 0 marks a value not yet computed."""
+    def values(self, quantity: str, powers: Iterable[tuple[int, int]]) -> list[int]:
+        """The column of quantity ("O", "L", "LL" or "lpf") at each prime
+        power q = p^a of the (p, q) pairs in powers, or 1 where O, L and LL
+        are 1 at (1, 1): q = 1's slot holds 1 from the start, and 0 marks a
+        value not yet computed."""
         if quantity == "lpf":
-            return [self.lpf(q - 1) for q in qs]
+            return [self.lpf(q - 1) for _, q in powers]
         limit, compute = self.limit, _QUANTITIES[quantity]
         kept = self._kept.get(quantity)
         if kept is None:
             kept = self._kept[quantity] = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
             kept[0] = 1
         out = []
-        for q in qs:
+        for p, q in powers:
             if q > limit:
-                v = compute(self, *self._prime_powers(q)[0])
+                v = compute(self, p, q)
             else:
                 i = q >> 1 if q & 1 else -q.bit_length()
                 v = kept[i]
-                if not v:  # q's prime is its table entry, or q when q is prime
-                    v = kept[i] = compute(self, self._spf[q] or q, q)
+                if not v:
+                    v = kept[i] = compute(self, p, q)
             out.append(v)
         return out
 
@@ -262,7 +264,7 @@ class OrderKernel:
 
     def ord(self, n: int) -> int:
         """ord*(e, n): the order of e modulo the largest divisor of n coprime to e."""
-        return math.lcm(*self.values("O", [q for _, q in self._prime_powers(n)]))
+        return math.lcm(*self.values("O", self._prime_powers(n)))
 
     def lam(self, n: int) -> int:
         """Carmichael lambda(n)."""
@@ -282,7 +284,7 @@ def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
         return 1
     if q == p:
         return _prime_order(e, p, kernel._prime_powers(p - 1))
-    [o] = kernel.values("O", [q // p])
+    [o] = kernel.values("O", [(p, q // p)])
     return o if pow(e, o, q) == 1 else o * p
 
 
@@ -294,3 +296,9 @@ _QUANTITIES = {
 }
 
 _order_kernel = functools.lru_cache(maxsize=1)(OrderKernel)
+
+
+def _survey_kernel(x_max: int, e: int) -> OrderKernel:
+    """The kernel of a survey up to x_max at base e, its table over
+    [1, min(x_max, SPF_TABLE_MAX)]; a process keeps the last one asked."""
+    return _order_kernel(min(x_max, SPF_TABLE_MAX), e)

@@ -94,7 +94,7 @@ from typing import Callable
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _above, _above_fixed,
                        guard, order_classes, power_compare)
-from .orders import OrderKernel, _order_kernel
+from .orders import OrderKernel, _survey_kernel
 
 ORD_N = "ord-n"
 SHIFTED_PRIME = "shifted-prime"
@@ -421,6 +421,12 @@ def _read(column: Callable[[list], list[int]], items: list) -> list[int]:
         raise
 
 
+def _at_primes(kernel: OrderKernel, quantity: str) -> Callable[[list[int]], list[int]]:
+    """The column reader of the kernel's quantity at primes, each its own
+    prime power, and at 1."""
+    return lambda ps: kernel.values(quantity, zip(ps, ps))
+
+
 def _integers(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
     """Every integer n in [lo, hi): q off the chunk's sieve, x = n."""
     return _sieve_values(quantity, kernel, lo, hi), range(lo, hi)
@@ -430,15 +436,15 @@ def _primes(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: 
     """The primes p in [lo, hi), each its own prime power: q is the
     quantity at p, x = p."""
     primes = primes_in_range(lo, hi)
-    return _read(functools.partial(kernel.values, quantity), primes), primes
+    return _read(_at_primes(kernel, quantity), primes), primes
 
 
 def _pairs(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
     """The pairs (p, l) of _pair_items: q is the lcm of the quantity at p
     and at l, x = p * l."""
     def column(pairs):
-        return list(map(lcm, kernel.values(quantity, [p for p, _ in pairs]),
-                        kernel.values(quantity, [l for _, l in pairs])))
+        at = _at_primes(kernel, quantity)
+        return list(map(lcm, at([p for p, _ in pairs]), at([l for _, l in pairs])))
     pairs = _pair_items(cfg, lo, hi)
     return _read(column, pairs), [p * l for p, l in pairs]
 
@@ -463,7 +469,6 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
     a p from its cofactor, which ends as 1 or the one prime r of n above
     sqrt(hi - 1), whose value comes last.  Both the Q and the r are read as
     one column each."""
-    read = functools.partial(_read, functools.partial(kernel.values, quantity))
     size, powers = hi - lo, []
     for p in primes_in_range(2, math.isqrt(hi - 1) + 1):
         Q = p
@@ -471,12 +476,12 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
             powers.append((p, Q))
             Q *= p
     qs, cofactor = [1] * size, list(range(lo, hi))
-    for (p, Q), v in zip(powers, read([Q for _, Q in powers])):
+    for (p, Q), v in zip(powers, _read(functools.partial(kernel.values, quantity), powers)):
         first = -lo % Q
         cofactor[first::Q] = map(floordiv, cofactor[first::Q], repeat(p))
         if v > 1:
             qs[first::Q] = map(math.lcm, qs[first::Q], repeat(v))
-    return list(map(math.lcm, qs, read(cofactor)))
+    return list(map(math.lcm, qs, _read(_at_primes(kernel, quantity), cofactor)))
 
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
@@ -507,7 +512,7 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     them all.  The order kernel for x_max and the base is built on a
     process's first chunk, so pool workers build their own under any start
     method, and surveys with the same range and base share one."""
-    kernel = _order_kernel(cfg.x_max, cfg.e)
+    kernel = _survey_kernel(cfg.x_max, cfg.e)
     kind = _KINDS[cfg.kind]
     return _decide(cfg, *kind.population(kind.quantity, cfg, kernel, lo, hi))
 

@@ -277,7 +277,7 @@ def test_order_kernel_passes_the_order_certificate():
                     certified[m] = o
                 assert o == certified[m], (e, n)
                 if lpf[n] == n > 1:  # a prime's order, read off the O array
-                    assert kernel.values("O", [n]) == [o], (e, n)
+                    assert kernel.values("O", [(n, n)]) == [o], (e, n)
     # above the table, values fall through to the orders module
     small = OrderKernel(1000, 6)
     for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
@@ -285,7 +285,7 @@ def test_order_kernel_passes_the_order_certificate():
         assert small.lam(n) == carmichael_lambda(factorize(n)), n
         assert small.lpf(n) == factorize(n).factors[-1][0], n
         if is_prime(n):
-            assert small.values("O", [n]) == [coprime_order(6, n)], n
+            assert small.values("O", [(n, n)]) == [coprime_order(6, n)], n
     for method in (small.ord, small.lam, small.lpf):
         with pytest.raises(ValueError):
             method(0)

@@ -812,11 +812,23 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
     for e in (2, 3, 2, 12):
         cfg = SurveyConfig(kind=LAMBDA_N, e=e, x_max=3000)
         assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
-    # past the table, prime powers and cofactors are valued uncached
+    # past the table, prime powers and cofactors are valued uncached: the
+    # surveys share one kernel whose table stops at the lowered cap, and
+    # each report equals the full table's
+    configs = [SurveyConfig(kind=name, e=6, x_max=3000, chunk=1000) for name in INT_KINDS]
+    want = list(map(_per_item_result, configs))
+    built, real_init = [], OrderKernel.__init__
+
+    def recording_init(kernel, limit, e):
+        built.append(limit)
+        real_init(kernel, limit, e)
+
     monkeypatch.setattr(orders_mod, "SPF_TABLE_MAX", 500)
-    for name in INT_KINDS:
-        cfg = SurveyConfig(kind=name, e=6, x_max=3000, chunk=1000)
-        assert run_survey(cfg).to_dict() == _per_item_result(cfg), cfg
+    monkeypatch.setattr(OrderKernel, "__init__", recording_init)
+    orders_mod._order_kernel.cache_clear()
+    for cfg, report in zip(configs, want):
+        assert run_survey(cfg).to_dict() == report, cfg
+    assert built == [500]
 
 
 def test_overflow_names_the_item(monkeypatch, capsys):

@@ -1,4 +1,9 @@
-"""Multiplicative order statistics, generator periods, and range surveys."""
+"""Multiplicative order statistics, generator periods, and range surveys.
+
+Importing the package loads neither dataclasses nor typing: the records are
+plain classes (_record.Record), and every module keeps its annotations as
+strings (from __future__ import annotations), naming types it never imports.
+"""
 
 from .arith import (Factorization, OverflowError64, U64_MAX, factorize, gcd,
                     is_prime, lcm, pow_mod, primes_in_range, sieve_primes)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from ._record import FrozenRecord
 
 U64_MAX = 2**64 - 1
 
@@ -32,8 +32,7 @@ class OverflowError64(OverflowError):
     """A result left the unsigned 64-bit range instead of wrapping."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(FrozenRecord):
     """Canonical prime decomposition: factors are (prime, exponent) pairs
     with strictly increasing primes, and value 1 has an empty factor list."""
 

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from types import SimpleNamespace
-from typing import Callable
 
+from ._record import FrozenRecord
 from .arith import Factorization, factorize, is_prime
 from .orders import _order, carmichael_lambda, coprime_order
 from .arith import lcm as lcm64
@@ -114,8 +113,7 @@ def _sqrt_over_log_exponent(lnx, llx, m):
     return (lnx - 2 * llx) / (2 * lnx)
 
 
-@dataclass(frozen=True)
-class EpsilonFn:
+class EpsilonFn(FrozenRecord):
     """eps(x) = min(cap, 2 / log log x), clamped to its x >= 16 domain.
 
     Monotone non-increasing and eventually o(1).  The lower-bound property

@@ -14,16 +14,14 @@ period is coprime_order(e, coprime_order(u0, n)) with no side conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
+from ._record import FrozenRecord
 from .orders import (_order, _order_factors, _split, carmichael_lambda, coprime_order,
                      coprime_part)
 from .arith import factorize
 
 
-@dataclass(frozen=True)
-class LcgSpec:
+class LcgSpec(FrozenRecord):
     """u_{i+1} = e*u_i + b mod n, starting from u0."""
 
     e: int
@@ -41,8 +39,7 @@ class LcgSpec:
         return (self.e * u + self.b) % self.n
 
 
-@dataclass(frozen=True)
-class PowerGenSpec:
+class PowerGenSpec(FrozenRecord):
     """u_{i+1} = u_i^e mod n, starting from u0 (given >= 2, stored mod n)."""
 
     e: int
@@ -58,16 +55,14 @@ class PowerGenSpec:
         return pow(u, self.e, self.n)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(FrozenRecord):
     """Minimal aperiodic lead-in (tail) and minimal eventual period."""
 
     tail: int
     period: int
 
 
-@dataclass(frozen=True)
-class LcgPeriod:
+class LcgPeriod(FrozenRecord):
     """Analytic LCG period: exact value when the coprimality conditions
     hold (None otherwise), and an unconditional divisor bound."""
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
 
+from ._record import FrozenRecord
 from .arith import Factorization, factorize, primes_in_range
 
 # Largest table the order kernel builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
@@ -159,8 +158,7 @@ def smooth_part(n: int, prime_pred: Callable[[int], bool]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class OrderProfile:
+class OrderProfile(FrozenRecord):
     """Order data for a pair (e, n).
 
     index is (n-1)/ord(e, n), populated only for prime n coprime to e.

@@ -70,7 +70,8 @@ A process loads only what it runs: the process pool (concurrent.futures,
 and with it multiprocessing) at its first pooled run_survey, and hashlib,
 for the config digest, at its first checkpoint read or write.  Importing
 this module, a one-worker survey without a checkpoint and the CLI's
-compute and period commands load neither.
+compute and period commands load neither, and none of them loads
+dataclasses or typing.
 """
 
 from __future__ import annotations
@@ -84,13 +85,12 @@ import os
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, truediv
 from time import monotonic
-from typing import Callable
 
+from ._record import FrozenRecord, Record
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _above, _above_fixed,
                        guard, order_classes, power_compare)
@@ -119,8 +119,7 @@ class CheckpointError(Exception):
     """The checkpoint file is corrupt or belongs to another survey."""
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
+class SurveyConfig(FrozenRecord):
     kind: str
     x_max: int
     e: int = 2
@@ -174,14 +173,20 @@ class SurveyConfig:
                                      else self.x_max, kind.exponent)
 
 
-@dataclass
-class SurveyResult:
+class SurveyResult(Record):
+    """A survey's counts over some of its items; the histogram defaults to
+    N_BINS zero bins, a fresh list for each result."""
+
     config: SurveyConfig
     total: int = 0
     exceed: int = 0
-    histogram: list[int] = field(default_factory=lambda: [0] * N_BINS)
+    histogram: list[int] | None = None
     class_counts: dict[str, int] | None = None
     sampled: bool = False
+
+    def __post_init__(self):
+        if self.histogram is None:
+            self.histogram = [0] * N_BINS
 
     @property
     def fraction(self) -> Fraction:

@@ -141,6 +141,17 @@ def test_compute_and_period_output_is_exact(capsys, argv, code, stdout):
     assert capsys.readouterr().out == stdout
 
 
+@pytest.mark.parametrize("argv, stderr", [
+    ("period lcg --e 1 --b 0 --n 5 --u 0",
+     "ordstat: error: invalid LCG parameters LcgSpec(e=1, b=0, n=5, u0=0)\n"),
+    ("period power --e 2 --n 11 --u 1",
+     "ordstat: error: invalid power generator parameters PowerGenSpec(e=2, n=11, u0=1)\n"),
+])
+def test_a_rejected_spec_is_printed_as_given(capsys, argv, stderr):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
 def _readme_examples():
     """(argv, shown output lines) for each `$ ordstat` line of the README."""
     lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -20,9 +21,10 @@ import ordstat.classify as classify_mod
 import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import factorize, lcm, primes_in_range
+from ordstat.generators import CycleResult, LcgPeriod, LcgSpec, PowerGenSpec
 from ordstat.classify import EpsilonFn, power_compare
 from ordstat.cli import main
-from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order
+from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, order_profile
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
                             RSA_PAIR, SHIFTED_PRIME, _one_minus_delta_exponent,
@@ -437,6 +439,32 @@ def test_merge_monoid():
     assert merge_results(a, empty_result(cfg)).to_dict() == a.to_dict()
 
 
+def test_records_are_values_that_pickle():
+    # every record is built by position or keyword alike, equals and hashes
+    # by its fields within its own class, refuses assignment, and comes back
+    # equal from pickle, as a pool worker receives a config (with its
+    # threshold) and returns a result; a result, which merging mutates, is
+    # equal by value but unhashable
+    cfg = SurveyConfig(LAMBDA_N, 300, 2, EpsilonFn(), None, 50)
+    assert cfg == SurveyConfig(kind=LAMBDA_N, x_max=300, chunk=50)
+    frozen = (factorize(360), order_profile(2, 7), LcgSpec(3, 1, 10, 0), PowerGenSpec(2, 11, 3),
+              CycleResult(0, 4), LcgPeriod(None, 8), EpsilonFn(0.3), cfg)
+    for record in frozen:
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and hash(clone) == hash(record) and clone is not record
+        field = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert vars(pickle.loads(pickle.dumps(cfg)))["_threshold"] == Fraction(3, 4)
+    assert CycleResult(0, 4) != LcgPeriod(0, 4)
+
+    result = run_survey(cfg)
+    assert result.total > 0 and result != empty_result(cfg)
+    assert result == merge_results(result, empty_result(cfg)) == pickle.loads(pickle.dumps(result))
+    with pytest.raises(TypeError):
+        hash(result)
+
+
 def test_run_survey_worker_and_chunk_invariance():
     base = run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000, chunk=3000)).to_dict()
     for chunk, workers in ((7, 1), (100, 2), (1000, 3)):
@@ -708,6 +736,25 @@ def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
     assert 3 <= len(log.read_text()) <= 3 * len(plan_chunks(cfg)) // 4
 
 
+def _fresh_modules(roots, *args):
+    """For each line that `python -S *args` prints (its sys.modules), the
+    modules under roots that it holds beyond a bare `python -S`; -S keeps
+    what a site hook preloads (typing, on some machines) out of both."""
+    src = str(Path(survey_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def modules(*argv):
+        proc = subprocess.run([sys.executable, "-S", *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return [{m for m in line.split() if m.split(".")[0] in roots}
+                for line in proc.stdout.splitlines()]
+
+    [bare] = modules("-c", "import sys; print(' '.join(sorted(sys.modules)))")
+    return [found - bare for found in modules(*args)]
+
+
 def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
     # a fresh process that imports the CLI and runs two queries and a
     # one-worker survey without a checkpoint loads nothing of the process
@@ -732,22 +779,27 @@ def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
         ordstat.survey.ProcessPoolExecutor
         loaded()
     """)
-    src = str(Path(survey_mod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cold, warm = _fresh_modules(("multiprocessing", "concurrent", "hashlib", "_hashlib"),
+                                "-c", probe, str(tmp_path / "ckpt.json"))
+    assert cold == set()
+    assert {"hashlib", "concurrent.futures", "multiprocessing"} <= warm
 
-    def modules(*args):
-        proc = subprocess.run([sys.executable, *args], capture_output=True,
-                              text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return [{m for m in line.split() if m.split(".")[0] in
-                 ("multiprocessing", "concurrent", "hashlib", "_hashlib")}
-                for line in proc.stdout.splitlines()]
 
-    [bare] = modules("-c", "import sys; print(' '.join(sorted(sys.modules)))")
-    cold, warm = modules("-c", probe, str(tmp_path / "ckpt.json"))
-    assert cold - bare == set()
-    assert {"hashlib", "concurrent.futures", "multiprocessing"} <= warm - bare
+def test_a_cold_query_loads_no_dataclasses_or_typing():
+    # the records are plain classes and the annotations stay strings, so
+    # neither dataclasses (with the inspect, ast and dis it imports) nor
+    # typing is loaded by importing the package or answering a query
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        import ordstat, ordstat.cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ordstat.cli.main(["compute", "order", "--e", "2", "--n", "12"]) == 0
+            assert ordstat.cli.main(["period", "bbs", "--n", "11", "--u", "3"]) == 0
+        print(" ".join(sorted(sys.modules)))
+    """)
+    roots = ("dataclasses", "inspect", "ast", "dis", "typing")
+    assert _fresh_modules(roots, "-c", probe) == [set()]
 
 
 def test_surveys_factor_only_through_the_table(monkeypatch):

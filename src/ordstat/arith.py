@@ -8,7 +8,8 @@ for bit.
 The trial stage walks the primes up to _TRIAL_BOUND in blocks of
 _TRIAL_BLOCK and skips a whole block when n is coprime to the block's
 product (one gcd), so only blocks holding a factor of n are divided one
-prime at a time.
+prime at a time.  The Jacobi symbol comes by quadratic reciprocity, in a
+few integer steps where Euler's criterion would take a pow().
 Everything here is a pure function; the sieve helpers return fresh lists.
 """
 
@@ -67,6 +68,25 @@ def pow_mod(base: int, exp: int, modulus: int) -> int:
 
 def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a | n) for odd n > 0, by quadratic reciprocity:
+    1 or -1, and 0 when gcd(a, n) > 1.  For a prime n it is the Legendre
+    symbol, a^((n-1)/2) mod n read as 1, -1 or 0 (Euler's criterion)."""
+    if n < 1 or not n & 1:
+        raise ValueError(f"n must be odd and positive, got {n}")
+    a %= n
+    s = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):  # (2 | n) = -1 for n = 3, 5 mod 8
+            s = -s
+        if a & n & 2:  # both 3 mod 4
+            s = -s
+        a, n = n % a, a
+    return s if n == 1 else 0
 
 
 def lcm(a: int, b: int) -> int:

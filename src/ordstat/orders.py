@@ -4,16 +4,20 @@ The central quantity is coprime_order(e, n): the multiplicative order of e
 modulo the largest divisor of n that is coprime to e.  It is the eventual
 period of the sequence e^i mod n and the building block for both generator
 period formulas.  Orders are computed per prime power, never by stepping:
-ord(e, p) descends from p - 1 over the primes of p - 1 (_prime_order),
-ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says, and the
-order modulo n is the lcm over the prime powers of n.  The descent yields
-the order already factored, so a query factors its modulus once (and p - 1
-for each prime p of it) and never factors lambda(n) or an order.
+ord(e, p) descends from p - 1 over the primes of p - 1 (_prime_order), the
+factor 2 settled by the Jacobi symbol (e | p) (Euler's criterion) and each
+odd prime by pow(); ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever
+pow() says, and the order modulo n is the lcm over the prime powers of n.
+The descent yields the order already factored, so a query factors its
+modulus once (and p - 1 for each prime p of it) and never factors lambda(n)
+or an order.
 
 Surveys read the same quantities through an OrderKernel per base, which
 gets each factorization from one place (OrderKernel._prime_powers): a
 smallest-prime-factor table of [1, min(x_max, SPF_TABLE_MAX)], and
-arith.factorize above it.  Only this module knows that cap: surveys ask
+arith.factorize above it.  The one exception is the descent's odd primes
+of p - 1, which _prime_power_order walks off the table itself when the
+table holds them.  Only this module knows that cap: surveys ask
 _survey_kernel for the kernel of their x_max and base.  Either way it
 runs the same descent and lambda rule (_lambda_lcm).  The kernel owns all
 of a survey process's state: the table and at most three arrays, one for
@@ -33,7 +37,7 @@ import math
 from array import array
 
 from ._record import FrozenRecord
-from .arith import Factorization, factorize, primes_in_range
+from .arith import Factorization, factorize, jacobi, primes_in_range
 
 # Largest table the order kernel builds: 2^27 + 1 entries of 2 bytes, 256 MiB.
 SPF_TABLE_MAX = 2**27
@@ -69,11 +73,19 @@ def coprime_part(n: int, e: int) -> int:
     return n
 
 
-def _prime_order(e: int, p: int, factors: Iterable[tuple[int, int]]) -> int:
-    """ord(e, p) for a prime p not dividing e, descending from p - 1 over the
-    primes r of the (r, _) pairs that factor p - 1."""
+def _prime_order(e: int, p: int, odd_primes: Iterable[int]) -> int:
+    """ord(e, p) for a prime p not dividing e, descending from p - 1 over
+    its factor 2, then over the odd primes of p - 1, given.  The factor 2
+    starts from the Jacobi symbol (e | p), not pow(): by Euler's criterion
+    e^((p-1)/2) = (e | p) mod p, so at (e | p) = -1 the order keeps all of
+    p - 1's 2s, and at 1 it halves p - 1 and pow() decides each further 2.
+    Each odd prime r is divided out while pow() says e^(o/r) = 1."""
     o = p - 1
-    for r, _ in factors:
+    if p > 2 and jacobi(e, p) == 1:
+        o >>= 1
+        while not o & 1 and pow(e, o >> 1, p) == 1:
+            o >>= 1
+    for r in odd_primes:
         while o % r == 0 and pow(e, o // r, p) == 1:
             o //= r
     return o
@@ -103,7 +115,7 @@ def _order_factors(e: int, factors: Iterable[tuple[int, int]],
         if e % p == 0:
             continue
         below = known[p] if known and p in known else factorize(p - 1)
-        o = _prime_order(e, p, below.factors)
+        o = _prime_order(e, p, below.primes()[1:])  # 2 is first for odd p
         for k in range(2, a + 1):
             if pow(e, o, p**k) != 1:
                 o *= p
@@ -191,12 +203,13 @@ class OrderKernel:
         LL(q)   lambda(lambda(q))
         lpf     the largest prime factor of q - 1, for a prime q
 
-    O(p) descends from p - 1 (_prime_order) and O(p^a) is O(p^(a-1)) or p
-    times it, as one pow() decides.  L and LL take lambda(q) by the lambda
-    rule, then ord and lam below.  O, L and LL are kept once computed for
-    q <= limit, each in one array of its own, built on the quantity's first
-    use, under one slot rule: odd q at index q // 2, and q = 2^a at index
-    -a - 1, in a tail of limit.bit_length() entries after the odd ones.
+    O(p) descends from p - 1 (_prime_order), fed p - 1's odd primes in one
+    walk of the table, and O(p^a) is O(p^(a-1)) or p times it, as one pow()
+    decides.  L and LL take lambda(q) by the lambda rule, then ord and lam
+    below.  O, L and LL are kept once computed for q <= limit, each in one
+    array of its own, built on the quantity's first use, under one slot
+    rule: odd q at index q // 2, and q = 2^a at index -a - 1, in a tail of
+    limit.bit_length() entries after the odd ones.
     That is 4 bytes per odd integer, 2 per integer, like the table.  lpf is
     cheap and kept nowhere.
 
@@ -281,7 +294,20 @@ def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
     if e % p == 0:
         return 1
     if q == p:
-        return _prime_order(e, p, kernel._prime_powers(p - 1))
+        # p - 1's odd primes in one walk of the table, unless its odd part
+        # lies above the table
+        m = p - 1
+        m //= m & -m
+        if m > kernel.limit:
+            return _prime_order(e, p, [r for r, _ in kernel._prime_powers(m)])
+        spf, odd = kernel._spf, []
+        while m > 1:
+            r = spf[m] or m
+            odd.append(r)
+            m //= r
+            while m % r == 0:
+                m //= r
+        return _prime_order(e, p, odd)
     [o] = kernel.values("O", [(p, q // p)])
     return o if pow(e, o, q) == 1 else o * p
 

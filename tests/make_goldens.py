@@ -377,7 +377,7 @@ def compute(log):
     for x in (10**4, 10**5, 10**6):
         counts, tally = measure_class_counts(primes_1e6, x)
         surveys[f"class-counts@{x}"] = counts
-        if x == 10**5:  # the triples stay whole; the tally gets its own key
+        if x >= 10**5:  # the triples stay whole; the tally gets its own key
             surveys[f"class-counts@{x},histogram"] = tally.as_dict()
         log(f"class-counts@{x}: {counts}")
     counts, tally = measure_class_counts(primes_1e6, 10**4, a=7, b=10)

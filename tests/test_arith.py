@@ -5,7 +5,7 @@ import pytest
 
 from ordstat import arith
 from ordstat.arith import (Factorization, OverflowError64, factorize, gcd,
-                           is_prime, lcm, pow_mod, primes_in_range,
+                           is_prime, jacobi, lcm, pow_mod, primes_in_range,
                            sieve_primes)
 
 
@@ -219,3 +219,20 @@ def test_gcd_lcm_product_identity():
         a = rng.randrange(1, 10**6)
         b = rng.randrange(1, 10**6)
         assert gcd(a, b) * lcm(a, b) == a * b
+
+
+def test_jacobi_is_eulers_criterion():
+    # at an odd prime n, (a | n) is a^((n-1)/2) mod n read as 1, -1 or 0:
+    # the order descent puts it in place of its first pow()
+    for n in primes_in_range(3, 2 * 10**4):
+        read = {1: 1, n - 1: -1, 0: 0}
+        for a in (*range(2, 61), n - 1, n + 1, 3 * n, 2**61 - 1, 10**18 + 9):
+            assert jacobi(a, n) == read[pow(a, (n - 1) // 2, n)], (a, n)
+    # at an odd composite n it is the product of the symbols at n's primes
+    for n in range(1, 400, 2):
+        factors = factorize(n).factors
+        for a in range(-20, 60):
+            assert jacobi(a, n) == math.prod(jacobi(a, p)**k for p, k in factors), (a, n)
+    for n in (-3, 0, 2, 10):
+        with pytest.raises(ValueError):
+            jacobi(3, n)

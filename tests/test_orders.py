@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from ordstat.arith import Factorization, factorize, is_prime, lcm
-from ordstat.orders import (OrderKernel, OrderProfile, carmichael_lambda, coprime_order,
-                            coprime_part, multiplicative_order, omega,
+from ordstat import orders as orders_mod
+from ordstat.arith import Factorization, factorize, is_prime, jacobi, lcm, primes_in_range
+from ordstat.orders import (OrderKernel, OrderProfile, _prime_order, carmichael_lambda,
+                            coprime_order, coprime_part, multiplicative_order, omega,
                             order_profile, smooth_part, squarefree_core)
 
 
@@ -289,6 +290,45 @@ def test_order_kernel_passes_the_order_certificate():
     for method in (small.ord, small.lam, small.lpf):
         with pytest.raises(ValueError):
             method(0)
+
+
+def test_the_descent_at_two_and_at_primes_dividing_e():
+    # p = 2 has no factor 2 to settle.  At a prime dividing e the symbol is
+    # 0, which must not halve p - 1 as a symbol 1 does; callers skip p
+    for e in (1, 3, 5, 15, 2**61 - 1):
+        assert _prime_order(e, 2, ()) == 1, e
+    for e in range(1, 40):
+        assert coprime_order(e, 2) == 1, e
+    for e, p in ((3, 3), (6, 3), (10, 5), (14, 7), (21, 7), (2310, 11), (3 * 65537, 65537)):
+        odd = [r for r in factorize(p - 1).primes() if r > 2]
+        assert jacobi(e, p) == 0 and _prime_order(e, p, odd) == p - 1, (e, p)
+        assert coprime_order(e, p) == 1, (e, p)
+        for r in (2, 13, 101, 65537):
+            assert coprime_order(e, p * r) == coprime_order(e, r), (e, p, r)
+        assert OrderKernel(1000, e).values("O", [(p, p), (p, p * p)]) == [1, 1], (e, p)
+
+
+def test_the_descent_settles_the_factor_2_without_pow(monkeypatch):
+    # Euler's criterion stands in for the descent's first pow(): an O fill
+    # at every prime below 10^4 calls no pow(e, (p-1)/2, p), and at e = 2
+    # averages at most 3 calls per odd prime (3.49 with that pow)
+    primes = primes_in_range(2, 10**4)
+    powers = [(p, p) for p in primes]
+    want = {e: OrderKernel(10**4, e).values("O", powers) for e in (2, 3, 10)}
+    calls = []
+
+    def recording_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(orders_mod, "pow", recording_pow, raising=False)
+    for e in (2, 3, 10):
+        calls.clear()
+        assert OrderKernel(10**4, e).values("O", powers) == want[e], e
+        assert calls, e
+        assert not [c for c in calls if c[0] == e and 2 * c[1] + 1 == c[2]], e
+        if e == 2:
+            assert len(calls) <= 3.0 * (len(primes) - 1)
 
 
 def test_orders_and_kernel_match_sympy():

@@ -1112,6 +1112,7 @@ def test_histograms_and_remaining_kinds_match_oracle():
             ("lambda-lambda@100000", SurveyConfig(kind=LAMBDA_LAMBDA, x_max=10**5)),
             ("one-minus-delta@100000", SurveyConfig(kind=ONE_MINUS_DELTA, x_max=10**5)),
             ("class-counts@100000,histogram", SurveyConfig(kind=CLASS_COUNTS, x_max=10**5)),
+            ("class-counts@1000000,histogram", SurveyConfig(kind=CLASS_COUNTS, x_max=10**6)),
             ("rsa-pair@3000", SurveyConfig(kind=RSA_PAIR, x_max=3000)),
             # other bases, where the primes dividing e are skipped
             *((f"{kind}@10000,e={e}", SurveyConfig(kind=kind, x_max=10**4, e=e))

@@ -56,6 +56,10 @@ class Factorization(FrozenRecord):
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
+    def powers(self) -> list[tuple[int, int]]:
+        """(p, p^a) for each factor (p, a)."""
+        return [(p, p**a) for p, a in self.factors]
+
 
 def pow_mod(base: int, exp: int, modulus: int) -> int:
     """base^exp mod modulus for nonnegative base and exp."""

@@ -46,7 +46,7 @@ from types import SimpleNamespace
 
 from ._record import FrozenRecord
 from .arith import Factorization, factorize, is_prime
-from .orders import _order, carmichael_lambda, coprime_order
+from .orders import OrderKernel, carmichael_lambda, coprime_order
 from .arith import lcm as lcm64
 
 _GUARD_REL = 1e-9
@@ -191,7 +191,7 @@ def prime_orders_lower_bound(e: int, n: int) -> Fraction:
     An exact rational lower bound for coprime_order(e, n).
     """
     f = factorize(n)
-    prod = math.prod(_order(e, ((p, 1),)) for p in f.primes())
+    prod = math.prod(OrderKernel(1, e).values("O", [(p, p) for p in f.primes()]))
     return Fraction(carmichael_lambda(f) * prod, n)
 
 
@@ -204,7 +204,9 @@ def lcm_order_lower_bound(e: int, a: int, b: int) -> Fraction:
     for p, k in fb.factors:
         merged[p] = max(merged.get(p, 0), k)
     fm = Factorization(lcm64(a, b), tuple(sorted(merged.items())))
-    num = _order(e, fa.factors) * _order(e, fb.factors) * carmichael_lambda(fm)
+    kernel = OrderKernel(1, e)
+    oa, ob = (math.lcm(*kernel.values("O", f.powers())) for f in (fa, fb))
+    num = oa * ob * carmichael_lambda(fm)
     return Fraction(num, carmichael_lambda(fa) * carmichael_lambda(fb))
 
 

@@ -28,7 +28,7 @@ import functools
 import json
 import sys
 
-from .arith import factorize
+from .arith import factorize, is_prime
 from .classify import EpsilonFn, classify_prime
 from .generators import (LcgSpec, PowerGenSpec, brent_cycle, lcg_period_analytic,
                          power_period_analytic)
@@ -51,6 +51,9 @@ def _order_doc(args) -> dict:
 
 def _smooth_part_doc(args) -> dict:
     allowed = frozenset(int(p) for p in args.primes.split(","))
+    for p in sorted(allowed):
+        if not is_prime(p):
+            raise ValueError(f"--primes takes primes only, got {p}")
     return {"n": args.n, "primes": sorted(allowed),
             "smooth_part": smooth_part(args.n, lambda p: p in allowed)}
 

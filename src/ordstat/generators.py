@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 
 from ._record import FrozenRecord
-from .orders import (_order, _order_factors, _split, carmichael_lambda, coprime_order,
-                     coprime_part)
-from .arith import factorize
+from .orders import OrderKernel, carmichael_lambda, coprime_order, coprime_part
+from .arith import Factorization, factorize
 
 
 class LcgSpec(FrozenRecord):
@@ -119,11 +118,27 @@ def lcg_period_empirical(spec: LcgSpec) -> CycleResult:
     return brent_cycle(spec.step, spec.u0)
 
 
+def _split_order(e: int, f: Factorization, value: int) -> int:
+    """ord*(e, value) for a value whose every prime is a prime p of f or a
+    prime of p - 1: value is split over those primes, never factored, and
+    the order read at the prime powers it splits into."""
+    powers = []
+    for r in {r for p in f.primes() for r in (p, *factorize(p - 1).primes())}:
+        q = 1
+        while value % r == 0:
+            value //= r
+            q *= r
+        if q > 1:
+            powers.append((r, q))
+    return math.lcm(*OrderKernel(1, e).values("O", powers))
+
+
 def power_period_analytic(spec: PowerGenSpec) -> int:
-    """coprime_order(e, coprime_order(u0, n)), reading the inner order's
-    factorization off its descent instead of factoring it."""
-    inner = _order_factors(spec.u0, factorize(coprime_part(spec.n, spec.u0)).factors)
-    return _order(spec.e, inner.items())
+    """coprime_order(e, coprime_order(u0, n)).  The inner order divides
+    lambda of n's coprime part, so it is split, not factored."""
+    f = factorize(coprime_part(spec.n, spec.u0))
+    inner = math.lcm(*OrderKernel(1, spec.u0).values("O", f.powers()))
+    return _split_order(spec.e, f, inner)
 
 
 def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
@@ -132,12 +147,8 @@ def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
 
 def max_seed_period(e: int, n: int) -> int:
     """Power-generator period for a seed of maximal order, i.e.
-    coprime_order(e, lambda(n)).  Every prime of lambda(n) is a prime p of n
-    or a prime of p - 1, so lambda(n) is split over those, never factored;
-    the descent reuses each p - 1 factored here."""
+    coprime_order(e, lambda(n)), with lambda(n) split, not factored."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     f = factorize(n)
-    below = {p: factorize(p - 1) for p in f.primes()}
-    primes = [r for p, fp in below.items() for r in (p, *fp.primes())]
-    return _order(e, _split(carmichael_lambda(f), primes).items(), below)
+    return _split_order(e, f, carmichael_lambda(f))

@@ -3,31 +3,37 @@
 The central quantity is coprime_order(e, n): the multiplicative order of e
 modulo the largest divisor of n that is coprime to e.  It is the eventual
 period of the sequence e^i mod n and the building block for both generator
-period formulas.  Orders are computed per prime power, never by stepping:
-ord(e, p) descends from p - 1 over the primes of p - 1 (_prime_order), the
-factor 2 settled by the Jacobi symbol (e | p) (Euler's criterion) and each
-odd prime by pow(); ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever
-pow() says, and the order modulo n is the lcm over the prime powers of n.
-The descent yields the order already factored, so a query factors its
-modulus once (and p - 1 for each prime p of it) and never factors lambda(n)
-or an order.
+period formulas.
 
-Surveys read the same quantities through an OrderKernel per base, which
-gets each factorization from one place (OrderKernel._prime_powers): a
-smallest-prime-factor table of [1, min(x_max, SPF_TABLE_MAX)], and
-arith.factorize above it.  The one exception is the descent's odd primes
-of p - 1, which _prime_power_order walks off the table itself when the
-table holds them.  Only this module knows that cap: surveys ask
-_survey_kernel for the kernel of their x_max and base.  Either way it
-runs the same descent and lambda rule (_lambda_lcm).  The kernel owns all
-of a survey process's state: the table and at most three arrays, one for
-each quantity it keeps at the prime powers q up to its limit:
-O(q) = ord*(e, q), L(q) = ord*(e, lambda(q)) and LL(q) = lambda(lambda(q)),
-each 2 bytes per integer and built on the quantity's first use.  Every
-survey kind's q is the lcm of one quantity over its item's prime powers,
-so kinds with one quantity share its array.  Replacing the kernel frees
-them all.  Every path is exact, so neither the table nor an array can
-change a result.
+One engine computes every order: the OrderKernel of the base e.  Orders
+are computed per prime power, never by stepping: ord(e, p) descends from
+p - 1 over the primes of p - 1 (_prime_order), the factor 2 settled by the
+Jacobi symbol (e | p) (Euler's criterion) and each odd prime by pow();
+ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says
+(_prime_power_order), and the order modulo n is the lcm over the prime
+powers of n.
+
+A single-value query runs on a kernel with no table, OrderKernel(1, e),
+built per call and keeping nothing: it factors the modulus once, through
+arith.factorize, and each descent factors the odd part of p - 1.  Callers
+that already hold a factorization read values("O", ...) at its prime
+powers rather than ord(n), so no query factors its modulus twice.
+
+A survey asks _survey_kernel for the kernel of its x_max and base, whose
+table is the smallest prime factor of each integer in
+[1, min(x_max, SPF_TABLE_MAX)]; only this module knows that cap.  The
+kernel gets each factorization from one place (OrderKernel._prime_powers):
+off the table, and through arith.factorize above it.  The one exception is
+the descent's odd primes of p - 1, which _prime_power_order walks off the
+table itself when the table holds them.  Either way it runs the same
+descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey
+process's state: the table and at most three arrays, one for each quantity
+it keeps at the prime powers q up to its limit: O(q) = ord*(e, q),
+L(q) = ord*(e, lambda(q)) and LL(q) = lambda(lambda(q)), each 2 bytes per
+integer and built on the quantity's first use.  Every survey kind's q is
+the lcm of one quantity over its item's prime powers, so kinds with one
+quantity share its array.  Replacing the kernel frees them all.  Every
+path is exact, so neither the table nor an array can change a result.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ def _lambda_lcm(prime_powers: Iterable[tuple[int, int]]) -> int:
 
 def carmichael_lambda(f: Factorization) -> int:
     """lambda(value): the exponent of the multiplicative group mod value."""
-    return _lambda_lcm([(p, p**a) for p, a in f.factors])
+    return _lambda_lcm(f.powers())
 
 
 def coprime_part(n: int, e: int) -> int:
@@ -91,53 +97,13 @@ def _prime_order(e: int, p: int, odd_primes: Iterable[int]) -> int:
     return o
 
 
-def _split(m: int, primes: Iterable[int]) -> dict[int, int]:
-    """m as {prime: exponent}, given primes that include every prime of m."""
-    out: dict[int, int] = {}
-    for r in primes:
-        b = 0
-        while m % r == 0:
-            m //= r
-            b += 1
-        if b:
-            out[r] = b
-    return out
-
-
-def _order_factors(e: int, factors: Iterable[tuple[int, int]],
-                   known: Mapping[int, Factorization] | None = None) -> dict[int, int]:
-    """ord*(e, m) as {prime: exponent}, for m the product of p^a over the
-    (p, a) in factors: the order of e modulo the prime powers whose p does
-    not divide e (the others are skipped).  known maps primes p to the
-    factorization of p - 1 where the caller already has it."""
-    order: dict[int, int] = {}
-    for p, a in factors:
-        if e % p == 0:
-            continue
-        below = known[p] if known and p in known else factorize(p - 1)
-        o = _prime_order(e, p, below.primes()[1:])  # 2 is first for odd p
-        for k in range(2, a + 1):
-            if pow(e, o, p**k) != 1:
-                o *= p
-        for r, b in _split(o, (*below.primes(), p)).items():
-            if b > order.get(r, 0):
-                order[r] = b
-    return order
-
-
-def _order(e: int, factors: Iterable[tuple[int, int]],
-           known: Mapping[int, Factorization] | None = None) -> int:
-    """ord*(e, m) for m given by its (p, a) factors."""
-    return math.prod(r**b for r, b in _order_factors(e, factors, known).items())
-
-
 def multiplicative_order(e: int, n: int) -> int:
     """Least k >= 1 with e^k = 1 mod n; requires gcd(e, n) = 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if math.gcd(e, n) != 1:
         raise ValueError(f"gcd({e}, {n}) > 1: order undefined")
-    return _order(e, factorize(n).factors)
+    return OrderKernel(1, e).ord(n)
 
 
 def coprime_order(e: int, n: int) -> int:
@@ -189,14 +155,15 @@ def order_profile(e: int, n: int) -> OrderProfile:
         raise ValueError(f"n must be positive, got {n}")
     f = factorize(n)
     nc = math.prod(p**a for p, a in f.factors if e % p)
-    o = _order(e, f.factors)
+    o = math.lcm(*OrderKernel(1, e).values("O", f.powers()))
     index = (n - 1) // o if f.factors == ((n, 1),) and nc == n else None
     return OrderProfile(n=n, e=e, n_coprime=nc, lambda_n=carmichael_lambda(f),
                         ord_star=o, index=index)
 
 
 class OrderKernel:
-    """The survey quantities for one base e, at a prime power q = p^a:
+    """The package's one order engine for a base e, which keeps these
+    quantities at a prime power q = p^a:
 
         O(q)    ord*(e, q): ord(e, q), or 1 when p divides e
         L(q)    ord*(e, lambda(q))
@@ -204,12 +171,13 @@ class OrderKernel:
         lpf     the largest prime factor of q - 1, for a prime q
 
     O(p) descends from p - 1 (_prime_order), fed p - 1's odd primes in one
-    walk of the table, and O(p^a) is O(p^(a-1)) or p times it, as one pow()
-    decides.  L and LL take lambda(q) by the lambda rule, then ord and lam
-    below.  O, L and LL are kept once computed for q <= limit, each in one
-    array of its own, built on the quantity's first use, under one slot
-    rule: odd q at index q // 2, and q = 2^a at index -a - 1, in a tail of
-    limit.bit_length() entries after the odd ones.
+    walk of the table, or through arith.factorize above it, and O(p^a) is
+    O(p^(a-1)) or p times it, as one pow() decides.  L and LL take
+    lambda(q) by the lambda rule, then ord and lam below.  O, L and LL are
+    kept once computed for q <= limit, each in one array of its own, built
+    on the quantity's first use, under one slot rule: odd q at index
+    q // 2, and q = 2^a at index -a - 1, in a tail of limit.bit_length()
+    entries after the odd ones.
     That is 4 bytes per odd integer, 2 per integer, like the table.  lpf is
     cheap and kept nowhere.
 
@@ -220,6 +188,12 @@ class OrderKernel:
     of every composite n and 0 for 0, 1 and the primes: that factor is at
     most isqrt(limit), below 2^16 for limit <= 2^32, so 2 bytes per entry
     suffice.
+
+    Single-value queries build OrderKernel(1, e): its table is empty and
+    its arrays hold only q = 1, so every value goes through arith.factorize
+    and nothing is kept.  Limit 1, not 0, keeps (1, 1) in its slot (L
+    would otherwise take ord(0)) and 1 off arith.factorize, where the
+    descent at p = 2 or 3 has no odd part of p - 1 to factor.
     """
 
     def __init__(self, limit: int, e: int):
@@ -260,7 +234,7 @@ class OrderKernel:
         """(p, p^a) for each prime power exactly dividing n >= 1, p rising:
         off the table for n <= limit, through arith.factorize above it."""
         if not 1 <= n <= self.limit:
-            return [(p, p**a) for p, a in factorize(n).factors]
+            return factorize(n).powers()
         spf = self._spf
         out = []
         while n > 1:

@@ -21,7 +21,7 @@ from ordstat.arith import factorize, lcm, primes_in_range
 from ordstat.generators import (LcgSpec, PowerGenSpec, lcg_period_analytic,
                                 lcg_period_empirical, power_period_analytic,
                                 power_period_empirical)
-from ordstat.orders import carmichael_lambda, coprime_order, coprime_part
+from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, coprime_part
 from ordstat.survey import (CLASS_COUNTS, HIGH_FACTOR, LAMBDA_N, ORD_N,
                             SHIFTED_PRIME, SurveyConfig, run_survey)
 import ordstat.survey as survey_mod
@@ -179,20 +179,15 @@ def test_criterion_5_exact_inequalities():
     t0 = time.perf_counter()
     violations = 0
 
-    # order product bound over all n <= 1e5, e in {2, 3}
-    ord_p = {2: {}, 3: {}}
+    # order product bound over all n <= 1e5, e in {2, 3}, the orders read
+    # off one kernel per base, which keeps each ord*(e, p) once computed
+    kernels = {e: OrderKernel(10**5, e) for e in (2, 3)}
     for n in range(1, 10**5 + 1):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        for e in (2, 3):
-            prod = 1
-            memo = ord_p[e]
-            for p in f.primes():
-                o = memo.get(p)
-                if o is None:
-                    o = memo[p] = coprime_order(e, p)
-                prod *= o
-            if coprime_order(e, n) * n < lam * prod:
+        for e, kernel in kernels.items():
+            prod = math.prod(kernel.values("O", [(p, p) for p in f.primes()]))
+            if kernel.ord(n) * n < lam * prod:
                 violations += 1
     product_violations = violations
 

@@ -48,6 +48,14 @@ def test_compute_classify(capsys):
     assert doc["class"] == "M"
 
 
+def test_smooth_part_rejects_a_non_prime(capsys):
+    for primes, bad in (("2,4", 4), ("1", 1), ("9,3", 9), ("2,0", 0), ("-3,2", -3)):
+        argv = ["compute", "smooth-part", "--n", "12", f"--primes={primes}"]
+        assert main(argv) == 2, primes
+        out, err = capsys.readouterr()
+        assert out == "" and f"got {bad}" in err, (primes, err)
+
+
 def test_compute_domain_error_exits_2(capsys):
     assert main(["compute", "order", "--e", "2", "--n", "0"]) == 2
     assert "error" in capsys.readouterr().err

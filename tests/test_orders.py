@@ -279,14 +279,19 @@ def test_order_kernel_passes_the_order_certificate():
                 assert o == certified[m], (e, n)
                 if lpf[n] == n > 1:  # a prime's order, read off the O array
                     assert kernel.values("O", [(n, n)]) == [o], (e, n)
-    # above the table, values fall through to the orders module
+    # above the table, values fall through to arith.factorize, and each
+    # order passes the same certificate, with o factored by factorize
     small = OrderKernel(1000, 6)
     for n in (*range(1001, 3000), limit + 1, 2**61 - 1, 600851475143 * 7919):
-        assert small.ord(n) == coprime_order(6, n), n
+        o, m = small.ord(n), _e_free(n, 6)
+        assert pow(6, o, m) == 1 % m, n
+        for r in factorize(o).primes():
+            assert pow(6, o // r, m) != 1 % m, (n, r)
+        assert o == coprime_order(6, n), n
         assert small.lam(n) == carmichael_lambda(factorize(n)), n
         assert small.lpf(n) == factorize(n).factors[-1][0], n
         if is_prime(n):
-            assert small.values("O", [(n, n)]) == [coprime_order(6, n)], n
+            assert small.values("O", [(n, n)]) == [o], n
     for method in (small.ord, small.lam, small.lpf):
         with pytest.raises(ValueError):
             method(0)

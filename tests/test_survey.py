@@ -1027,23 +1027,24 @@ def test_rsa_pair_order_is_lcm_of_shifted_orders():
     # the survey takes lcm(ord*(e, p-1), ord*(e, l-1)); every decision must
     # match the definition's ord*(e, lcm(p-1, l-1)), taken here from the
     # factorization of lcm(p-1, l-1): the larger exponent of each prime of
-    # p-1 and l-1, each factored once, as is every prime's r-1 for the descent
+    # p-1 and l-1, each factored once, read at those prime powers off a
+    # second kernel, not the one the survey reads
     primes = primes_in_range(2, 3001)
     pairs = [(p, l) for l in primes for p in primes if p < l < 2 * p]
     below = {p: factorize(p - 1) for p in primes}
-    lcm_factors = {}
+    lcm_powers = {}
     for p, l in pairs:
         merged = dict(below[p].factors)
         for r, a in below[l].factors:
             merged[r] = max(a, merged.get(r, 0))
-        lcm_factors[p, l] = merged
-        assert math.prod(r**a for r, a in merged.items()) == lcm(p - 1, l - 1)
+        lcm_powers[p, l] = [(r, r**a) for r, a in merged.items()]
+        assert math.prod(q for _, q in lcm_powers[p, l]) == lcm(p - 1, l - 1)
     for e in (2, 3, 6, 10):
         cfg = SurveyConfig(kind=RSA_PAIR, x_max=3000, e=e)
-        kernel = OrderKernel(3000, e)
+        kernel, definition = OrderKernel(3000, e), OrderKernel(3000, e)
         for p, l in pairs:
             # ord*(e, m) skips the primes of m that divide e, as coprime_order does
-            o = orders_mod._order(e, lcm_factors[p, l].items(), below)
+            o = math.lcm(*definition.values("O", lcm_powers[p, l]))
             want = (threshold_sign(cfg, o, p * l) >= 0, ratio_bin(o, p * l), None)
             assert item_decision(cfg, (p, l), kernel) == want, (e, p, l)
 

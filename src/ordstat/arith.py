@@ -10,7 +10,7 @@ _TRIAL_BLOCK and skips a whole block when n is coprime to the block's
 product (one gcd), so only blocks holding a factor of n are divided one
 prime at a time.  The Jacobi symbol comes by quadratic reciprocity, in a
 few integer steps where Euler's criterion would take a pow().
-Everything here is a pure function; the sieve helpers return fresh lists.
+Everything here is a pure function; primes_in_range returns a fresh list.
 """
 
 from __future__ import annotations
@@ -59,19 +59,6 @@ class Factorization(FrozenRecord):
     def powers(self) -> list[tuple[int, int]]:
         """(p, p^a) for each factor (p, a)."""
         return [(p, p**a) for p, a in self.factors]
-
-
-def pow_mod(base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus for nonnegative base and exp."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    if base < 0 or exp < 0:
-        raise ValueError("base and exponent must be nonnegative")
-    return pow(base, exp, modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -136,7 +123,7 @@ def is_prime(n: int) -> bool:
 def _trial_table() -> list[tuple[int, int, list[int]]]:
     """The primes <= _TRIAL_BOUND in runs of _TRIAL_BLOCK, each as
     (square of the run's first prime, product, run)."""
-    primes = sieve_primes(_TRIAL_BOUND)
+    primes = primes_in_range(2, _TRIAL_BOUND + 1)
     runs = [primes[i : i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK)]
     return [(run[0] * run[0], math.prod(run), run) for run in runs]
 
@@ -230,8 +217,3 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
                 flags[first - start :: p] = bytes(len(range(first, end, p)))
         out.extend(itertools.compress(range(start, end), flags))
     return out
-
-
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    return primes_in_range(2, limit + 1)

@@ -117,8 +117,8 @@ class EpsilonFn(FrozenRecord):
     """eps(x) = min(cap, 2 / log log x), clamped to its x >= 16 domain.
 
     Monotone non-increasing and eventually o(1).  The lower-bound property
-    eps(x) > 1/log log x only kicks in once log log x > 1/cap, recorded in
-    lower_bound_floor (astronomical for the default cap).
+    eps(x) > 1/log log x only kicks in once log log x > 1/cap, that is from
+    x = exp(exp(1/cap)) on (astronomical for the default cap).
     """
 
     cap: float = 0.25
@@ -126,14 +126,6 @@ class EpsilonFn(FrozenRecord):
     def __post_init__(self):
         if not 0.0 < self.cap <= 0.5:
             raise ValueError(f"cap must be in (0, 1/2], got {self.cap}")
-
-    @property
-    def lower_bound_floor(self) -> float:
-        """Smallest x from which eps(x) > 1/log log x holds."""
-        try:
-            return math.exp(math.exp(1.0 / self.cap))
-        except OverflowError:
-            return math.inf
 
     def __call__(self, x: float) -> float:
         if x < EPSILON_MIN_X:
@@ -155,11 +147,6 @@ class EpsilonFn(FrozenRecord):
 
 
 DEFAULT_EPSILON = EpsilonFn()
-
-
-def epsilon_default(x: float, cap: float = 0.25) -> float:
-    """min(cap, 2/log log x) on the strict domain x >= 16."""
-    return EpsilonFn(cap=cap)(x)
 
 
 def order_classes(qs, ps, us, lnps, m_to_h: Fraction) -> list[str]:
@@ -208,11 +195,3 @@ def lcm_order_lower_bound(e: int, a: int, b: int) -> Fraction:
     oa, ob = (math.lcm(*kernel.values("O", f.powers())) for f in (fa, fb))
     num = oa * ob * carmichael_lambda(fm)
     return Fraction(num, carmichael_lambda(fa) * carmichael_lambda(fb))
-
-
-def divisor_quotient_bound(e: int, n: int, j: int) -> Fraction:
-    """coprime_order(e, n) / j for a divisor j of n: an exact rational
-    lower bound for coprime_order(e, n // j)."""
-    if j < 1 or n % j != 0:
-        raise ValueError(f"{j} does not divide {n}")
-    return Fraction(coprime_order(e, n), j)

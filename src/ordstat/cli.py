@@ -5,12 +5,16 @@
     ordstat compute classify --p 7 --e 2
     ordstat period power --e 2 --n 11 --u 3 --empirical
     ordstat period bbs --n 11 --u 3
+    ordstat period lcg --e 3 --b 1 --n 10 --u 0
     ordstat survey --kind lambda-n --e 2 --max 100000 --format csv
 
 Each compute and period subcommand is one row of _COMMANDS: its flags (from
 _FLAGS) and a function from the parsed arguments to the JSON document printed
-after "schema": 1.  The period rows share _orbit for --empirical, and bbs
-is power with e = 2.
+after "schema": 1.  The period rows share _period_doc: every generator's
+document gives the exact "analytic" period and "analytic_tail" in closed
+form, and on --empirical the walked orbit's "empirical_period" and "tail",
+with "agree" true when the two (tail, period) pairs are equal.  bbs is
+power with e = 2.
 
 All output is deterministic for a given argument list: JSON documents carry
 a "schema" field and survey CSV has a fixed column set (summary row first,
@@ -58,31 +62,16 @@ def _smooth_part_doc(args) -> dict:
             "smooth_part": smooth_part(args.n, lambda p: p in allowed)}
 
 
-def _orbit(args, doc: dict, spec, agrees) -> dict:
-    """doc, plus on --empirical the period and tail of spec's walked orbit
-    and agrees(period): whether it matches the analytic value."""
+def _period_doc(args, generator: str, spec, analytic) -> dict:
+    """The generator's document: its spec, the analytic tail and period, and
+    on --empirical those of its walked orbit and whether the two agree."""
+    cycle = analytic(spec)
+    doc = {"generator": generator, **vars(spec),
+           "analytic": cycle.period, "analytic_tail": cycle.tail}
     if args.empirical:
-        cycle = brent_cycle(spec.step, spec.u0)
-        doc.update(empirical_period=cycle.period, tail=cycle.tail,
-                   agree=agrees(cycle.period))
+        walked = brent_cycle(spec.step, spec.u0)
+        doc.update(empirical_period=walked.period, tail=walked.tail, agree=walked == cycle)
     return doc
-
-
-def _lcg_doc(args) -> dict:
-    spec = LcgSpec(e=args.e, b=args.b, n=args.n, u0=args.u)
-    info = lcg_period_analytic(spec)
-    doc = {"generator": "lcg", "e": spec.e, "b": spec.b, "n": spec.n, "u0": spec.u0,
-           "exact": info.exact, "divisor_bound": info.divisor_bound}
-    return _orbit(args, doc, spec, lambda t: info.exact == t if info.exact is not None
-                  else info.divisor_bound % t == 0)
-
-
-def _power_doc(args, e: int) -> dict:
-    spec = PowerGenSpec(e=e, n=args.n, u0=args.u)
-    analytic = power_period_analytic(spec)
-    doc = {"generator": "power", "e": spec.e, "n": spec.n, "u0": spec.u0,
-           "analytic": analytic}
-    return _orbit(args, doc, spec, lambda t: t == analytic)
 
 
 _FLAGS = {
@@ -106,9 +95,12 @@ _COMMANDS = {
             "class": classify_prime(a.p, a.e, EpsilonFn(cap=a.epsilon_cap))}),
     }),
     "period": ("generator", "generator period, analytic and empirical", {
-        "lcg": ("e b n u empirical", _lcg_doc),
-        "power": ("e n u empirical", lambda a: _power_doc(a, a.e)),
-        "bbs": ("n u empirical", lambda a: _power_doc(a, 2)),
+        "lcg": ("e b n u empirical", lambda a: _period_doc(
+            a, "lcg", LcgSpec(a.e, a.b, a.n, a.u), lcg_period_analytic)),
+        "power": ("e n u empirical", lambda a: _period_doc(
+            a, "power", PowerGenSpec(a.e, a.n, a.u), power_period_analytic)),
+        "bbs": ("n u empirical", lambda a: _period_doc(
+            a, "power", PowerGenSpec(2, a.n, a.u), power_period_analytic)),
     }),
 }
 

@@ -1,23 +1,38 @@
-"""Linear congruential and power (x -> x^e) generators and their periods.
+"""Linear congruential and power (x -> x^e) generators, their exact tail and
+period in closed form, and Brent cycle detection on the actual orbit, so
+the closed forms can be checked against ground truth over ranges.
 
-Each generator gets two period routes: an analytic one from the order
-functions and an empirical one from Brent cycle detection on the actual
-orbit, so the formulas can be checked against ground truth over ranges.
+Both closed forms return a CycleResult, the record brent_cycle returns, for
+every parameter and seed.  Each factors the part of n coprime to e (the
+LCG) or to the seed (the power generator) once and reads every order off a
+table-less OrderKernel; the prime powers of n are combined by lcm for the
+period and by max for the tail.
 
-For the LCG u -> e*u + b mod n the closed form gives the period exactly as
-coprime_order(e, n) only under two coprimality conditions (e - 1 invertible
-mod n and the shifted seed coprime to n); unconditionally the period divides
-coprime_order(e, n) * gcd(e - 1, n).  For the power generator the eventual
-period is coprime_order(e, coprime_order(u0, n)) with no side conditions.
+LCG u -> e*u + b mod n from u: with w = (e - 1)u + b, u_(i+k) - u_i =
+e^i * w * (e^k - 1)/(e - 1).  So at a prime power p^a of n, with
+p^c = p^a / gcd(w, p^a):
+
+    p not dividing e   no tail, and period ord(e, p^c * p^v_p(e - 1)),
+                       since (e^k - 1)/(e - 1) has v_p(e^k - 1) - v_p(e - 1)
+    p dividing e       period 1, from the least i with p^c | e^i on
+
+Power generator u -> u^e mod n from u: the part n_u of n on the seed's
+primes reaches 0 at the least i with n_u | u^(e^i), and stays there.  On
+the rest, u^(e^i) repeats as e^i mod o does, o = ord(u, n / n_u): its tail
+is the least i with o_e | e^i, o_e the part of o on e's primes, and its
+period is ord*(e, o).  o's primes are those of each p and p - 1 over the
+primes p of n / n_u, so o is split over them, never factored; the kernels
+of the two bases share what they factor, so no p - 1 is factored twice.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from ._record import FrozenRecord
-from .orders import OrderKernel, carmichael_lambda, coprime_order, coprime_part
-from .arith import Factorization, factorize
+from .orders import OrderKernel, _query_kernels, coprime_part
+from .arith import factorize
 
 
 class LcgSpec(FrozenRecord):
@@ -61,14 +76,6 @@ class CycleResult(FrozenRecord):
     period: int
 
 
-class LcgPeriod(FrozenRecord):
-    """Analytic LCG period: exact value when the coprimality conditions
-    hold (None otherwise), and an unconditional divisor bound."""
-
-    exact: int | None
-    divisor_bound: int
-
-
 def brent_cycle(step: Callable[[int], int], x0: int) -> CycleResult:
     """Minimal tail and period of the eventually periodic orbit of step."""
     power = lam = 1
@@ -92,63 +99,50 @@ def brent_cycle(step: Callable[[int], int], x0: int) -> CycleResult:
     return CycleResult(tail=mu, period=lam)
 
 
-def lcg_iterate(spec: LcgSpec, i: int) -> int:
-    """The i-th term of the orbit; i = 0 is the seed."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    u = spec.u0
-    for _ in range(i):
-        u = spec.step(u)
-    return u
-
-
-def lcg_period_analytic(spec: LcgSpec) -> LcgPeriod:
-    e, b, n, u0 = spec.e, spec.b, spec.n, spec.u0
-    o = coprime_order(e, n)
-    g = math.gcd(e - 1, n)
-    exact = None
-    if g == 1:
-        inv = pow(e - 1, -1, n)
-        if math.gcd((u0 + b * inv) % n, n) == 1:
-            exact = o
-    return LcgPeriod(exact=exact, divisor_bound=o * g)
-
-
-def lcg_period_empirical(spec: LcgSpec) -> CycleResult:
-    return brent_cycle(spec.step, spec.u0)
-
-
-def _split_order(e: int, f: Factorization, value: int) -> int:
-    """ord*(e, value) for a value whose every prime is a prime p of f or a
-    prime of p - 1: value is split over those primes, never factored, and
-    the order read at the prime powers it splits into."""
+def lcg_period_analytic(spec: LcgSpec) -> CycleResult:
+    """Exact tail and period of the LCG's orbit from spec.u0."""
+    e, n = spec.e, spec.n
+    w = ((e - 1) * spec.u0 + spec.b) % n
+    n_c = coprime_part(n, e)
+    n_e = n // n_c
     powers = []
-    for r in {r for p in f.primes() for r in (p, *factorize(p - 1).primes())}:
-        q = 1
-        while value % r == 0:
-            value //= r
-            q *= r
-        if q > 1:
-            powers.append((r, q))
-    return math.lcm(*OrderKernel(1, e).values("O", powers))
+    for p, q in factorize(n_c).powers():
+        pc = q // math.gcd(w, q)
+        if pc > 1:
+            x = e - 1
+            while x % p == 0:
+                x //= p
+                pc *= p
+            powers.append((p, pc))
+    d = n_e // math.gcd(w, n_e)  # the p^c over the primes p of e
+    return CycleResult(tail=next(i for i in count() if pow(e, i, d) == 0),
+                       period=math.lcm(*OrderKernel(1, e).values("O", powers)))
 
 
-def power_period_analytic(spec: PowerGenSpec) -> int:
-    """coprime_order(e, coprime_order(u0, n)).  The inner order divides
-    lambda of n's coprime part, so it is split, not factored."""
-    f = factorize(coprime_part(spec.n, spec.u0))
-    inner = math.lcm(*OrderKernel(1, spec.u0).values("O", f.powers()))
-    return _split_order(spec.e, f, inner)
-
-
-def power_period_empirical(spec: PowerGenSpec) -> CycleResult:
-    return brent_cycle(spec.step, spec.u0)
+def power_period_analytic(spec: PowerGenSpec) -> CycleResult:
+    """Exact tail and period of the power generator's orbit from spec.u0."""
+    e, n, u = spec.e, spec.n, spec.u0
+    n_c = coprime_part(n, u)
+    inner, outer = _query_kernels(u, e)
+    o = {}  # r: r^k exactly dividing o = ord(u, n_c)
+    for p, q in factorize(n_c).powers():
+        [o_p] = inner.values("O", [(p, q)])
+        # o_p divides lambda(q): its primes are p and those of p - 1, which
+        # the descent at p has factored unless p - 1 is a power of 2
+        for r in (p, *(r for r, _ in inner._prime_powers(p - 1))):
+            k = 1
+            while o_p % (k * r) == 0:
+                k *= r
+            o[r] = max(o.get(r, 1), k)
+    o_e = math.prod(k for r, k in o.items() if e % r == 0)
+    tail = next(i for i in count() if pow(u, e**i, n // n_c) == 0 == pow(e, i, o_e))
+    return CycleResult(tail=tail, period=math.lcm(*outer.values("O", o.items())))
 
 
 def max_seed_period(e: int, n: int) -> int:
     """Power-generator period for a seed of maximal order, i.e.
-    coprime_order(e, lambda(n)), with lambda(n) split, not factored."""
+    coprime_order(e, lambda(n)): the lcm of L(p^a) = ord*(e, lambda(p^a))
+    over the prime powers of n, so lambda(n) is never factored."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    f = factorize(n)
-    return _split_order(e, f, carmichael_lambda(f))
+    return math.lcm(*OrderKernel(1, e).values("L", factorize(n).powers()))

@@ -14,10 +14,13 @@ ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says
 powers of n.
 
 A single-value query runs on a kernel with no table, OrderKernel(1, e),
-built per call and keeping nothing: it factors the modulus once, through
-arith.factorize, and each descent factors the odd part of p - 1.  Callers
-that already hold a factorization read values("O", ...) at its prime
-powers rather than ord(n), so no query factors its modulus twice.
+built per call and keeping no order: it factors the modulus once, through
+arith.factorize, and each descent factors p - 1.  It keeps
+what it factors for the length of the query, and _query_kernels gives a
+query that needs orders to two bases kernels sharing it, so no value is
+factored twice.  Callers that already hold a factorization read
+values("O", ...) at its prime powers rather than ord(n), so no query
+factors its modulus twice.
 
 A survey asks _survey_kernel for the kernel of its x_max and base, whose
 table is the smallest prime factor of each integer in
@@ -173,7 +176,8 @@ class OrderKernel:
     O(p) descends from p - 1 (_prime_order), fed p - 1's odd primes in one
     walk of the table, or through arith.factorize above it, and O(p^a) is
     O(p^(a-1)) or p times it, as one pow() decides.  L and LL take
-    lambda(q) by the lambda rule, then ord and lam below.  O, L and LL are
+    lambda(q) by the lambda rule, then ord and lam below, except that L at
+    an odd q = p^a, a >= 2, is lcm(L(p), O(q / p)).  O, L and LL are
     kept once computed for q <= limit, each in one array of its own, built
     on the quantity's first use, under one slot rule: odd q at index
     q // 2, and q = 2^a at index -a - 1, in a tail of limit.bit_length()
@@ -191,7 +195,8 @@ class OrderKernel:
 
     Single-value queries build OrderKernel(1, e): its table is empty and
     its arrays hold only q = 1, so every value goes through arith.factorize
-    and nothing is kept.  Limit 1, not 0, keeps (1, 1) in its slot (L
+    and no order is kept.  It keeps each factorization instead, so that the
+    query makes it once.  Limit 1, not 0, keeps (1, 1) in its slot (L
     would otherwise take ord(0)) and 1 off arith.factorize, where the
     descent at p = 2 or 3 has no odd part of p - 1 to factor.
     """
@@ -205,6 +210,8 @@ class OrderKernel:
             spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
         self._spf = spf
         self._kept: dict[str, array] = {}
+        # a table-less kernel serves one query: it keeps what it factors
+        self._factored: dict[int, list] | None = {} if limit == 1 else None
 
     def values(self, quantity: str, powers: Iterable[tuple[int, int]]) -> list[int]:
         """The column of quantity ("O", "L", "LL" or "lpf") at each prime
@@ -232,9 +239,15 @@ class OrderKernel:
 
     def _prime_powers(self, n: int) -> list[tuple[int, int]]:
         """(p, p^a) for each prime power exactly dividing n >= 1, p rising:
-        off the table for n <= limit, through arith.factorize above it."""
+        off the table for n <= limit, through arith.factorize above it, and
+        for a table-less kernel once per n."""
         if not 1 <= n <= self.limit:
-            return factorize(n).powers()
+            factored = self._factored
+            if factored is None:
+                return factorize(n).powers()
+            if n not in factored:
+                factored[n] = factorize(n).powers()
+            return factored[n]
         spf = self._spf
         out = []
         while n > 1:
@@ -269,11 +282,12 @@ def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
         return 1
     if q == p:
         # p - 1's odd primes in one walk of the table, unless its odd part
-        # lies above the table
+        # lies above the table: then p - 1 is factored whole, as L(p) =
+        # ord*(e, p - 1) factors it, so a table-less kernel does it once
         m = p - 1
         m //= m & -m
         if m > kernel.limit:
-            return _prime_order(e, p, [r for r, _ in kernel._prime_powers(m)])
+            return _prime_order(e, p, [r for r, _ in kernel._prime_powers(p - 1)[1:]])
         spf, odd = kernel._spf, []
         while m > 1:
             r = spf[m] or m
@@ -286,14 +300,32 @@ def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
     return o if pow(e, o, q) == 1 else o * p
 
 
+def _lambda_order(kernel: OrderKernel, p: int, q: int) -> int:
+    """L(q) at q = p^a: ord*(e, lambda(q)), and for odd p and a >= 2, where
+    lambda(q) = (p - 1) * q / p with coprime factors, lcm(L(p), O(q / p)):
+    p - 1 is factored for L(p) alone."""
+    if p == 2 or q == p:
+        return kernel.ord(_lambda_lcm([(p, q)]))
+    return math.lcm(*kernel.values("L", [(p, p)]), *kernel.values("O", [(p, q // p)]))
+
+
 # How the kernel computes each kept quantity at a prime power q = p^a.
 _QUANTITIES = {
     "O": _prime_power_order,
-    "L": lambda kernel, p, q: kernel.ord(_lambda_lcm([(p, q)])),
+    "L": _lambda_order,
     "LL": lambda kernel, p, q: kernel.lam(_lambda_lcm([(p, q)])),
 }
 
 _order_kernel = functools.lru_cache(maxsize=1)(OrderKernel)
+
+
+def _query_kernels(*bases: int) -> list[OrderKernel]:
+    """Table-less kernels of the bases for one query, sharing what they
+    factor, so that the query factors no value twice."""
+    kernels = [OrderKernel(1, e) for e in bases]
+    for kernel in kernels:
+        kernel._factored = kernels[0]._factored
+    return kernels
 
 
 def _survey_kernel(x_max: int, e: int) -> OrderKernel:

@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from ordstat.arith import factorize, lcm, primes_in_range
-from ordstat.generators import (LcgSpec, PowerGenSpec, lcg_period_analytic,
-                                lcg_period_empirical, power_period_analytic,
-                                power_period_empirical)
+from ordstat.generators import (CycleResult, LcgSpec, PowerGenSpec, brent_cycle,
+                                lcg_period_analytic, power_period_analytic)
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, coprime_part
 from ordstat.survey import (CLASS_COUNTS, HIGH_FACTOR, LAMBDA_N, ORD_N,
                             SHIFTED_PRIME, SurveyConfig, run_survey)
@@ -121,13 +120,13 @@ def test_criterion_3_power_period_equivalence():
                 if u0 % n == 0:
                     continue
                 spec = PowerGenSpec(e=e, n=n, u0=u0)
-                cyc = power_period_empirical(spec)
-                if cyc.period != power_period_analytic(spec):
+                cyc = brent_cycle(spec.step, spec.u0)
+                if cyc != power_period_analytic(spec):  # tail and period
                     violations += 1
                 if cyc.tail > n.bit_length():  # floor(log2 n) + 1
                     violations += 1
     _line(3, violations == 0,
-          f"power-generator period formula and tail bound for n <= 5000 "
+          f"power-generator tail and period formulas and tail bound for n <= 5000 "
           f"({violations} violations)")
 
 
@@ -161,17 +160,12 @@ def test_criterion_4_lcg_contract():
                 orbits = _lcg_orbits(e, b % n, n)
                 for u0 in (0, 1):
                     spec = LcgSpec(e=e, b=b, n=n, u0=u0)
-                    info = lcg_period_analytic(spec)
-                    tail, period = orbits[u0]
+                    walked = CycleResult(*orbits[u0])
                     if n <= 300:  # the walk against Brent cycle detection
-                        cyc = lcg_period_empirical(spec)
-                        mismatches += (cyc.tail, cyc.period) != (tail, period)
-                    if info.exact is not None and period != info.exact:
-                        violations += 1
-                    if info.divisor_bound % period != 0:
-                        violations += 1
+                        mismatches += brent_cycle(spec.step, spec.u0) != walked
+                    violations += lcg_period_analytic(spec) != walked
     _line(4, violations == mismatches == 0,
-          f"LCG exact-period conditions and divisor bound over the grid "
+          f"LCG tail and period formulas equal the orbit walk over the grid "
           f"({violations} violations, {mismatches} orbit walks unlike Brent)")
 
 

@@ -4,16 +4,8 @@ import random
 import pytest
 
 from ordstat import arith
-from ordstat.arith import (Factorization, OverflowError64, factorize, gcd,
-                           is_prime, jacobi, lcm, pow_mod, primes_in_range,
-                           sieve_primes)
-
-
-def naive_pow_mod(base, exp, modulus):
-    r = 1 % modulus
-    for _ in range(exp):
-        r = r * base % modulus
-    return r
+from ordstat.arith import (Factorization, OverflowError64, factorize, is_prime,
+                           jacobi, lcm, primes_in_range)
 
 
 def simple_sieve_flags(limit):
@@ -24,28 +16,6 @@ def simple_sieve_flags(limit):
             for m in range(p * p, limit + 1, p):
                 flags[m] = 0
     return flags
-
-
-def test_pow_mod_examples():
-    assert pow_mod(5, 0, 7) == 1
-    assert pow_mod(2, 10, 1000) == 24
-    assert naive_pow_mod(2, 10, 1000) == 24
-    for x in (0, 1, 5, 12345):
-        assert pow_mod(x, 1, 1) == 0
-
-
-def test_pow_mod_rejects_zero_modulus():
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 0)
-
-
-def test_pow_mod_matches_naive_loop():
-    rng = random.Random(20140901)
-    for _ in range(10_000):
-        b = rng.randrange(0, 10**6)
-        e = rng.randrange(0, 10**3)
-        m = rng.randrange(1, 10**6)
-        assert pow_mod(b, e, m) == naive_pow_mod(b, e, m)
 
 
 def test_is_prime_examples():
@@ -171,19 +141,19 @@ def test_factorization_validates():
 
 
 def test_sieve_examples():
-    assert sieve_primes(10) == [2, 3, 5, 7]
-    assert sieve_primes(2) == [2]
-    assert len(sieve_primes(10**6)) == 78498
+    assert primes_in_range(2, 11) == [2, 3, 5, 7]
+    assert primes_in_range(2, 3) == [2]
+    assert len(primes_in_range(2, 10**6 + 1)) == 78498
 
 
 def test_sieve_matches_simple_oracle():
     flags = simple_sieve_flags(30_000)
     expected = [n for n in range(2, 30_001) if flags[n]]
-    assert sieve_primes(30_000) == expected
+    assert primes_in_range(2, 30_001) == expected
 
 
 def test_primes_in_range_segments():
-    whole = sieve_primes(10_000)
+    whole = primes_in_range(2, 10_001)
     pieces = []
     for lo in range(0, 10_001, 977):
         pieces.extend(primes_in_range(lo, min(lo + 977, 10_001)))
@@ -198,11 +168,11 @@ def test_primes_in_range_segments():
 
 
 def test_gcd_lcm_examples():
-    assert gcd(12, 18) == 6
+    assert math.gcd(12, 18) == 6
     assert lcm(4, 6) == 12
     for a in (0, 1, 7, 100):
-        assert gcd(a, 0) == a
-    assert gcd(0, 0) == 0
+        assert math.gcd(a, 0) == a
+    assert math.gcd(0, 0) == 0
     assert lcm(0, 5) == 0
 
 
@@ -218,7 +188,7 @@ def test_gcd_lcm_product_identity():
     for _ in range(2000):
         a = rng.randrange(1, 10**6)
         b = rng.randrange(1, 10**6)
-        assert gcd(a, b) * lcm(a, b) == a * b
+        assert math.gcd(a, b) * lcm(a, b) == a * b
 
 
 def test_jacobi_is_eulers_criterion():

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ordstat.arith import factorize, sieve_primes
+from ordstat.arith import factorize, primes_in_range
 from ordstat.classify import (EpsilonFn, _above, _sqrt_over_log_exponent, classify_prime,
-                              divisor_quotient_bound, epsilon_default,
                               lcm_order_lower_bound, power_compare,
                               prime_orders_lower_bound)
 from ordstat.orders import carmichael_lambda, coprime_order
@@ -16,10 +15,11 @@ from ordstat.survey import CLASS_COUNTS, SurveyConfig, run_survey
 
 def test_epsilon_examples():
     x = math.exp(math.exp(2))  # log log x = 2
-    assert epsilon_default(x) == pytest.approx(0.25)
-    assert epsilon_default(16) == 0.25
+    eps = EpsilonFn()
+    assert eps(x) == pytest.approx(0.25)
+    assert eps(16) == 0.25
     with pytest.raises(ValueError):
-        epsilon_default(15.9)
+        eps(15.9)
 
 
 def test_epsilon_clamp_semantics():
@@ -56,9 +56,9 @@ def test_epsilon_monotone_nonincreasing():
 
 
 def test_epsilon_constraints_past_their_floor():
-    # eps(x) > 1/loglog(x) holds from lower_bound_floor on
+    # eps(x) > 1/loglog(x) holds from x0 = exp(exp(1/cap)) on
     eps = EpsilonFn(cap=0.45)
-    x0 = eps.lower_bound_floor
+    x0 = math.exp(math.exp(1.0 / eps.cap))
     assert x0 < 1e10
     for x in (x0 * 1.001, 1e12, 1e30, 1e100, 1e300):
         assert eps(x) > 1.0 / math.log(math.log(x)), x
@@ -88,7 +88,7 @@ def test_classes_partition_primes():
     for eps, x in ((EpsilonFn(), 100_000), (EpsilonFn(cap=0.1), 10_000)):
         for e in (2, 3, 10):
             labels = Counter()
-            for p in sieve_primes(x):
+            for p in primes_in_range(2, x + 1):
                 label = classify_prime(p, e, eps)
                 assert label in ("L", "M", "H")
                 if p in (2, 3, 5) and e % p == 0:
@@ -101,7 +101,7 @@ def test_classes_partition_primes():
 def test_classify_with_small_cap_yields_high_class():
     # cap 0.1 -> medium/high boundary p^0.7, so large-order primes are H
     eps = EpsilonFn(cap=0.1)
-    labels = {p: classify_prime(p, 2, eps) for p in sieve_primes(200)}
+    labels = {p: classify_prime(p, 2, eps) for p in primes_in_range(2, 201)}
     assert labels[11] == "H"  # ord(2,11) = 10 > 11^0.7
     assert "M" in labels.values()
 
@@ -198,19 +198,6 @@ def test_lcm_order_lower_bound_random_pairs():
             lam = [carmichael_lambda(factorize(v)) for v in (m, a, b)]
             want = Fraction(coprime_order(e, a) * coprime_order(e, b) * lam[0], lam[1] * lam[2])
             assert bound == want, (e, a, b)
-
-
-def test_divisor_quotient_bound():
-    for n in (7, 90, 360):
-        o = coprime_order(2, n)
-        assert divisor_quotient_bound(2, n, 1) == o
-        assert divisor_quotient_bound(2, n, n) == Fraction(o, n)
-        assert 1 >= Fraction(o, n)  # ord*(e, 1) = 1 >= ord*(e, n)/n
-    assert coprime_order(2, 90) == 12
-    assert coprime_order(2, 15) == 4
-    assert divisor_quotient_bound(2, 90, 6) == 2
-    with pytest.raises(ValueError):
-        divisor_quotient_bound(2, 90, 7)
 
 
 def test_divisor_quotient_bound_exhaustive_small():

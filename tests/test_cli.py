@@ -84,8 +84,9 @@ def test_period_power_and_bbs_alias(capsys):
 def test_period_lcg(capsys):
     doc = run_json(capsys, ["period", "lcg", "--e", "3", "--b", "1", "--n", "10",
                             "--u", "0", "--empirical"])
-    assert doc["exact"] is None
-    assert doc["divisor_bound"] == 8
+    # gcd(e - 1, n) = 2, and the period is exact all the same
+    assert (doc["analytic"], doc["analytic_tail"]) == (4, 0)
+    assert "exact" not in doc and "divisor_bound" not in doc
     assert doc["empirical_period"] == 4
     assert doc["agree"] is True
 
@@ -110,32 +111,38 @@ EXACT_OUTPUT = [
     ("compute classify --p 7 --e 2", 0, '{"schema": 1, "p": 7, "e": 2, "class": "M"}\n'),
     ("compute classify --p 1000003 --e 2 --epsilon-cap 0.5", 0,
      '{"schema": 1, "p": 1000003, "e": 2, "class": "M"}\n'),
-    # exact set: gcd(e - 1, n) = 1 and the shifted seed is coprime to n
+    # gcd(e - 1, n) = 1 and the shifted seed is coprime to n
     ("period lcg --e 3 --b 1 --n 7 --u 0", 0,
-     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 7, "u0": 0, "exact": 6,'
-     ' "divisor_bound": 6}\n'),
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 7, "u0": 0, "analytic": 6,'
+     ' "analytic_tail": 0}\n'),
     ("period lcg --e 3 --b 1 --n 7 --u 0 --empirical", 0,
-     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 7, "u0": 0, "exact": 6,'
-     ' "divisor_bound": 6, "empirical_period": 6, "tail": 0, "agree": true}\n'),
-    # exact None: gcd(e - 1, n) = 2
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 7, "u0": 0, "analytic": 6,'
+     ' "analytic_tail": 0, "empirical_period": 6, "tail": 0, "agree": true}\n'),
+    # gcd(e - 1, n) = 2
     ("period lcg --e 3 --b 1 --n 10 --u 0", 0,
-     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 10, "u0": 0, "exact": null,'
-     ' "divisor_bound": 8}\n'),
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 10, "u0": 0, "analytic": 4,'
+     ' "analytic_tail": 0}\n'),
     ("period lcg --e 3 --b 1 --n 10 --u 0 --empirical", 0,
-     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 10, "u0": 0, "exact": null,'
-     ' "divisor_bound": 8, "empirical_period": 4, "tail": 0, "agree": true}\n'),
+     '{"schema": 1, "generator": "lcg", "e": 3, "b": 1, "n": 10, "u0": 0, "analytic": 4,'
+     ' "analytic_tail": 0, "empirical_period": 4, "tail": 0, "agree": true}\n'),
+    # e shares the prime 2 with n: 1, 2, 4, 0, 0, ...
+    ("period lcg --e 2 --b 0 --n 8 --u 1 --empirical", 0,
+     '{"schema": 1, "generator": "lcg", "e": 2, "b": 0, "n": 8, "u0": 1, "analytic": 1,'
+     ' "analytic_tail": 3, "empirical_period": 1, "tail": 3, "agree": true}\n'),
     ("period lcg --e 1 --b 1 --n 10 --u 0", 2, ""),
     ("period power --e 2 --n 11 --u 3", 0,
-     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4}\n'),
+     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4,'
+     ' "analytic_tail": 0}\n'),
     ("period power --e 3 --n 77 --u 2 --empirical", 0,
      '{"schema": 1, "generator": "power", "e": 3, "n": 77, "u0": 2, "analytic": 4,'
-     ' "empirical_period": 4, "tail": 1, "agree": true}\n'),
+     ' "analytic_tail": 1, "empirical_period": 4, "tail": 1, "agree": true}\n'),
     ("period power --e 2 --n 11 --u 1", 2, ""),
     ("period bbs --n 11 --u 3", 0,
-     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4}\n'),
+     '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4,'
+     ' "analytic_tail": 0}\n'),
     ("period bbs --n 11 --u 3 --empirical", 0,
      '{"schema": 1, "generator": "power", "e": 2, "n": 11, "u0": 3, "analytic": 4,'
-     ' "empirical_period": 4, "tail": 0, "agree": true}\n'),
+     ' "analytic_tail": 0, "empirical_period": 4, "tail": 0, "agree": true}\n'),
     ("period bbs --e 3 --n 11 --u 3", 2, ""),  # bbs fixes e = 2
     ("period bbs --e --n 11 --u 3", 2, ""),  # --e is no prefix of --empirical
     ("compute classify --p 8 --e 2", 2, ""),  # p must be prime
@@ -176,7 +183,7 @@ def _readme_examples():
 
 def test_readme_examples_print_what_they_show(capsys):
     shown = [(argv, out) for argv, out in _readme_examples() if argv[0] != "survey"]
-    assert len(shown) == 6 and all(out for _, out in shown), shown
+    assert len(shown) == 7 and all(out for _, out in shown), shown
     for argv, out in shown:
         assert main(argv) == 0
         printed = capsys.readouterr().out
@@ -374,6 +381,11 @@ def test_query_factors_its_modulus_once(capsys, monkeypatch):
         # modulus; besides it only p - 1 for the primes p of it are factored
         assert seen.count(modulus) == 1, seen
         assert all(m < largest for m in seen if m != modulus), seen
+    # the period's two bases share what they factor: no value is factored
+    # twice, and each p - 1 whole or as its odd part (p - 1)/2, not both
+    assert len(set(seen)) == len(seen), seen
+    for prime in (r, s):
+        assert not (prime - 1 in seen and (prime - 1) // 2 in seen), (prime, seen)
     capsys.readouterr()
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from ordstat.arith import factorize
 from ordstat.generators import (CycleResult, LcgSpec, PowerGenSpec,
-                                brent_cycle, lcg_iterate, lcg_period_analytic,
-                                lcg_period_empirical, max_seed_period,
-                                power_period_analytic, power_period_empirical)
+                                brent_cycle, lcg_period_analytic,
+                                max_seed_period, power_period_analytic)
 from ordstat.orders import coprime_order
 
 
@@ -23,46 +22,61 @@ def orbit_scan(step, x0):
 
 
 def test_lcg_iterate_examples():
-    spec = LcgSpec(e=3, b=1, n=10, u0=0)
-    assert [lcg_iterate(spec, i) for i in range(5)] == [0, 1, 4, 3, 0]
-    spec = LcgSpec(e=2, b=0, n=5, u0=0)
-    assert all(lcg_iterate(spec, i) == 0 for i in range(6))
-    spec = LcgSpec(e=2, b=1, n=5, u0=0)
-    assert [lcg_iterate(spec, i) for i in range(5)] == [0, 1, 3, 2, 0]
+    def orbit(spec, terms):
+        out = [spec.u0]
+        while len(out) < terms:
+            out.append(spec.step(out[-1]))
+        return out
+
+    assert orbit(LcgSpec(e=3, b=1, n=10, u0=0), 5) == [0, 1, 4, 3, 0]
+    assert orbit(LcgSpec(e=2, b=0, n=5, u0=0), 6) == [0] * 6
+    assert orbit(LcgSpec(e=2, b=1, n=5, u0=0), 5) == [0, 1, 3, 2, 0]
 
 
 def test_lcg_period_analytic_examples():
-    info = lcg_period_analytic(LcgSpec(e=2, b=1, n=5, u0=0))
-    assert (info.exact, info.divisor_bound) == (4, 4)
-    info = lcg_period_analytic(LcgSpec(e=3, b=1, n=10, u0=0))
-    assert (info.exact, info.divisor_bound) == (None, 8)
-    info = lcg_period_analytic(LcgSpec(e=2, b=0, n=5, u0=1))
-    assert info.exact == 4  # closed form u_i = 2^i mod 5
+    assert lcg_period_analytic(LcgSpec(e=2, b=1, n=5, u0=0)) == CycleResult(0, 4)
+    # gcd(e - 1, n) = 2: the period is exact all the same
+    assert lcg_period_analytic(LcgSpec(e=3, b=1, n=10, u0=0)) == CycleResult(0, 4)
+    # closed form u_i = 2^i mod 5
+    assert lcg_period_analytic(LcgSpec(e=2, b=0, n=5, u0=1)) == CycleResult(0, 4)
+    # e shares the prime 2 with n = 8: 1, 2, 4, 0, 0, ...
+    assert lcg_period_analytic(LcgSpec(e=2, b=0, n=8, u0=1)) == CycleResult(3, 1)
+    # a fixed point, w = (e - 1)u + b = 0 mod n
+    assert lcg_period_analytic(LcgSpec(e=3, b=8, n=10, u0=1)) == CycleResult(0, 1)
+    # n is past 2^64, but its part coprime to e is 5: the 2s give the tail
+    assert lcg_period_analytic(LcgSpec(e=2, b=1, n=5 * 2**70, u0=0)) == CycleResult(70, 4)
 
 
 def test_lcg_period_empirical_examples():
-    assert lcg_period_empirical(LcgSpec(e=3, b=1, n=10, u0=0)) == CycleResult(0, 4)
-    assert lcg_period_empirical(LcgSpec(e=2, b=0, n=8, u0=1)) == CycleResult(3, 1)
-    assert lcg_period_empirical(LcgSpec(e=2, b=0, n=5, u0=0)) == CycleResult(0, 1)
+    for spec, want in ((LcgSpec(e=3, b=1, n=10, u0=0), CycleResult(0, 4)),
+                       (LcgSpec(e=2, b=0, n=8, u0=1), CycleResult(3, 1)),
+                       (LcgSpec(e=2, b=0, n=5, u0=0), CycleResult(0, 1))):
+        assert brent_cycle(spec.step, spec.u0) == want
 
 
 def test_power_period_analytic_examples():
-    assert power_period_analytic(PowerGenSpec(e=2, n=11, u0=3)) == 4
-    # any seed of maximal order mod 209 gives ord*(2, 90) = 12
+    assert power_period_analytic(PowerGenSpec(e=2, n=11, u0=3)) == CycleResult(0, 4)
+    # any seed of maximal order mod 209 gives ord*(2, 90) = 12, after the
+    # one step that takes 90's factor 2 off the exponent
     seeds = [u for u in range(2, 209) if coprime_order(u, 209) == 90]
     assert seeds
     for u in seeds[:5]:
-        assert power_period_analytic(PowerGenSpec(e=2, n=209, u0=u)) == 12
-    assert power_period_analytic(PowerGenSpec(e=5, n=2, u0=7)) == 1
-    # n is past 2^64, but its part coprime to the seed is 5: ord(3, ord(2, 5))
-    assert power_period_analytic(PowerGenSpec(e=3, n=5 * 2**70, u0=2)) == 2
+        assert power_period_analytic(PowerGenSpec(e=2, n=209, u0=u)) == CycleResult(1, 12)
+    assert power_period_analytic(PowerGenSpec(e=5, n=2, u0=7)) == CycleResult(0, 1)
+    # n is past 2^64, but its part coprime to the seed is 5: ord(3, ord(2, 5));
+    # 2^70 divides 2^(3^i) from i = 4 on
+    assert power_period_analytic(PowerGenSpec(e=3, n=5 * 2**70, u0=2)) == CycleResult(4, 2)
+    # a seed that is 0 mod n stays there
+    assert power_period_analytic(PowerGenSpec(e=2, n=6, u0=12)) == CycleResult(0, 1)
 
 
 def test_power_period_empirical_examples():
-    assert power_period_empirical(PowerGenSpec(e=2, n=11, u0=3)) == CycleResult(0, 4)
+    spec = PowerGenSpec(e=2, n=11, u0=3)
+    assert brent_cycle(spec.step, spec.u0) == CycleResult(0, 4)
     spec = PowerGenSpec(e=2, n=21, u0=4)
-    assert power_period_empirical(spec) == orbit_scan(spec.step, spec.u0)
-    assert power_period_empirical(PowerGenSpec(e=2, n=2, u0=3)).period == 1
+    assert brent_cycle(spec.step, spec.u0) == orbit_scan(spec.step, spec.u0)
+    spec = PowerGenSpec(e=2, n=2, u0=3)
+    assert brent_cycle(spec.step, spec.u0).period == 1
 
 
 def test_max_seed_period_examples():
@@ -86,22 +100,18 @@ def test_power_period_formula_small_grid():
                 if u0 % n == 0:
                     continue
                 spec = PowerGenSpec(e=e, n=n, u0=u0)
-                cyc = power_period_empirical(spec)
-                assert cyc.period == power_period_analytic(spec), (e, n, u0)
+                cyc = brent_cycle(spec.step, spec.u0)
+                assert cyc == power_period_analytic(spec), (e, n, u0)
                 assert cyc.tail <= n.bit_length(), (e, n, u0)
 
 
 def test_lcg_contract_small_grid():
     for n in range(2, 300):
-        for e in (2, 3):
-            for b in (0, 1, 7):
-                for u0 in (0, 1):
+        for e in (2, 3, 4, 6):
+            for b in (0, 1, 7, n - 1):
+                for u0 in (0, 1, n // 2):
                     spec = LcgSpec(e=e, b=b, n=n, u0=u0)
-                    info = lcg_period_analytic(spec)
-                    cyc = lcg_period_empirical(spec)
-                    if info.exact is not None:
-                        assert cyc.period == info.exact, spec
-                    assert info.divisor_bound % cyc.period == 0, spec
+                    assert lcg_period_analytic(spec) == brent_cycle(spec.step, spec.u0), spec
 
 
 def test_seed_robustness_inequality():
@@ -118,7 +128,7 @@ def test_seed_robustness_inequality():
             o_u = coprime_order(u0, n)
             assert lam % o_u == 0, (n, u0)
             j = lam // o_u
-            period = power_period_analytic(PowerGenSpec(e=2, n=n, u0=u0))
+            period = power_period_analytic(PowerGenSpec(e=2, n=n, u0=u0)).period
             assert period * j >= best, (n, u0)
 
 

@@ -20,8 +20,8 @@ import pytest
 import ordstat.classify as classify_mod
 import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
-from ordstat.arith import factorize, lcm, primes_in_range
-from ordstat.generators import CycleResult, LcgPeriod, LcgSpec, PowerGenSpec
+from ordstat.arith import Factorization, factorize, lcm, primes_in_range
+from ordstat.generators import CycleResult, LcgSpec, PowerGenSpec
 from ordstat.classify import EpsilonFn, power_compare
 from ordstat.cli import main
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, order_profile
@@ -448,7 +448,7 @@ def test_records_are_values_that_pickle():
     cfg = SurveyConfig(LAMBDA_N, 300, 2, EpsilonFn(), None, 50)
     assert cfg == SurveyConfig(kind=LAMBDA_N, x_max=300, chunk=50)
     frozen = (factorize(360), order_profile(2, 7), LcgSpec(3, 1, 10, 0), PowerGenSpec(2, 11, 3),
-              CycleResult(0, 4), LcgPeriod(None, 8), EpsilonFn(0.3), cfg)
+              CycleResult(0, 4), order_profile(2, 12), EpsilonFn(0.3), cfg)
     for record in frozen:
         clone = pickle.loads(pickle.dumps(record))
         assert clone == record and hash(clone) == hash(record) and clone is not record
@@ -456,7 +456,8 @@ def test_records_are_values_that_pickle():
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert vars(pickle.loads(pickle.dumps(cfg)))["_threshold"] == Fraction(3, 4)
-    assert CycleResult(0, 4) != LcgPeriod(0, 4)
+    # records of two classes differ even where their field values agree
+    assert CycleResult(4, ((2, 2),)) != Factorization(4, ((2, 2),))
 
     result = run_survey(cfg)
     assert result.total > 0 and result != empty_result(cfg)

@@ -1,11 +1,11 @@
-"""The package's one threshold rule, prime classification by order size,
-and exact inequality bounds.
+"""The package's one threshold rule, its threshold formulas and bin rules,
+prime classification by order size, and exact inequality bounds.
 
 Every count the package reports turns on an integer q >= 1 against x^t for
 an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
 class boundaries, and the lambda-lambda, deficiency-bin and one-minus-delta
-thresholds, each written as an exponent of x, a Fraction or a formula of
-log x.  Each is decided from u = log q / log x, which the caller takes
+thresholds, each written as a Fraction or a formula f(log x, log log x, m)
+of log x.  Each is decided from u = log q / log x, which the caller takes
 once per item and shares among its decisions, in three tiers:
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
@@ -14,13 +14,18 @@ once per item and shares among its decisions, in three tiers:
     decimal  otherwise: log q / log x against t by t's own formula, both in
              50-digit decimal
 
-The column functions (_above, _above_fixed, and the survey's bin and
-lambda-lambda deciders) take the float tier themselves, a column of items
-at a time, and call power_compare, which holds the two exact tiers, only
-for the items inside the band.  So every decision is the one the exact
-tiers would make: exact at ties, deterministic and free of libm's
-rounding.  The guard, the decimal context and the denominator limit live
-here only.
+The rule is written here only, in three column loops that take the float
+tier themselves, a column of items at a time, and call power_compare,
+which holds the two exact tiers, only for the items inside the band:
+_above, for one Fraction or formula against every item, and the two bin
+rules, which find each item's nearest edge first and decide only that
+one.  _tally_u_bins bins u in the 0.05-wide grid of N_BINS edges k/20;
+_tally_deficiency_bins bins lambda-lambda's deficiency log(x/q) /
+((log log x)^2 log log log x) on edges that are formulas of log x.  A
+survey kind names its threshold and its bin rule, and survey._decide
+calls these.  So every decision is the one the exact tiers would make:
+exact at ties, deterministic and free of libm's rounding.  The guard, the
+decimal context and the denominator limit live here only.
 
 Primes split into three classes for a base e and a threshold function
 eps(x) = min(cap, 2/log log x):
@@ -39,6 +44,7 @@ callers can assert with no floating point involved.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -60,6 +66,8 @@ _DECIMAL_MATH = SimpleNamespace(log=decimal.Decimal.ln, sqrt=decimal.Decimal.sqr
 
 EPSILON_FORM = "min(cap, 2/loglog x)"
 EPSILON_MIN_X = 16
+
+N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 
 
 def guard(t: float) -> float:
@@ -91,26 +99,88 @@ def power_compare(q: int, x: int, exact: Fraction | Callable) -> int:
     return (d > 0) - (d < 0)
 
 
-def _above(qs, xs, us, ts, exact) -> list[bool]:
-    """q > x^exact for each item, given u = log q / log x and t, the float
-    value of exact, from the columns us and ts."""
-    return [u > t if abs(u - t) > guard(t) else power_compare(q, x, exact) > 0
-            for q, x, u, t in zip(qs, xs, us, ts)]
-
-
-def _above_fixed(qs, xs, us, exact: Fraction, least: int = 1) -> list[bool]:
-    """power_compare(q, x, exact) >= least for each item (least 1 for
-    q > x^exact, 0 for q >= x^exact), for one exponent: its float t and
-    the guard of t are taken once for the column."""
-    t = float(exact)
-    band = guard(t)
+def _above(qs, xs, us, lnxs, exact: Fraction | Callable, ties: bool = False) -> list[bool]:
+    """q > x^exact for each item (q >= x^exact if ties), given the columns
+    of u = log q / log x and log x.  A Fraction's float t and its guard are
+    taken once for the column, a formula's for each x."""
+    if isinstance(exact, Fraction):
+        t = float(exact)
+        ts, bands = repeat(t), repeat(guard(t))
+    else:
+        ts = list(map(exact, lnxs, map(math.log, lnxs), repeat(math)))
+        bands = map(guard, ts)
+    least = 0 if ties else 1
     return [u > t if abs(u - t) > band else power_compare(q, x, exact) >= least
-            for q, x, u in zip(qs, xs, us)]
+            for q, x, u, t, band in zip(qs, xs, us, ts, bands)]
 
 
 def _sqrt_over_log_exponent(lnx, llx, m):
     """t with x^t = sqrt(x) / log(x)."""
     return (lnx - 2 * llx) / (2 * lnx)
+
+
+def _lamlam_exponent(lnx, llx, m):
+    """t with x^t = x / exp((log log x)^3)."""
+    return 1 - llx**3 / lnx
+
+
+def _one_minus_delta_exponent(lnx, llx, m):
+    """t = 1 - sqrt(log log x / log x)."""
+    return 1 - m.sqrt(llx / lnx)
+
+
+def _deficiency_scale(lnx, llx, m):
+    """(log log x)^2 log log log x / (20 log x): the exponent step from one
+    deficiency bin edge to the next."""
+    return llx * llx * m.log(llx) / (20 * lnx)
+
+
+def _deficiency_edge(k, lnx, llx, m):
+    """t with q <= x^t exactly when the deficiency of q is at least k/20
+    (the float path, with the scale w at hand, takes 1 - k*w itself)."""
+    return 1 - k * _deficiency_scale(lnx, llx, m)
+
+
+_BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
+_U_EDGES = tuple(k / 20 for k in range(N_BINS))  # _BIN_EDGES as floats
+_DEFICIENCY_EDGES = tuple(functools.partial(_deficiency_edge, k) for k in range(N_BINS))
+
+
+def _tally_u_bins(histogram: list[int], qs, xs, us, lnxs) -> None:
+    """Add to histogram the bin of each u = log(q)/log(x) in the fixed
+    0.05-wide grid: the largest k <= 20 with q >= x^(k/20) (0 if none), so
+    a value on an edge goes to the right bin.  Only the edge k nearest u,
+    among 1..20, is in doubt.  Every edge is at most 1, where guard(t) is
+    guard(1), so one band serves them all.  lnxs, unused, keeps the
+    signature of every bin rule."""
+    band = guard(1.0)
+    for q, x, u in zip(qs, xs, us):
+        k = round(20.0 * u)
+        if not 0 < k < N_BINS:  # min(max(k, 1), 20) at a fraction of the cost
+            k = 1 if k < 1 else N_BINS - 1
+        e = _U_EDGES[k]
+        below = u < e if abs(u - e) > band else power_compare(q, x, _BIN_EDGES[k]) < 0
+        histogram[k - below] += 1
+
+
+def _tally_deficiency_bins(histogram: list[int], qs, xs, us, lnxs) -> None:
+    """Add to histogram the bin of each deficiency log(x/q) / ((log log x)^2
+    log log log x) = (1 - u) / (20 w), w the scale, for the x whose
+    denominator is positive (x > 15): the largest k <= 20 with
+    q <= x^(1 - k w).  Only the edge k nearest the deficiency, among 1..20,
+    is in doubt."""
+    log = math.log
+    for q, x, u, lnx in zip(qs, xs, us, lnxs):
+        llx = log(lnx)
+        if llx > 1.0:
+            w = _deficiency_scale(lnx, llx, math)
+            k = round((1.0 - u) / w)
+            if not 0 < k < N_BINS:
+                k = 1 if k < 1 else N_BINS - 1
+            t = 1.0 - k * w
+            above = u > t if abs(u - t) > guard(t) else power_compare(
+                q, x, _DEFICIENCY_EDGES[k]) > 0
+            histogram[k - above] += 1
 
 
 class EpsilonFn(FrozenRecord):
@@ -154,9 +224,8 @@ def order_classes(qs, ps, us, lnps, m_to_h: Fraction) -> list[str]:
     same item of qs, given u = log q / log p and log p: L for
     q <= sqrt(p)/log(p), else H for q > p^m_to_h, else M.  m_to_h is
     1/2 + 2*eps(p), one Fraction while eps is on its cap."""
-    l_to_m = map(_sqrt_over_log_exponent, lnps, map(math.log, lnps), repeat(math))
-    above_l = _above(qs, ps, us, l_to_m, _sqrt_over_log_exponent)
-    above_m = _above_fixed(qs, ps, us, m_to_h)
+    above_l = _above(qs, ps, us, lnps, _sqrt_over_log_exponent)
+    above_m = _above(qs, ps, us, lnps, m_to_h)
     return ["L" if not l else "H" if m else "M" for l, m in zip(above_l, above_m)]
 
 

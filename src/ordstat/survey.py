@@ -7,47 +7,44 @@ commutative monoid over disjoint ranges, so a survey can be split into
 chunks, evaluated by any number of workers, checkpointed, and resumed, with
 bit-identical output throughout.
 
-Each kind is one _Kind record in _KINDS: a population (every integer, the
-primes, or the pairs of primes p < l < 2p), one quantity of the order
-kernel (orders.OrderKernel: O, L, LL or lpf) at a prime power, the test,
-the exponent t and the lowest item.  An item's q is the lcm of the
-quantity over the item's prime powers.
+Each kind is one _Kind record in _KINDS, plain data: a population (every
+integer, the primes, or the pairs of primes p < l < 2p), one quantity of
+the order kernel (orders.OrderKernel: O, L, LL or lpf) at a prime power,
+the threshold, whether q = x^t exceeds, the bin rule, the lowest item and
+the classes tallied.  An item's q is the lcm of the quantity over the
+item's prime powers.
 
     kind             items       quantity  q                   x    test      t
     ord-n            n >= 16     O         ord*(e, n)          n    q >  x^t  1/2 + eps
     lambda-n         n >= 16     L         ord*(e, lambda(n))  n    q >  x^t  1/2 + eps
     one-minus-delta  n >= 16     L         ord*(e, lambda(n))  n    q >  x^t  1 - sqrt(log log n / log n)
-    lambda-lambda    n           LL        lambda(lambda(n))   n    q >  n / exp((log log n)^3)
+    lambda-lambda    n           LL        lambda(lambda(n))   n    q >  x^t  1 - (log log n)^3 / log n
     shifted-prime    primes p    L         ord*(e, p - 1)      p    q >= x^t  1/2 + eps
     high-factor      primes p    lpf       largest prime of p - 1  p  q >  x^t  677/1000
-    class-counts     primes p    O         ord*(e, p)          p    class H of classify's L/M/H
+    class-counts     primes p    O         ord*(e, p)          p    class H of classify's L/M/H, t = 1/2 + 2 eps
     rsa-pair         p < l < 2p  L         lcm(ord*(e, p - 1), ord*(e, l - 1))  pl  q >= x^t  1/2 + eps
 
-The statistic is u = log(q)/log(x), except for lambda-lambda's deficiency
+A threshold is the config's t, one Fraction (1/2 + m eps, or a constant),
+or a formula of log x from classify.  The statistic binned is
+u = log(q)/log(x), except for lambda-lambda's deficiency
 log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
-is decided as columns: the kind's population gives its q and x columns,
-every item takes log q and log x once, and one column decider per
-test shape (_fixed_exponent, _lambda_lambda, _one_minus_delta, _classes)
-tallies the tests and bins into the chunk's result.  Each decision follows
-classify's one threshold rule on the item's u: a column function takes the
-float tier when |u - t| is above classify.guard(t), and passes only the
-items inside that band to classify.power_compare, which holds the exact
-tiers.  The x^t tests and one-minus-delta's go through classify's column
-functions, class-counts' L/M/H labels through classify.order_classes, the
-one class rule that classify_prime also calls; the u bins and
-lambda-lambda's test and deficiency bin are decided here, lambda-lambda
-taking log log n once for both.  The rsa-pair q equals
-ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the e-free part of an lcm
-is the lcm of the e-free parts, and the order modulo an lcm is the lcm of
-the orders.  With the default cap 1/4 class-counts finds no H prime by
-construction, since ord*(e, p) <= p - 1 < p^(1/2 + 2 * 1/4).  A fixed
---exponent replaces t and lowers the 16 floor to 2; lambda-lambda,
-one-minus-delta and class-counts reject it.  eps(x) = min(cap,
-2/log log x) never increases, so 1/2 + eps (and class-counts' 1/2 + 2 eps)
-is one Fraction per config when eps is on its cap at the largest x judged
-(x_max, or x_max^2 for pairs).  That holds below 2^64; a config where it
-fails is rejected.  An x_min below the floor is taken as given, but
-one-minus-delta needs n >= 3.
+is decided as columns, by one function, _decide, for every kind: the
+kind's population gives its q and x columns, every item takes log q and
+log x once, and classify decides the rest, where its one threshold rule
+lives: class-counts' L/M/H labels through classify.order_classes, the one
+class rule that classify_prime also calls, every other test through
+classify._above, and the bins through the kind's classify bin rule.  The
+rsa-pair q equals ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the
+e-free part of an lcm is the lcm of the e-free parts, and the order modulo
+an lcm is the lcm of the orders.  With the default cap 1/4 class-counts
+finds no H prime by construction, since ord*(e, p) <= p - 1 <
+p^(1/2 + 2 * 1/4).  A fixed --exponent replaces a one-Fraction t and
+lowers the 16 floor to 2; the kinds whose t is a formula, and
+class-counts, whose t is a class boundary, reject it.  eps(x) = min(cap,
+2/log log x) never increases, so 1/2 + m eps is one Fraction per config
+when eps is on its cap at the largest x judged (x_max, or x_max^2 for
+pairs).  That holds below 2^64; a config where it fails is rejected.  An
+x_min below the floor is taken as given, but one-minus-delta needs n >= 3.
 
 Each process builds, on the first chunk it evaluates, one orders.OrderKernel
 for the config's range and base, and every kind reads its quantity off it a
@@ -92,8 +89,9 @@ from time import monotonic
 
 from ._record import FrozenRecord, Record
 from .arith import lcm, primes_in_range
-from .classify import (DEFAULT_EPSILON, EPSILON_FORM, EpsilonFn, _above, _above_fixed,
-                       guard, order_classes, power_compare)
+from .classify import (DEFAULT_EPSILON, EPSILON_FORM, N_BINS, EpsilonFn, _above,
+                       _lamlam_exponent, _one_minus_delta_exponent, _tally_deficiency_bins,
+                       _tally_u_bins, order_classes)
 from .orders import OrderKernel, _survey_kernel
 
 ORD_N = "ord-n"
@@ -107,8 +105,6 @@ CLASS_COUNTS = "class-counts"
 
 KINDS = (ORD_N, SHIFTED_PRIME, RSA_PAIR, LAMBDA_N, LAMBDA_LAMBDA,
          HIGH_FACTOR, ONE_MINUS_DELTA, CLASS_COUNTS)
-
-N_BINS = 21  # 0.05-wide statistic bins covering [0, 1.05]
 
 DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
@@ -140,7 +136,7 @@ class SurveyConfig(FrozenRecord):
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         if self.sample_size < 1:  # every kind's digest carries it
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.exponent_override is not None and callable(kind.test):
+        if self.exponent_override is not None and (callable(kind.exponent) or kind.classes):
             raise ValueError(f"--exponent conflicts with kind {self.kind}")
         if self.x_max < self.low():
             raise ValueError(
@@ -148,8 +144,7 @@ class SurveyConfig(FrozenRecord):
                 f"{self.low()} for kind {self.kind}")
         if self.kind == ONE_MINUS_DELTA and self.low() < 3:  # log log 2 < 0
             raise ValueError(f"kind {self.kind} needs n >= 3, got x_min = {self.x_min}")
-        if kind.exponent is not None:
-            self._threshold  # computed now: eps off its cap raises ValueError here
+        self._threshold  # computed now: eps off its cap raises ValueError here
 
     def low(self) -> int:
         """Lowest surveyed value: x_min if given, else the kind's floor,
@@ -159,15 +154,16 @@ class SurveyConfig(FrozenRecord):
         return _KINDS[self.kind].floor if self.exponent_override is None else 2
 
     @functools.cached_property
-    def _threshold(self) -> Fraction:
-        """The t of every x^t this config compares with.  1/2 + m*eps is
+    def _threshold(self) -> Fraction | Callable:
+        """The t of every x^t this config tests, or the M/H boundary of its
+        classes: a Fraction, or the kind's formula of log x.  1/2 + m*eps is
         taken at the largest x judged, which is its value at every x as long
         as eps is on its cap there (the non-increasing eps is then capped
         over the whole range); EpsilonFn.exponent raises if it is not."""
         if self.exponent_override is not None:
             return Fraction(str(self.exponent_override))
         kind = _KINDS[self.kind]
-        if isinstance(kind.exponent, Fraction):
+        if not isinstance(kind.exponent, int):
             return kind.exponent
         return self.epsilon.exponent(self.x_max**2 if kind.population is _pairs
                                      else self.x_max, kind.exponent)
@@ -242,103 +238,6 @@ def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
 
 
 # ---------------------------------------------------------------------------
-# the column deciders: each tallies a chunk's decisions into its result,
-# taking the float tier outside classify.guard's band and power_compare's
-# exact tiers inside it
-
-_BIN_EDGES = tuple(Fraction(k, 20) for k in range(N_BINS))
-_U_EDGES = tuple(k / 20 for k in range(N_BINS))  # _BIN_EDGES as floats
-
-
-def _tally_u_bins(histogram: list[int], qs, xs, us) -> None:
-    """Add to histogram the bin of each u = log(q)/log(x) in the fixed
-    0.05-wide grid: the largest k <= 20 with q >= x^(k/20) (0 if none), so
-    a value on an edge goes to the right bin.  Only the edge k nearest u,
-    among 1..20, is in doubt.  Every edge is at most 1, where guard(t) is
-    guard(1), so one band serves them all."""
-    band = guard(1.0)
-    for q, x, u in zip(qs, xs, us):
-        k = round(20.0 * u)
-        if not 0 < k < N_BINS:  # min(max(k, 1), 20) at a fraction of the cost
-            k = 1 if k < 1 else N_BINS - 1
-        e = _U_EDGES[k]
-        below = u < e if abs(u - e) > band else power_compare(q, x, _BIN_EDGES[k]) < 0
-        histogram[k - below] += 1
-
-
-def _fixed_exponent(least: int, cfg: SurveyConfig, result: SurveyResult,
-                    qs, xs, us, lnxs) -> None:
-    """q against x^t for the config's one t, exceeding when power_compare's
-    sign is at least least (1 for q > x^t, 0 for q >= x^t); and the u bins."""
-    result.exceed = sum(_above_fixed(qs, xs, us, cfg._threshold, least))
-    _tally_u_bins(result.histogram, qs, xs, us)
-
-
-def _deficiency_scale(lnx, llx, m):
-    """(log log x)^2 log log log x / (20 log x): the exponent step from one
-    deficiency bin edge to the next."""
-    return llx * llx * m.log(llx) / (20 * lnx)
-
-
-def _deficiency_edge(k, lnx, llx, m):
-    """t with q <= x^t exactly when the deficiency of q is at least k/20
-    (the float path, with the scale w at hand, takes 1 - k*w itself)."""
-    return 1 - k * _deficiency_scale(lnx, llx, m)
-
-
-_DEFICIENCY_EDGES = tuple(functools.partial(_deficiency_edge, k) for k in range(N_BINS))
-
-
-def _lamlam_exponent(lnx, llx, m):
-    """t with x^t = x / exp((log log x)^3)."""
-    return 1 - llx**3 / lnx
-
-
-def _lambda_lambda(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
-    """q = lambda(lambda(x)) > x / exp((log log x)^3); and the bin of the
-    deficiency log(x/q) / ((log log x)^2 log log log x) = (1 - u) / (20 w),
-    w the scale, for the x whose denominator is positive (x > 15)."""
-    log, histogram, exceed = math.log, result.histogram, 0
-    for q, x, u, lnx in zip(qs, xs, us, lnxs):
-        llx = log(lnx)
-        t = _lamlam_exponent(lnx, llx, math)
-        exceed += (u > t if abs(u - t) > guard(t)
-                   else power_compare(q, x, _lamlam_exponent) > 0)
-        if llx > 1.0:
-            w = _deficiency_scale(lnx, llx, math)
-            k = round((1.0 - u) / w)
-            if not 0 < k < N_BINS:
-                k = 1 if k < 1 else N_BINS - 1
-            t = 1.0 - k * w
-            above = u > t if abs(u - t) > guard(t) else power_compare(
-                q, x, _DEFICIENCY_EDGES[k]) > 0
-            histogram[k - above] += 1
-    result.exceed = exceed
-
-
-def _one_minus_delta_exponent(lnx, llx, m):
-    return 1 - m.sqrt(llx / lnx)
-
-
-def _one_minus_delta(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
-    """q > x^(1 - sqrt(log log x / log x)), the exponent taken from x each
-    time (the decimal tier recomputes it from x, not from its float); and
-    the u bins."""
-    ts = map(_one_minus_delta_exponent, lnxs, map(math.log, lnxs), repeat(math))
-    result.exceed = sum(_above(qs, xs, us, ts, _one_minus_delta_exponent))
-    _tally_u_bins(result.histogram, qs, xs, us)
-
-
-def _classes(cfg: SurveyConfig, result: SurveyResult, qs, xs, us, lnxs) -> None:
-    """classify.order_classes' L/M/H labels, the config's t the M/H
-    exponent; H exceeds.  And the u bins."""
-    labels = order_classes(qs, xs, us, lnxs, cfg._threshold)
-    result.class_counts = {label: labels.count(label) for label in result.class_counts}
-    result.exceed = result.class_counts["H"]
-    _tally_u_bins(result.histogram, qs, xs, us)
-
-
-# ---------------------------------------------------------------------------
 # rsa pair indexing
 
 @functools.lru_cache(maxsize=4)
@@ -389,27 +288,24 @@ def _pair_items(cfg: SurveyConfig, lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 class _Kind:
-    """What sets a survey kind apart: one population, one kernel quantity
-    and one test.  population(quantity, cfg, kernel, lo, hi) gives the q
-    and x columns of the items whose index lies in [lo, hi), q being the
-    lcm of the kernel's quantity ("O", "L", "LL" or "lpf",
-    OrderKernel.values) over an item's prime powers.  test is the least
-    power_compare sign against x^t that exceeds (1 for q > x^t, 0 for
-    q >= x^t), with u = log q / log x binned; or the column decider
-    test(cfg, result, qs, xs, us, lnxs) of a kind with a test of its own.
-    decide is the kind's column decider either way.  exponent is the
-    config's t: an int m for 1/2 + m*eps, a Fraction, or None when the own
-    test carries its formula.  floor is the lowest item under that t;
-    classes are the labels a kind tallies."""
+    """A survey kind as data.  population(quantity, cfg, kernel, lo, hi)
+    gives the q and x columns of the items whose index lies in [lo, hi), q
+    being the lcm of the kernel's quantity ("O", "L", "LL" or "lpf",
+    OrderKernel.values) over an item's prime powers.  exponent is the
+    threshold's t: an int m for 1/2 + m*eps, a Fraction, or a formula
+    f(log x, log log x, m) of classify's.  ties is whether q = x^t exceeds.
+    bins is classify's bin rule bins(histogram, qs, xs, us, lnxs).  floor
+    is the lowest item under that t.  classes are the labels the kind
+    tallies by classify.order_classes, whose M/H boundary is then x^t and
+    whose H exceeds; a kind without them tests q against x^t."""
 
-    __slots__ = ("population", "quantity", "test", "decide", "exponent", "floor", "classes")
+    __slots__ = ("population", "quantity", "exponent", "ties", "bins", "floor", "classes")
 
-    def __init__(self, population: Callable, quantity: str, test: int | Callable,
-                 exponent: int | Fraction | None, floor: int = 2,
+    def __init__(self, population: Callable, quantity: str, exponent: int | Fraction | Callable,
+                 ties: bool = False, bins: Callable = _tally_u_bins, floor: int = 2,
                  classes: tuple[str, ...] = ()):
-        self.population, self.quantity, self.test = population, quantity, test
-        self.decide = test if callable(test) else functools.partial(_fixed_exponent, test)
-        self.exponent, self.floor, self.classes = exponent, floor, classes
+        self.population, self.quantity, self.exponent = population, quantity, exponent
+        self.ties, self.bins, self.floor, self.classes = ties, bins, floor, classes
 
 
 def _read(column: Callable[[list], list[int]], items: list) -> list[int]:
@@ -455,14 +351,14 @@ def _pairs(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: i
 
 
 _KINDS = {
-    ORD_N: _Kind(_integers, "O", 1, 1, 16),
-    LAMBDA_N: _Kind(_integers, "L", 1, 1, 16),
-    ONE_MINUS_DELTA: _Kind(_integers, "L", _one_minus_delta, None, 16),
-    LAMBDA_LAMBDA: _Kind(_integers, "LL", _lambda_lambda, None),
-    SHIFTED_PRIME: _Kind(_primes, "L", 0, 1),
-    HIGH_FACTOR: _Kind(_primes, "lpf", 1, Fraction(677, 1000)),
-    CLASS_COUNTS: _Kind(_primes, "O", _classes, 2, classes=("L", "M", "H")),
-    RSA_PAIR: _Kind(_pairs, "L", 0, 1),
+    ORD_N: _Kind(_integers, "O", 1, floor=16),
+    LAMBDA_N: _Kind(_integers, "L", 1, floor=16),
+    ONE_MINUS_DELTA: _Kind(_integers, "L", _one_minus_delta_exponent, floor=16),
+    LAMBDA_LAMBDA: _Kind(_integers, "LL", _lamlam_exponent, bins=_tally_deficiency_bins),
+    SHIFTED_PRIME: _Kind(_primes, "L", 1, ties=True),
+    HIGH_FACTOR: _Kind(_primes, "lpf", Fraction(677, 1000)),
+    CLASS_COUNTS: _Kind(_primes, "O", 2, classes=("L", "M", "H")),
+    RSA_PAIR: _Kind(_pairs, "L", 1, ties=True),
 }
 
 
@@ -490,12 +386,19 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
 
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
-    """The result of the items whose q and x are the columns qs and xs: each
-    takes log q and log x once, and the kind's decider tallies the rest."""
-    result = empty_result(cfg)
+    """The result of the items whose q and x are the columns qs and xs, for
+    every kind: each item takes log q and log x once, and classify decides
+    the kind's classes, or q against x^t, and its bins."""
+    kind, result = _KINDS[cfg.kind], empty_result(cfg)
     lnxs = list(map(math.log, xs))
     us = list(map(truediv, map(math.log, qs), lnxs))
-    _KINDS[cfg.kind].decide(cfg, result, qs, xs, us, lnxs)
+    if kind.classes:
+        labels = order_classes(qs, xs, us, lnxs, cfg._threshold)
+        result.class_counts = {label: labels.count(label) for label in kind.classes}
+        result.exceed = result.class_counts["H"]
+    else:
+        result.exceed = sum(_above(qs, xs, us, lnxs, cfg._threshold, kind.ties))
+    kind.bins(result.histogram, qs, xs, us, lnxs)
     result.total = len(us)
     return result
 
@@ -513,8 +416,8 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
-    The kind's population reads their q and x, and its decider decides
-    them all.  The order kernel for x_max and the base is built on a
+    The kind's population reads their q and x, and _decide decides them
+    all.  The order kernel for x_max and the base is built on a
     process's first chunk, so pool workers build their own under any start
     method, and surveys with the same range and base share one."""
     kernel = _survey_kernel(cfg.x_max, cfg.e)

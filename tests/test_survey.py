@@ -22,12 +22,12 @@ import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import Factorization, factorize, lcm, primes_in_range
 from ordstat.generators import CycleResult, LcgSpec, PowerGenSpec
-from ordstat.classify import EpsilonFn, power_compare
+from ordstat.classify import EpsilonFn, _one_minus_delta_exponent, power_compare
 from ordstat.cli import main
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, order_profile
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
                             LAMBDA_LAMBDA, LAMBDA_N, ONE_MINUS_DELTA, ORD_N,
-                            RSA_PAIR, SHIFTED_PRIME, _one_minus_delta_exponent,
+                            RSA_PAIR, SHIFTED_PRIME,
                             SurveyConfig, config_digest, empty_result, evaluate_chunk,
                             merge_results, plan_chunks, rsa_pair_count, run_survey)
 
@@ -421,10 +421,17 @@ def test_epsilon_must_stay_on_its_cap():
     SurveyConfig(kind=ORD_N, x_max=2**80, epsilon=EpsilonFn(cap=0.5), exponent_override=0.5)
 
 
+# the kinds whose t is one Fraction, which a fixed exponent may replace
+OVERRIDABLE = (ORD_N, LAMBDA_N, SHIFTED_PRIME, HIGH_FACTOR, RSA_PAIR)
+
+
 def test_exponent_override_conflicts():
     for kind in (LAMBDA_LAMBDA, ONE_MINUS_DELTA, CLASS_COUNTS):
         with pytest.raises(ValueError):
             SurveyConfig(kind=kind, x_max=100, exponent_override=0.5)
+    for kind in OVERRIDABLE:
+        cfg = SurveyConfig(kind=kind, x_max=100, exponent_override=0.5)
+        assert cfg._threshold == Fraction(1, 2), kind
 
 
 def test_merge_monoid():
@@ -523,11 +530,12 @@ def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
 def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     # with an infinite guard every decision, the column fast path's too, is
     # made by power_compare's exact tiers: the counts must not move, and
-    # power_compare must see each decision: the test of every item (for
-    # class-counts, both class boundaries) and the bin of every binned item
+    # classify's power_compare, the only one patched, must see each
+    # decision: the test of every item (for class-counts, both class
+    # boundaries) and the bin of every binned item
     configs = [*_every_kind(2000, 2),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
-                 for kind in KINDS if not callable(_KINDS[kind].test))]
+                 for kind in OVERRIDABLE)]
     want = [run_survey(cfg).to_dict() for cfg in configs]
     calls = []
     real_compare = classify_mod.power_compare
@@ -537,8 +545,7 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
         return real_compare(*args)
 
     monkeypatch.setattr(classify_mod, "_GUARD_REL", math.inf)
-    for module in (classify_mod, survey_mod):
-        monkeypatch.setattr(module, "power_compare", compare_counted)
+    monkeypatch.setattr(classify_mod, "power_compare", compare_counted)
     for cfg, report in zip(configs, want):
         calls.clear()
         assert run_survey(cfg).to_dict() == report, cfg
@@ -833,25 +840,37 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
     # chunk sieve must give the kind's definition at every n, whatever the
     # chunk boundaries
     assert {k for k in KINDS if _KINDS[k].population is _KINDS[ORD_N].population} == set(INT_KINDS)
+    assert {name: _KINDS[name].quantity for name in INT_KINDS} == {
+        ORD_N: "O", LAMBDA_N: "L", ONE_MINUS_DELTA: "L", LAMBDA_LAMBDA: "LL"}
     x = 2 * 10**5
     # chunks of 1 and 7 on windows holding 2, 3, 2^17, 3^11 and 7^6
     small = [(2, 600), (131_000, 131_100), (177_100, 177_200), (117_600, 117_700)]
-    want = {}
+    # the kinds' definitions, ord*(e, n), ord*(e, lambda(n)) and
+    # lambda(lambda(n)), with what is free of e taken once: each n is
+    # factored once for every base, ord*(e, n) being the lcm of O over the
+    # p^a || n as OrderKernel.ord takes it, and lambda(n), which takes few
+    # values, once, with ord*(e, .) and lambda(.) once per value.
+    # One-minus-delta reads lambda-n's quantity, so each quantity is sieved
+    # once per base, and lambda-lambda's LL, free of e, at the first base
+    table = OrderKernel(x, 2)
+    lams = list(map(table.lam, range(2, x + 1)))
+    powers = list(map(table._prime_powers, range(2, x + 1)))
     for e in (2, 3, 6, 10, 12):
         kernel = OrderKernel(x, e)
-        for name in INT_KINDS:
-            kind = _KINDS[name]
-            # one-minus-delta shares lambda-n's quantity; lambda-lambda's is free of e
-            key = kind.quantity if name == LAMBDA_LAMBDA else (kind.quantity, e)
-            if key not in want:
-                want[key] = [None, None] + list(map(defined_q(name, kernel), range(2, x + 1)))
+        ord_at = {lam: kernel.ord(lam) for lam in set(lams)}
+        want = {"O": [None, None] + [math.lcm(*kernel.values("O", pp)) for pp in powers],
+                "L": [None, None] + [ord_at[lam] for lam in lams]}
+        if e == 2:
+            lam_at = {lam: kernel.lam(lam) for lam in set(lams)}
+            want["LL"] = [None, None] + [lam_at[lam] for lam in lams]
+        for quantity, values in want.items():
             for chunk, windows in ((10**4, [(2, x + 1)]), (1777, [(2, x + 1)]),
                                    (7, small), (1, small)):
                 for lo, hi in windows:
                     got = [q for a in range(lo, hi, chunk)
-                           for q in survey_mod._sieve_values(kind.quantity, kernel, a,
+                           for q in survey_mod._sieve_values(quantity, kernel, a,
                                                              min(a + chunk, hi))]
-                    assert got == want[key][lo:hi], (e, name, chunk, lo)
+                    assert got == values[lo:hi], (e, quantity, chunk, lo)
     # whole surveys: an x_min window, and a fixed exponent, whose floor is 2
     for name in (ORD_N, LAMBDA_N):
         for cfg in (SurveyConfig(kind=name, e=6, x_min=65_000, x_max=66_000, chunk=77),

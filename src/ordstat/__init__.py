@@ -1,8 +1,13 @@
 """Multiplicative order statistics, generator periods, and range surveys.
 
 Importing the package loads neither dataclasses nor typing: the records are
-plain classes (_record.Record), and every module keeps its annotations as
-strings (from __future__ import annotations), naming types it never imports.
+plain classes of one kind (_record.FrozenRecord), values that no code
+changes once built, and every module keeps its annotations as strings
+(from __future__ import annotations), naming types it never imports.
+
+A survey's logarithms are taken once per item, by survey._decide, and
+shared as columns by classify's threshold rule and bin rules, which take
+none of their own.
 """
 
 from .arith import (Factorization, OverflowError64, U64_MAX, factorize, is_prime,

@@ -1,16 +1,16 @@
-"""The package's value records, as plain classes.
+"""The package's value records, as plain classes of one kind.
 
-A subclass of Record, or of FrozenRecord, lists its fields as class
-annotations, in constructor order; a field given a value in the class body
-defaults to that value, which stays readable on the class.  The subclass
-gets:
+A subclass of FrozenRecord lists its fields as class annotations, in
+constructor order; a field given a value in the class body defaults to
+that value, which stays readable on the class.  The subclass gets:
 
     __init__       by position and by keyword, then __post_init__, which
                    may check or complete the fields
     __repr__       Name(field=value, ...)
     __eq__         the same class and equal fields
-    FrozenRecord   __hash__ by the fields, and AttributeError on any
-                   assignment or deletion after __init__
+    __hash__       by the fields, so a record holding a list or a dict
+                   equals by value but has no hash
+    AttributeError on any assignment or deletion after __init__
 
 Fields are ordinary instance attributes, so reading one costs what reading
 any attribute costs, and a record pickles as its instance dict.  Importing
@@ -21,8 +21,8 @@ they took a CLI query longer to import than the query took to answer.
 _set = object.__setattr__
 
 
-class Record:
-    """A mutable record: equal by value, and therefore unhashable."""
+class FrozenRecord:
+    """An immutable record, equal and hashable by value."""
 
     def __init_subclass__(cls):
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -37,8 +37,8 @@ class Record:
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __post_init__(self):
-        """Check or complete the fields just set; a frozen record sets one
-        through object.__setattr__."""
+        """Check or complete the fields just set; it sets one through
+        object.__setattr__."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -51,10 +51,6 @@ class Record:
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
-
-
-class FrozenRecord(Record):
-    """An immutable record, hashable by value."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -5,8 +5,7 @@ Every count the package reports turns on an integer q >= 1 against x^t for
 an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
 class boundaries, and the lambda-lambda, deficiency-bin and one-minus-delta
 thresholds, each written as a Fraction or a formula f(log x, log log x, m)
-of log x.  Each is decided from u = log q / log x, which the caller takes
-once per item and shares among its decisions, in three tiers:
+of log x.  Each is decided from u = log q / log x in three tiers:
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
              comparison decides
@@ -26,6 +25,13 @@ survey kind names its threshold and its bin rule, and survey._decide
 calls these.  So every decision is the one the exact tiers would make:
 exact at ties, deterministic and free of libm's rounding.  The guard, the
 decimal context and the denominator limit live here only.
+
+The loops take none of the logarithms they compare.  The caller takes
+log x, u and, where a formula of it is read, log log x, each once per
+item, and passes every loop the same columns, q, x, u, log x and
+log log x, of which it reads those it needs: survey._decide for a chunk,
+classify_prime for its column of one.  The deficiency bins alone take
+one more, log log log x, inside their scale.
 
 Primes split into three classes for a base e and a threshold function
 eps(x) = min(cap, 2/log log x):
@@ -99,15 +105,17 @@ def power_compare(q: int, x: int, exact: Fraction | Callable) -> int:
     return (d > 0) - (d < 0)
 
 
-def _above(qs, xs, us, lnxs, exact: Fraction | Callable, ties: bool = False) -> list[bool]:
+def _above(qs, xs, us, lnxs, llxs, exact: Fraction | Callable,
+           ties: bool = False) -> list[bool]:
     """q > x^exact for each item (q >= x^exact if ties), given the columns
-    of u = log q / log x and log x.  A Fraction's float t and its guard are
-    taken once for the column, a formula's for each x."""
+    of u = log q / log x, log x and log log x; a Fraction reads neither of
+    the last two.  A Fraction's float t and its guard are taken once for
+    the column, a formula's for each x."""
     if isinstance(exact, Fraction):
         t = float(exact)
         ts, bands = repeat(t), repeat(guard(t))
     else:
-        ts = list(map(exact, lnxs, map(math.log, lnxs), repeat(math)))
+        ts = list(map(exact, lnxs, llxs, repeat(math)))
         bands = map(guard, ts)
     least = 0 if ties else 1
     return [u > t if abs(u - t) > band else power_compare(q, x, exact) >= least
@@ -146,13 +154,13 @@ _U_EDGES = tuple(k / 20 for k in range(N_BINS))  # _BIN_EDGES as floats
 _DEFICIENCY_EDGES = tuple(functools.partial(_deficiency_edge, k) for k in range(N_BINS))
 
 
-def _tally_u_bins(histogram: list[int], qs, xs, us, lnxs) -> None:
+def _tally_u_bins(histogram: list[int], qs, xs, us, lnxs, llxs) -> None:
     """Add to histogram the bin of each u = log(q)/log(x) in the fixed
     0.05-wide grid: the largest k <= 20 with q >= x^(k/20) (0 if none), so
     a value on an edge goes to the right bin.  Only the edge k nearest u,
     among 1..20, is in doubt.  Every edge is at most 1, where guard(t) is
-    guard(1), so one band serves them all.  lnxs, unused, keeps the
-    signature of every bin rule."""
+    guard(1), so one band serves them all.  It reads q, x and the caller's
+    u."""
     band = guard(1.0)
     for q, x, u in zip(qs, xs, us):
         k = round(20.0 * u)
@@ -163,22 +171,23 @@ def _tally_u_bins(histogram: list[int], qs, xs, us, lnxs) -> None:
         histogram[k - below] += 1
 
 
-def _tally_deficiency_bins(histogram: list[int], qs, xs, us, lnxs) -> None:
+def _tally_deficiency_bins(histogram: list[int], qs, xs, us, lnxs, llxs) -> None:
     """Add to histogram the bin of each deficiency log(x/q) / ((log log x)^2
     log log log x) = (1 - u) / (20 w), w the scale, for the x whose
     denominator is positive (x > 15): the largest k <= 20 with
     q <= x^(1 - k w).  Only the edge k nearest the deficiency, among 1..20,
-    is in doubt."""
-    log = math.log
-    for q, x, u, lnx in zip(qs, xs, us, lnxs):
-        llx = log(lnx)
+    is in doubt.  It reads the caller's u, log x and log log x, and takes
+    log log log x for w itself.  Every edge 1 - k w is below 1, where
+    guard(t) is guard(1), so one band serves them all."""
+    band = guard(1.0)
+    for q, x, u, lnx, llx in zip(qs, xs, us, lnxs, llxs):
         if llx > 1.0:
             w = _deficiency_scale(lnx, llx, math)
             k = round((1.0 - u) / w)
             if not 0 < k < N_BINS:
                 k = 1 if k < 1 else N_BINS - 1
             t = 1.0 - k * w
-            above = u > t if abs(u - t) > guard(t) else power_compare(
+            above = u > t if abs(u - t) > band else power_compare(
                 q, x, _DEFICIENCY_EDGES[k]) > 0
             histogram[k - above] += 1
 
@@ -219,13 +228,13 @@ class EpsilonFn(FrozenRecord):
 DEFAULT_EPSILON = EpsilonFn()
 
 
-def order_classes(qs, ps, us, lnps, m_to_h: Fraction) -> list[str]:
+def order_classes(qs, ps, us, lnps, llps, m_to_h: Fraction) -> list[str]:
     """The class of each prime p of the column ps whose order is q, the
-    same item of qs, given u = log q / log p and log p: L for
+    same item of qs, given u = log q / log p, log p and log log p: L for
     q <= sqrt(p)/log(p), else H for q > p^m_to_h, else M.  m_to_h is
     1/2 + 2*eps(p), one Fraction while eps is on its cap."""
-    above_l = _above(qs, ps, us, lnps, _sqrt_over_log_exponent)
-    above_m = _above(qs, ps, us, lnps, m_to_h)
+    above_l = _above(qs, ps, us, lnps, llps, _sqrt_over_log_exponent)
+    above_m = _above(qs, ps, us, lnps, llps, m_to_h)
     return ["L" if not l else "H" if m else "M" for l, m in zip(above_l, above_m)]
 
 
@@ -237,7 +246,7 @@ def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     o, lnp = coprime_order(e, p), math.log(p)
-    return order_classes((o,), (p,), (math.log(o) / lnp,), (lnp,),
+    return order_classes((o,), (p,), (math.log(o) / lnp,), (lnp,), (math.log(lnp),),
                          eps.exponent(p, multiplier=2))[0]
 
 

@@ -29,11 +29,17 @@ or a formula of log x from classify.  The statistic binned is
 u = log(q)/log(x), except for lambda-lambda's deficiency
 log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
 is decided as columns, by one function, _decide, for every kind: the
-kind's population gives its q and x columns, every item takes log q and
-log x once, and classify decides the rest, where its one threshold rule
-lives: class-counts' L/M/H labels through classify.order_classes, the one
-class rule that classify_prime also calls, every other test through
-classify._above, and the bins through the kind's classify bin rule.  The
+kind's population gives its q and x columns, and _decide takes every
+logarithm of the decisions once per item, log x and u = log q / log x,
+and log log x where the kind reads a formula of it: one-minus-delta's and
+lambda-lambda's thresholds, and class-counts' L boundary.  classify
+decides the rest from these columns, where its one threshold rule lives:
+class-counts' L/M/H labels through classify.order_classes, the one class
+rule that classify_prime also calls, every other test through
+classify._above, and the bins through the kind's classify bin rule.  Only
+the deficiency bins take one logarithm more, log log log n.  _decide
+builds the chunk's result once, with its final fields, and a result, like
+every record, is never changed after it is built.  The
 rsa-pair q equals ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the
 e-free part of an lcm is the lcm of the e-free parts, and the order modulo
 an lcm is the lcm of the orders.  With the default cap 1/4 class-counts
@@ -87,7 +93,7 @@ from itertools import repeat
 from operator import floordiv, truediv
 from time import monotonic
 
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, N_BINS, EpsilonFn, _above,
                        _lamlam_exponent, _one_minus_delta_exponent, _tally_deficiency_bins,
@@ -169,9 +175,10 @@ class SurveyConfig(FrozenRecord):
                                      else self.x_max, kind.exponent)
 
 
-class SurveyResult(Record):
-    """A survey's counts over some of its items; the histogram defaults to
-    N_BINS zero bins, a fresh list for each result."""
+class SurveyResult(FrozenRecord):
+    """A survey's counts over some of its items, a value no code changes
+    once built; the histogram defaults to N_BINS zero bins, a fresh list
+    for each result, so a result equals by value but has no hash."""
 
     config: SurveyConfig
     total: int = 0
@@ -182,7 +189,7 @@ class SurveyResult(Record):
 
     def __post_init__(self):
         if self.histogram is None:
-            self.histogram = [0] * N_BINS
+            object.__setattr__(self, "histogram", [0] * N_BINS)
 
     @property
     def fraction(self) -> Fraction:
@@ -211,13 +218,9 @@ class SurveyResult(Record):
 
 
 def empty_result(config: SurveyConfig) -> SurveyResult:
-    """The result of no items: zero counts, plus the class tally and the
-    sampled flag, which depend on the config alone."""
-    kind = _KINDS[config.kind]
-    sampled = kind.population is _pairs and not isinstance(
-        _rsa_sample_indices(config.x_max, config.sample_size, config.seed), range)
-    return SurveyResult(config=config, class_counts=dict.fromkeys(kind.classes, 0) or None,
-                        sampled=sampled)
+    """The result of no items, as _decide makes it: zero counts, the kind's
+    classes at zero and the config's sampled flag."""
+    return _decide(config, (), ())
 
 
 def merge_results(a: SurveyResult, b: SurveyResult) -> SurveyResult:
@@ -294,8 +297,8 @@ class _Kind:
     OrderKernel.values) over an item's prime powers.  exponent is the
     threshold's t: an int m for 1/2 + m*eps, a Fraction, or a formula
     f(log x, log log x, m) of classify's.  ties is whether q = x^t exceeds.
-    bins is classify's bin rule bins(histogram, qs, xs, us, lnxs).  floor
-    is the lowest item under that t.  classes are the labels the kind
+    bins is classify's bin rule bins(histogram, qs, xs, us, lnxs, llxs).
+    floor is the lowest item under that t.  classes are the labels the kind
     tallies by classify.order_classes, whose M/H boundary is then x^t and
     whose H exceeds; a kind without them tests q against x^t."""
 
@@ -387,20 +390,27 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
     """The result of the items whose q and x are the columns qs and xs, for
-    every kind: each item takes log q and log x once, and classify decides
-    the kind's classes, or q against x^t, and its bins."""
-    kind, result = _KINDS[cfg.kind], empty_result(cfg)
+    every kind.  The logarithms are taken here, each once per item: log x
+    and u = log q / log x for every kind, and log log x for a kind that
+    reads a formula of it (a formula threshold, or the classes' L
+    boundary).  classify decides the kind's classes, or q against x^t, and
+    its bins from these columns, and the result is built once, whole; its
+    sampled flag depends on the config alone."""
+    kind, t = _KINDS[cfg.kind], cfg._threshold
     lnxs = list(map(math.log, xs))
+    llxs = list(map(math.log, lnxs)) if kind.classes or callable(t) else None
     us = list(map(truediv, map(math.log, qs), lnxs))
+    histogram, counts = [0] * N_BINS, None
+    kind.bins(histogram, qs, xs, us, lnxs, llxs)
     if kind.classes:
-        labels = order_classes(qs, xs, us, lnxs, cfg._threshold)
-        result.class_counts = {label: labels.count(label) for label in kind.classes}
-        result.exceed = result.class_counts["H"]
+        labels = order_classes(qs, xs, us, lnxs, llxs, t)
+        counts = {label: labels.count(label) for label in kind.classes}
+        exceed = counts["H"]
     else:
-        result.exceed = sum(_above(qs, xs, us, lnxs, cfg._threshold, kind.ties))
-    kind.bins(result.histogram, qs, xs, us, lnxs)
-    result.total = len(us)
-    return result
+        exceed = sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties))
+    sampled = kind.population is _pairs and not isinstance(
+        _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed), range)
+    return SurveyResult(cfg, len(us), exceed, histogram, counts, sampled)
 
 
 # ---------------------------------------------------------------------------

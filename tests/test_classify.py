@@ -110,7 +110,8 @@ def _compare(q, x, exact):
     """power_compare's exact sign, which the column function _above, its
     float tier included, must agree with."""
     sign = power_compare(q, x, exact)
-    assert _above([q], [x], [math.log(q) / math.log(x)], [math.log(x)], exact) == [sign > 0]
+    lnx = math.log(x)
+    assert _above([q], [x], [math.log(q) / lnx], [lnx], [math.log(lnx)], exact) == [sign > 0]
     return sign
 
 

@@ -160,6 +160,22 @@ def test_lambda_lambda_guard_semantics():
     assert carmichael_lambda(factorize(carmichael_lambda(factorize(209)))) == 12
 
 
+def test_decide_takes_each_logarithm_once(monkeypatch):
+    # lambda-lambda reads a formula of log log n in its threshold and in its
+    # deficiency bins: _decide takes log n, log q and log log n once per item
+    # for both, and the bins only log log log n, once per binned item (n >= 16)
+    cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2000)
+    ns = range(2, 2001)
+    qs = [carmichael_lambda(factorize(carmichael_lambda(factorize(n)))) for n in ns]
+    want = evaluate_chunk(cfg, 2, 2001)
+    calls, log = [], math.log
+    monkeypatch.setattr(math, "log", lambda *args: calls.append(args) or log(*args))
+    got = survey_mod._decide(cfg, qs, ns)
+    monkeypatch.undo()
+    assert got == want and sum(got.histogram) == len(range(16, 2001))
+    assert len(calls) == 3 * len(ns) + len(range(16, 2001)) == 7982
+
+
 def test_high_factor_items():
     cfg = SurveyConfig(kind=HIGH_FACTOR, x_max=100)
     exceeds, _, _ = item_decision(cfg, 23, OrderKernel(100, 2))
@@ -450,8 +466,9 @@ def test_records_are_values_that_pickle():
     # every record is built by position or keyword alike, equals and hashes
     # by its fields within its own class, refuses assignment, and comes back
     # equal from pickle, as a pool worker receives a config (with its
-    # threshold) and returns a result; a result, which merging mutates, is
-    # equal by value but unhashable
+    # threshold) and returns a result; a result, which merging replaces and
+    # never changes, refuses assignment too, and is equal by value but
+    # unhashable, its histogram being a list
     cfg = SurveyConfig(LAMBDA_N, 300, 2, EpsilonFn(), None, 50)
     assert cfg == SurveyConfig(kind=LAMBDA_N, x_max=300, chunk=50)
     frozen = (factorize(360), order_profile(2, 7), LcgSpec(3, 1, 10, 0), PowerGenSpec(2, 11, 3),
@@ -469,6 +486,8 @@ def test_records_are_values_that_pickle():
     result = run_survey(cfg)
     assert result.total > 0 and result != empty_result(cfg)
     assert result == merge_results(result, empty_result(cfg)) == pickle.loads(pickle.dumps(result))
+    with pytest.raises(AttributeError):
+        result.total = 0
     with pytest.raises(TypeError):
         hash(result)
 

@@ -5,7 +5,24 @@ Every count the package reports turns on an integer q >= 1 against x^t for
 an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
 class boundaries, and the lambda-lambda, deficiency-bin and one-minus-delta
 thresholds, each written as a Fraction or a formula f(log x, log log x, m)
-of log x.  Each is decided from u = log q / log x in three tiers:
+of log x.  The test and the u bins of ord-n and lambda-n, whose t is one
+Fraction 0 < a/b <= 1 with b <= 64 (bracketed), take no logarithm: a
+bracket tier decides them over runs of consecutive x, in front of the
+integer tier below.
+
+    bracket  over a run x0 <= x < x1, the exact integer roots of each edge
+             and of t at x0 and at x1 bound its root at every x of the run
+             (ceil_root, _bracket): q at or above the upper bound reaches
+             it, q below the lower one does not, and one bisect_right of q
+             among the bounds settles the item (_tally_bracketed)
+
+The items between two bounds, and those of a run too short to pay for
+its roots, take the integer tier, q^b against x^a.
+Every other decision is made from u = log q / log x in three tiers: those
+of shifted-prime, high-factor, rsa-pair, class-counts, one-minus-delta and
+lambda-lambda, where brackets measured slower than the float tier, and
+those of ord-n and lambda-n under an --exponent above 1 or past the
+integer tier.
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
              comparison decides
@@ -22,9 +39,10 @@ one.  _tally_u_bins bins u in the 0.05-wide grid of N_BINS edges k/20;
 _tally_deficiency_bins bins lambda-lambda's deficiency log(x/q) /
 ((log log x)^2 log log log x) on edges that are formulas of log x.  A
 survey kind names its threshold and its bin rule, and survey._decide
-calls these.  So every decision is the one the exact tiers would make:
-exact at ties, deterministic and free of libm's rounding.  The guard, the
-decimal context and the denominator limit live here only.
+calls these, or _tally_bracketed.  So every decision is the one the
+exact tiers would make: exact at ties, deterministic and free of libm's
+rounding.  The guard, the run length, the decimal context and the
+denominator limit live here only.
 
 The loops take none of the logarithms they compare.  The caller takes
 log x, u and, where a formula of it is read, log log x, each once per
@@ -52,6 +70,8 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from types import SimpleNamespace
@@ -65,6 +85,7 @@ _GUARD_REL = 1e-9
 _DECIMAL = decimal.Context(prec=50)
 _EXACT_DENOM_LIMIT = 64
 _ALWAYS_CAPPED_BELOW = 2**64
+_FLOAT_HOLDS = 2**1000  # below it, float(p) ** (1 / b) is within a few ulps
 
 # the names a threshold formula f(log x, log log x, m) calls on m, for the
 # decimal tier; the float tier passes the math module
@@ -190,6 +211,134 @@ def _tally_deficiency_bins(histogram: list[int], qs, xs, us, lnxs, llxs) -> None
             above = u > t if abs(u - t) > band else power_compare(
                 q, x, _DEFICIENCY_EDGES[k]) > 0
             histogram[k - above] += 1
+
+
+def ceil_root(p: int, b: int) -> int:
+    """The least m >= 0 with m^b >= p, for integers p >= 0 and b >= 1,
+    exactly at any size.  A float guess of p^(1/b), from p or from its top
+    64 bits, is tried first; where it misses, an integer Newton iteration,
+    which the guess only starts, finds the floor root."""
+    if p < 2 or b == 1:
+        return p
+    if b == 2:
+        return math.isqrt(p - 1) + 1
+    if p < _FLOAT_HOLDS:
+        x = int(p ** (1 / b))
+    else:  # p^(1/b) = (p >> s)^(1/b) * 2^(part/b) * 2^whole, s = whole*b + part
+        s = p.bit_length() - 64
+        whole, part = divmod(s, b)
+        x = int(float(p >> s) ** (1 / b) * 2.0 ** (part / b + 52)) << whole >> 52
+    if x**b < p <= (x + 1) ** b:
+        return x + 1
+    x += (x >> 40) + 1  # above the root by more than the guess's error
+    x = ((b - 1) * x + p // x ** (b - 1)) // b  # from any x >= 1: at least the floor root
+    while True:  # from above the floor root, each step falls until it is reached
+        y = ((b - 1) * x + p // x ** (b - 1)) // b
+        if y >= x:
+            return x + (x**b < p)
+        x = y
+
+
+# each bin edge k/20 as (a, b, d), reached by q when q^b >= x^a + d
+_EDGE_SPECS = tuple((edge.numerator, edge.denominator, 0) for edge in _BIN_EDGES[1:])
+_RUN = 64  # a run has _RUN items, or more over which x grows by at most 1/_RUN
+_SHORT = 8  # a shorter run, at a chunk's end, costs less exact than its roots
+# the bounds 0 and infinity of every root, which settle no item
+_UNBOUNDED = ((0,) * (len(_EDGE_SPECS) + 1), (math.inf,) * (len(_EDGE_SPECS) + 1))
+
+
+@functools.lru_cache(maxsize=4)
+def _roots(x: int, specs: tuple) -> tuple[int, ...]:
+    """For each (a, b, d) of specs, the root c with q^b >= x^a + d exactly
+    when q >= c.  Consecutive runs share their boundary's roots."""
+    return tuple(ceil_root(x**a + d, b) for a, b, d in specs)
+
+
+def _bracket(x0: int, x1: int, specs: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bounds below and above each root of specs at every x of x0 <= x <= x1:
+    its roots at x0 and at x1, since each x^a + d grows with x; or, for
+    fewer than _SHORT items, _UNBOUNDED, which sends each to the exact tier:
+    a run's 21 roots cost about as much as five items' exact comparisons."""
+    if x1 - x0 < _SHORT:
+        return _UNBOUNDED
+    return _roots(x0, specs), _roots(x1, specs)
+
+
+@functools.lru_cache(maxsize=2)
+def _outcomes(low, high) -> tuple[tuple, tuple]:
+    """The sorted bounds of a run, and for each count of them that an
+    item's q reaches, the item's outcome: 2 * bin + (q passes the test) if
+    the bounds settle both, else (kmin, kmax, test) for the exact tier: the
+    bin is in kmin..kmax, and test is True, False, or None if in doubt.
+    low and high list the 20 bin edges' bounds, then the test's."""
+    values, tested = [*low, *high], len(low) - 1
+    order = sorted(range(len(values)), key=values.__getitem__)
+    kmin = kmax = 0
+    sure = maybe = False
+    outcomes = [0]
+    for i in order:
+        if i == tested:
+            maybe = True
+        elif i == 2 * tested + 1:
+            sure = True
+        elif i < tested:
+            kmax += 1
+        else:
+            kmin += 1
+        outcomes.append(2 * kmin + sure if kmin == kmax and sure == maybe
+                        else (kmin, kmax, sure if sure == maybe else None))
+    return tuple(values[i] for i in order), tuple(outcomes)
+
+
+def bracketed(exact: Fraction | Callable) -> bool:
+    """Whether _tally_bracketed decides q against x^exact: exact is a
+    Fraction a/b of the integer tier, b <= 64, and 0 < a/b <= 1, as every
+    bin edge is, so that no root it takes exceeds x + 1."""
+    return (isinstance(exact, Fraction) and exact.denominator <= _EXACT_DENOM_LIMIT
+            and 0 < exact <= 1)
+
+
+def _tally_bracketed(histogram: list[int], qs, xs, exact: Fraction,
+                     ties: bool = False) -> int:
+    """Add each item's u bin to histogram, as _tally_u_bins bins it, and
+    return how many items have q > x^exact (q >= x^exact if ties), with no
+    logarithm, for xs consecutive integers and an exact that is bracketed.
+    Each edge x^(k/20) and x^exact grows with x, so over a run of items
+    their roots at the run's first x and past its last bound their roots
+    at every x of the run: q at or above the upper bound reaches the edge,
+    q below the lower one does not, and one bisect_right of q among the
+    bounds settles both the bin and the test.  Only an item between two
+    bounds, or of a short run, takes the integer tier, q^b against x^a, for
+    the edges and the test in doubt."""
+    if not xs:
+        return 0
+    specs = (*_EDGE_SPECS, (exact.numerator, exact.denominator, 0 if ties else 1))
+    a, b, d = specs[-1]
+    start, stop = xs[0], xs[-1] + 1
+    x0, exceed = start, 0
+    while x0 < stop:
+        x1 = min(x0 + max(_RUN, x0 // _RUN), stop)
+        bounds, outcomes = _outcomes(*_bracket(x0, x1, specs))
+        run = qs[x0 - start:x1 - start]
+        reached = list(map(bisect_right, repeat(bounds), run))
+        for at, count in Counter(reached).items():
+            outcome = outcomes[at]
+            if type(outcome) is int:
+                histogram[outcome >> 1] += count
+                exceed += count * (outcome & 1)
+                continue
+            kmin, kmax, test = outcome
+            i = -1
+            for _ in range(count):
+                i = reached.index(at, i + 1)
+                q, x = run[i], x0 + i
+                k = kmin
+                while k < kmax and q ** specs[k][1] >= x ** specs[k][0]:
+                    k += 1
+                histogram[k] += 1
+                exceed += q**b >= x**a + d if test is None else test
+        x0 = x1
+    return exceed
 
 
 class EpsilonFn(FrozenRecord):

@@ -29,11 +29,16 @@ or a formula of log x from classify.  The statistic binned is
 u = log(q)/log(x), except for lambda-lambda's deficiency
 log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
 is decided as columns, by one function, _decide, for every kind: the
-kind's population gives its q and x columns, and _decide takes every
-logarithm of the decisions once per item, log x and u = log q / log x,
-and log log x where the kind reads a formula of it: one-minus-delta's and
-lambda-lambda's thresholds, and class-counts' L boundary.  classify
-decides the rest from these columns, where its one threshold rule lives:
+kind's population gives its q and x columns.  Over the integers, with t
+one Fraction a/b <= 1 with b <= 64 (ord-n and lambda-n, under their
+1/2 + eps or such an --exponent: classify.bracketed), classify._tally_bracketed
+decides the test and the u bins by exact integer brackets over runs of
+consecutive n, and _decide takes no logarithm.  For every other config
+_decide takes every logarithm of the decisions once per item, log x and
+u = log q / log x, and log log x where the kind reads a formula of it:
+one-minus-delta's and lambda-lambda's thresholds, and class-counts' L
+boundary.  classify decides the rest from these columns, where its one
+threshold rule lives:
 class-counts' L/M/H labels through classify.order_classes, the one class
 rule that classify_prime also calls, every other test through
 classify._above, and the bins through the kind's classify bin rule.  Only
@@ -45,8 +50,9 @@ e-free part of an lcm is the lcm of the e-free parts, and the order modulo
 an lcm is the lcm of the orders.  With the default cap 1/4 class-counts
 finds no H prime by construction, since ord*(e, p) <= p - 1 <
 p^(1/2 + 2 * 1/4).  A fixed --exponent replaces a one-Fraction t and
-lowers the 16 floor to 2; the kinds whose t is a formula, and
-class-counts, whose t is a class boundary, reject it.  eps(x) = min(cap,
+lowers the 16 floor to 2; it must be finite and above 0, and the kinds
+whose t is a formula, and class-counts, whose t is a class boundary,
+reject it.  eps(x) = min(cap,
 2/log log x) never increases, so 1/2 + m eps is one Fraction per config
 when eps is on its cap at the largest x judged (x_max, or x_max^2 for
 pairs).  That holds below 2^64; a config where it fails is rejected.  An
@@ -96,8 +102,8 @@ from time import monotonic
 from ._record import FrozenRecord
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, N_BINS, EpsilonFn, _above,
-                       _lamlam_exponent, _one_minus_delta_exponent, _tally_deficiency_bins,
-                       _tally_u_bins, order_classes)
+                       _lamlam_exponent, _one_minus_delta_exponent, _tally_bracketed,
+                       _tally_deficiency_bins, _tally_u_bins, bracketed, order_classes)
 from .orders import OrderKernel, _survey_kernel
 
 ORD_N = "ord-n"
@@ -142,7 +148,10 @@ class SurveyConfig(FrozenRecord):
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         if self.sample_size < 1:  # every kind's digest carries it
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.exponent_override is not None and (callable(kind.exponent) or kind.classes):
+        t = self.exponent_override
+        if t is not None and not (math.isfinite(t) and t > 0):  # x^t must grow with x
+            raise ValueError(f"exponent_override must be finite and > 0, got {t}")
+        if t is not None and (callable(kind.exponent) or kind.classes):
             raise ValueError(f"--exponent conflicts with kind {self.kind}")
         if self.x_max < self.low():
             raise ValueError(
@@ -390,27 +399,32 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
     """The result of the items whose q and x are the columns qs and xs, for
-    every kind.  The logarithms are taken here, each once per item: log x
-    and u = log q / log x for every kind, and log log x for a kind that
-    reads a formula of it (a formula threshold, or the classes' L
-    boundary).  classify decides the kind's classes, or q against x^t, and
-    its bins from these columns, and the result is built once, whole; its
-    sampled flag depends on the config alone."""
+    every kind.  Integers under a t that classify.bracketed admits are
+    decided by classify._tally_bracketed, with no logarithm.  Otherwise the
+    logarithms are taken here, each once per item: log x and
+    u = log q / log x, and log log x for a kind that reads a formula of it
+    (a formula threshold, or the classes' L boundary).  classify decides
+    the kind's classes, or q against x^t, and its bins from these columns.
+    The result is built once, whole; its sampled flag depends on the config
+    alone."""
     kind, t = _KINDS[cfg.kind], cfg._threshold
-    lnxs = list(map(math.log, xs))
-    llxs = list(map(math.log, lnxs)) if kind.classes or callable(t) else None
-    us = list(map(truediv, map(math.log, qs), lnxs))
     histogram, counts = [0] * N_BINS, None
-    kind.bins(histogram, qs, xs, us, lnxs, llxs)
-    if kind.classes:
-        labels = order_classes(qs, xs, us, lnxs, llxs, t)
-        counts = {label: labels.count(label) for label in kind.classes}
-        exceed = counts["H"]
+    if kind.population is _integers and bracketed(t):
+        exceed = _tally_bracketed(histogram, qs, xs, t, kind.ties)
     else:
-        exceed = sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties))
+        lnxs = list(map(math.log, xs))
+        llxs = list(map(math.log, lnxs)) if kind.classes or callable(t) else None
+        us = list(map(truediv, map(math.log, qs), lnxs))
+        kind.bins(histogram, qs, xs, us, lnxs, llxs)
+        if kind.classes:
+            labels = order_classes(qs, xs, us, lnxs, llxs, t)
+            counts = {label: labels.count(label) for label in kind.classes}
+            exceed = counts["H"]
+        else:
+            exceed = sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties))
     sampled = kind.population is _pairs and not isinstance(
         _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed), range)
-    return SurveyResult(cfg, len(us), exceed, histogram, counts, sampled)
+    return SurveyResult(cfg, len(qs), exceed, histogram, counts, sampled)
 
 
 # ---------------------------------------------------------------------------

@@ -226,11 +226,8 @@ class Tally:
         self.exceed += bool(hit)
         self.histogram[exact_bin(q, n)] += 1
 
-    def as_dict(self, histogram=True):
-        out = {"total": self.total, "exceed": self.exceed}
-        if histogram:
-            out["histogram"] = self.histogram
-        return out
+    def as_dict(self):
+        return {"total": self.total, "exceed": self.exceed, "histogram": self.histogram}
 
 
 def measure_ord_n(x_max, e=2):
@@ -388,7 +385,7 @@ def compute(log):
     for k in (10, 14, 18):
         x = 2**k
         tally = measure_lambda_n(2 * x, lo=x + 1, a=1, b=2)
-        trend[f"2^{k}"] = tally.as_dict(histogram=False)
+        trend[f"2^{k}"] = tally.as_dict()
         log(f"lambda-n trend (2^{k}, 2^{k+1}]: {tally.exceed}/{tally.total}")
     golden["trend_lambda_n_half"] = trend
     return golden

@@ -242,6 +242,13 @@ def test_survey_epsilon_off_its_cap_exits_2(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_survey_exponent_not_finite_and_positive_exits_2(capsys):
+    for exponent in ("nan", "inf", "0", "-1"):
+        assert main(["survey", "--kind", "ord-n", "--max", "100",
+                     "--exponent", exponent]) == 2, exponent
+        assert "exponent_override must be finite and > 0" in capsys.readouterr().err
+
+
 def test_survey_conflicting_flags_exit_2(capsys):
     assert main(["survey", "--kind", "lambda-lambda", "--max", "100",
                  "--exponent", "0.5"]) == 2

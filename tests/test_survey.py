@@ -22,7 +22,7 @@ import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import Factorization, factorize, lcm, primes_in_range
 from ordstat.generators import CycleResult, LcgSpec, PowerGenSpec
-from ordstat.classify import EpsilonFn, _one_minus_delta_exponent, power_compare
+from ordstat.classify import EpsilonFn, _one_minus_delta_exponent, ceil_root, power_compare
 from ordstat.cli import main
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, order_profile
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
@@ -302,6 +302,25 @@ def test_power_threshold_near_ties_follow_exact_integers():
             assert exceeds == (q**1000 > x**333), (q, x)
 
 
+def test_runs_decide_items_on_and_beside_every_root():
+    # columns of consecutive x decided as runs, whose bounds are the roots
+    # at the runs' ends: each item's q is the root at its x of one bin edge
+    # k/20 or of t = 3/4 (the least q with q^b >= x^a), or one beside it, so
+    # a bound off by one at either end of a run moves a bin or the test
+    cfg = SurveyConfig(kind=ORD_N, x_max=100)
+    for start in (16, 5000, 10**30):  # runs of 64 items, of x // 64, and one
+        xs = range(start, start + 130)
+        for a, b in (*((k, 20) for k in range(1, 21)), (3, 4)):
+            for delta in (-1, 0, 1):
+                qs = [max(ceil_root(x**a, b) + delta, 1) for x in xs]
+                histogram = [0] * 21
+                for q, x in zip(qs, xs):
+                    histogram[max(k for k in range(21) if x**k <= q**20)] += 1
+                got = survey_mod._decide(cfg, qs, xs)
+                assert got.histogram == histogram, (start, a, b, delta)
+                assert got.exceed == sum(q**4 > x**3 for q, x in zip(qs, xs)), (start, a, b, delta)
+
+
 def test_class_boundaries_near_ties():
     def label(o, p, cap=0.25):  # class-counts' label for the order o at p
         return decision(SurveyConfig(kind=CLASS_COUNTS, x_max=p, epsilon=EpsilonFn(cap)),
@@ -450,6 +469,14 @@ def test_exponent_override_conflicts():
         assert cfg._threshold == Fraction(1, 2), kind
 
 
+def test_exponent_override_must_be_finite_and_positive():
+    for exponent in (math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5):
+        with pytest.raises(ValueError, match="exponent_override"):
+            SurveyConfig(kind=ORD_N, x_max=100, exponent_override=exponent)
+    # a t far above 1 is accepted, and decided without a power of it
+    assert run_survey(SurveyConfig(kind=ORD_N, x_max=100, exponent_override=1e300)).exceed == 0
+
+
 def test_merge_monoid():
     cfg = SurveyConfig(kind=ORD_N, x_max=120, chunk=25)
     parts = [evaluate_chunk(cfg, lo, hi) for lo, hi in plan_chunks(cfg)]
@@ -546,15 +573,23 @@ def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
     assert [run_survey(cfg).to_dict() for cfg in configs] == want
 
 
+# the kinds that brackets decide while classify.bracketed admits their t
+BRACKETED = (ORD_N, LAMBDA_N)
+
+
 def test_the_float_tier_is_only_a_shortcut(monkeypatch):
-    # with an infinite guard every decision, the column fast path's too, is
-    # made by power_compare's exact tiers: the counts must not move, and
-    # classify's power_compare, the only one patched, must see each
+    # with an infinite guard every float-tier decision, the column fast
+    # path's too, is made by power_compare's exact tiers: the counts must not
+    # move, and classify's power_compare, the only one patched, must see each
     # decision: the test of every item (for class-counts, both class
-    # boundaries) and the bin of every binned item
-    configs = [*_every_kind(2000, 2),
+    # boundaries) and the bin of every binned item.  These are the configs
+    # that keep the float tier: every kind but the bracketed ones, and
+    # those under a t past the integer tier (333/1000) or above 1
+    configs = [*(cfg for cfg in _every_kind(2000, 2) if cfg.kind not in BRACKETED),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
-                 for kind in OVERRIDABLE)]
+                 for kind in OVERRIDABLE if kind not in BRACKETED),
+               *(SurveyConfig(kind=kind, x_max=2000, exponent_override=t)
+                 for kind in BRACKETED for t in (0.333, 1.5))]
     want = [run_survey(cfg).to_dict() for cfg in configs]
     calls = []
     real_compare = classify_mod.power_compare
@@ -570,6 +605,31 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
         assert run_survey(cfg).to_dict() == report, cfg
         tests = 2 if report["class_counts"] else 1
         assert len(calls) == tests * report["total"] + sum(report["histogram"]), cfg
+
+
+def test_the_brackets_are_only_a_shortcut(monkeypatch):
+    # with every run's bracket collapsed to the bounds 0 and infinity, no
+    # bound settles an item, and every item of ord-n and lambda-n takes the
+    # exact tier for its test and each bin edge in doubt: the reports must
+    # not move.  Past 4096 a run grows with x, over chunks of 777 too
+    configs = [*(SurveyConfig(kind=kind, x_max=10**4, e=e)
+                 for kind in BRACKETED for e in (2, 3, 6, 10)),
+               *(SurveyConfig(kind=kind, x_max=10**4, exponent_override=0.5)
+                 for kind in BRACKETED),
+               *(SurveyConfig(kind=kind, x_max=10**4, x_min=3, chunk=777)
+                 for kind in BRACKETED)]
+    want = [run_survey(cfg).to_dict() for cfg in configs]
+    runs = []
+
+    def collapsed(x0, x1, specs):
+        runs.append(x1 - x0)
+        return (0,) * len(specs), (math.inf,) * len(specs)
+
+    monkeypatch.setattr(classify_mod, "_bracket", collapsed)
+    for cfg, report in zip(configs, want):
+        runs.clear()
+        assert run_survey(cfg).to_dict() == report, cfg
+        assert sum(runs) == report["total"] and max(runs) > 64, cfg
 
 
 def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
@@ -1175,14 +1235,15 @@ def test_histograms_and_remaining_kinds_match_oracle():
 
 
 def test_trend_windows_match_oracle():
-    # dyadic-window exceedance at the fixed threshold 1/2 is regression-locked
+    # dyadic-window exceedance and histograms at the fixed threshold 1/2 are
+    # regression-locked
     want = GOLDEN["trend_lambda_n_half"]
     got = {}
     for k in (10, 14, 18):
         cfg = SurveyConfig(kind=LAMBDA_N, x_min=2**k + 1, x_max=2**(k + 1),
                            exponent_override=0.5, chunk=50_000)
         r = run_survey(cfg, workers=2)
-        got[f"2^{k}"] = {"total": r.total, "exceed": r.exceed}
+        got[f"2^{k}"] = {"total": r.total, "exceed": r.exceed, "histogram": r.histogram}
     assert got == want
     fractions = [got[f"2^{k}"]["exceed"] / got[f"2^{k}"]["total"] for k in (10, 14, 18)]
     assert fractions == sorted(fractions)

@@ -5,24 +5,27 @@ Every count the package reports turns on an integer q >= 1 against x^t for
 an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
 class boundaries, and the lambda-lambda, deficiency-bin and one-minus-delta
 thresholds, each written as a Fraction or a formula f(log x, log log x, m)
-of log x.  The test and the u bins of ord-n and lambda-n, whose t is one
-Fraction 0 < a/b <= 1 with b <= 64 (bracketed), take no logarithm: a
-bracket tier decides them over runs of consecutive x, in front of the
-integer tier below.
+of log x.  Over the integers the test and the bins of ord-n, lambda-n,
+one-minus-delta and lambda-lambda take no logarithm per item: a bracket
+tier decides them over runs of consecutive x, in front of the tiers below.
 
-    bracket  over a run x0 <= x < x1, the exact integer roots of each edge
-             and of t at x0 and at x1 bound its root at every x of the run
-             (ceil_root, _bracket): q at or above the upper bound reaches
-             it, q below the lower one does not, and one bisect_right of q
-             among the bounds settles the item (_tally_bracketed)
+    bracket  over a run x0 <= x < x1 each edge and the threshold is
+             monotone in x, so its bounds at x0 and at x1 bound it over
+             the run (_bracket), and one bisect_right of q among them
+             settles the item (_tally_bracketed).  A Fraction a/b <= 1 with
+             b <= 64 is bounded by its exact integer roots (ceil_root), a
+             formula by x^(t -+ guard(t)) from the float t: the float
+             tier's own premise, that the float t is within the guard of t
 
-The items between two bounds, and those of a run too short to pay for
-its roots, take the integer tier, q^b against x^a.
-Every other decision is made from u = log q / log x in three tiers: those
-of shifted-prime, high-factor, rsa-pair, class-counts, one-minus-delta and
-lambda-lambda, where brackets measured slower than the float tier, and
-those of ord-n and lambda-n under an --exponent above 1 or past the
-integer tier.
+An item between two bounds takes q^b against x^a where every bound is a
+root, and is left whole to the tiers below where one is a formula, as are
+the items of a short run, of a run below 16 or about lambda-lambda's turn
+at x = 1.43e18 (its threshold falls before and rises after), and of a
+formula whose x^t leaves the float range.  Every other decision is made
+from u = log q / log x in three tiers: those of shifted-prime,
+high-factor, rsa-pair and class-counts, whose primes are too sparse for
+runs to pay, and those of ord-n and lambda-n under an --exponent above 1
+or past the integer tier.
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
              comparison decides
@@ -49,7 +52,8 @@ log x, u and, where a formula of it is read, log log x, each once per
 item, and passes every loop the same columns, q, x, u, log x and
 log log x, of which it reads those it needs: survey._decide for a chunk,
 classify_prime for its column of one.  The deficiency bins alone take
-one more, log log log x, inside their scale.
+one more, log log log x, inside their scale.  The bracket tier takes its
+own, once per run end (_ends).
 
 Primes split into three classes for a base e and a threshold function
 eps(x) = min(cap, 2/log log x):
@@ -245,37 +249,75 @@ _RUN = 64  # a run has _RUN items, or more over which x grows by at most 1/_RUN
 _SHORT = 8  # a shorter run, at a chunk's end, costs less exact than its roots
 # the bounds 0 and infinity of every root, which settle no item
 _UNBOUNDED = ((0,) * (len(_EDGE_SPECS) + 1), (math.inf,) * (len(_EDGE_SPECS) + 1))
+# every formula is monotone in x from _MONOTONE_FROM on, lambda-lambda's
+# threshold falling until log x = 41.80763710..., then rising: the runs
+# that meet _TURN, about that x, are not bracketed
+_MONOTONE_FROM = 16
+_TURN = (1.4349e18, 1.4350e18)
 
 
 @functools.lru_cache(maxsize=4)
-def _roots(x: int, specs: tuple) -> tuple[int, ...]:
-    """For each (a, b, d) of specs, the root c with q^b >= x^a + d exactly
-    when q >= c.  Consecutive runs share their boundary's roots."""
-    return tuple(ceil_root(x**a + d, b) for a, b, d in specs)
+def _ends(x: int, specs: tuple) -> tuple[tuple, tuple]:
+    """Bounds at x below and above the least q that reaches each spec: for
+    (a, b, d) its root, the least q with q^b >= x^a + d, twice; for a
+    formula t, reached by q > x^t, the least integers above
+    x^(t - guard(t)) and above x^(t + guard(t)) from the float t, or 0 and
+    infinity where these leave the float range.  Adjacent runs share the
+    bounds at their common end."""
+    if not any(map(callable, specs)):
+        roots = tuple(ceil_root(x**a + d, b) for a, b, d in specs)
+        return roots, roots
+    lnx = math.log(x)
+    llx = math.log(lnx)
+    low, high = [], []
+    for spec in specs:
+        if callable(spec):
+            t = spec(lnx, llx, math)
+            band = guard(t)
+            try:
+                lo = int(math.exp((t - band) * lnx)) + 1
+                hi = int(math.exp((t + band) * lnx)) + 1
+            except OverflowError:  # exp past the float range, or int of an infinite guard
+                lo, hi = 0, math.inf
+        else:
+            a, b, d = spec
+            lo = hi = ceil_root(x**a + d, b)
+        low.append(lo)
+        high.append(hi)
+    return tuple(low), tuple(high)
 
 
-def _bracket(x0: int, x1: int, specs: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bounds below and above each root of specs at every x of x0 <= x <= x1:
-    its roots at x0 and at x1, since each x^a + d grows with x; or, for
-    fewer than _SHORT items, _UNBOUNDED, which sends each to the exact tier:
-    a run's 21 roots cost about as much as five items' exact comparisons."""
+def _bracket(x0: int, x1: int, specs: tuple) -> tuple[tuple, tuple]:
+    """Bounds below and above the least q that reaches each spec at every x
+    of x0 <= x <= x1, over which each spec is monotone: the lesser of its
+    lower bounds at the two ends (_ends) and the greater of its upper ones.
+    _UNBOUNDED, which sends each item to the exact tiers, for a run of
+    fewer than _SHORT items, whose 21 roots cost about as much as five
+    items' exact comparisons, and, where a spec is a formula, for a run
+    below _MONOTONE_FROM or one that meets _TURN."""
     if x1 - x0 < _SHORT:
         return _UNBOUNDED
-    return _roots(x0, specs), _roots(x1, specs)
+    if not any(map(callable, specs)):  # roots, each growing with x
+        return _ends(x0, specs)[0], _ends(x1, specs)[1]
+    if x0 < _MONOTONE_FROM or x0 <= _TURN[1] and _TURN[0] <= x1:
+        return _UNBOUNDED
+    (low0, high0), (low1, high1) = _ends(x0, specs), _ends(x1, specs)
+    return tuple(map(min, low0, low1)), tuple(map(max, high0, high1))
 
 
 @functools.lru_cache(maxsize=2)
-def _outcomes(low, high) -> tuple[tuple, tuple]:
+def _outcomes(low, high, descending: bool) -> tuple[tuple, tuple]:
     """The sorted bounds of a run, and for each count of them that an
     item's q reaches, the item's outcome: 2 * bin + (q passes the test) if
-    the bounds settle both, else (kmin, kmax, test) for the exact tier: the
-    bin is in kmin..kmax, and test is True, False, or None if in doubt.
-    low and high list the 20 bin edges' bounds, then the test's."""
+    the bounds settle both, else (kmin, kmax, test) for the exact tiers: q
+    reaches kmin to kmax of the edges, and test is True, False, or None if
+    in doubt.  low and high list the 20 edges' bounds, then the test's.
+    The bin is the count of edges reached, or 20 less it if descending."""
     values, tested = [*low, *high], len(low) - 1
     order = sorted(range(len(values)), key=values.__getitem__)
     kmin = kmax = 0
     sure = maybe = False
-    outcomes = [0]
+    outcomes = [0 if not descending else 2 * tested]
     for i in order:
         if i == tested:
             maybe = True
@@ -285,41 +327,47 @@ def _outcomes(low, high) -> tuple[tuple, tuple]:
             kmax += 1
         else:
             kmin += 1
-        outcomes.append(2 * kmin + sure if kmin == kmax and sure == maybe
+        outcomes.append(2 * (tested - kmin if descending else kmin) + sure
+                        if kmin == kmax and sure == maybe
                         else (kmin, kmax, sure if sure == maybe else None))
     return tuple(values[i] for i in order), tuple(outcomes)
 
 
-def bracketed(exact: Fraction | Callable) -> bool:
-    """Whether _tally_bracketed decides q against x^exact: exact is a
-    Fraction a/b of the integer tier, b <= 64, and 0 < a/b <= 1, as every
-    bin edge is, so that no root it takes exceeds x + 1."""
-    return (isinstance(exact, Fraction) and exact.denominator <= _EXACT_DENOM_LIMIT
-            and 0 < exact <= 1)
+def bracket_specs(bins: Callable, exact: Fraction | Callable, ties: bool) -> tuple | None:
+    """For _tally_bracketed, the specs of the bin rule's 20 edges, each
+    reached by q as the bin moves away from 0, then of the test q > x^exact
+    (q >= x^exact if ties).  A Fraction becomes (a, b, d); for one past the
+    integer tier (b > 64), or outside 0 < a/b <= 1, where a root could
+    exceed x + 1, this returns None.  A formula stays as it is."""
+    if isinstance(exact, Fraction):
+        if not (exact.denominator <= _EXACT_DENOM_LIMIT and 0 < exact <= 1):
+            return None
+        exact = (exact.numerator, exact.denominator, 0 if ties else 1)
+    edges = _DEFICIENCY_EDGES[:0:-1] if bins is _tally_deficiency_bins else _EDGE_SPECS
+    return (*edges, exact)
 
 
-def _tally_bracketed(histogram: list[int], qs, xs, exact: Fraction,
-                     ties: bool = False) -> int:
-    """Add each item's u bin to histogram, as _tally_u_bins bins it, and
-    return how many items have q > x^exact (q >= x^exact if ties), with no
-    logarithm, for xs consecutive integers and an exact that is bracketed.
-    Each edge x^(k/20) and x^exact grows with x, so over a run of items
-    their roots at the run's first x and past its last bound their roots
-    at every x of the run: q at or above the upper bound reaches the edge,
-    q below the lower one does not, and one bisect_right of q among the
-    bounds settles both the bin and the test.  Only an item between two
-    bounds, or of a short run, takes the integer tier, q^b against x^a, for
-    the edges and the test in doubt."""
+def _tally_bracketed(histogram: list[int], qs, xs, specs: tuple) -> tuple[int, list[int]]:
+    """Add to histogram the bin of each item, as the bin rule of specs bins
+    it, for xs consecutive integers, and return how many items pass the
+    test, with the positions of the items left to the per-item path.  Over
+    a run, q at or above a spec's upper bound reaches it and q below its
+    lower one does not, so one bisect_right of q among the bounds settles
+    the item.  An item in doubt takes the integer tier here, q^b against
+    x^a, for the edges and the test in doubt, where every spec is a
+    Fraction; where one is a formula it is left whole.  Descending edges,
+    the deficiency bins', count down from bin 20."""
+    left = []
     if not xs:
-        return 0
-    specs = (*_EDGE_SPECS, (exact.numerator, exact.denominator, 0 if ties else 1))
-    a, b, d = specs[-1]
+        return 0, left
+    formulas = any(map(callable, specs))
+    descending = callable(specs[0])
     start, stop = xs[0], xs[-1] + 1
     x0, exceed = start, 0
     while x0 < stop:
         x1 = min(x0 + max(_RUN, x0 // _RUN), stop)
-        bounds, outcomes = _outcomes(*_bracket(x0, x1, specs))
         run = qs[x0 - start:x1 - start]
+        bounds, outcomes = _outcomes(*_bracket(x0, x1, specs), descending)
         reached = list(map(bisect_right, repeat(bounds), run))
         for at, count in Counter(reached).items():
             outcome = outcomes[at]
@@ -331,14 +379,18 @@ def _tally_bracketed(histogram: list[int], qs, xs, exact: Fraction,
             i = -1
             for _ in range(count):
                 i = reached.index(at, i + 1)
+                if formulas:
+                    left.append(x0 - start + i)
+                    continue
                 q, x = run[i], x0 + i
                 k = kmin
                 while k < kmax and q ** specs[k][1] >= x ** specs[k][0]:
                     k += 1
                 histogram[k] += 1
+                a, b, d = specs[-1]
                 exceed += q**b >= x**a + d if test is None else test
         x0 = x1
-    return exceed
+    return exceed, left
 
 
 class EpsilonFn(FrozenRecord):

@@ -29,23 +29,27 @@ or a formula of log x from classify.  The statistic binned is
 u = log(q)/log(x), except for lambda-lambda's deficiency
 log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
 is decided as columns, by one function, _decide, for every kind: the
-kind's population gives its q and x columns.  Over the integers, with t
-one Fraction a/b <= 1 with b <= 64 (ord-n and lambda-n, under their
-1/2 + eps or such an --exponent: classify.bracketed), classify._tally_bracketed
-decides the test and the u bins by exact integer brackets over runs of
-consecutive n, and _decide takes no logarithm.  For every other config
-_decide takes every logarithm of the decisions once per item, log x and
-u = log q / log x, and log log x where the kind reads a formula of it:
-one-minus-delta's and lambda-lambda's thresholds, and class-counts' L
-boundary.  classify decides the rest from these columns, where its one
-threshold rule lives:
-class-counts' L/M/H labels through classify.order_classes, the one class
-rule that classify_prime also calls, every other test through
-classify._above, and the bins through the kind's classify bin rule.  Only
-the deficiency bins take one logarithm more, log log log n.  _decide
-builds the chunk's result once, with its final fields, and a result, like
-every record, is never changed after it is built.  The
-rsa-pair q equals ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the
+kind's population gives its q and x columns.  Over the integers
+(ord-n, lambda-n, one-minus-delta and lambda-lambda),
+classify._tally_bracketed decides the test and the bins by brackets over
+runs of consecutive n, with no per-item logarithm: exact integer roots
+for a Fraction t = a/b <= 1 with b <= 64 and the u bin edges
+(classify.bracket_specs), and, for a formula, the deficiency edges and
+the lambda-lambda and one-minus-delta thresholds, the float formula at
+the run's ends widened by the float tier's guard.  The items those
+brackets leave, and every item of the prime kinds, of rsa-pair and of
+ord-n or lambda-n under an --exponent above 1 or past the integer tier,
+take the per-item path: _decide takes every logarithm of their decisions
+once per item, log x and u = log q / log x, and log log x where the kind
+reads a formula of it: one-minus-delta's and lambda-lambda's thresholds,
+and class-counts' L boundary.  classify decides the rest from these
+columns, where its one threshold rule lives: class-counts' L/M/H labels
+through classify.order_classes, the one class rule that classify_prime
+also calls, every other test through classify._above, and the bins
+through the kind's classify bin rule.  Only the deficiency bins take one
+logarithm more, log log log n.  _decide builds the chunk's result once,
+with its final fields, and a result, like every record, is never changed
+after it is built.  The rsa-pair q equals ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the
 e-free part of an lcm is the lcm of the e-free parts, and the order modulo
 an lcm is the lcm of the orders.  With the default cap 1/4 class-counts
 finds no H prime by construction, since ord*(e, p) <= p - 1 <
@@ -103,7 +107,7 @@ from ._record import FrozenRecord
 from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, N_BINS, EpsilonFn, _above,
                        _lamlam_exponent, _one_minus_delta_exponent, _tally_bracketed,
-                       _tally_deficiency_bins, _tally_u_bins, bracketed, order_classes)
+                       _tally_deficiency_bins, _tally_u_bins, bracket_specs, order_classes)
 from .orders import OrderKernel, _survey_kernel
 
 ORD_N = "ord-n"
@@ -306,7 +310,9 @@ class _Kind:
     OrderKernel.values) over an item's prime powers.  exponent is the
     threshold's t: an int m for 1/2 + m*eps, a Fraction, or a formula
     f(log x, log log x, m) of classify's.  ties is whether q = x^t exceeds.
-    bins is classify's bin rule bins(histogram, qs, xs, us, lnxs, llxs).
+    bins is classify's bin rule bins(histogram, qs, xs, us, lnxs, llxs),
+    whose edges, with the threshold, classify.bracket_specs turns into the
+    specs of the guard-widened or exact-root brackets for the integers.
     floor is the lowest item under that t.  classes are the labels the kind
     tallies by classify.order_classes, whose M/H boundary is then x^t and
     whose H exceeds; a kind without them tests q against x^t."""
@@ -399,19 +405,25 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
     """The result of the items whose q and x are the columns qs and xs, for
-    every kind.  Integers under a t that classify.bracketed admits are
-    decided by classify._tally_bracketed, with no logarithm.  Otherwise the
-    logarithms are taken here, each once per item: log x and
-    u = log q / log x, and log log x for a kind that reads a formula of it
-    (a formula threshold, or the classes' L boundary).  classify decides
-    the kind's classes, or q against x^t, and its bins from these columns.
-    The result is built once, whole; its sampled flag depends on the config
-    alone."""
+    every kind.  Integers whose threshold and bin edges
+    classify.bracket_specs admits (every integer kind, but ord-n and
+    lambda-n under an --exponent above 1 or past the integer tier) are
+    decided by classify._tally_bracketed, with no per-item logarithm: by
+    exact-root brackets for a Fraction, guard-widened float brackets for a
+    formula.  The items those leave, and every item of any other config,
+    take the per-item path, whose logarithms are taken here, each once per
+    item: log x and u = log q / log x, and log log x for a kind that reads a
+    formula of it (a formula threshold, or the classes' L boundary).
+    classify decides the kind's classes, or q against x^t, and its bins
+    from these columns.  The result is built once, whole; its sampled flag
+    depends on the config alone."""
     kind, t = _KINDS[cfg.kind], cfg._threshold
-    histogram, counts = [0] * N_BINS, None
-    if kind.population is _integers and bracketed(t):
-        exceed = _tally_bracketed(histogram, qs, xs, t, kind.ties)
-    else:
+    histogram, counts, exceed, total = [0] * N_BINS, None, 0, len(qs)
+    specs = kind.population is _integers and bracket_specs(kind.bins, t, kind.ties)
+    if specs:
+        exceed, left = _tally_bracketed(histogram, qs, xs, specs)
+        qs, xs = [qs[i] for i in left], [xs[i] for i in left]
+    if not specs or qs:
         lnxs = list(map(math.log, xs))
         llxs = list(map(math.log, lnxs)) if kind.classes or callable(t) else None
         us = list(map(truediv, map(math.log, qs), lnxs))
@@ -421,10 +433,10 @@ def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
             counts = {label: labels.count(label) for label in kind.classes}
             exceed = counts["H"]
         else:
-            exceed = sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties))
+            exceed += sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties))
     sampled = kind.population is _pairs and not isinstance(
         _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed), range)
-    return SurveyResult(cfg, len(qs), exceed, histogram, counts, sampled)
+    return SurveyResult(cfg, total, exceed, histogram, counts, sampled)
 
 
 # ---------------------------------------------------------------------------

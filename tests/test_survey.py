@@ -160,20 +160,60 @@ def test_lambda_lambda_guard_semantics():
     assert carmichael_lambda(factorize(carmichael_lambda(factorize(209)))) == 12
 
 
-def test_decide_takes_each_logarithm_once(monkeypatch):
-    # lambda-lambda reads a formula of log log n in its threshold and in its
-    # deficiency bins: _decide takes log n, log q and log log n once per item
-    # for both, and the bins only log log log n, once per binned item (n >= 16)
-    cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2000)
-    ns = range(2, 2001)
-    qs = [carmichael_lambda(factorize(carmichael_lambda(factorize(n)))) for n in ns]
-    want = evaluate_chunk(cfg, 2, 2001)
+def _logs_taken(monkeypatch, cfg, qs, xs):
+    """(math.log calls, result) of _decide on the columns, from cold
+    bracket ends; the patches made before it are undone with its own."""
+    classify_mod._ends.cache_clear()
     calls, log = [], math.log
     monkeypatch.setattr(math, "log", lambda *args: calls.append(args) or log(*args))
-    got = survey_mod._decide(cfg, qs, ns)
+    got = survey_mod._decide(cfg, qs, xs)
     monkeypatch.undo()
-    assert got == want and sum(got.histogram) == len(range(16, 2001))
-    assert len(calls) == 3 * len(ns) + len(range(16, 2001)) == 7982
+    return len(calls), got
+
+
+def test_decide_takes_each_logarithm_once(monkeypatch):
+    # class-counts stays on the float tier and reads a formula of log log p
+    # in its L boundary: _decide takes log p, log q and log log p once per
+    # item, and classify none
+    cfg = SurveyConfig(kind=CLASS_COUNTS, x_max=2000)
+    ps = primes_in_range(2, 2001)
+    qs = [coprime_order(2, p) for p in ps]
+    want = evaluate_chunk(cfg, 2, 2001)
+    count, got = _logs_taken(monkeypatch, cfg, qs, ps)
+    assert got == want and count == 3 * len(ps) == 909
+
+
+def test_decide_takes_lambda_lambda_logarithms_per_run(monkeypatch):
+    # lambda-lambda's threshold and deficiency edges are bracketed over runs
+    # of consecutive n: each run end takes log n, log log n and, in the 20
+    # edges' scale, log log log n, whatever the run's length.  One run of
+    # 64 n at 4096 and one of 15,625 n at 10^6, with q = 1, which the bounds
+    # settle (exceeding, in bin 20), take the same 2 * 22 logarithms
+    cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2 * 10**6)
+    for start, size in ((4096, 64), (10**6, 15625)):
+        count, got = _logs_taken(monkeypatch, cfg, [1] * size, range(start, start + size))
+        assert count == 2 * (2 + 20), start
+        assert got.exceed == got.histogram[20] == size, start
+    # on a chunk, 22 for each run end, and the items the bounds leave take
+    # the per-item ones: log n, log q and log log n, and log log log n when
+    # binned (n >= 16).  The first run, of n < 16, is left whole; the other
+    # 31 runs have 32 ends
+    ns = range(2, 2001)
+    qs = [carmichael_lambda(factorize(carmichael_lambda(factorize(n)))) for n in ns]
+    cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2000)
+    want = evaluate_chunk(cfg, 2, 2001)
+    left, tally = [], classify_mod._tally_bracketed
+
+    def spy(*args):
+        exceed, positions = tally(*args)
+        left.extend(ns[i] for i in positions)
+        return exceed, positions
+
+    monkeypatch.setattr(survey_mod, "_tally_bracketed", spy)
+    count, got = _logs_taken(monkeypatch, cfg, qs, ns)
+    assert got == want and classify_mod._ends.cache_info().misses == 32
+    assert set(range(2, 66)) <= set(left) and len(left) < len(ns) // 4
+    assert count == 22 * 32 + 3 * len(left) + sum(n >= 16 for n in left)
 
 
 def test_high_factor_items():
@@ -319,6 +359,81 @@ def test_runs_decide_items_on_and_beside_every_root():
                 got = survey_mod._decide(cfg, qs, xs)
                 assert got.histogram == histogram, (start, a, b, delta)
                 assert got.exceed == sum(q**4 > x**3 for q, x in zip(qs, xs)), (start, a, b, delta)
+
+
+@_in80
+def _formula_edges(n):
+    """At n, in 80-digit decimal: lambda-lambda's threshold n/exp((log log
+    n)^3), its 20 deficiency edges n^(1 - k w(n)) for k = 1..20, and
+    one-minus-delta's threshold n^(1 - sqrt(log log n / log n))."""
+    ln = _ln80(n)
+    ll = ln.ln()
+    w = ll * ll * ll.ln() / (20 * ln)
+    return {"lambda-lambda": n * (-ll**3).exp(),
+            **{k: ((1 - k * w) * ln).exp() for k in range(1, 21)},
+            "one-minus-delta": ((1 - (ll / ln).sqrt()) * ln).exp()}
+
+
+@_in80
+def _lamlam_turn():
+    """The n where lambda-lambda's log threshold y - (log y)^3, y = log n,
+    turns from falling to rising: the root of y = 3 (log y)^2 near 41.8."""
+    y = decimal.Decimal("41.8")
+    for _ in range(20):
+        y -= (y - 3 * y.ln() ** 2) / (1 - 6 * y.ln() / y)
+    return y.exp()
+
+
+def test_runs_decide_formula_items_on_and_beside_every_edge(monkeypatch):
+    # columns of consecutive n decided as runs, whose bounds are the float
+    # formulas at the runs' ends widened by the guard: each item's q is
+    # floor(edge) - 1, floor(edge) or floor(edge) + 1 of one formula edge at
+    # its n, the edge taken in 80-digit decimal, so a bound off by one at
+    # either end of a run, or not widened where floats are coarse (10^20),
+    # moves a bin or the test.  The column about lambda-lambda's turning
+    # point is left whole to the per-item path, and only that one
+    turn = _lamlam_turn()
+    assert classify_mod._TURN[0] < turn < classify_mod._TURN[1]
+    left, tally = [], classify_mod._tally_bracketed
+
+    def spy(*args):
+        exceed, positions = tally(*args)
+        left.append(len(positions))
+        return exceed, positions
+
+    monkeypatch.setattr(survey_mod, "_tally_bracketed", spy)
+    lamlam, omd = (SurveyConfig(kind=kind, x_max=100) for kind in (LAMBDA_LAMBDA, ONE_MINUS_DELTA))
+    for start in (16, 5000, 10**12, int(turn) - 65, 10**20):
+        xs = range(start, start + 130)
+        # q <= edge and q > edge read the same on the edge's floor
+        edges = [{name: int(edge) for name, edge in _formula_edges(x).items()} for x in xs]
+        left.clear()
+        # past 10^12 every item beside an edge is a near-tie for the float
+        # tier, decided in decimal: a fifth of the edges keeps the cost down
+        names = list(edges[0]) if start < 10**12 else [LAMBDA_LAMBDA, 1, 7, 13, 20, ONE_MINUS_DELTA]
+        for name in names:
+            for delta in (-1, 0, 1):
+                qs = [max(edge[name] + delta, 1) for edge in edges]
+                got = survey_mod._decide(lamlam, qs, xs)
+                exceed = sum(q > e[LAMBDA_LAMBDA] for q, e in zip(qs, edges))
+                assert got.exceed == exceed, (start, name, delta)
+                histogram = [0] * 21
+                for q, e in zip(qs, edges):
+                    histogram[sum(q <= e[k] for k in range(1, 21))] += 1
+                assert got.histogram == histogram, (start, name, delta)
+                if name == ONE_MINUS_DELTA:
+                    got = survey_mod._decide(omd, qs, xs)
+                    assert got.exceed == sum(q > e[name] for q, e in zip(qs, edges)), (start, delta)
+                    histogram = [0] * 21
+                    for q, x in zip(qs, xs):
+                        histogram[max(k for k in range(21) if x**k <= q**20)] += 1
+                    assert got.histogram == histogram, (start, delta)
+        # each _decide leaves all 130 items about the turning point; elsewhere
+        # the bounds settle some
+        if start < turn < start + 130:
+            assert set(left) == {130}, start
+        else:
+            assert min(left) < 130, start
 
 
 def test_class_boundaries_near_ties():
@@ -557,24 +672,29 @@ def _every_kind(x, e):
 
 def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
     # every decision near a tie is made exactly, so a libm that rounds its
-    # logs differently, by up to 3 ulps either way, changes no count
+    # logs and exps differently, by up to 3 ulps either way, changes no
+    # count: the float tier takes logs, and the formula brackets logs and exps
     configs = [cfg for e in (2, 3) for cfg in _every_kind(10**4, e)]
     want = [run_survey(cfg).to_dict() for cfg in configs]
-    real_log = math.log
 
-    def log_off_by_ulps(x, *base):
-        y, h = real_log(x, *base), hash((x, 7))
-        toward = math.inf if h & 4 else -math.inf
-        for _ in range(h & 3):
-            y = math.nextafter(y, toward)
-        return y
+    def off_by_ulps(real, salt):
+        def moved(x, *base):
+            y, h = real(x, *base), hash((x, salt))
+            toward = math.inf if h & 4 else -math.inf
+            for _ in range(h & 3):
+                y = math.nextafter(y, toward)
+            return y
+        return moved
 
-    monkeypatch.setattr(math, "log", log_off_by_ulps)
+    monkeypatch.setattr(math, "log", off_by_ulps(math.log, 7))
+    monkeypatch.setattr(math, "exp", off_by_ulps(math.exp, 11))
     assert [run_survey(cfg).to_dict() for cfg in configs] == want
 
 
-# the kinds that brackets decide while classify.bracketed admits their t
-BRACKETED = (ORD_N, LAMBDA_N)
+# the kinds that brackets decide, the first two while classify.bracket_specs
+# admits their t, the last two by formula bounds widened by the guard
+BRACKETED = (ORD_N, LAMBDA_N, LAMBDA_LAMBDA, ONE_MINUS_DELTA)
+BY_ROOTS = BRACKETED[:2]
 
 
 def test_the_float_tier_is_only_a_shortcut(monkeypatch):
@@ -583,13 +703,15 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     # move, and classify's power_compare, the only one patched, must see each
     # decision: the test of every item (for class-counts, both class
     # boundaries) and the bin of every binned item.  These are the configs
-    # that keep the float tier: every kind but the bracketed ones, and
-    # those under a t past the integer tier (333/1000) or above 1
-    configs = [*(cfg for cfg in _every_kind(2000, 2) if cfg.kind not in BRACKETED),
+    # that keep the float tier: every kind whose brackets are not exact
+    # roots, the formula brackets of lambda-lambda and one-minus-delta
+    # widening to 0 and infinity under that guard, and ord-n and lambda-n
+    # under a t past the integer tier (333/1000) or above 1
+    configs = [*(cfg for cfg in _every_kind(2000, 2) if cfg.kind not in BY_ROOTS),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
-                 for kind in OVERRIDABLE if kind not in BRACKETED),
+                 for kind in OVERRIDABLE if kind not in BY_ROOTS),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=t)
-                 for kind in BRACKETED for t in (0.333, 1.5))]
+                 for kind in BY_ROOTS for t in (0.333, 1.5))]
     want = [run_survey(cfg).to_dict() for cfg in configs]
     calls = []
     real_compare = classify_mod.power_compare
@@ -609,13 +731,14 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
 
 def test_the_brackets_are_only_a_shortcut(monkeypatch):
     # with every run's bracket collapsed to the bounds 0 and infinity, no
-    # bound settles an item, and every item of ord-n and lambda-n takes the
-    # exact tier for its test and each bin edge in doubt: the reports must
+    # bound settles an item: every item of ord-n and lambda-n takes the
+    # exact tier for its test and each bin edge in doubt, and every item of
+    # lambda-lambda and one-minus-delta the per-item path: the reports must
     # not move.  Past 4096 a run grows with x, over chunks of 777 too
     configs = [*(SurveyConfig(kind=kind, x_max=10**4, e=e)
                  for kind in BRACKETED for e in (2, 3, 6, 10)),
                *(SurveyConfig(kind=kind, x_max=10**4, exponent_override=0.5)
-                 for kind in BRACKETED),
+                 for kind in BY_ROOTS),
                *(SurveyConfig(kind=kind, x_max=10**4, x_min=3, chunk=777)
                  for kind in BRACKETED)]
     want = [run_survey(cfg).to_dict() for cfg in configs]

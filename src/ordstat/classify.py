@@ -19,13 +19,13 @@ tier decides them over runs of consecutive x, in front of the tiers below.
 
 An item between two bounds takes q^b against x^a where every bound is a
 root, and is left whole to the tiers below where one is a formula, as are
-the items of a short run, of a run below 16 or about lambda-lambda's turn
-at x = 1.43e18 (its threshold falls before and rises after), and of a
-formula whose x^t leaves the float range.  Every other decision is made
-from u = log q / log x in three tiers: those of shifted-prime,
-high-factor, rsa-pair and class-counts, whose primes are too sparse for
-runs to pay, and those of ord-n and lambda-n under an --exponent above 1
-or past the integer tier.
+the items of a short run, of the run below 16 (a formula's run there ends
+at 16) or about lambda-lambda's turn at x = 1.43e18 (its threshold falls
+before and rises after), and of a formula whose x^t leaves the float
+range.  Every other decision is made from u = log q / log x in three
+tiers: those of shifted-prime, high-factor, rsa-pair and class-counts,
+whose primes are too sparse for runs to pay, and those of ord-n and
+lambda-n under an --exponent above 1 or past the integer tier.
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
              comparison decides
@@ -262,17 +262,22 @@ def _ends(x: int, specs: tuple) -> tuple[tuple, tuple]:
     (a, b, d) its root, the least q with q^b >= x^a + d, twice; for a
     formula t, reached by q > x^t, the least integers above
     x^(t - guard(t)) and above x^(t + guard(t)) from the float t, or 0 and
-    infinity where these leave the float range.  Adjacent runs share the
-    bounds at their common end."""
+    infinity where these leave the float range.  The deficiency edges'
+    t = 1 - k w share one scale w.  Adjacent runs share the bounds at their
+    common end."""
     if not any(map(callable, specs)):
         roots = tuple(ceil_root(x**a + d, b) for a, b, d in specs)
         return roots, roots
     lnx = math.log(x)
     llx = math.log(lnx)
-    low, high = [], []
+    low, high, w = [], [], None
     for spec in specs:
         if callable(spec):
-            t = spec(lnx, llx, math)
+            if getattr(spec, "func", None) is _deficiency_edge:  # 1 - k w, one w per end
+                w = w or _deficiency_scale(lnx, llx, math)
+                t = 1 - spec.args[0] * w
+            else:
+                t = spec(lnx, llx, math)
             band = guard(t)
             try:
                 lo = int(math.exp((t - band) * lnx)) + 1
@@ -355,8 +360,9 @@ def _tally_bracketed(histogram: list[int], qs, xs, specs: tuple) -> tuple[int, l
     lower one does not, so one bisect_right of q among the bounds settles
     the item.  An item in doubt takes the integer tier here, q^b against
     x^a, for the edges and the test in doubt, where every spec is a
-    Fraction; where one is a formula it is left whole.  Descending edges,
-    the deficiency bins', count down from bin 20."""
+    Fraction; where one is a formula it is left whole, and a run that
+    starts below _MONOTONE_FROM ends there.  Descending edges, the
+    deficiency bins', count down from bin 20."""
     left = []
     if not xs:
         return 0, left
@@ -366,6 +372,8 @@ def _tally_bracketed(histogram: list[int], qs, xs, specs: tuple) -> tuple[int, l
     x0, exceed = start, 0
     while x0 < stop:
         x1 = min(x0 + max(_RUN, x0 // _RUN), stop)
+        if formulas and x0 < _MONOTONE_FROM < x1:
+            x1 = _MONOTONE_FROM
         run = qs[x0 - start:x1 - start]
         bounds, outcomes = _outcomes(*_bracket(x0, x1, specs), descending)
         reached = list(map(bisect_right, repeat(bounds), run))

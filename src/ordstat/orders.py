@@ -35,8 +35,22 @@ it keeps at the prime powers q up to its limit: O(q) = ord*(e, q),
 L(q) = ord*(e, lambda(q)) and LL(q) = lambda(lambda(q)), each 2 bytes per
 integer and built on the quantity's first use.  Every survey kind's q is
 the lcm of one quantity over its item's prime powers, so kinds with one
-quantity share its array.  Replacing the kernel frees them all.  Every
-path is exact, so neither the table nor an array can change a result.
+quantity share its array.
+
+The arrays live in a per-process store keyed by (limit, e), _store, which
+holds one key's set, and the survey kernel of that key holds the same set.
+Before a pooled survey, the parent maps the arrays its kind fills as
+anonymous shared memory (_share_arrays), without building the table: O for
+O, O and L for L, LL for LL, none for lpf.  Forked workers inherit the
+store, so they fill one set of arrays together, and the parent keeps every
+value they filled for its next survey at that key, pooled or not.  Each
+value is exact and goes from 0 to its final value in one aligned 4-byte
+store, so two workers racing on a slot can only compute it twice.  Workers
+started by spawn or forkserver inherit nothing and fill arrays of their
+own.  An array no pool shares stays an array("I").  A survey or pool at
+another key replaces the kernel and the set together and frees them both.
+Every path is exact, so neither the table nor an array can change a
+result.
 """
 
 from __future__ import annotations
@@ -179,7 +193,8 @@ class OrderKernel:
     lambda(q) by the lambda rule, then ord and lam below, except that L at
     an odd q = p^a, a >= 2, is lcm(L(p), O(q / p)).  O, L and LL are
     kept once computed for q <= limit, each in one array of its own, built
-    on the quantity's first use, under one slot rule: odd q at index
+    on the quantity's first use or mapped before a pool (_share_arrays),
+    under one slot rule: odd q at index
     q // 2, and q = 2^a at index -a - 1, in a tail of limit.bit_length()
     entries after the odd ones.
     That is 4 bytes per odd integer, 2 per integer, like the table.  lpf is
@@ -209,7 +224,7 @@ class OrderKernel:
         for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
             spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
         self._spf = spf
-        self._kept: dict[str, array] = {}
+        self._kept: dict[str, array | memoryview] = {}
         # a table-less kernel serves one query: it keeps what it factors
         self._factored: dict[int, list] | None = {} if limit == 1 else None
 
@@ -223,7 +238,7 @@ class OrderKernel:
         limit, compute = self.limit, _QUANTITIES[quantity]
         kept = self._kept.get(quantity)
         if kept is None:
-            kept = self._kept[quantity] = array("I", [0]) * (limit // 2 + 1 + limit.bit_length())
+            kept = self._kept[quantity] = array("I", [0]) * _slots(limit)
             kept[0] = 1
         out = []
         for p, q in powers:
@@ -316,7 +331,57 @@ _QUANTITIES = {
     "LL": lambda kernel, p, q: kernel.lam(_lambda_lcm([(p, q)])),
 }
 
-_order_kernel = functools.lru_cache(maxsize=1)(OrderKernel)
+
+def _slots(limit: int) -> int:
+    """Entries in a kept array of a kernel up to limit: the odd q, then the
+    powers of 2."""
+    return limit // 2 + 1 + limit.bit_length()
+
+
+# The kept arrays that each quantity fills: L reads O as well.
+_FILLS = {"O": ("O",), "L": ("O", "L"), "LL": ("LL",), "lpf": ()}
+
+# The process's kept arrays, by quantity, of one (limit, e).
+_store: dict[tuple[int, int], dict[str, array | memoryview]] = {}
+
+
+def _kept_arrays(limit: int, e: int) -> dict[str, array | memoryview]:
+    """The store's kept arrays of (limit, e), none yet for a new key, whose
+    set replaces the old one."""
+    if (limit, e) not in _store:
+        _store.clear()
+        _store[limit, e] = {}
+    return _store[limit, e]
+
+
+@functools.lru_cache(maxsize=1)
+def _order_kernel(limit: int, e: int) -> OrderKernel:
+    """The process's survey kernel of (limit, e), holding the store's kept
+    arrays of that key."""
+    kernel = OrderKernel(limit, e)
+    kernel._kept = _kept_arrays(limit, e)
+    return kernel
+
+
+def _share_arrays(x_max: int, e: int, quantity: str) -> None:
+    """Map the kept arrays that quantity fills, for the kernel of a survey
+    up to x_max at base e, as anonymous shared memory, with the values this
+    process already keeps, and build no table: pool workers forked after
+    this fill one set, which this process keeps.  A kernel of another key
+    goes first, so none is inherited or kept beside the set."""
+    import mmap
+    limit = min(x_max, SPF_TABLE_MAX)
+    if (limit, e) not in _store:
+        _order_kernel.cache_clear()
+    kept = _kept_arrays(limit, e)
+    for name in _FILLS[quantity]:
+        old = kept.get(name)
+        if type(old) is not memoryview:
+            shared = kept[name] = memoryview(mmap.mmap(-1, 4 * _slots(limit))).cast("I")
+            if old is None:
+                shared[0] = 1
+            else:
+                shared[:] = old
 
 
 def _query_kernels(*bases: int) -> list[OrderKernel]:

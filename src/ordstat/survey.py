@@ -72,7 +72,12 @@ high-factor keeps none.  A prime is its own prime power, and a pair costs
 two reads.  For the integers, the quantity at p^a divides the quantity at
 p^(a+1), so a chunk's q values come from a sieve over its prime powers
 (_sieve_values).  A survey at another range or base replaces the kernel
-and frees its arrays with it.
+and frees its arrays with it.  Before a pool starts, run_survey has
+orders._share_arrays map the arrays the kind fills as shared memory, with
+no table built, so forked workers fill one set and the process keeps every
+value they filled for its next survey at that range and base; workers
+started by spawn or forkserver fill arrays of their own, as one worker
+does.
 Checkpoints are JSON carrying a config digest, the completed chunks with
 their item counts, and the partially merged result; a checkpoint whose
 chunks and counts do not add up is refused, never resumed.  A run writes
@@ -80,11 +85,11 @@ its checkpoint after the first chunk, then at most once every
 CHECKPOINT_EVERY_S (one second), and once more when it ends or is
 interrupted, so a killed run loses at most about a second of chunks.
 A process loads only what it runs: the process pool (concurrent.futures,
-and with it multiprocessing) at its first pooled run_survey, and hashlib,
-for the config digest, at its first checkpoint read or write.  Importing
-this module, a one-worker survey without a checkpoint and the CLI's
-compute and period commands load neither, and none of them loads
-dataclasses or typing.
+and with it multiprocessing) and mmap at its first pooled run_survey, and
+hashlib, for the config digest, at its first checkpoint read or write.
+Importing this module, a one-worker survey without a checkpoint and the
+CLI's compute and period commands load none of them, nor dataclasses or
+typing.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ from .arith import lcm, primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, N_BINS, EpsilonFn, _above,
                        _lamlam_exponent, _one_minus_delta_exponent, _tally_bracketed,
                        _tally_deficiency_bins, _tally_u_bins, bracket_specs, order_classes)
-from .orders import OrderKernel, _survey_kernel
+from .orders import OrderKernel, _share_arrays, _survey_kernel
 
 ORD_N = "ord-n"
 SHIFTED_PRIME = "shifted-prime"
@@ -455,7 +460,8 @@ def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     The kind's population reads their q and x, and _decide decides them
     all.  The order kernel for x_max and the base is built on a
     process's first chunk, so pool workers build their own under any start
-    method, and surveys with the same range and base share one."""
+    method, forked ones over the arrays the parent mapped, and surveys with
+    the same range and base share one."""
     kernel = _survey_kernel(cfg.x_max, cfg.e)
     kind = _KINDS[cfg.kind]
     return _decide(cfg, *kind.population(kind.quantity, cfg, kernel, lo, hi))
@@ -571,8 +577,11 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     for any reason, an exception or KeyboardInterrupt included.  When the
     loop stops early, the pool drops the chunks it has not started, so an
     exception surfaces once the running ones end, not after the whole
-    survey.  The pool's module is imported when a run first needs more than
-    one worker, and hashlib when it first reads or writes a checkpoint."""
+    survey.  Before the pool starts, the kind's kept arrays are mapped as
+    shared memory, for forked workers to fill and this process to keep.
+    The pool's module and mmap are imported when a run first needs more
+    than one worker, and hashlib when it first reads or writes a
+    checkpoint."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint and os.path.exists(checkpoint):
@@ -585,6 +594,8 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     workers = min(workers, len(todo))
     pooled = workers > 1
     saved, written = len(done), -math.inf
+    if pooled:  # forked workers fill this process's kept arrays, which it keeps
+        _share_arrays(cfg.x_max, cfg.e, _KINDS[cfg.kind].quantity)
     with (sys.modules[__name__].ProcessPoolExecutor(workers) if pooled
           else contextlib.nullcontext()) as pool:
         parts = (pool.map(evaluate_chunk, repeat(cfg), los, his,

@@ -185,19 +185,21 @@ def test_decide_takes_each_logarithm_once(monkeypatch):
 
 def test_decide_takes_lambda_lambda_logarithms_per_run(monkeypatch):
     # lambda-lambda's threshold and deficiency edges are bracketed over runs
-    # of consecutive n: each run end takes log n, log log n and, in the 20
-    # edges' scale, log log log n, whatever the run's length.  One run of
-    # 64 n at 4096 and one of 15,625 n at 10^6, with q = 1, which the bounds
-    # settle (exceeding, in bin 20), take the same 2 * 22 logarithms
+    # of consecutive n: each run end takes log n, log log n and, in the
+    # scale that the 20 edges share, log log log n, whatever the run's
+    # length.  One run of 64 n at 4096 and one of 15,625 n at 10^6, with
+    # q = 1, which the bounds settle (exceeding, in bin 20), take the same
+    # 2 * 3 logarithms
     cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2 * 10**6)
     for start, size in ((4096, 64), (10**6, 15625)):
         count, got = _logs_taken(monkeypatch, cfg, [1] * size, range(start, start + size))
-        assert count == 2 * (2 + 20), start
+        assert count == 2 * 3, start
         assert got.exceed == got.histogram[20] == size, start
-    # on a chunk, 22 for each run end, and the items the bounds leave take
+    # on a chunk, 3 for each run end, and the items the bounds leave take
     # the per-item ones: log n, log q and log log n, and log log log n when
-    # binned (n >= 16).  The first run, of n < 16, is left whole; the other
-    # 31 runs have 32 ends
+    # binned (n >= 16).  The first run, of n < 16, ends at 16 and is left
+    # whole, as is the last, of n = 2000 alone; the 31 runs of 64 n between
+    # them have 32 ends, and the bounds settle most of n in [16, 66)
     ns = range(2, 2001)
     qs = [carmichael_lambda(factorize(carmichael_lambda(factorize(n)))) for n in ns]
     cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2000)
@@ -212,8 +214,9 @@ def test_decide_takes_lambda_lambda_logarithms_per_run(monkeypatch):
     monkeypatch.setattr(survey_mod, "_tally_bracketed", spy)
     count, got = _logs_taken(monkeypatch, cfg, qs, ns)
     assert got == want and classify_mod._ends.cache_info().misses == 32
-    assert set(range(2, 66)) <= set(left) and len(left) < len(ns) // 4
-    assert count == 22 * 32 + 3 * len(left) + sum(n >= 16 for n in left)
+    assert set(range(2, 16)) | {2000} <= set(left) and len(left) < len(ns) // 8
+    assert len(set(range(16, 66)) & set(left)) < 25
+    assert count == 3 * 32 + 3 * len(left) + sum(n >= 16 for n in left)
 
 
 def test_high_factor_items():
@@ -912,6 +915,12 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
     assert RecordingPool.cancels == [True, True]
 
 
+def _fork_pool(monkeypatch):
+    """Have run_survey's pools fork their workers, whatever the default."""
+    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", functools.partial(
+        survey_mod.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
 def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
     # a pool must not run the rest of the survey after the parent fails: the
     # merge raises at the third chunk, and the workers, which record each
@@ -933,8 +942,7 @@ def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
         return real_merge(a, b)
 
     # the workers are forked, so they run the recording _decide
-    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", functools.partial(
-        survey_mod.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    _fork_pool(monkeypatch)
     monkeypatch.setattr(survey_mod, "_decide", recording_decide)
     monkeypatch.setattr(survey_mod, "merge_results", failing_merge)
     cfg = SurveyConfig(kind=ORD_N, x_max=10**5, chunk=100)
@@ -968,8 +976,9 @@ def _fresh_modules(roots, *args):
 def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
     # a fresh process that imports the CLI and runs two queries and a
     # one-worker survey without a checkpoint loads nothing of the process
-    # pool or hashlib beyond what a bare interpreter holds; a checkpoint and
-    # the pool then load them, so the probe sees what it looks for
+    # pool, mmap or hashlib beyond what a bare interpreter holds; a
+    # checkpoint, the pool and the arrays mapped before a pool then load
+    # them, so the probe sees what it looks for
     probe = textwrap.dedent("""
         import contextlib, io, sys
         import ordstat, ordstat.cli
@@ -987,12 +996,13 @@ def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
         loaded()
         run("survey", "--kind", "lambda-n", "--max", "3000", "--checkpoint", sys.argv[1])
         ordstat.survey.ProcessPoolExecutor
+        ordstat.orders._share_arrays(3000, 2, "L")
         loaded()
     """)
-    cold, warm = _fresh_modules(("multiprocessing", "concurrent", "hashlib", "_hashlib"),
+    cold, warm = _fresh_modules(("multiprocessing", "concurrent", "hashlib", "_hashlib", "mmap"),
                                 "-c", probe, str(tmp_path / "ckpt.json"))
     assert cold == set()
-    assert {"hashlib", "concurrent.futures", "multiprocessing"} <= warm
+    assert {"hashlib", "concurrent.futures", "multiprocessing", "mmap"} <= warm
 
 
 def test_a_cold_query_loads_no_dataclasses_or_typing():
@@ -1099,7 +1109,7 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
 
     monkeypatch.setattr(orders_mod, "SPF_TABLE_MAX", 500)
     monkeypatch.setattr(OrderKernel, "__init__", recording_init)
-    orders_mod._order_kernel.cache_clear()
+    forget_kernel()
     for cfg, report in zip(configs, want):
         assert run_survey(cfg).to_dict() == report, cfg
     assert built == [500]
@@ -1122,10 +1132,10 @@ def test_overflow_names_the_item(monkeypatch, capsys):
     monkeypatch.setattr(OrderKernel, "lpf", overflowing_at(100, OrderKernel.lpf))
     for kind, item in ((ORD_N, "101"), (CLASS_COUNTS, "101"), (SHIFTED_PRIME, "101"),
                        (HIGH_FACTOR, "101"), (RSA_PAIR, "(53, 101)")):
-        orders_mod._order_kernel.cache_clear()  # no q(101) kept from an earlier run
+        forget_kernel()  # no q(101) kept from an earlier run
         with pytest.raises(OverflowError, match=re.escape(f"survey item {item} overflowed: stub")):
             run_survey(SurveyConfig(kind=kind, x_max=300, chunk=50))
-        orders_mod._order_kernel.cache_clear()
+        forget_kernel()
         assert main(["survey", "--kind", kind, "--max", "300"]) == 3
         assert f"survey item {item} overflowed" in capsys.readouterr().err
 
@@ -1136,9 +1146,15 @@ PRIME_CONFIGS = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR els
                  for e in (2, 3, 6) for kind in PRIME_KINDS]
 
 
+def forget_kernel():
+    """Drop the process's survey kernel and the kept arrays it holds."""
+    orders_mod._order_kernel.cache_clear()
+    orders_mod._store.clear()
+
+
 def fresh_report(cfg):
     """cfg's report on a new kernel."""
-    orders_mod._order_kernel.cache_clear()
+    forget_kernel()
     return run_survey(cfg).to_dict()
 
 
@@ -1162,7 +1178,7 @@ def test_the_kernel_arrays_change_nothing_but_the_speed():
     for sequence in ((ORD_N, CLASS_COUNTS), (LAMBDA_N, SHIFTED_PRIME, RSA_PAIR, ONE_MINUS_DELTA)):
         configs = [SurveyConfig(kind=kind, e=6, x_max=3000, chunk=1000) for kind in sequence]
         want = list(map(fresh_report, configs))
-        orders_mod._order_kernel.cache_clear()
+        forget_kernel()
         assert [run_survey(cfg).to_dict() for cfg in configs] == want, sequence
 
 
@@ -1208,7 +1224,7 @@ def test_each_prime_order_is_computed_once_per_process(monkeypatch):
     monkeypatch.setattr(OrderKernel, "ord", recording_ord)
     primes = primes_in_range(2, 10**4 + 1)
     for e in (2, 3, 6):
-        orders_mod._order_kernel.cache_clear()
+        forget_kernel()
         descended.clear()
         run_survey(SurveyConfig(kind=SHIFTED_PRIME, x_max=10**4, e=e))
         before = len(descended)
@@ -1220,6 +1236,93 @@ def test_each_prime_order_is_computed_once_per_process(monkeypatch):
         assert asked == [], e
         assert len(descended) == len(set(descended)) <= len(primes), e
         assert set(descended) == {p for p in primes if e % p}, e
+
+
+def _slot_powers(limit):
+    """The (p, q) of each prime power q <= limit, by its kept array slot."""
+    size, out = orders_mod._slots(limit), {}
+    for q in range(2, limit + 1):
+        factors = factorize(q).factors
+        if len(factors) == 1:
+            out[q >> 1 if q & 1 else size - q.bit_length()] = (factors[0][0], q)
+    return out
+
+
+def test_pool_workers_fill_the_parents_arrays(monkeypatch):
+    # forked workers fill the arrays that the parent maps before the pool,
+    # without building a table, once the parent's kernel of another range
+    # is gone: every value they leave there, in the O, L or LL slot of a
+    # prime power, is the one a new kernel computes, and ord-n's workers,
+    # which read O at every prime power, leave every slot filled, also when
+    # four workers, more than there are cores, race over chunks of 25.  A
+    # survey at another range then frees the mapped arrays
+    _fork_pool(monkeypatch)
+    built, real_init = [], OrderKernel.__init__
+
+    def recording_init(kernel, limit, e):
+        built.append(os.getpid())
+        real_init(kernel, limit, e)
+
+    monkeypatch.setattr(OrderKernel, "__init__", recording_init)
+    powers = _slot_powers(3000)
+    runs = [(SurveyConfig(kind=kind, x_max=3000, e=e, chunk=300), 2, names)
+            for e in (2, 3, 6)
+            for kind, names in ((ORD_N, ["O"]), (LAMBDA_N, ["L", "O"]), (LAMBDA_LAMBDA, ["LL"]))]
+    runs.append((SurveyConfig(kind=ORD_N, x_max=3000, e=6, chunk=25), 4, ["O"]))
+    for cfg, workers, names in runs:
+        want = fresh_report(cfg)
+        run_survey(SurveyConfig(kind=HIGH_FACTOR, x_max=2000, e=cfg.e))
+        other = weakref.ref(orders_mod._order_kernel(2000, cfg.e))
+        built.clear()
+        assert run_survey(cfg, workers=workers).to_dict() == want, cfg
+        kept = orders_mod._store[3000, cfg.e]
+        assert sorted(kept) == names and built == [] and other() is None, cfg
+        fresh = OrderKernel(3000, cfg.e)
+        for name, values in kept.items():
+            assert type(values) is memoryview and values[0] == 1, cfg
+            filled = [i for i, v in enumerate(values) if v and i]
+            assert filled and all(
+                values[i] == fresh.values(name, [powers[i]])[0] for i in filled), (cfg, name)
+            if cfg.kind == ORD_N:
+                assert len(filled) == len(powers), cfg
+    mapped = weakref.ref(kept["O"])
+    del kept, values
+    run_survey(SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2000))
+    assert mapped() is None
+
+
+def test_a_second_pooled_run_descends_no_prime(tmp_path, monkeypatch):
+    # the parent keeps what its forked workers computed: the same survey,
+    # pooled again or run by one worker, descends no prime anywhere.  A
+    # pool after a one-worker run starts from what that run kept, mapped
+    # with it.  The workers report their descents through a file
+    log = tmp_path / "descended"
+    real_descent = orders_mod._prime_order
+
+    def recording_descent(e, p, factors):
+        with open(log, "a") as fh:
+            fh.write(f"{p} ")
+        return real_descent(e, p, factors)
+
+    _fork_pool(monkeypatch)
+    monkeypatch.setattr(orders_mod, "_prime_order", recording_descent)
+    for kind in (ORD_N, LAMBDA_N):
+        forget_kernel()
+        cfg = SurveyConfig(kind=kind, x_max=3000, e=3, chunk=250)
+        want = run_survey(cfg, workers=2).to_dict()
+        first = log.read_text().split()
+        assert first, kind
+        if kind == ORD_N:
+            assert set(first) == {str(p) for p in primes_in_range(2, 3001) if p != 3}
+        log.write_text("")
+        assert run_survey(cfg, workers=2).to_dict() == want, kind
+        assert run_survey(cfg).to_dict() == want, kind
+        assert log.read_text() == "", kind
+        forget_kernel()
+        assert run_survey(cfg).to_dict() == want and log.read_text(), kind
+        log.write_text("")
+        assert run_survey(cfg, workers=2).to_dict() == want, kind
+        assert log.read_text() == "", kind
 
 
 def test_a_new_kernel_frees_the_old_one():
@@ -1297,6 +1400,8 @@ def test_the_kinds_sharing_an_array_agree_where_they_meet():
 
 
 def test_worker_count_invariance_under_spawn(tmp_path):
+    # workers started by spawn or forkserver inherit no kept arrays and
+    # fill their own: the reports still match for 1, 2 and 3 workers
     script = tmp_path / "spawn_survey.py"
     script.write_text(textwrap.dedent("""
         import json
@@ -1306,23 +1411,25 @@ def test_worker_count_invariance_under_spawn(tmp_path):
         from ordstat.survey import SurveyConfig, run_survey
 
         if __name__ == "__main__":
-            multiprocessing.set_start_method("spawn")
+            multiprocessing.set_start_method(sys.argv[1])
             configs = (SurveyConfig(kind="lambda-n", x_max=3000, chunk=400),
                        SurveyConfig(kind="rsa-pair", x_max=500, sample_size=40,
                                     seed=11, chunk=100))
-            json.dump([[run_survey(cfg, workers=w).to_dict() for w in (1, 2)]
+            json.dump([[run_survey(cfg, workers=w).to_dict() for w in (1, 2, 3)]
                        for cfg in configs], sys.stdout)
     """))
     src = str(Path(survey_mod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    for one_worker, two_workers in runs:
-        assert one_worker == two_workers
-    assert runs[0][0] == run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000)).to_dict()
+    want = run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000)).to_dict()
+    for method in ("spawn", "forkserver"):
+        proc = subprocess.run([sys.executable, str(script), method], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        for one_worker, *more_workers in runs:
+            assert more_workers == [one_worker] * 2, method
+        assert runs[0][0] == want, method
 
 
 def test_histograms_and_remaining_kinds_match_oracle():

@@ -22,7 +22,9 @@ then the 21 histogram bins in ascending order).  Exit codes: 0 success,
 2 usage or domain error, 3 arithmetic overflow, 4 I/O or corrupt state.
 Surveys read their orders off a smallest-prime-factor table over [1, --max]
 (capped at 2^27) and keep them in arrays beside it, each 2 bytes per
-integer and built per process.  Flags are matched whole, never by prefix.
+integer; a process builds the table at the first order it computes, so one
+whose orders are all kept builds none.  Flags are matched whole, never by
+prefix.
 """
 
 from __future__ import annotations

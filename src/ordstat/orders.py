@@ -25,37 +25,37 @@ factors its modulus twice.
 A survey asks _survey_kernel for the kernel of its x_max and base, whose
 table is the smallest prime factor of each integer in
 [1, min(x_max, SPF_TABLE_MAX)]; only this module knows that cap.  The
-kernel gets each factorization from one place (OrderKernel._prime_powers):
-off the table, and through arith.factorize above it.  The one exception is
-the descent's odd primes of p - 1, which _prime_power_order walks off the
-table itself when the table holds them.  Either way it runs the same
-descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey
-process's state: the table and at most three arrays, one for each quantity
-it keeps at the prime powers q up to its limit: O(q) = ord*(e, q),
+kernel builds its table at the first value it computes that reads it, so a
+process that only reads kept values builds none.  It gets each
+factorization from one place (OrderKernel._prime_powers): off the table,
+and through arith.factorize above it.  The one exception is the descent's
+odd primes of p - 1, which _prime_power_order walks off the table itself
+when the table holds them.  Either way it runs the same descent and lambda
+rule (_lambda_lcm).  The kernel owns all of a survey process's state: the
+table and at most three arrays, one for each quantity it keeps at the
+prime powers q up to its limit: O(q) = ord*(e, q),
 L(q) = ord*(e, lambda(q)) and LL(q) = lambda(lambda(q)), each 2 bytes per
 integer and built on the quantity's first use.  Every survey kind's q is
 the lcm of one quantity over its item's prime powers, so kinds with one
 quantity share its array.
 
-The arrays live in a per-process store keyed by (limit, e), _store, which
-holds one key's set, and the survey kernel of that key holds the same set.
-Before a pooled survey, the parent maps the arrays its kind fills as
-anonymous shared memory (_share_arrays), without building the table: O for
-O, O and L for L, LL for LL, none for lpf.  Forked workers inherit the
-store, so they fill one set of arrays together, and the parent keeps every
-value they filled for its next survey at that key, pooled or not.  Each
-value is exact and goes from 0 to its final value in one aligned 4-byte
-store, so two workers racing on a slot can only compute it twice.  Workers
-started by spawn or forkserver inherit nothing and fill arrays of their
-own.  An array no pool shares stays an array("I").  A survey or pool at
-another key replaces the kernel and the set together and frees them both.
-Every path is exact, so neither the table nor an array can change a
-result.
+A process keeps one survey kernel, _kernel, which serves every survey at
+its base and limit, and one of a smaller limit that needs no array it does
+not hold yet; any other survey replaces it, and frees its table and arrays
+with it.  Before a pooled survey, the parent maps the arrays its kind fills
+as anonymous shared memory (_share_arrays), computing nothing, so building
+no table: O for O, O and L for L, LL for LL, none for lpf.  Forked workers inherit the
+kernel, so they fill one set of arrays together, and the parent keeps
+every value they filled for its next survey the kernel serves, pooled or
+not.  Each value is exact and goes from 0 to its final value in one
+aligned 4-byte store, so two workers racing on a slot can only compute it
+twice.  Workers started by spawn or forkserver inherit nothing and fill
+arrays of their own.  An array no pool shares stays an array("I").  Every
+path is exact, so neither the table nor an array can change a result.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 
@@ -203,27 +203,24 @@ class OrderKernel:
     The kernel also gives ord*(e, n), lambda(n) and the largest prime
     factor of n at any n >= 1, from n's prime powers, which _prime_powers
     alone gets: off the table for n <= limit, through arith.factorize above
-    it.  The table covers [1, limit].  It holds the smallest prime factor
-    of every composite n and 0 for 0, 1 and the primes: that factor is at
-    most isqrt(limit), below 2^16 for limit <= 2^32, so 2 bytes per entry
+    it.  The table covers [1, limit] and is built at the first value the
+    kernel computes that reads it (_build_table), so a kernel that only
+    reads kept values has none.  It holds the smallest prime factor of
+    every composite n and 0 for 0, 1 and the primes: that factor is at most
+    isqrt(limit), below 2^16 for limit <= 2^32, so 2 bytes per entry
     suffice.
 
-    Single-value queries build OrderKernel(1, e): its table is empty and
+    Single-value queries build OrderKernel(1, e): it builds no table and
     its arrays hold only q = 1, so every value goes through arith.factorize
     and no order is kept.  It keeps each factorization instead, so that the
     query makes it once.  Limit 1, not 0, keeps (1, 1) in its slot (L
-    would otherwise take ord(0)) and 1 off arith.factorize, where the
-    descent at p = 2 or 3 has no odd part of p - 1 to factor.
+    would otherwise take ord(0)).
     """
 
     def __init__(self, limit: int, e: int):
         self.limit = limit
         self.e = e
-        spf = array("H", bytes(2 * (limit + 1)))
-        # descending, so that each entry ends up holding its smallest prime
-        for p in reversed(primes_in_range(2, math.isqrt(limit) + 1)):
-            spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
-        self._spf = spf
+        self._spf: array | None = None  # the table, built by _build_table
         self._kept: dict[str, array | memoryview] = {}
         # a table-less kernel serves one query: it keeps what it factors
         self._factored: dict[int, list] | None = {} if limit == 1 else None
@@ -252,10 +249,21 @@ class OrderKernel:
             out.append(v)
         return out
 
+    def _build_table(self) -> array:
+        """The table, built at the kernel's first value that reads it."""
+        spf = array("H", bytes(2 * (self.limit + 1)))
+        # descending, so that each entry ends up holding its smallest prime
+        for p in reversed(primes_in_range(2, math.isqrt(self.limit) + 1)):
+            spf[p * p :: p] = array("H", [p]) * len(range(p * p, self.limit + 1, p))
+        self._spf = spf
+        return spf
+
     def _prime_powers(self, n: int) -> list[tuple[int, int]]:
         """(p, p^a) for each prime power exactly dividing n >= 1, p rising:
-        off the table for n <= limit, through arith.factorize above it, and
-        for a table-less kernel once per n."""
+        none for 1, off the table for n <= limit, through arith.factorize
+        above it, and for a table-less kernel once per n."""
+        if n == 1:
+            return []
         if not 1 <= n <= self.limit:
             factored = self._factored
             if factored is None:
@@ -263,7 +271,7 @@ class OrderKernel:
             if n not in factored:
                 factored[n] = factorize(n).powers()
             return factored[n]
-        spf = self._spf
+        spf = self._spf or self._build_table()
         out = []
         while n > 1:
             p = spf[n] or n
@@ -297,13 +305,14 @@ def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
         return 1
     if q == p:
         # p - 1's odd primes in one walk of the table, unless its odd part
-        # lies above the table: then p - 1 is factored whole, as L(p) =
-        # ord*(e, p - 1) factors it, so a table-less kernel does it once
+        # is 1 or lies above the table: then p - 1 is factored whole, as
+        # L(p) = ord*(e, p - 1) factors it, so a table-less kernel does it
+        # once and builds no table
         m = p - 1
         m //= m & -m
-        if m > kernel.limit:
+        if not 1 < m <= kernel.limit:
             return _prime_order(e, p, [r for r, _ in kernel._prime_powers(p - 1)[1:]])
-        spf, odd = kernel._spf, []
+        spf, odd = kernel._spf or kernel._build_table(), []
         while m > 1:
             r = spf[m] or m
             odd.append(r)
@@ -341,43 +350,39 @@ def _slots(limit: int) -> int:
 # The kept arrays that each quantity fills: L reads O as well.
 _FILLS = {"O": ("O",), "L": ("O", "L"), "LL": ("LL",), "lpf": ()}
 
-# The process's kept arrays, by quantity, of one (limit, e).
-_store: dict[tuple[int, int], dict[str, array | memoryview]] = {}
+# The process's survey kernel, which holds its kept arrays.
+_kernel: OrderKernel | None = None
 
 
-def _kept_arrays(limit: int, e: int) -> dict[str, array | memoryview]:
-    """The store's kept arrays of (limit, e), none yet for a new key, whose
-    set replaces the old one."""
-    if (limit, e) not in _store:
-        _store.clear()
-        _store[limit, e] = {}
-    return _store[limit, e]
-
-
-@functools.lru_cache(maxsize=1)
-def _order_kernel(limit: int, e: int) -> OrderKernel:
-    """The process's survey kernel of (limit, e), holding the store's kept
-    arrays of that key."""
-    kernel = OrderKernel(limit, e)
-    kernel._kept = _kept_arrays(limit, e)
+def _survey_kernel(x_max: int, e: int, quantity: str) -> OrderKernel:
+    """The kernel of a survey up to x_max at base e that reads quantity:
+    the process's kernel when it is of base e and of limit min(x_max,
+    SPF_TABLE_MAX), or of a larger limit and already holding the arrays
+    quantity fills, else a new one of that limit, which replaces it.  An
+    array costs 2 bytes per integer up to the kernel's limit, so a larger
+    kernel serves a survey only where it allocates none for it."""
+    global _kernel
+    limit, kernel = min(x_max, SPF_TABLE_MAX), _kernel
+    if kernel is None or kernel.e != e or kernel.limit < limit or (
+            kernel.limit > limit and not kernel._kept.keys() >= set(_FILLS[quantity])):
+        kernel = _kernel = OrderKernel(limit, e)
     return kernel
 
 
 def _share_arrays(x_max: int, e: int, quantity: str) -> None:
-    """Map the kept arrays that quantity fills, for the kernel of a survey
-    up to x_max at base e, as anonymous shared memory, with the values this
-    process already keeps, and build no table: pool workers forked after
-    this fill one set, which this process keeps.  A kernel of another key
-    goes first, so none is inherited or kept beside the set."""
+    """Map the kept arrays that quantity fills, in the kernel of a survey
+    up to x_max at base e, as anonymous shared memory, with the values the
+    kernel already keeps: pool workers forked after this fill one set,
+    which this process keeps.  A kernel that does not serve the survey is
+    replaced first, so none is inherited or kept beside the set, and a
+    kernel that has computed no value has built no table."""
     import mmap
-    limit = min(x_max, SPF_TABLE_MAX)
-    if (limit, e) not in _store:
-        _order_kernel.cache_clear()
-    kept = _kept_arrays(limit, e)
+    kernel = _survey_kernel(x_max, e, quantity)
+    kept = kernel._kept
     for name in _FILLS[quantity]:
         old = kept.get(name)
         if type(old) is not memoryview:
-            shared = kept[name] = memoryview(mmap.mmap(-1, 4 * _slots(limit))).cast("I")
+            shared = kept[name] = memoryview(mmap.mmap(-1, 4 * _slots(kernel.limit))).cast("I")
             if old is None:
                 shared[0] = 1
             else:
@@ -391,9 +396,3 @@ def _query_kernels(*bases: int) -> list[OrderKernel]:
     for kernel in kernels:
         kernel._factored = kernels[0]._factored
     return kernels
-
-
-def _survey_kernel(x_max: int, e: int) -> OrderKernel:
-    """The kernel of a survey up to x_max at base e, its table over
-    [1, min(x_max, SPF_TABLE_MAX)]; a process keeps the last one asked."""
-    return _order_kernel(min(x_max, SPF_TABLE_MAX), e)

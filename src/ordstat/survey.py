@@ -62,20 +62,28 @@ when eps is on its cap at the largest x judged (x_max, or x_max^2 for
 pairs).  That holds below 2^64; a config where it fails is rejected.  An
 x_min below the floor is taken as given, but one-minus-delta needs n >= 3.
 
-Each process builds, on the first chunk it evaluates, one orders.OrderKernel
+Each process makes, on the first chunk it evaluates, one orders.OrderKernel
 for the config's range and base, and every kind reads its quantity off it a
 column at a time (OrderKernel.values).  The kernel keeps O, L and LL, each
 in one array, so kinds with one quantity share its array: ord-n and
 class-counts share O; lambda-n, one-minus-delta, shifted-prime and
 rsa-pair share L (which fills O as well); lambda-lambda keeps LL, and
-high-factor keeps none.  A prime is its own prime power, and a pair costs
-two reads.  For the integers, the quantity at p^a divides the quantity at
-p^(a+1), so a chunk's q values come from a sieve over its prime powers
-(_sieve_values).  A survey at another range or base replaces the kernel
-and frees its arrays with it.  Before a pool starts, run_survey has
-orders._share_arrays map the arrays the kind fills as shared memory, with
-no table built, so forked workers fill one set and the process keeps every
-value they filled for its next survey at that range and base; workers
+high-factor keeps none.  It builds its table at the first value it
+computes, so a process that reads only kept values builds none.  A prime
+is its own prime power, and a pair costs two reads.  For the integers, the
+quantity at p^a divides the quantity at p^(a+1), so q values come from a
+sieve over the prime powers of a range (_sieve_values).  It pays for each
+prime up to sqrt(hi - 1) once per range, so chunks shorter than SPAN_ITEMS
+are sieved a span at a time: a span is a run of SPAN_ITEMS // chunk
+consecutive planned chunks, and the process keeps the q column of the
+last span it sieved (evaluate_chunk).  The decisions stay per chunk, so
+the chunk size sets the checkpoint granularity alone, not the sieve's
+cost, and no chunk's result changes.  The kernel serves every later survey
+at its base up to its range that needs no array it lacks; any other
+survey replaces it and frees its arrays with it.  Before a pool starts,
+run_survey has orders._share_arrays map the arrays the kind fills as
+shared memory, with no table built, so forked workers fill one set and
+the process keeps every value they filled for its next survey; workers
 started by spawn or forkserver fill arrays of their own, as one worker
 does.
 Checkpoints are JSON carrying a config digest, the completed chunks with
@@ -131,6 +139,7 @@ DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
 
 CHECKPOINT_EVERY_S = 1.0  # least time between two checkpoint writes within a run
+SPAN_ITEMS = 8192  # an integer kind sieves its chunks in spans of at most this many items
 
 class CheckpointError(Exception):
     """The checkpoint file is corrupt or belongs to another survey."""
@@ -454,16 +463,37 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
             for lo in range(low, cfg.x_max + 1, cfg.chunk)]
 
 
+def _span_chunks(cfg: SurveyConfig) -> int:
+    """The planned chunks in one span: SPAN_ITEMS // chunk, for a kind
+    whose q comes off the sieve, and 1 for a chunk of SPAN_ITEMS or more
+    or any other kind."""
+    return max(1, SPAN_ITEMS // cfg.chunk) if _KINDS[cfg.kind].population is _integers else 1
+
+
+@functools.lru_cache(maxsize=1)
+def _span_values(quantity: str, x_max: int, e: int, lo: int, hi: int) -> list[int]:
+    """The sieve's q column of the span [lo, hi), kept until the next span."""
+    return _sieve_values(quantity, _survey_kernel(x_max, e, quantity), lo, hi)
+
+
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
     """Evaluate all items of the survey whose index falls in [lo, hi).
 
     The kind's population reads their q and x, and _decide decides them
-    all.  The order kernel for x_max and the base is built on a
-    process's first chunk, so pool workers build their own under any start
-    method, forked ones over the arrays the parent mapped, and surveys with
-    the same range and base share one."""
-    kernel = _survey_kernel(cfg.x_max, cfg.e)
-    kind = _KINDS[cfg.kind]
+    all.  A planned chunk of an integer kind shorter than SPAN_ITEMS reads
+    its q column off that of its span, _span_chunks consecutive planned
+    chunks, which the process keeps until it sieves the next span; the
+    decisions stay per chunk, so the result is the one the chunk's own
+    sieve gives.  The order kernel is made on a process's first chunk, so
+    pool workers make their own under any start method, forked ones over
+    the arrays the parent mapped."""
+    kind, span = _KINDS[cfg.kind], _span_chunks(cfg)
+    a = lo - (lo - cfg.low()) % (span * cfg.chunk)
+    b = min(a + span * cfg.chunk, cfg.x_max + 1)
+    if span > 1 and cfg.low() <= lo and hi <= b:
+        qs = _span_values(kind.quantity, cfg.x_max, cfg.e, a, b)
+        return _decide(cfg, qs[lo - a:hi - a], range(lo, hi))
+    kernel = _survey_kernel(cfg.x_max, cfg.e, kind.quantity)
     return _decide(cfg, *kind.population(kind.quantity, cfg, kernel, lo, hi))
 
 
@@ -571,11 +601,13 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     """Run the configured survey over chunks; the result is a pure function
     of cfg, identical for any worker count, chunking, or resume history.
     The pool has no more workers than chunks left to do, and takes them in
-    batches of about an eighth of each worker's share.  The checkpoint is
-    written after the first chunk, so a bad path fails at once, then at
-    most every CHECKPOINT_EVERY_S seconds, and once more when the loop ends
-    for any reason, an exception or KeyboardInterrupt included.  When the
-    loop stops early, the pool drops the chunks it has not started, so an
+    batches of about an eighth of each worker's share, rounded up to whole
+    spans (_span_chunks) and at most the chunks left, so that no two
+    workers sieve one span.  The checkpoint is written after the first
+    chunk, so a bad path fails at once, then at most every
+    CHECKPOINT_EVERY_S seconds, and once more when the loop ends for any
+    reason, an exception or KeyboardInterrupt included.  When the loop
+    stops early, the pool drops the chunks it has not started, so an
     exception surfaces once the running ones end, not after the whole
     survey.  Before the pool starts, the kind's kept arrays are mapped as
     shared memory, for forked workers to fill and this process to keep.
@@ -598,9 +630,12 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
         _share_arrays(cfg.x_max, cfg.e, _KINDS[cfg.kind].quantity)
     with (sys.modules[__name__].ProcessPoolExecutor(workers) if pooled
           else contextlib.nullcontext()) as pool:
-        parts = (pool.map(evaluate_chunk, repeat(cfg), los, his,
-                          chunksize=max(1, len(todo) // (8 * workers)))
-                 if pooled else map(evaluate_chunk, repeat(cfg), los, his))
+        if pooled:
+            batch, span = max(1, len(todo) // (8 * workers)), _span_chunks(cfg)
+            parts = pool.map(evaluate_chunk, repeat(cfg), los, his,
+                             chunksize=min(len(todo), batch + -batch % span))
+        else:
+            parts = map(evaluate_chunk, repeat(cfg), los, his)
         try:
             for (lo, hi), part in zip(todo, parts):
                 result = merge_results(result, part)

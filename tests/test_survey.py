@@ -948,8 +948,9 @@ def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
     cfg = SurveyConfig(kind=ORD_N, x_max=10**5, chunk=100)
     with pytest.raises(RuntimeError, match="merge failure"):
         run_survey(cfg, workers=2)
-    # the 1000 chunks go out in batches of 1000 // 16 = 62; besides the
-    # first batch, only those running or in the pool's queue of 3 are run
+    # the 1000 chunks go out in batches of 1000 // 16 = 62, rounded up to
+    # one span of 81 chunks; besides the first batch, only those running or
+    # in the pool's queue of 3 are run
     assert len(merged) == 3
     assert 3 <= len(log.read_text()) <= 3 * len(plan_chunks(cfg)) // 4
 
@@ -1055,8 +1056,10 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
     assert {name: _KINDS[name].quantity for name in INT_KINDS} == {
         ORD_N: "O", LAMBDA_N: "L", ONE_MINUS_DELTA: "L", LAMBDA_LAMBDA: "LL"}
     x = 2 * 10**5
-    # chunks of 1 and 7 on windows holding 2, 3, 2^17, 3^11 and 7^6
+    # chunks of 1 and 7 on windows holding 2, 3, 2^17, 3^11 and 7^6, and
+    # chunks of 1777 on the range's two ends, the top one holding 3^11
     small = [(2, 600), (131_000, 131_100), (177_100, 177_200), (117_600, 117_700)]
+    ends = [(2, 25_000), (175_000, x + 1)]
     # the kinds' definitions, ord*(e, n), ord*(e, lambda(n)) and
     # lambda(lambda(n)), with what is free of e taken once: each n is
     # factored once for every base, ord*(e, n) being the lcm of O over the
@@ -1076,8 +1079,7 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
             lam_at = {lam: kernel.lam(lam) for lam in set(lams)}
             want["LL"] = [None, None] + [lam_at[lam] for lam in lams]
         for quantity, values in want.items():
-            for chunk, windows in ((10**4, [(2, x + 1)]), (1777, [(2, x + 1)]),
-                                   (7, small), (1, small)):
+            for chunk, windows in ((10**4, [(2, x + 1)]), (1777, ends), (7, small), (1, small)):
                 for lo, hi in windows:
                     got = [q for a in range(lo, hi, chunk)
                            for q in survey_mod._sieve_values(quantity, kernel, a,
@@ -1147,9 +1149,10 @@ PRIME_CONFIGS = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR els
 
 
 def forget_kernel():
-    """Drop the process's survey kernel and the kept arrays it holds."""
-    orders_mod._order_kernel.cache_clear()
-    orders_mod._store.clear()
+    """Drop the process's survey kernel, the kept arrays it holds and the
+    q column of the span last sieved."""
+    orders_mod._kernel = None
+    survey_mod._span_values.cache_clear()
 
 
 def fresh_report(cfg):
@@ -1250,20 +1253,13 @@ def _slot_powers(limit):
 
 def test_pool_workers_fill_the_parents_arrays(monkeypatch):
     # forked workers fill the arrays that the parent maps before the pool,
-    # without building a table, once the parent's kernel of another range
+    # without building a table, once the parent's kernel of another base
     # is gone: every value they leave there, in the O, L or LL slot of a
     # prime power, is the one a new kernel computes, and ord-n's workers,
     # which read O at every prime power, leave every slot filled, also when
     # four workers, more than there are cores, race over chunks of 25.  A
-    # survey at another range then frees the mapped arrays
+    # survey at another base then frees the mapped arrays
     _fork_pool(monkeypatch)
-    built, real_init = [], OrderKernel.__init__
-
-    def recording_init(kernel, limit, e):
-        built.append(os.getpid())
-        real_init(kernel, limit, e)
-
-    monkeypatch.setattr(OrderKernel, "__init__", recording_init)
     powers = _slot_powers(3000)
     runs = [(SurveyConfig(kind=kind, x_max=3000, e=e, chunk=300), 2, names)
             for e in (2, 3, 6)
@@ -1271,12 +1267,14 @@ def test_pool_workers_fill_the_parents_arrays(monkeypatch):
     runs.append((SurveyConfig(kind=ORD_N, x_max=3000, e=6, chunk=25), 4, ["O"]))
     for cfg, workers, names in runs:
         want = fresh_report(cfg)
-        run_survey(SurveyConfig(kind=HIGH_FACTOR, x_max=2000, e=cfg.e))
-        other = weakref.ref(orders_mod._order_kernel(2000, cfg.e))
-        built.clear()
+        run_survey(SurveyConfig(kind=HIGH_FACTOR, x_max=2000, e=cfg.e + 1))
+        other = weakref.ref(orders_mod._survey_kernel(2000, cfg.e + 1, "lpf"))
+        survey_mod._span_values.cache_clear()  # no column kept from the one-worker run
         assert run_survey(cfg, workers=workers).to_dict() == want, cfg
-        kept = orders_mod._store[3000, cfg.e]
-        assert sorted(kept) == names and built == [] and other() is None, cfg
+        kernel = orders_mod._survey_kernel(3000, cfg.e, _KINDS[cfg.kind].quantity)
+        kept = kernel._kept
+        assert sorted(kept) == names and kernel._spf is None and other() is None, cfg
+        del kernel
         fresh = OrderKernel(3000, cfg.e)
         for name, values in kept.items():
             assert type(values) is memoryview and values[0] == 1, cfg
@@ -1321,28 +1319,159 @@ def test_a_second_pooled_run_descends_no_prime(tmp_path, monkeypatch):
         forget_kernel()
         assert run_survey(cfg).to_dict() == want and log.read_text(), kind
         log.write_text("")
+        survey_mod._span_values.cache_clear()  # the workers read the kept values
         assert run_survey(cfg, workers=2).to_dict() == want, kind
         assert log.read_text() == "", kind
 
 
+def _logged(log, fn, entry):
+    """fn, which first appends entry(*args) to the file log, so that forked
+    pool workers report their calls too."""
+    def logging(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{entry(*args)} ")
+        return fn(*args)
+    return logging
+
+
+def test_a_smaller_survey_reads_the_kept_kernel(tmp_path, monkeypatch):
+    # the kernel of a pooled lambda-n at 3000 serves every survey at its
+    # base up to 3000 that needs no array it lacks: lambda-n at 2999, one
+    # worker or pooled, in a window as perfbench's halving run takes it,
+    # and the other kinds reading L descend no prime on it.  lambda-lambda,
+    # whose LL array it lacks, gets a kernel of its own range
+    log = tmp_path / "descended"
+    smaller = [(SurveyConfig(kind=LAMBDA_N, x_max=2999, chunk=250), 1),
+               (SurveyConfig(kind=LAMBDA_N, x_max=2999, chunk=250), 2),
+               (SurveyConfig(kind=LAMBDA_N, x_min=1501, x_max=2999, chunk=100), 2),
+               (SurveyConfig(kind=ONE_MINUS_DELTA, x_max=2000), 1),
+               (SurveyConfig(kind=SHIFTED_PRIME, x_max=2000, chunk=300), 2),
+               (SurveyConfig(kind=RSA_PAIR, x_max=1000), 1)]
+    want = [fresh_report(cfg) for cfg, _ in smaller]
+    _fork_pool(monkeypatch)
+    monkeypatch.setattr(orders_mod, "_prime_order",
+                        _logged(log, orders_mod._prime_order, lambda e, p, factors: p))
+    forget_kernel()
+    run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000, chunk=250), workers=2)
+    assert log.read_text()
+    log.write_text("")
+    kernel = orders_mod._kernel
+    for (cfg, workers), report in zip(smaller, want):
+        assert run_survey(cfg, workers=workers).to_dict() == report, cfg
+        assert log.read_text() == "" and orders_mod._kernel is kernel, cfg
+    cfg = SurveyConfig(kind=LAMBDA_LAMBDA, x_max=2000)
+    report = run_survey(cfg).to_dict()
+    assert orders_mod._kernel.limit == 2000 and report == fresh_report(cfg)
+
+
+def test_a_kernel_builds_its_table_at_its_first_computed_value(tmp_path, monkeypatch):
+    # a second pooled run at the same range and base reads every value off
+    # the parent's arrays, so none of its workers builds a table, and the
+    # parent builds none in either run.  A query kernel, OrderKernel(1, e),
+    # never builds one, and its values are those of a kernel with a table.
+    # The workers log their builds to a file
+    log = tmp_path / "built"
+    _fork_pool(monkeypatch)
+    monkeypatch.setattr(OrderKernel, "_build_table",
+                        _logged(log, OrderKernel._build_table, lambda kernel: kernel.limit))
+    for kind in (ORD_N, LAMBDA_N, LAMBDA_LAMBDA, SHIFTED_PRIME, CLASS_COUNTS, RSA_PAIR):
+        forget_kernel()
+        log.write_text("")
+        cfg = SurveyConfig(kind=kind, x_max=3000, e=3, chunk=250)
+        want = run_survey(cfg, workers=2).to_dict()
+        assert set(log.read_text().split()) == {"3000"}, kind
+        log.write_text("")
+        survey_mod._span_values.cache_clear()  # the workers read the kept values
+        assert run_survey(cfg, workers=2).to_dict() == want, kind
+        assert log.read_text() == "" and orders_mod._kernel._spf is None, kind
+    for e in (2, 3, 6):
+        table = OrderKernel(3000, e)
+        for n in range(1, 3001):
+            query = OrderKernel(1, e)
+            assert [query.ord(n), query.lam(n), query.lpf(n)] == [
+                table.ord(n), table.lam(n), table.lpf(n)], (e, n)
+            powers = factorize(n).powers()
+            assert query.values("L", powers) == table.values("L", powers), (e, n)
+        assert log.read_text() == "3000 " and query._spf is None, e
+        log.write_text("")
+    assert main(["compute", "order", "--e", "2", "--n", "65537"]) == 0
+    assert log.read_text() == ""
+
+
+def test_spans_change_no_report(tmp_path, monkeypatch):
+    # an integer kind sieves its consecutive small chunks as one span, but
+    # decides each chunk alone: every report equals the one each chunk's
+    # own sieve gives (SPAN_ITEMS = 1), under one worker and two forked
+    # ones whose batches are whole spans.  The ranges end in a partial
+    # span.  Chunks of 7 and of 1, whose surveys take 0.1 s and 0.5 s in
+    # per-chunk decisions and merges, run at one base per kind, those of 1
+    # under one worker.  A resume from a checkpoint whose
+    # done chunks end inside a span, sieved afresh or read off the span
+    # kept by the interrupted run, gives the same report
+    _fork_pool(monkeypatch)
+    bases, span_items = (2, 3, 6, 10), survey_mod.SPAN_ITEMS
+    for i, kind in enumerate(INT_KINDS):
+        for e in bases:
+            monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
+            want = run_survey(SurveyConfig(kind=kind, e=e, x_min=3, x_max=17_000,
+                                           chunk=1024)).to_dict()
+            monkeypatch.setattr(survey_mod, "SPAN_ITEMS", span_items)
+            for chunk in ((1, 7) if e == bases[i] else ()) + (777, 1024):
+                cfg = SurveyConfig(kind=kind, e=e, x_min=3, x_max=17_000, chunk=chunk)
+                assert (17_001 - 3) % (survey_mod._span_chunks(cfg) * chunk), cfg
+                for workers in (1, 2) if chunk > 1 else (1,):
+                    assert run_survey(cfg, workers=workers).to_dict() == want, (cfg, workers)
+    cfg = SurveyConfig(kind=LAMBDA_LAMBDA, e=6, x_min=3, x_max=17_000, chunk=777)
+    chunks, span = plan_chunks(cfg), survey_mod._span_chunks(cfg)
+    assert span == 10 and len(chunks) > 2 * span
+    # two workers sieve each of the three spans once between them
+    log = tmp_path / "sieved"
+    monkeypatch.setattr(survey_mod, "_sieve_values", _logged(
+        log, survey_mod._sieve_values, lambda quantity, kernel, lo, hi: lo))
+    forget_kernel()
+    run_survey(cfg, workers=2)
+    assert sorted(map(int, log.read_text().split())) == [3, 7773, 15543]
+    want, stop, evaluate = fresh_report(cfg), chunks[span + 4], survey_mod.evaluate_chunk
+
+    def interrupted(cfg, lo, hi):
+        if (lo, hi) == stop:
+            raise KeyboardInterrupt
+        return evaluate(cfg, lo, hi)
+
+    monkeypatch.setattr(survey_mod, "evaluate_chunk", interrupted)
+    ckpt = tmp_path / "survey.ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        run_survey(cfg, checkpoint=str(ckpt))
+    monkeypatch.setattr(survey_mod, "evaluate_chunk", evaluate)
+    assert len(json.loads(ckpt.read_text())["done"]) == span + 4
+    for workers, forget in ((1, False), (1, True), (2, True)):
+        copy = tmp_path / f"copy{workers}{forget}.ckpt"
+        copy.write_text(ckpt.read_text())
+        if forget:
+            forget_kernel()
+        assert run_survey(cfg, workers=workers, checkpoint=str(copy)).to_dict() == want
+
+
 def test_a_new_kernel_frees_the_old_one():
     # the kernel owns the table and every array, and nothing it owns refers
-    # back to it: once a survey at another range replaces it, it is freed at
-    # once, with the cyclic collector off, whichever kind it served.  The
+    # back to it: once a survey at a larger range or another base replaces
+    # it, it is freed at once, with the cyclic collector off, whichever kind it served.  The
     # O array is built on first use: lambda-lambda and high-factor, which
     # ask for no order, never build it
     enabled = gc.isenabled()
     gc.disable()
     try:
         for kind in KINDS:
-            orders_mod._order_kernel.cache_clear()
-            run_survey(SurveyConfig(kind=kind, x_max=3000, chunk=700))
-            kernel = orders_mod._order_kernel(3000, 2)
-            assert ("O" not in kernel._kept) == (kind in (LAMBDA_LAMBDA, HIGH_FACTOR)), kind
-            old = weakref.ref(kernel)
-            del kernel
-            run_survey(SurveyConfig(kind=CLASS_COUNTS, x_max=2000))
-            assert old() is None, kind
+            for other in (SurveyConfig(kind=CLASS_COUNTS, x_max=4000),
+                          SurveyConfig(kind=CLASS_COUNTS, x_max=2000, e=3)):
+                forget_kernel()
+                run_survey(SurveyConfig(kind=kind, x_max=3000, chunk=700))
+                kernel = orders_mod._survey_kernel(3000, 2, _KINDS[kind].quantity)
+                assert ("O" not in kernel._kept) == (kind in (LAMBDA_LAMBDA, HIGH_FACTOR)), kind
+                old = weakref.ref(kernel)
+                del kernel
+                run_survey(other)
+                assert old() is None, (kind, other)
     finally:
         if enabled:
             gc.enable()

@@ -48,6 +48,8 @@ class FrozenRecord:
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()

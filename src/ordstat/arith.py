@@ -29,10 +29,6 @@ _TRIAL_BLOCK = 64
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-class OverflowError64(OverflowError):
-    """A result left the unsigned 64-bit range instead of wrapping."""
-
-
 class Factorization(FrozenRecord):
     """Canonical prime decomposition: factors are (prime, exponent) pairs
     with strictly increasing primes, and value 1 has an empty factor list."""
@@ -78,16 +74,6 @@ def jacobi(a: int, n: int) -> int:
             s = -s
         a, n = n % a, a
     return s if n == 1 else 0
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple; raises OverflowError64 past 2^64 - 1."""
-    if a == 0 or b == 0:
-        return 0
-    result = a // math.gcd(a, b) * b
-    if result > U64_MAX:
-        raise OverflowError64(f"lcm({a}, {b}) = {result} exceeds 64 bits")
-    return result
 
 
 def is_prime(n: int) -> bool:

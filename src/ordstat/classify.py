@@ -1,5 +1,5 @@
 """The package's one threshold rule, its threshold formulas and bin rules,
-prime classification by order size, and exact inequality bounds.
+and prime classification by order size.
 
 Every count the package reports turns on an integer q >= 1 against x^t for
 an integer x >= 2: the surveys' x^t tests and bin edges (t = k/20), the
@@ -64,9 +64,6 @@ eps(x) = min(cap, 2/log log x):
 
 order_classes is that rule, on a column: class-counts calls it on a
 survey's chunk, classify_prime on a column of one.
-
-The *_bound functions return exact Fractions: lower bounds on orders that
-callers can assert with no floating point involved.
 """
 
 from __future__ import annotations
@@ -81,14 +78,12 @@ from itertools import repeat
 from types import SimpleNamespace
 
 from ._record import FrozenRecord
-from .arith import Factorization, factorize, is_prime
-from .orders import OrderKernel, carmichael_lambda, coprime_order
-from .arith import lcm as lcm64
+from .arith import is_prime
+from .orders import coprime_order
 
 _GUARD_REL = 1e-9
 _DECIMAL = decimal.Context(prec=50)
 _EXACT_DENOM_LIMIT = 64
-_ALWAYS_CAPPED_BELOW = 2**64
 _FLOAT_HOLDS = 2**1000  # below it, float(p) ** (1 / b) is within a few ulps
 
 # the names a threshold formula f(log x, log log x, m) calls on m, for the
@@ -338,6 +333,7 @@ def _outcomes(low, high, descending: bool) -> tuple[tuple, tuple]:
     return tuple(values[i] for i in order), tuple(outcomes)
 
 
+@functools.lru_cache(maxsize=8)
 def bracket_specs(bins: Callable, exact: Fraction | Callable, ties: bool) -> tuple | None:
     """For _tally_bracketed, the specs of the bin rule's 20 edges, each
     reached by q as the bin moves away from 0, then of the test q > x^exact
@@ -427,8 +423,7 @@ class EpsilonFn(FrozenRecord):
         """1/2 + multiplier*eps(x), exactly.  Defined while eps sits on its
         cap, which it does at every x below 2^64; off the cap eps is
         irrational, and this raises ValueError."""
-        # below 2^64, 2/log log x > 0.527 > 1/2 >= cap: no log needed
-        if x >= _ALWAYS_CAPPED_BELOW and not self.is_capped(x):
+        if not self.is_capped(x):
             raise ValueError(f"eps leaves its cap {self.cap} below x = {x}, "
                              f"so 1/2 + eps is no constant there")
         return Fraction(1, 2) + multiplier * Fraction(str(self.cap))
@@ -458,27 +453,3 @@ def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     return order_classes((o,), (p,), (math.log(o) / lnp,), (lnp,), (math.log(lnp),),
                          eps.exponent(p, multiplier=2))[0]
 
-
-def prime_orders_lower_bound(e: int, n: int) -> Fraction:
-    """(lambda(n)/n) * prod over primes p | n of coprime_order(e, p).
-
-    An exact rational lower bound for coprime_order(e, n).
-    """
-    f = factorize(n)
-    prod = math.prod(OrderKernel(1, e).values("O", [(p, p) for p in f.primes()]))
-    return Fraction(carmichael_lambda(f) * prod, n)
-
-
-def lcm_order_lower_bound(e: int, a: int, b: int) -> Fraction:
-    """ord_a * ord_b * lambda(lcm(a,b)) / (lambda(a) * lambda(b)): an exact
-    rational lower bound for coprime_order(e, lcm(a, b)).  a and b are
-    factored once each; lcm(a, b) takes the larger exponent of each prime."""
-    fa, fb = factorize(a), factorize(b)
-    merged = dict(fa.factors)
-    for p, k in fb.factors:
-        merged[p] = max(merged.get(p, 0), k)
-    fm = Factorization(lcm64(a, b), tuple(sorted(merged.items())))
-    kernel = OrderKernel(1, e)
-    oa, ob = (math.lcm(*kernel.values("O", f.powers())) for f in (fa, fb))
-    num = oa * ob * carmichael_lambda(fm)
-    return Fraction(num, carmichael_lambda(fa) * carmichael_lambda(fb))

@@ -85,7 +85,7 @@ run_survey has orders._share_arrays map the arrays the kind fills as
 shared memory, with no table built, so forked workers fill one set and
 the process keeps every value they filled for its next survey; workers
 started by spawn or forkserver fill arrays of their own, as one worker
-does.
+does.  Every value read is an exact int, so no column overflows.
 Checkpoints are JSON carrying a config digest, the completed chunks with
 their item counts, and the partially merged result; a checkpoint whose
 chunks and counts do not add up is refused, never resumed.  A run writes
@@ -117,7 +117,7 @@ from operator import floordiv, truediv
 from time import monotonic
 
 from ._record import FrozenRecord
-from .arith import lcm, primes_in_range
+from .arith import primes_in_range
 from .classify import (DEFAULT_EPSILON, EPSILON_FORM, N_BINS, EpsilonFn, _above,
                        _lamlam_exponent, _one_minus_delta_exponent, _tally_bracketed,
                        _tally_deficiency_bins, _tally_u_bins, bracket_specs, order_classes)
@@ -340,26 +340,6 @@ class _Kind:
         self.ties, self.bins, self.floor, self.classes = ties, bins, floor, classes
 
 
-def _read(column: Callable[[list], list[int]], items: list) -> list[int]:
-    """column(items), whose OverflowError names the first item that
-    overflows, found by reading the items again one at a time."""
-    try:
-        return column(items)
-    except OverflowError:
-        for item in items:
-            try:
-                column([item])
-            except OverflowError as exc:
-                raise OverflowError(f"survey item {item} overflowed: {exc}") from exc
-        raise
-
-
-def _at_primes(kernel: OrderKernel, quantity: str) -> Callable[[list[int]], list[int]]:
-    """The column reader of the kernel's quantity at primes, each its own
-    prime power, and at 1."""
-    return lambda ps: kernel.values(quantity, zip(ps, ps))
-
-
 def _integers(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
     """Every integer n in [lo, hi): q off the chunk's sieve, x = n."""
     return _sieve_values(quantity, kernel, lo, hi), range(lo, hi)
@@ -369,17 +349,16 @@ def _primes(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: 
     """The primes p in [lo, hi), each its own prime power: q is the
     quantity at p, x = p."""
     primes = primes_in_range(lo, hi)
-    return _read(_at_primes(kernel, quantity), primes), primes
+    return kernel.values(quantity, zip(primes, primes)), primes
 
 
 def _pairs(quantity: str, cfg: SurveyConfig, kernel: OrderKernel, lo: int, hi: int):
     """The pairs (p, l) of _pair_items: q is the lcm of the quantity at p
     and at l, x = p * l."""
-    def column(pairs):
-        at = _at_primes(kernel, quantity)
-        return list(map(lcm, at([p for p, _ in pairs]), at([l for _, l in pairs])))
     pairs = _pair_items(cfg, lo, hi)
-    return _read(column, pairs), [p * l for p, l in pairs]
+    at_p = kernel.values(quantity, ((p, p) for p, _ in pairs))
+    at_l = kernel.values(quantity, ((l, l) for _, l in pairs))
+    return list(map(math.lcm, at_p, at_l)), [p * l for p, l in pairs]
 
 
 _KINDS = {
@@ -409,12 +388,12 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
             powers.append((p, Q))
             Q *= p
     qs, cofactor = [1] * size, list(range(lo, hi))
-    for (p, Q), v in zip(powers, _read(functools.partial(kernel.values, quantity), powers)):
+    for (p, Q), v in zip(powers, kernel.values(quantity, powers)):
         first = -lo % Q
         cofactor[first::Q] = map(floordiv, cofactor[first::Q], repeat(p))
         if v > 1:
             qs[first::Q] = map(math.lcm, qs[first::Q], repeat(v))
-    return list(map(math.lcm, qs, _read(_at_primes(kernel, quantity), cofactor)))
+    return list(map(math.lcm, qs, kernel.values(quantity, zip(cofactor, cofactor))))
 
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:

@@ -13,11 +13,12 @@ import json
 import math
 import random
 import time
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from ordstat.arith import factorize, lcm, primes_in_range
+from ordstat.arith import factorize, primes_in_range
 from ordstat.generators import (CycleResult, LcgSpec, PowerGenSpec, brent_cycle,
                                 lcg_period_analytic, power_period_analytic)
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, coprime_part

@@ -1,11 +1,9 @@
 import math
-import random
 
 import pytest
 
 from ordstat import arith
-from ordstat.arith import (Factorization, OverflowError64, factorize, is_prime,
-                           jacobi, lcm, primes_in_range)
+from ordstat.arith import Factorization, factorize, is_prime, jacobi, primes_in_range
 
 
 def simple_sieve_flags(limit):
@@ -165,30 +163,6 @@ def test_primes_in_range_segments():
     for lo, hi in [(-5, 30), (0, 2), (1, 3), (-1, 3), (2, 3), (0, 1), (3, 3),
                    (edge - 200, edge + 200), (2, edge + 300), (edge - 1, 2 * edge + 7)]:
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi) if is_prime(n)], (lo, hi)
-
-
-def test_gcd_lcm_examples():
-    assert math.gcd(12, 18) == 6
-    assert lcm(4, 6) == 12
-    for a in (0, 1, 7, 100):
-        assert math.gcd(a, 0) == a
-    assert math.gcd(0, 0) == 0
-    assert lcm(0, 5) == 0
-
-
-def test_lcm_overflow_is_signaled():
-    with pytest.raises(OverflowError64):
-        lcm(2**40, 2**40 + 1)
-    # OverflowError64 is an OverflowError for callers that catch broadly
-    assert issubclass(OverflowError64, OverflowError)
-
-
-def test_gcd_lcm_product_identity():
-    rng = random.Random(7)
-    for _ in range(2000):
-        a = rng.randrange(1, 10**6)
-        b = rng.randrange(1, 10**6)
-        assert math.gcd(a, b) * lcm(a, b) == a * b
 
 
 def test_jacobi_is_eulers_criterion():

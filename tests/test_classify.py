@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ordstat.arith import factorize, primes_in_range
+from ordstat.arith import primes_in_range
 from ordstat.classify import (EpsilonFn, _above, _sqrt_over_log_exponent, ceil_root,
-                              classify_prime, lcm_order_lower_bound, power_compare,
-                              prime_orders_lower_bound)
-from ordstat.orders import carmichael_lambda, coprime_order
+                              classify_prime, power_compare)
+from ordstat.orders import coprime_order
 from ordstat.survey import CLASS_COUNTS, SurveyConfig, run_survey
 
 
@@ -155,62 +154,6 @@ def test_sqrt_over_log_compare():
         assert _compare(math.ceil(t) + 1, p, _sqrt_over_log_exponent) > 0
         lnp = math.log(p)
         assert p ** _sqrt_over_log_exponent(lnp, math.log(lnp), math) == pytest.approx(t)
-
-
-def test_prime_orders_lower_bound_examples():
-    assert prime_orders_lower_bound(2, 15) == Fraction(32, 15)
-    # 90 = 2 * 3^2 * 5: lambda = 12; ord(6, 5) = 1 and 2, 3 divide the base
-    assert prime_orders_lower_bound(6, 90) == Fraction(2, 15)
-    assert prime_orders_lower_bound(7, 90) == Fraction(12 * 4, 90)  # ord(7, 5) = 4
-    for e in (2, 3, 10):
-        assert prime_orders_lower_bound(e, 1) == 1
-    assert prime_orders_lower_bound(2, 7) == Fraction(18, 7)
-    assert coprime_order(2, 7) >= prime_orders_lower_bound(2, 7)
-
-
-def test_prime_orders_lower_bound_holds_exactly():
-    for n in range(1, 3000):
-        f = factorize(n)
-        for e in (2, 3):
-            bound = prime_orders_lower_bound(e, n)
-            assert coprime_order(e, n) >= bound, (e, n)
-            prod = math.prod(coprime_order(e, p) for p in f.primes())
-            assert bound == Fraction(carmichael_lambda(f) * prod, n), (e, n)
-
-
-def test_lcm_order_lower_bound():
-    # a = b: bound collapses to ord^2 / lambda(a) <= ord
-    for e in (2, 3):
-        for a in (6, 10, 45, 90):
-            bound = lcm_order_lower_bound(e, a, a)
-            o = coprime_order(e, a)
-            assert bound <= o
-            assert bound == Fraction(o * o, carmichael_lambda(factorize(a))), (e, a)
-    # ord*(2, 6) = 2, ord*(2, 10) = 4, lambda(30) = 4, lambda(6) = 2, lambda(10) = 4
-    bound = lcm_order_lower_bound(2, 6, 10)
-    assert bound == 4
-    assert coprime_order(2, 30) >= bound
-    # pl = 209: lambda(lambda(209)) = lambda(90), bound ord*(2, lcm(10, 18))
-    bound = lcm_order_lower_bound(2, 10, 18)
-    assert coprime_order(2, 90) == 12
-    assert bound == 12
-    assert lcm_order_lower_bound(3, 1, 1) == 1
-
-
-def test_lcm_order_lower_bound_random_pairs():
-    import random
-    rng = random.Random(5)
-    for _ in range(2000):
-        a = rng.randrange(1, 2000)
-        b = rng.randrange(1, 2000)
-        for e in (2, 3):
-            m = a // math.gcd(a, b) * b
-            bound = lcm_order_lower_bound(e, a, b)
-            assert coprime_order(e, m) >= bound, (e, a, b)
-            # the defining formula, each quantity computed on its own
-            lam = [carmichael_lambda(factorize(v)) for v in (m, a, b)]
-            want = Fraction(coprime_order(e, a) * coprime_order(e, b) * lam[0], lam[1] * lam[2])
-            assert bound == want, (e, a, b)
 
 
 def test_divisor_quotient_bound_exhaustive_small():

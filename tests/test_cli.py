@@ -6,7 +6,7 @@ import pytest
 
 import ordstat.cli as cli
 from ordstat import arith, generators, orders, survey
-from ordstat.arith import OverflowError64, is_prime
+from ordstat.arith import is_prime
 from ordstat.cli import main
 from ordstat.survey import KINDS
 
@@ -322,7 +322,7 @@ def test_unwritable_checkpoint_exits_4_at_the_first_chunk(tmp_path, capsys, monk
 
 def test_overflow_maps_to_exit_3(capsys, monkeypatch):
     def boom(*a, **kw):
-        raise OverflowError64("synthetic")
+        raise OverflowError("synthetic")
     monkeypatch.setattr(cli, "order_profile", boom)
     assert main(["compute", "order", "--e", "2", "--n", "7"]) == 3
     assert "overflow" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import math
 import random
+from math import lcm
 
 import pytest
 
 from ordstat import orders as orders_mod
-from ordstat.arith import Factorization, factorize, is_prime, jacobi, lcm, primes_in_range
+from ordstat.arith import Factorization, factorize, is_prime, jacobi, primes_in_range
 from ordstat.orders import (OrderKernel, OrderProfile, _prime_order, carmichael_lambda,
                             coprime_order, coprime_part, multiplicative_order, omega,
                             order_profile, smooth_part, squarefree_core)

@@ -1,18 +1,20 @@
 import decimal
 import functools
 import gc
+import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import multiprocessing
 import os
 import pickle
-import re
 import subprocess
 import sys
 import textwrap
 import weakref
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ import pytest
 import ordstat.classify as classify_mod
 import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
-from ordstat.arith import Factorization, factorize, lcm, primes_in_range
+from ordstat.arith import Factorization, factorize, primes_in_range
 from ordstat.generators import CycleResult, LcgSpec, PowerGenSpec
 from ordstat.classify import EpsilonFn, _one_minus_delta_exponent, ceil_root, power_compare
 from ordstat.cli import main
@@ -1117,31 +1119,6 @@ def test_chunk_sieve_matches_the_kernel_per_item(monkeypatch):
     assert built == [500]
 
 
-def test_overflow_names_the_item(monkeypatch, capsys):
-    def overflowing_at(bad, real):
-        def stub(kernel, *args):
-            if args[-1] == bad:
-                raise OverflowError("stub")
-            return real(kernel, *args)
-        return stub
-
-    # ord-n computes O(101) in the chunk sieve and class-counts for the item
-    # 101, shifted-prime L(101) and high-factor lpf(100) for it, and
-    # rsa-pair L(101) for (53, 101), the first pair holding 101
-    for quantity in ("O", "L"):
-        monkeypatch.setitem(orders_mod._QUANTITIES, quantity,
-                            overflowing_at(101, orders_mod._QUANTITIES[quantity]))
-    monkeypatch.setattr(OrderKernel, "lpf", overflowing_at(100, OrderKernel.lpf))
-    for kind, item in ((ORD_N, "101"), (CLASS_COUNTS, "101"), (SHIFTED_PRIME, "101"),
-                       (HIGH_FACTOR, "101"), (RSA_PAIR, "(53, 101)")):
-        forget_kernel()  # no q(101) kept from an earlier run
-        with pytest.raises(OverflowError, match=re.escape(f"survey item {item} overflowed: stub")):
-            run_survey(SurveyConfig(kind=kind, x_max=300, chunk=50))
-        forget_kernel()
-        assert main(["survey", "--kind", kind, "--max", "300"]) == 3
-        assert f"survey item {item} overflowed" in capsys.readouterr().err
-
-
 PRIME_KINDS = (SHIFTED_PRIME, RSA_PAIR, HIGH_FACTOR, CLASS_COUNTS)
 PRIME_CONFIGS = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR else 10**4,
                               chunk=1000)
@@ -1606,3 +1583,17 @@ def test_trend_windows_match_oracle():
     assert got == want
     fractions = [got[f"2^{k}"]["exceed"] / got[f"2^{k}"]["total"] for k in (10, 14, 18)]
     assert fractions == sorted(fractions)
+
+
+def test_reports_match_the_pinned_digests():
+    # tools/report_digests.py's digests of the 45-survey matrix and of the
+    # classify outputs: a change that moves any report byte moves a pin, and
+    # must update it and say why
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.survey_digest(tool.survey_matrix()) == (
+        "d9b18e8d7dbb0c12d6614bff2bcbb20d63954e6ee30c5ca31f517e1da1f49cdf")
+    assert hashlib.sha256("".join(tool.classify_outputs()).encode()).hexdigest() == (
+        "8f2fa2dee062a33f9f4774bf403da3d1f875913fbec11be916b2381345feb730")

@@ -16,7 +16,9 @@ epsilon cap in {0.1, 0.25}.  The survey matrix is:
 
 With --large it also prints to_dict() of lambda-lambda and one-minus-delta
 at 10^6, with each one's digest.  Run it on two checkouts and compare the
-lines.  It prints and always exits 0: it checks nothing itself.
+lines.  It prints and always exits 0: it checks nothing itself.  The
+tier-1 test test_reports_match_the_pinned_digests pins the first two
+digests, and CI the two at 10^6.
 """
 
 from __future__ import annotations

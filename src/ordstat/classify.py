@@ -48,12 +48,13 @@ rounding.  The guard, the run length, the decimal context and the
 denominator limit live here only.
 
 The loops take none of the logarithms they compare.  The caller takes
-log x, u and, where a formula of it is read, log log x, each once per
+log x, u and, where a formula threshold reads it, log log x, each once per
 item, and passes every loop the same columns, q, x, u, log x and
 log log x, of which it reads those it needs: survey._decide for a chunk,
-classify_prime for its column of one.  The deficiency bins alone take
-one more, log log log x, inside their scale.  The bracket tier takes its
-own, once per run end (_ends).
+classify_prime for its column of one.  The deficiency bins take one more,
+log log log x, inside their scale, and order_classes takes log log p for
+the items its L formula reads.  The bracket tier takes its own, once per
+run end (_ends).
 
 Primes split into three classes for a base e and a threshold function
 eps(x) = min(cap, 2/log log x):
@@ -63,7 +64,12 @@ eps(x) = min(cap, 2/log log x):
     H:  the rest
 
 order_classes is that rule, on a column: class-counts calls it on a
-survey's chunk, classify_prime on a column of one.
+survey's chunk, classify_prime on a column of one.  Two pre-tests keep it
+off most of the work, both exact: at p >= 3, log p > 1, so an order with
+q^2 > p is above sqrt(p) > sqrt(p)/log(p) and not L, and only the other
+items take the L formula, and log log p for it; and no order modulo p
+exceeds p - 1, so at 1/2 + 2*eps >= 1 (eps on the default cap 1/4) no prime
+is H and the M/H test is skipped.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from types import SimpleNamespace
 
 from ._record import FrozenRecord
@@ -333,7 +339,6 @@ def _outcomes(low, high, descending: bool) -> tuple[tuple, tuple]:
     return tuple(values[i] for i in order), tuple(outcomes)
 
 
-@functools.lru_cache(maxsize=8)
 def bracket_specs(bins: Callable, exact: Fraction | Callable, ties: bool) -> tuple | None:
     """For _tally_bracketed, the specs of the bin rule's 20 edges, each
     reached by q as the bin moves away from 0, then of the test q > x^exact
@@ -432,14 +437,25 @@ class EpsilonFn(FrozenRecord):
 DEFAULT_EPSILON = EpsilonFn()
 
 
-def order_classes(qs, ps, us, lnps, llps, m_to_h: Fraction) -> list[str]:
-    """The class of each prime p of the column ps whose order is q, the
-    same item of qs, given u = log q / log p, log p and log log p: L for
+def order_classes(qs, ps, us, lnps, m_to_h: Fraction) -> list[str]:
+    """The class of each prime p of the column ps whose order q <= p is the
+    same item of qs, given u = log q / log p and log p: L for
     q <= sqrt(p)/log(p), else H for q > p^m_to_h, else M.  m_to_h is
-    1/2 + 2*eps(p), one Fraction while eps is on its cap."""
-    above_l = _above(qs, ps, us, lnps, llps, _sqrt_over_log_exponent)
-    above_m = _above(qs, ps, us, lnps, llps, m_to_h)
-    return ["L" if not l else "H" if m else "M" for l, m in zip(above_l, above_m)]
+    1/2 + 2*eps(p), one Fraction while eps is on its cap.  At p >= 3,
+    where log p > 1, q * q > p puts q above sqrt(p) > sqrt(p)/log(p), so
+    only the other items take the L formula, and log log p for it, here.
+    No q <= p exceeds p^m_to_h for m_to_h >= 1, so H is tested below 1
+    only."""
+    labels = ["M"] * len(qs) if m_to_h >= 1 else [
+        "H" if h else "M" for h in _above(qs, ps, us, None, None, m_to_h)]
+    low = [i for i, q, p in zip(count(), qs, ps) if q * q <= p or p < 3]
+    lnls = [lnps[i] for i in low]
+    above_l = _above([qs[i] for i in low], [ps[i] for i in low], [us[i] for i in low],
+                     lnls, map(math.log, lnls), _sqrt_over_log_exponent)
+    for i, above in zip(low, above_l):
+        if not above:
+            labels[i] = "L"
+    return labels
 
 
 def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
@@ -450,6 +466,6 @@ def classify_prime(p: int, e: int, eps: EpsilonFn = DEFAULT_EPSILON) -> str:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     o, lnp = coprime_order(e, p), math.log(p)
-    return order_classes((o,), (p,), (math.log(o) / lnp,), (lnp,), (math.log(lnp),),
+    return order_classes((o,), (p,), (math.log(o) / lnp,), (lnp,),
                          eps.exponent(p, multiplier=2))[0]
 

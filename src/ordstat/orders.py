@@ -7,11 +7,11 @@ period formulas.
 
 One engine computes every order: the OrderKernel of the base e.  Orders
 are computed per prime power, never by stepping: ord(e, p) descends from
-p - 1 over the primes of p - 1 (_prime_order), the factor 2 settled by the
-Jacobi symbol (e | p) (Euler's criterion) and each odd prime by pow();
-ord(e, p^a) is ord(e, p^(a-1)) or p times it, whichever pow() says
-(_prime_power_order), and the order modulo n is the lcm over the prime
-powers of n.
+p - 1 over the primes of p - 1, the factor 2 settled by the Jacobi symbol
+(e | p) (Euler's criterion), which the kernel keeps per residue of p mod 4e,
+and each odd prime by pow(); ord(e, p^a) is ord(e, p^(a-1)) or p times it,
+whichever pow() says (_prime_power_order, both); and the order modulo n is
+the lcm over the prime powers of n.
 
 A single-value query runs on a kernel with no table, OrderKernel(1, e),
 built per call and keeping no order: it factors the modulus once, through
@@ -29,9 +29,9 @@ kernel builds its table at the first value it computes that reads it, so a
 process that only reads kept values builds none.  It gets each
 factorization from one place (OrderKernel._prime_powers): off the table,
 and through arith.factorize above it.  The one exception is the descent's
-odd primes of p - 1, which _prime_power_order walks off the table itself
-when the table holds them.  Either way it runs the same descent and lambda
-rule (_lambda_lcm).  The kernel owns all of a survey process's state: the
+odd primes of p - 1, which _prime_power_order walks off the table itself,
+descending as it walks, when the table holds them.  Either way it runs the
+same descent and lambda rule (_lambda_lcm).  The kernel owns all of a survey process's state: the
 table and at most three arrays, one for each quantity it keeps at the
 prime powers q up to its limit: O(q) = ord*(e, q),
 L(q) = ord*(e, lambda(q)) and LL(q) = lambda(lambda(q)), each 2 bytes per
@@ -94,24 +94,6 @@ def coprime_part(n: int, e: int) -> int:
             n //= g
         g = math.gcd(n, e)
     return n
-
-
-def _prime_order(e: int, p: int, odd_primes: Iterable[int]) -> int:
-    """ord(e, p) for a prime p not dividing e, descending from p - 1 over
-    its factor 2, then over the odd primes of p - 1, given.  The factor 2
-    starts from the Jacobi symbol (e | p), not pow(): by Euler's criterion
-    e^((p-1)/2) = (e | p) mod p, so at (e | p) = -1 the order keeps all of
-    p - 1's 2s, and at 1 it halves p - 1 and pow() decides each further 2.
-    Each odd prime r is divided out while pow() says e^(o/r) = 1."""
-    o = p - 1
-    if p > 2 and jacobi(e, p) == 1:
-        o >>= 1
-        while not o & 1 and pow(e, o >> 1, p) == 1:
-            o >>= 1
-    for r in odd_primes:
-        while o % r == 0 and pow(e, o // r, p) == 1:
-            o //= r
-    return o
 
 
 def multiplicative_order(e: int, n: int) -> int:
@@ -187,9 +169,10 @@ class OrderKernel:
         LL(q)   lambda(lambda(q))
         lpf     the largest prime factor of q - 1, for a prime q
 
-    O(p) descends from p - 1 (_prime_order), fed p - 1's odd primes in one
-    walk of the table, or through arith.factorize above it, and O(p^a) is
-    O(p^(a-1)) or p times it, as one pow() decides.  L and LL take
+    O(p) descends from p - 1 (_prime_power_order) over p - 1's odd primes,
+    walked off the table, or through arith.factorize above it, taking
+    (e | p) from a memo keyed by p mod 4e, and O(p^a) is O(p^(a-1)) or p
+    times it, as one pow() decides.  L and LL take
     lambda(q) by the lambda rule, then ord and lam below, except that L at
     an odd q = p^a, a >= 2, is lcm(L(p), O(q / p)).  O, L and LL are
     kept once computed for q <= limit, each in one array of its own, built
@@ -224,6 +207,7 @@ class OrderKernel:
         self._kept: dict[str, array | memoryview] = {}
         # a table-less kernel serves one query: it keeps what it factors
         self._factored: dict[int, list] | None = {} if limit == 1 else None
+        self._symbols: dict[int, int] = {}  # (e | p) by p mod 4e, for odd p
 
     def values(self, quantity: str, powers: Iterable[tuple[int, int]]) -> list[int]:
         """The column of quantity ("O", "L", "LL" or "lpf") at each prime
@@ -298,30 +282,46 @@ class OrderKernel:
 
 
 def _prime_power_order(kernel: OrderKernel, p: int, q: int) -> int:
-    """O(q) at q = p^a: descended from p - 1 for q = p, without
-    OrderKernel.ord, else O(q / p) or p times it."""
+    """O(q) at q = p^a: for q = p, ord(e, p) descended from p - 1, without
+    OrderKernel.ord; else O(q / p) or p times it, whichever pow() says.
+
+    The descent settles the factor 2 by the Jacobi symbol (e | p), not by
+    pow(): by Euler's criterion e^((p-1)/2) = (e | p) mod p, so at -1 the
+    order keeps all of p - 1's 2s, and at 1 it halves p - 1 and pow()
+    decides each further 2.  Each odd prime r of p - 1 is then divided out
+    while pow() says e^(o/r) = 1.  For odd p, (e | p) = (e | p mod 4e), so
+    the kernel keeps it per residue met, each taken once by arith.jacobi.
+    The odd primes come off one walk of the table, interleaved with the
+    descent, unless p - 1's odd part is 1 or lies above the table: then
+    p - 1 is factored whole, as L(p) = ord*(e, p - 1) factors it, so a
+    table-less kernel does it once and builds no table."""
     e = kernel.e
-    if e % p == 0:
+    if e % p == 0 or q == 2:
         return 1
-    if q == p:
-        # p - 1's odd primes in one walk of the table, unless its odd part
-        # is 1 or lies above the table: then p - 1 is factored whole, as
-        # L(p) = ord*(e, p - 1) factors it, so a table-less kernel does it
-        # once and builds no table
-        m = p - 1
-        m //= m & -m
-        if not 1 < m <= kernel.limit:
-            return _prime_order(e, p, [r for r, _ in kernel._prime_powers(p - 1)[1:]])
-        spf, odd = kernel._spf or kernel._build_table(), []
-        while m > 1:
-            r = spf[m] or m
-            odd.append(r)
+    if q != p:
+        [o] = kernel.values("O", [(p, q // p)])
+        return o if pow(e, o, q) == 1 else o * p
+    symbols, k = kernel._symbols, p % (4 * e)
+    o = m = p - 1
+    if (symbols.get(k) or symbols.setdefault(k, jacobi(e, p))) == 1:
+        o >>= 1
+        while not o & 1 and pow(e, o >> 1, p) == 1:
+            o >>= 1
+    m //= m & -m
+    if 1 < m <= kernel.limit:
+        spf = kernel._spf or kernel._build_table()
+    else:  # p - 1 factored, as a table of the least prime of each cofactor met
+        spf, c = {}, m
+        for r, rq in kernel._prime_powers(p - 1)[1:]:
+            spf[c], c = r, c // rq
+    while m > 1:
+        r = spf[m] or m
+        m //= r
+        while m % r == 0:
             m //= r
-            while m % r == 0:
-                m //= r
-        return _prime_order(e, p, odd)
-    [o] = kernel.values("O", [(p, q // p)])
-    return o if pow(e, o, q) == 1 else o * p
+        while o % r == 0 and pow(e, o // r, p) == 1:
+            o //= r
+    return o
 
 
 def _lambda_order(kernel: OrderKernel, p: int, q: int) -> int:

@@ -39,15 +39,16 @@ the lambda-lambda and one-minus-delta thresholds, the float formula at
 the run's ends widened by the float tier's guard.  The items those
 brackets leave, and every item of the prime kinds, of rsa-pair and of
 ord-n or lambda-n under an --exponent above 1 or past the integer tier,
-take the per-item path: _decide takes every logarithm of their decisions
-once per item, log x and u = log q / log x, and log log x where the kind
-reads a formula of it: one-minus-delta's and lambda-lambda's thresholds,
-and class-counts' L boundary.  classify decides the rest from these
-columns, where its one threshold rule lives: class-counts' L/M/H labels
-through classify.order_classes, the one class rule that classify_prime
-also calls, every other test through classify._above, and the bins
-through the kind's classify bin rule.  Only the deficiency bins take one
-logarithm more, log log log n.  _decide builds the chunk's result once,
+take the per-item path: _decide takes log x and u = log q / log x once
+per item, and builds the log log x column only for a formula threshold:
+one-minus-delta's and lambda-lambda's.  classify decides the rest from
+these columns, where its one threshold rule lives: class-counts' L/M/H
+labels through classify.order_classes, the one class rule that
+classify_prime also calls, every other test through classify._above, and
+the bins through the kind's classify bin rule.  Only two take a logarithm
+more: the deficiency bins log log log n, and order_classes log log p for
+its L boundary, a formula of it, at the few primes where q^2 <= p (or
+p = 2), the only ones that can be L.  _decide builds the chunk's result once,
 with its final fields, and a result, like every record, is never changed
 after it is built.  The rsa-pair q equals ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the
 e-free part of an lcm is the lcm of the e-free parts, and the order modulo
@@ -59,7 +60,8 @@ whose t is a formula, and class-counts, whose t is a class boundary,
 reject it.  eps(x) = min(cap,
 2/log log x) never increases, so 1/2 + m eps is one Fraction per config
 when eps is on its cap at the largest x judged (x_max, or x_max^2 for
-pairs).  That holds below 2^64; a config where it fails is rejected.  An
+pairs).  That holds below 2^64; a config where it fails is rejected, as
+is one whose largest x lies past the float range eps is evaluated in.  An
 x_min below the floor is taken as given, but one-minus-delta needs n >= 3.
 
 Each process makes, on the first chunk it evaluates, one orders.OrderKernel
@@ -192,14 +194,27 @@ class SurveyConfig(FrozenRecord):
         classes: a Fraction, or the kind's formula of log x.  1/2 + m*eps is
         taken at the largest x judged, which is its value at every x as long
         as eps is on its cap there (the non-increasing eps is then capped
-        over the whole range); EpsilonFn.exponent raises if it is not."""
+        over the whole range); EpsilonFn.exponent raises if it is not.  eps
+        is evaluated in floats, so an x past their range raises here."""
         if self.exponent_override is not None:
             return Fraction(str(self.exponent_override))
         kind = _KINDS[self.kind]
         if not isinstance(kind.exponent, int):
             return kind.exponent
-        return self.epsilon.exponent(self.x_max**2 if kind.population is _pairs
-                                     else self.x_max, kind.exponent)
+        pairs = kind.population is _pairs
+        x = self.x_max**2 if pairs else self.x_max
+        if x > sys.float_info.max:
+            raise ValueError(f"x_max = {self.x_max} is past the float range in which eps "
+                             f"is evaluated{' (at x_max^2, for pairs)' * pairs}")
+        return self.epsilon.exponent(x, kind.exponent)
+
+    @functools.cached_property
+    def _specs(self) -> tuple | None:
+        """classify.bracket_specs of the kind's bins and threshold for an
+        integer kind, read once per config rather than once per chunk."""
+        kind = _KINDS[self.kind]
+        if kind.population is _integers:
+            return bracket_specs(kind.bins, self._threshold, kind.ties)
 
 
 class SurveyResult(FrozenRecord):
@@ -400,29 +415,28 @@ def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
     """The result of the items whose q and x are the columns qs and xs, for
     every kind.  Integers whose threshold and bin edges
     classify.bracket_specs admits (every integer kind, but ord-n and
-    lambda-n under an --exponent above 1 or past the integer tier) are
-    decided by classify._tally_bracketed, with no per-item logarithm: by
-    exact-root brackets for a Fraction, guard-widened float brackets for a
-    formula.  The items those leave, and every item of any other config,
-    take the per-item path, whose logarithms are taken here, each once per
-    item: log x and u = log q / log x, and log log x for a kind that reads a
-    formula of it (a formula threshold, or the classes' L boundary).
+    lambda-n under an --exponent above 1 or past the integer tier), read
+    once per config as cfg._specs, are decided by
+    classify._tally_bracketed, with no per-item logarithm: by exact-root
+    brackets for a Fraction, guard-widened float brackets for a formula.
+    The items those leave, and every item of any other config, take the
+    per-item path, whose logarithms are taken here, each once per item:
+    log x and u = log q / log x, and log log x for a formula threshold.
     classify decides the kind's classes, or q against x^t, and its bins
     from these columns.  The result is built once, whole; its sampled flag
     depends on the config alone."""
-    kind, t = _KINDS[cfg.kind], cfg._threshold
+    kind, t, specs = _KINDS[cfg.kind], cfg._threshold, cfg._specs
     histogram, counts, exceed, total = [0] * N_BINS, None, 0, len(qs)
-    specs = kind.population is _integers and bracket_specs(kind.bins, t, kind.ties)
     if specs:
         exceed, left = _tally_bracketed(histogram, qs, xs, specs)
         qs, xs = [qs[i] for i in left], [xs[i] for i in left]
     if not specs or qs:
         lnxs = list(map(math.log, xs))
-        llxs = list(map(math.log, lnxs)) if kind.classes or callable(t) else None
+        llxs = list(map(math.log, lnxs)) if callable(t) else None
         us = list(map(truediv, map(math.log, qs), lnxs))
         kind.bins(histogram, qs, xs, us, lnxs, llxs)
         if kind.classes:
-            labels = order_classes(qs, xs, us, lnxs, llxs, t)
+            labels = order_classes(qs, xs, us, lnxs, t)
             counts = {label: labels.count(label) for label in kind.classes}
             exceed = counts["H"]
         else:

@@ -8,8 +8,8 @@ import pytest
 
 from ordstat.arith import primes_in_range
 from ordstat.classify import (EpsilonFn, _above, _sqrt_over_log_exponent, ceil_root,
-                              classify_prime, power_compare)
-from ordstat.orders import coprime_order
+                              classify_prime, order_classes, power_compare)
+from ordstat.orders import OrderKernel, coprime_order
 from ordstat.survey import CLASS_COUNTS, SurveyConfig, run_survey
 
 
@@ -104,6 +104,43 @@ def test_classify_with_small_cap_yields_high_class():
     labels = {p: classify_prime(p, 2, eps) for p in primes_in_range(2, 201)}
     assert labels[11] == "H"  # ord(2,11) = 10 > 11^0.7
     assert "M" in labels.values()
+
+
+def _two_test_classes(qs, ps, us, lnps, m_to_h):
+    """The class rule as two _above columns over every item, each taking
+    the L formula and log log p: the reference order_classes must equal."""
+    llps = list(map(math.log, lnps))
+    above_l = _above(qs, ps, us, lnps, llps, _sqrt_over_log_exponent)
+    above_m = _above(qs, ps, us, lnps, llps, m_to_h)
+    return ["L" if not l else "H" if m else "M" for l, m in zip(above_l, above_m)]
+
+
+def test_order_classes_equal_the_two_test_rule():
+    # order_classes skips the L formula where q * q > p >= 3 and the H test
+    # where m_to_h >= 1: it labels the orders at every prime below 2*10^5,
+    # and hand-made columns at p = 2 and 3, at q = isqrt(p) and
+    # isqrt(p) + 1, and beside sqrt(p)/log(p), as the two tests over every
+    # item do
+    x = 2 * 10**5
+    primes = primes_in_range(2, x)
+    columns = [(OrderKernel(x, e).values("O", [(p, p) for p in primes]), primes)
+               for e in (2, 3, 6)]
+    hand_q, hand_p = [1, 1, 2, 1, 2, 3], [2, 3, 2, 3, 3, 3]
+    for p in primes[2:]:
+        r, t = math.isqrt(p), int(math.sqrt(p) / math.log(p))
+        hand_q += [r, r + 1, t, t + 1]
+        hand_p += [p] * 4
+    columns.append((hand_q, hand_p))
+    seen = Counter()
+    for cap in (0.25, 0.1, 0.02):
+        m_to_h = EpsilonFn(cap).exponent(x, multiplier=2)
+        for qs, ps in columns:
+            lnps = list(map(math.log, ps))
+            us = [math.log(q) / lnp for q, lnp in zip(qs, lnps)]
+            labels = order_classes(qs, ps, us, lnps, m_to_h)
+            assert labels == _two_test_classes(qs, ps, us, lnps, m_to_h), cap
+            seen.update(labels)
+    assert min(seen[label] for label in "LMH") > 10**4, seen
 
 
 def _compare(q, x, exact):

@@ -242,6 +242,16 @@ def test_survey_epsilon_off_its_cap_exits_2(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_survey_max_past_the_float_range_exits_2(capsys):
+    # eps is evaluated in floats: ord-n at 10^400, and rsa-pair at 10^200,
+    # whose pairs are judged up to --max squared, are refused as the config
+    # is built, by a message that names x_max
+    for kind, x_max in (("ord-n", 10**400), ("rsa-pair", 10**200)):
+        assert main(["survey", "--kind", kind, "--max", str(x_max)]) == 2, kind
+        err = capsys.readouterr().err
+        assert f"x_max = {x_max} is past the float range" in err, kind
+
+
 def test_survey_exponent_not_finite_and_positive_exits_2(capsys):
     for exponent in ("nan", "inf", "0", "-1"):
         assert main(["survey", "--kind", "ord-n", "--max", "100",

@@ -6,7 +6,7 @@ import pytest
 
 from ordstat import orders as orders_mod
 from ordstat.arith import Factorization, factorize, is_prime, jacobi, primes_in_range
-from ordstat.orders import (OrderKernel, OrderProfile, _prime_order, carmichael_lambda,
+from ordstat.orders import (OrderKernel, OrderProfile, carmichael_lambda,
                             coprime_order, coprime_part, multiplicative_order, omega,
                             order_profile, smooth_part, squarefree_core)
 
@@ -299,15 +299,19 @@ def test_order_kernel_passes_the_order_certificate():
 
 
 def test_the_descent_at_two_and_at_primes_dividing_e():
-    # p = 2 has no factor 2 to settle.  At a prime dividing e the symbol is
-    # 0, which must not halve p - 1 as a symbol 1 does; callers skip p
+    # p = 2 has no factor 2 to settle and no odd residue mod 4e to key
+    # (e | p) by.  At a prime dividing e the symbol is 0, which must not
+    # halve p - 1 as a symbol 1 does: the kernel returns O(p) = 1 there
+    # before it takes the symbol, so its memo holds none of these
     for e in (1, 3, 5, 15, 2**61 - 1):
-        assert _prime_order(e, 2, ()) == 1, e
+        kernel = OrderKernel(1, e)
+        assert kernel.values("O", [(2, 2)]) == [1] and kernel._symbols == {}, e
     for e in range(1, 40):
         assert coprime_order(e, 2) == 1, e
     for e, p in ((3, 3), (6, 3), (10, 5), (14, 7), (21, 7), (2310, 11), (3 * 65537, 65537)):
-        odd = [r for r in factorize(p - 1).primes() if r > 2]
-        assert jacobi(e, p) == 0 and _prime_order(e, p, odd) == p - 1, (e, p)
+        kernel = OrderKernel(1, e)
+        assert jacobi(e, p) == 0 and kernel.values("O", [(p, p)]) == [1], (e, p)
+        assert kernel._symbols == {}, (e, p)
         assert coprime_order(e, p) == 1, (e, p)
         for r in (2, 13, 101, 65537):
             assert coprime_order(e, p * r) == coprime_order(e, r), (e, p, r)
@@ -335,6 +339,38 @@ def test_the_descent_settles_the_factor_2_without_pow(monkeypatch):
         assert not [c for c in calls if c[0] == e and 2 * c[1] + 1 == c[2]], e
         if e == 2:
             assert len(calls) <= 3.0 * (len(primes) - 1)
+
+
+def test_the_symbol_memo_is_keyed_by_p_mod_4e():
+    # (e | n) depends only on n mod 4e for odd n > 0, the premise of the
+    # descent's memo: after an O fill at every odd prime below 4000, the
+    # memo holds every residue coprime to 4e, and its symbol for each odd
+    # n < 4000 coprime to e is arith.jacobi(e, n); for the other n, whose
+    # symbol is 0, it holds none
+    primes = primes_in_range(3, 4000)
+    for e in range(2, 65):
+        kernel = OrderKernel(4000, e)
+        kernel.values("O", [(p, p) for p in primes])
+        symbols = kernel._symbols
+        assert set(symbols) == {k for k in range(1, 4 * e, 2) if math.gcd(k, e) == 1}, e
+        for n in range(1, 4000, 2):
+            assert symbols.get(n % (4 * e), 0) == jacobi(e, n), (e, n)
+
+
+def test_a_query_kernel_at_a_64_bit_base_keeps_a_small_memo():
+    # a 4e-entry table of symbols at e = 2^61 - 1 would exhaust memory; the
+    # memo keeps only the residues met, so 20 orders, each passing the
+    # order certificate, leave at most 20 symbols
+    e, rng = 2**61 - 1, random.Random(20261020)
+    primes = [*primes_in_range(3, 40), *(_random_prime(rng, 62) for _ in range(8))]
+    kernel = OrderKernel(1, e)
+    assert len(primes) == 19 and kernel.ord(e) == 1  # e is prime: no symbol taken
+    for p in primes:
+        o = kernel.ord(p)
+        assert o == coprime_order(e, p) and pow(e, o, p) == 1, p
+        for r in factorize(o).primes():
+            assert pow(e, o // r, p) != 1, (p, r)
+    assert 0 < len(kernel._symbols) <= 20
 
 
 def test_orders_and_kernel_match_sympy():

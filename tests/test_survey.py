@@ -174,15 +174,18 @@ def _logs_taken(monkeypatch, cfg, qs, xs):
 
 
 def test_decide_takes_each_logarithm_once(monkeypatch):
-    # class-counts stays on the float tier and reads a formula of log log p
-    # in its L boundary: _decide takes log p, log q and log log p once per
-    # item, and classify none
+    # class-counts stays on the float tier: _decide takes log p and log q
+    # once per item, and classify log log p, for the L boundary's formula,
+    # only at the 7 items with q * q <= p or p = 2 (31, 127, 257, 683, 1103
+    # and 1801): at any other p >= 3, q > sqrt(p) > sqrt(p)/log(p)
     cfg = SurveyConfig(kind=CLASS_COUNTS, x_max=2000)
     ps = primes_in_range(2, 2001)
     qs = [coprime_order(2, p) for p in ps]
     want = evaluate_chunk(cfg, 2, 2001)
     count, got = _logs_taken(monkeypatch, cfg, qs, ps)
-    assert got == want and count == 3 * len(ps) == 909
+    low = [p for q, p in zip(qs, ps) if q * q <= p or p < 3]
+    assert low == [2, 31, 127, 257, 683, 1103, 1801]
+    assert got == want and count == 2 * len(ps) + len(low) == 613
 
 
 def test_decide_takes_lambda_lambda_logarithms_per_run(monkeypatch):
@@ -576,6 +579,16 @@ def test_epsilon_must_stay_on_its_cap():
     SurveyConfig(kind=ORD_N, x_max=2**80, epsilon=EpsilonFn(cap=0.5), exponent_override=0.5)
 
 
+def test_x_max_past_the_float_range_is_refused():
+    # eps takes log log x in floats, so a config whose largest x judged lies
+    # past their range is refused as it is built, naming x_max; a pair is
+    # judged at x_max^2.  Just below that range the config is built
+    for kind, x_max in ((ORD_N, 10**308), (CLASS_COUNTS, 10**308), (RSA_PAIR, 10**154)):
+        SurveyConfig(kind=kind, x_max=x_max)
+        with pytest.raises(ValueError, match=f"x_max = {10 * x_max} is past the float range"):
+            SurveyConfig(kind=kind, x_max=10 * x_max)
+
+
 # the kinds whose t is one Fraction, which a fixed exponent may replace
 OVERRIDABLE = (ORD_N, LAMBDA_N, SHIFTED_PRIME, HIGH_FACTOR, RSA_PAIR)
 
@@ -706,13 +719,16 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     # with an infinite guard every float-tier decision, the column fast
     # path's too, is made by power_compare's exact tiers: the counts must not
     # move, and classify's power_compare, the only one patched, must see each
-    # decision: the test of every item (for class-counts, both class
-    # boundaries) and the bin of every binned item.  These are the configs
+    # decision: the test of every item (for class-counts, the L boundary of
+    # each item with q * q <= p or p = 2, and the M/H boundary of every item
+    # where it is below 1) and the bin of every binned item.  These are the configs
     # that keep the float tier: every kind whose brackets are not exact
     # roots, the formula brackets of lambda-lambda and one-minus-delta
     # widening to 0 and infinity under that guard, and ord-n and lambda-n
-    # under a t past the integer tier (333/1000) or above 1
+    # under a t past the integer tier (333/1000) or above 1, with
+    # class-counts at cap 1/10 too, where the M/H boundary is below 1
     configs = [*(cfg for cfg in _every_kind(2000, 2) if cfg.kind not in BY_ROOTS),
+               SurveyConfig(kind=CLASS_COUNTS, x_max=2000, epsilon=EpsilonFn(0.1)),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
                  for kind in OVERRIDABLE if kind not in BY_ROOTS),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=t)
@@ -730,8 +746,13 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     for cfg, report in zip(configs, want):
         calls.clear()
         assert run_survey(cfg).to_dict() == report, cfg
-        tests = 2 if report["class_counts"] else 1
-        assert len(calls) == tests * report["total"] + sum(report["histogram"]), cfg
+        tests = report["total"]
+        if report["class_counts"]:
+            ps = primes_in_range(2, cfg.x_max + 1)
+            qs = OrderKernel(cfg.x_max, cfg.e).values("O", zip(ps, ps))
+            tests = sum(q * q <= p or p < 3 for q, p in zip(qs, ps)) + tests * (
+                cfg._threshold < 1)
+        assert len(calls) == tests + sum(report["histogram"]), cfg
 
 
 def test_the_brackets_are_only_a_shortcut(monkeypatch):
@@ -1184,23 +1205,43 @@ def test_the_prime_kinds_read_the_same_past_the_table(monkeypatch):
         assert factored and min(factored) > 2**10, cfg
 
 
+def _record_descents(monkeypatch, record):
+    """Have record(p) called at each descent: at each O(p) a kernel
+    computes at a prime p not dividing its base, where _prime_power_order
+    descends from p - 1.  Every O a kernel computes goes through its rule in
+    orders._QUANTITIES, which forked pool workers inherit."""
+    rule = orders_mod._QUANTITIES["O"]
+
+    def recording(kernel, p, q):
+        if q == p and kernel.e % p:
+            record(p)
+        return rule(kernel, p, q)
+
+    monkeypatch.setitem(orders_mod._QUANTITIES, "O", recording)
+
+
+def _appender(log):
+    """record(p) for _record_descents that appends p to the file log, so
+    that forked pool workers report their descents too."""
+    def record(p):
+        with open(log, "a") as fh:
+            fh.write(f"{p} ")
+    return record
+
+
 def test_each_prime_order_is_computed_once_per_process(monkeypatch):
     # shifted-prime and rsa-pair read the kernel's L array, class-counts its
     # O array: after shifted-prime, rsa-pair at the same range and base asks
     # the kernel for no order, class-counts never asks it for ord*(e, n),
     # and no prime is descended twice
     descended, asked = [], []
-    real_descent, real_ord = orders_mod._prime_order, OrderKernel.ord
-
-    def recording_descent(e, p, factors):
-        descended.append(p)
-        return real_descent(e, p, factors)
+    real_ord = OrderKernel.ord
 
     def recording_ord(kernel, n):
         asked.append(n)
         return real_ord(kernel, n)
 
-    monkeypatch.setattr(orders_mod, "_prime_order", recording_descent)
+    _record_descents(monkeypatch, descended.append)
     monkeypatch.setattr(OrderKernel, "ord", recording_ord)
     primes = primes_in_range(2, 10**4 + 1)
     for e in (2, 3, 6):
@@ -1272,15 +1313,8 @@ def test_a_second_pooled_run_descends_no_prime(tmp_path, monkeypatch):
     # pool after a one-worker run starts from what that run kept, mapped
     # with it.  The workers report their descents through a file
     log = tmp_path / "descended"
-    real_descent = orders_mod._prime_order
-
-    def recording_descent(e, p, factors):
-        with open(log, "a") as fh:
-            fh.write(f"{p} ")
-        return real_descent(e, p, factors)
-
     _fork_pool(monkeypatch)
-    monkeypatch.setattr(orders_mod, "_prime_order", recording_descent)
+    _record_descents(monkeypatch, _appender(log))
     for kind in (ORD_N, LAMBDA_N):
         forget_kernel()
         cfg = SurveyConfig(kind=kind, x_max=3000, e=3, chunk=250)
@@ -1326,8 +1360,7 @@ def test_a_smaller_survey_reads_the_kept_kernel(tmp_path, monkeypatch):
                (SurveyConfig(kind=RSA_PAIR, x_max=1000), 1)]
     want = [fresh_report(cfg) for cfg, _ in smaller]
     _fork_pool(monkeypatch)
-    monkeypatch.setattr(orders_mod, "_prime_order",
-                        _logged(log, orders_mod._prime_order, lambda e, p, factors: p))
+    _record_descents(monkeypatch, _appender(log))
     forget_kernel()
     run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000, chunk=250), workers=2)
     assert log.read_text()

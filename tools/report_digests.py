@@ -15,10 +15,11 @@ epsilon cap in {0.1, 0.25}.  The survey matrix is:
     every kind with x_min = 3 and chunk = 777                          8
 
 With --large it also prints to_dict() of lambda-lambda and one-minus-delta
-at 10^6, with each one's digest.  Run it on two checkouts and compare the
-lines.  It prints and always exits 0: it checks nothing itself.  The
-tier-1 test test_reports_match_the_pinned_digests pins the first two
-digests, and CI the two at 10^6.
+at 10^6, and of class-counts at 10^6 with epsilon cap 0.1, where its L, M
+and H classes are all nonempty, with each one's digest.  Run it on two
+checkouts and compare the lines.  It prints and always exits 0: it checks
+nothing itself.  The tier-1 test test_reports_match_the_pinned_digests pins
+the first two digests, and CI the three at 10^6.
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ordstat.arith import primes_in_range  # noqa: E402
+from ordstat.classify import EpsilonFn  # noqa: E402
 from ordstat.cli import main as cli_main, survey_result_csv  # noqa: E402
-from ordstat.survey import (HIGH_FACTOR, KINDS, LAMBDA_LAMBDA, LAMBDA_N,  # noqa: E402
-                            ONE_MINUS_DELTA, ORD_N, RSA_PAIR, SHIFTED_PRIME,
+from ordstat.survey import (CLASS_COUNTS, HIGH_FACTOR, KINDS, LAMBDA_LAMBDA,  # noqa: E402
+                            LAMBDA_N, ONE_MINUS_DELTA, ORD_N, RSA_PAIR, SHIFTED_PRIME,
                             SurveyConfig, config_digest, run_survey)
 
 OVERRIDABLE = (ORD_N, LAMBDA_N, SHIFTED_PRIME, HIGH_FACTOR, RSA_PAIR)
+LARGE = (SurveyConfig(kind=LAMBDA_LAMBDA, x_max=10**6),
+         SurveyConfig(kind=ONE_MINUS_DELTA, x_max=10**6),
+         SurveyConfig(kind=CLASS_COUNTS, x_max=10**6, epsilon=EpsilonFn(cap=0.1)))
 
 
 def _x_max(kind: str) -> int:
@@ -86,10 +91,9 @@ def main(argv: list[str]) -> int:
     digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
     print(f"classify  {len(outputs):5d}  {digest}")
     if "--large" in argv:
-        for kind in (LAMBDA_LAMBDA, ONE_MINUS_DELTA):
-            report = json.dumps(run_survey(SurveyConfig(kind=kind, x_max=10**6)).to_dict(),
-                                sort_keys=True)
-            print(f"{kind}@1000000  {hashlib.sha256(report.encode()).hexdigest()}")
+        for cfg in LARGE:
+            report = json.dumps(run_survey(cfg).to_dict(), sort_keys=True)
+            print(f"{cfg.kind}@{cfg.x_max}  {hashlib.sha256(report.encode()).hexdigest()}")
             print(report)
     print(f"({time.perf_counter() - start:.1f} s)", file=sys.stderr)
     return 0

@@ -23,4 +23,4 @@ from .survey import (CLASS_COUNTS, CheckpointError, HIGH_FACTOR,
                      RSA_PAIR, SHIFTED_PRIME, SurveyConfig, SurveyResult,
                      evaluate_chunk, merge_results, run_survey)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -12,20 +12,19 @@ tier decides them over runs of consecutive x, in front of the tiers below.
     bracket  over a run x0 <= x < x1 each edge and the threshold is
              monotone in x, so its bounds at x0 and at x1 bound it over
              the run (_bracket), and one bisect_right of q among them
-             settles the item (_tally_bracketed).  A Fraction a/b <= 1 with
-             b <= 64 is bounded by its exact integer roots (ceil_root), a
-             formula by x^(t -+ guard(t)) from the float t: the float
+             settles the item (_tally_bracketed).  Every edge and
+             threshold, a Fraction or a formula, is bounded by
+             x^(t -+ guard(t)) from the float t at each run end: the float
              tier's own premise, that the float t is within the guard of t
 
-An item between two bounds takes q^b against x^a where every bound is a
-root, and is left whole to the tiers below where one is a formula, as are
-the items of a short run, of the run below 16 (a formula's run there ends
-at 16) or about lambda-lambda's turn at x = 1.43e18 (its threshold falls
-before and rises after), and of a formula whose x^t leaves the float
-range.  Every other decision is made from u = log q / log x in three
-tiers: those of shifted-prime, high-factor, rsa-pair and class-counts,
-whose primes are too sparse for runs to pay, and those of ord-n and
-lambda-n under an --exponent above 1 or past the integer tier.
+An item between two bounds is left whole to the tiers below, as are the
+items of a short run, of a run where some spec's x^t leaves the float
+range, and, where a spec is a formula, of the run below 16 (a run there
+ends at 16) or about lambda-lambda's turn at x = 1.43e18 (its threshold
+falls before and rises after).  These items, and every item of
+shifted-prime, high-factor, rsa-pair and class-counts, whose primes are
+too sparse for runs to pay, are decided from u = log q / log x in three
+tiers:
 
     float    |u - t| > guard(t) (1e-9, relative above 1): the float
              comparison decides
@@ -90,7 +89,6 @@ from .orders import coprime_order
 _GUARD_REL = 1e-9
 _DECIMAL = decimal.Context(prec=50)
 _EXACT_DENOM_LIMIT = 64
-_FLOAT_HOLDS = 2**1000  # below it, float(p) ** (1 / b) is within a few ulps
 
 # the names a threshold formula f(log x, log log x, m) calls on m, for the
 # decimal tier; the float tier passes the math module
@@ -218,38 +216,12 @@ def _tally_deficiency_bins(histogram: list[int], qs, xs, us, lnxs, llxs) -> None
             histogram[k - above] += 1
 
 
-def ceil_root(p: int, b: int) -> int:
-    """The least m >= 0 with m^b >= p, for integers p >= 0 and b >= 1,
-    exactly at any size.  A float guess of p^(1/b), from p or from its top
-    64 bits, is tried first; where it misses, an integer Newton iteration,
-    which the guess only starts, finds the floor root."""
-    if p < 2 or b == 1:
-        return p
-    if b == 2:
-        return math.isqrt(p - 1) + 1
-    if p < _FLOAT_HOLDS:
-        x = int(p ** (1 / b))
-    else:  # p^(1/b) = (p >> s)^(1/b) * 2^(part/b) * 2^whole, s = whole*b + part
-        s = p.bit_length() - 64
-        whole, part = divmod(s, b)
-        x = int(float(p >> s) ** (1 / b) * 2.0 ** (part / b + 52)) << whole >> 52
-    if x**b < p <= (x + 1) ** b:
-        return x + 1
-    x += (x >> 40) + 1  # above the root by more than the guess's error
-    x = ((b - 1) * x + p // x ** (b - 1)) // b  # from any x >= 1: at least the floor root
-    while True:  # from above the floor root, each step falls until it is reached
-        y = ((b - 1) * x + p // x ** (b - 1)) // b
-        if y >= x:
-            return x + (x**b < p)
-        x = y
-
-
-# each bin edge k/20 as (a, b, d), reached by q when q^b >= x^a + d
-_EDGE_SPECS = tuple((edge.numerator, edge.denominator, 0) for edge in _BIN_EDGES[1:])
 _RUN = 64  # a run has _RUN items, or more over which x grows by at most 1/_RUN
-_SHORT = 8  # a shorter run, at a chunk's end, costs less exact than its roots
-# the bounds 0 and infinity of every root, which settle no item
-_UNBOUNDED = ((0,) * (len(_EDGE_SPECS) + 1), (math.inf,) * (len(_EDGE_SPECS) + 1))
+# a shorter run, at a chunk's end, costs less on the per-item path (about
+# 0.8 us an item) than the bounds at its new end (about 19 us)
+_SHORT = 8
+# the bounds 0 and infinity of the 20 edges and the test, which settle no item
+_UNBOUNDED = ((0,) * N_BINS, (math.inf,) * N_BINS)
 # every formula is monotone in x from _MONOTONE_FROM on, lambda-lambda's
 # threshold falling until log x = 41.80763710..., then rising: the runs
 # that meet _TURN, about that x, are not bracketed
@@ -259,53 +231,43 @@ _TURN = (1.4349e18, 1.4350e18)
 
 @functools.lru_cache(maxsize=4)
 def _ends(x: int, specs: tuple) -> tuple[tuple, tuple]:
-    """Bounds at x below and above the least q that reaches each spec: for
-    (a, b, d) its root, the least q with q^b >= x^a + d, twice; for a
-    formula t, reached by q > x^t, the least integers above
-    x^(t - guard(t)) and above x^(t + guard(t)) from the float t, or 0 and
-    infinity where these leave the float range.  The deficiency edges'
-    t = 1 - k w share one scale w.  Adjacent runs share the bounds at their
-    common end."""
-    if not any(map(callable, specs)):
-        roots = tuple(ceil_root(x**a + d, b) for a, b, d in specs)
-        return roots, roots
+    """Bounds at x below and above x^t for each spec t: the least integers
+    above x^(t - guard(t)) and above x^(t + guard(t)) from the float t, a
+    spec's own or its formula's at x, or 0 and infinity where these leave
+    the float range.  q at or above the upper bound is above x^t, q below
+    the lower one below it, and a tie lies between them.  The deficiency
+    edges' t = 1 - k w share one scale w.  Adjacent runs share the bounds
+    at their common end."""
     lnx = math.log(x)
     llx = math.log(lnx)
     low, high, w = [], [], None
-    for spec in specs:
-        if callable(spec):
-            if getattr(spec, "func", None) is _deficiency_edge:  # 1 - k w, one w per end
-                w = w or _deficiency_scale(lnx, llx, math)
-                t = 1 - spec.args[0] * w
-            else:
-                t = spec(lnx, llx, math)
-            band = guard(t)
-            try:
-                lo = int(math.exp((t - band) * lnx)) + 1
-                hi = int(math.exp((t + band) * lnx)) + 1
-            except OverflowError:  # exp past the float range, or int of an infinite guard
-                lo, hi = 0, math.inf
-        else:
-            a, b, d = spec
-            lo = hi = ceil_root(x**a + d, b)
+    for t in specs:
+        if getattr(t, "func", None) is _deficiency_edge:  # 1 - k w, one w per end
+            w = w or _deficiency_scale(lnx, llx, math)
+            t = 1 - t.args[0] * w
+        elif callable(t):
+            t = t(lnx, llx, math)
+        band = guard(t)
+        try:
+            lo = int(math.exp((t - band) * lnx)) + 1
+            hi = int(math.exp((t + band) * lnx)) + 1
+        except OverflowError:  # exp past the float range, or int of an infinite guard
+            lo, hi = 0, math.inf
         low.append(lo)
         high.append(hi)
     return tuple(low), tuple(high)
 
 
 def _bracket(x0: int, x1: int, specs: tuple) -> tuple[tuple, tuple]:
-    """Bounds below and above the least q that reaches each spec at every x
-    of x0 <= x <= x1, over which each spec is monotone: the lesser of its
+    """Bounds below and above x^t for each spec t at every x of
+    x0 <= x <= x1, over which each spec is monotone: the lesser of its
     lower bounds at the two ends (_ends) and the greater of its upper ones.
-    _UNBOUNDED, which sends each item to the exact tiers, for a run of
-    fewer than _SHORT items, whose 21 roots cost about as much as five
-    items' exact comparisons, and, where a spec is a formula, for a run
-    below _MONOTONE_FROM or one that meets _TURN."""
-    if x1 - x0 < _SHORT:
-        return _UNBOUNDED
-    if not any(map(callable, specs)):  # roots, each growing with x
-        return _ends(x0, specs)[0], _ends(x1, specs)[1]
-    if x0 < _MONOTONE_FROM or x0 <= _TURN[1] and _TURN[0] <= x1:
+    _UNBOUNDED, which sends each item to the per-item path, for a run of
+    fewer than _SHORT items, whose items cost less there than its bounds,
+    and, where a spec is a formula, for a run below _MONOTONE_FROM
+    or one that meets _TURN."""
+    if x1 - x0 < _SHORT or any(map(callable, specs)) and (
+            x0 < _MONOTONE_FROM or x0 <= _TURN[1] and _TURN[0] <= x1):
         return _UNBOUNDED
     (low0, high0), (low1, high1) = _ends(x0, specs), _ends(x1, specs)
     return tuple(map(min, low0, low1)), tuple(map(max, high0, high1))
@@ -315,10 +277,9 @@ def _bracket(x0: int, x1: int, specs: tuple) -> tuple[tuple, tuple]:
 def _outcomes(low, high, descending: bool) -> tuple[tuple, tuple]:
     """The sorted bounds of a run, and for each count of them that an
     item's q reaches, the item's outcome: 2 * bin + (q passes the test) if
-    the bounds settle both, else (kmin, kmax, test) for the exact tiers: q
-    reaches kmin to kmax of the edges, and test is True, False, or None if
-    in doubt.  low and high list the 20 edges' bounds, then the test's.
-    The bin is the count of edges reached, or 20 less it if descending."""
+    the bounds settle both, else None, for the per-item path.  low and
+    high list the 20 edges' bounds, then the test's.  The bin is the count
+    of edges reached, or 20 less it if descending."""
     values, tested = [*low, *high], len(low) - 1
     order = sorted(range(len(values)), key=values.__getitem__)
     kmin = kmax = 0
@@ -334,23 +295,16 @@ def _outcomes(low, high, descending: bool) -> tuple[tuple, tuple]:
         else:
             kmin += 1
         outcomes.append(2 * (tested - kmin if descending else kmin) + sure
-                        if kmin == kmax and sure == maybe
-                        else (kmin, kmax, sure if sure == maybe else None))
+                        if kmin == kmax and sure == maybe else None)
     return tuple(values[i] for i in order), tuple(outcomes)
 
 
-def bracket_specs(bins: Callable, exact: Fraction | Callable, ties: bool) -> tuple | None:
+def bracket_specs(bins: Callable, exact: Fraction | Callable) -> tuple:
     """For _tally_bracketed, the specs of the bin rule's 20 edges, each
-    reached by q as the bin moves away from 0, then of the test q > x^exact
-    (q >= x^exact if ties).  A Fraction becomes (a, b, d); for one past the
-    integer tier (b > 64), or outside 0 < a/b <= 1, where a root could
-    exceed x + 1, this returns None.  A formula stays as it is."""
-    if isinstance(exact, Fraction):
-        if not (exact.denominator <= _EXACT_DENOM_LIMIT and 0 < exact <= 1):
-            return None
-        exact = (exact.numerator, exact.denominator, 0 if ties else 1)
-    edges = _DEFICIENCY_EDGES[:0:-1] if bins is _tally_deficiency_bins else _EDGE_SPECS
-    return (*edges, exact)
+    reached by q as the bin moves away from 0, then of the test q > x^exact:
+    the float t of each Fraction, and each formula as it is."""
+    edges = _DEFICIENCY_EDGES[:0:-1] if bins is _tally_deficiency_bins else _U_EDGES[1:]
+    return (*edges, exact if callable(exact) else float(exact))
 
 
 def _tally_bracketed(histogram: list[int], qs, xs, specs: tuple) -> tuple[int, list[int]]:
@@ -359,45 +313,31 @@ def _tally_bracketed(histogram: list[int], qs, xs, specs: tuple) -> tuple[int, l
     test, with the positions of the items left to the per-item path.  Over
     a run, q at or above a spec's upper bound reaches it and q below its
     lower one does not, so one bisect_right of q among the bounds settles
-    the item.  An item in doubt takes the integer tier here, q^b against
-    x^a, for the edges and the test in doubt, where every spec is a
-    Fraction; where one is a formula it is left whole, and a run that
-    starts below _MONOTONE_FROM ends there.  Descending edges, the
-    deficiency bins', count down from bin 20."""
+    the item; an item between two bounds of an edge or of the test is left
+    whole.  A run that starts below _MONOTONE_FROM ends there.  Descending
+    edges, the deficiency bins', count down from bin 20."""
     left = []
     if not xs:
         return 0, left
-    formulas = any(map(callable, specs))
     descending = callable(specs[0])
     start, stop = xs[0], xs[-1] + 1
     x0, exceed = start, 0
     while x0 < stop:
         x1 = min(x0 + max(_RUN, x0 // _RUN), stop)
-        if formulas and x0 < _MONOTONE_FROM < x1:
+        if x0 < _MONOTONE_FROM < x1:
             x1 = _MONOTONE_FROM
-        run = qs[x0 - start:x1 - start]
         bounds, outcomes = _outcomes(*_bracket(x0, x1, specs), descending)
-        reached = list(map(bisect_right, repeat(bounds), run))
+        reached = list(map(bisect_right, repeat(bounds), qs[x0 - start:x1 - start]))
         for at, count in Counter(reached).items():
             outcome = outcomes[at]
-            if type(outcome) is int:
+            if outcome is not None:
                 histogram[outcome >> 1] += count
                 exceed += count * (outcome & 1)
                 continue
-            kmin, kmax, test = outcome
             i = -1
             for _ in range(count):
                 i = reached.index(at, i + 1)
-                if formulas:
-                    left.append(x0 - start + i)
-                    continue
-                q, x = run[i], x0 + i
-                k = kmin
-                while k < kmax and q ** specs[k][1] >= x ** specs[k][0]:
-                    k += 1
-                histogram[k] += 1
-                a, b, d = specs[-1]
-                exceed += q**b >= x**a + d if test is None else test
+                left.append(x0 - start + i)
         x0 = x1
     return exceed, left
 

@@ -30,18 +30,15 @@ u = log(q)/log(x), except for lambda-lambda's deficiency
 log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
 is decided as columns, by one function, _decide, for every kind: the
 kind's population gives its q and x columns.  Over the integers
-(ord-n, lambda-n, one-minus-delta and lambda-lambda),
+(ord-n, lambda-n, one-minus-delta and lambda-lambda, under any t),
 classify._tally_bracketed decides the test and the bins by brackets over
-runs of consecutive n, with no per-item logarithm: exact integer roots
-for a Fraction t = a/b <= 1 with b <= 64 and the u bin edges
-(classify.bracket_specs), and, for a formula, the deficiency edges and
-the lambda-lambda and one-minus-delta thresholds, the float formula at
-the run's ends widened by the float tier's guard.  The items those
-brackets leave, and every item of the prime kinds, of rsa-pair and of
-ord-n or lambda-n under an --exponent above 1 or past the integer tier,
-take the per-item path: _decide takes log x and u = log q / log x once
-per item, and builds the log log x column only for a formula threshold:
-one-minus-delta's and lambda-lambda's.  classify decides the rest from
+runs of consecutive n, with no per-item logarithm: each bin edge and the
+threshold (classify.bracket_specs), at the run's ends, from its float t
+widened by the float tier's guard.  The items those brackets leave, and
+every item of the prime kinds and of rsa-pair, take the per-item path:
+_decide takes log x and u = log q / log x once per item, and builds the
+log log x column only for a formula threshold: one-minus-delta's and
+lambda-lambda's.  classify decides the rest from
 these columns, where its one threshold rule lives: class-counts' L/M/H
 labels through classify.order_classes, the one class rule that
 classify_prime also calls, every other test through classify._above, and
@@ -214,7 +211,7 @@ class SurveyConfig(FrozenRecord):
         integer kind, read once per config rather than once per chunk."""
         kind = _KINDS[self.kind]
         if kind.population is _integers:
-            return bracket_specs(kind.bins, self._threshold, kind.ties)
+            return bracket_specs(kind.bins, self._threshold)
 
 
 class SurveyResult(FrozenRecord):
@@ -341,7 +338,7 @@ class _Kind:
     f(log x, log log x, m) of classify's.  ties is whether q = x^t exceeds.
     bins is classify's bin rule bins(histogram, qs, xs, us, lnxs, llxs),
     whose edges, with the threshold, classify.bracket_specs turns into the
-    specs of the guard-widened or exact-root brackets for the integers.
+    specs of the guard-widened brackets for the integers.
     floor is the lowest item under that t.  classes are the labels the kind
     tallies by classify.order_classes, whose M/H boundary is then x^t and
     whose H exceeds; a kind without them tests q against x^t."""
@@ -413,18 +410,16 @@ def _sieve_values(quantity: str, kernel: OrderKernel, lo: int, hi: int) -> list[
 
 def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
     """The result of the items whose q and x are the columns qs and xs, for
-    every kind.  Integers whose threshold and bin edges
-    classify.bracket_specs admits (every integer kind, but ord-n and
-    lambda-n under an --exponent above 1 or past the integer tier), read
-    once per config as cfg._specs, are decided by
-    classify._tally_bracketed, with no per-item logarithm: by exact-root
-    brackets for a Fraction, guard-widened float brackets for a formula.
-    The items those leave, and every item of any other config, take the
-    per-item path, whose logarithms are taken here, each once per item:
-    log x and u = log q / log x, and log log x for a formula threshold.
-    classify decides the kind's classes, or q against x^t, and its bins
-    from these columns.  The result is built once, whole; its sampled flag
-    depends on the config alone."""
+    every kind.  The integers, whose bin edges and threshold
+    classify.bracket_specs gives once per config as cfg._specs, are
+    decided by classify._tally_bracketed, with no per-item logarithm, by
+    brackets from the float t widened by the guard.  The items in doubt
+    there, and every item of any other kind, take the per-item path, whose
+    logarithms are taken here, each once per item: log x and
+    u = log q / log x, and log log x for a formula threshold.  classify
+    decides the kind's classes, or q against x^t, and its bins from these
+    columns, with the exact tiers inside the guard.  The result is built
+    once, whole; its sampled flag depends on the config alone."""
     kind, t, specs = _KINDS[cfg.kind], cfg._threshold, cfg._specs
     histogram, counts, exceed, total = [0] * N_BINS, None, 0, len(qs)
     if specs:

@@ -1,13 +1,12 @@
 import decimal
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ordstat.arith import primes_in_range
-from ordstat.classify import (EpsilonFn, _above, _sqrt_over_log_exponent, ceil_root,
+from ordstat.classify import (EpsilonFn, _above, _sqrt_over_log_exponent,
                               classify_prime, order_classes, power_compare)
 from ordstat.orders import OrderKernel, coprime_order
 from ordstat.survey import CLASS_COUNTS, SurveyConfig, run_survey
@@ -150,19 +149,6 @@ def _compare(q, x, exact):
     lnx = math.log(x)
     assert _above([q], [x], [math.log(q) / lnx], [lnx], [math.log(lnx)], exact) == [sign > 0]
     return sign
-
-
-def test_ceil_root_is_the_least_root_at_any_size():
-    # the least m with m^b >= p, at and beside exact powers r^b and for
-    # random p up to 3,000 bits, with b from 1 to 1,000
-    rng = random.Random(20260417)
-    for b in (*range(1, 65), *rng.sample(range(65, 1000), 40), 1000):
-        for _ in range(4):
-            r = rng.getrandbits(rng.randint(1, max(1, 3000 // b)))
-            for p in {0, 1, max(r**b - 1, 0), r**b, r**b + 1,
-                      rng.getrandbits(rng.randint(1, 3000))}:
-                m = ceil_root(p, b)
-                assert m >= 0 and m**b >= p and (m == 0 or (m - 1) ** b < p), (p, b)
 
 
 def test_power_compare_boundaries():

@@ -24,7 +24,7 @@ import ordstat.orders as orders_mod
 import ordstat.survey as survey_mod
 from ordstat.arith import Factorization, factorize, primes_in_range
 from ordstat.generators import CycleResult, LcgSpec, PowerGenSpec
-from ordstat.classify import EpsilonFn, _one_minus_delta_exponent, ceil_root, power_compare
+from ordstat.classify import EpsilonFn, _one_minus_delta_exponent, power_compare
 from ordstat.cli import main
 from ordstat.orders import OrderKernel, carmichael_lambda, coprime_order, order_profile
 from ordstat.survey import (_KINDS, CLASS_COUNTS, KINDS, CheckpointError, HIGH_FACTOR,
@@ -350,23 +350,43 @@ def test_power_threshold_near_ties_follow_exact_integers():
             assert exceeds == (q**1000 > x**333), (q, x)
 
 
+def _least_root(x, a, b):
+    """The least q with q^b >= x^a: a decimal estimate of x^(a/b), to 80
+    digits beyond its integer part, corrected by integer comparison."""
+    power = x**a
+    context = decimal.Context(prec=80 + len(str(x)) * a // b)
+    q = int(context.exp(context.multiply(context.divide(a, b), context.ln(x))))
+    while q**b < power:
+        q += 1
+    while (q - 1) ** b >= power:
+        q -= 1
+    return q
+
+
 def test_runs_decide_items_on_and_beside_every_root():
-    # columns of consecutive x decided as runs, whose bounds are the roots
-    # at the runs' ends: each item's q is the root at its x of one bin edge
-    # k/20 or of t = 3/4 (the least q with q^b >= x^a), or one beside it, so
-    # a bound off by one at either end of a run moves a bin or the test
-    cfg = SurveyConfig(kind=ORD_N, x_max=100)
-    for start in (16, 5000, 10**30):  # runs of 64 items, of x // 64, and one
-        xs = range(start, start + 130)
-        for a, b in (*((k, 20) for k in range(1, 21)), (3, 4)):
+    # columns of consecutive x decided as runs, whose bounds are the float
+    # bin edges k/20 and t at the runs' ends widened by the guard: each
+    # item's q is the root at its x of one edge or of t (the least q with
+    # q^b >= x^a), or one beside it, so a bound off by one at either end of
+    # a run, or not widened where floats are coarse (10^30), moves a bin or
+    # the test.  Near 10^300, x^(3/2) is past the float range: t's bounds
+    # are 0 and infinity, and every item takes the per-item path
+    assert classify_mod._ends(10**300, (1.5,)) == ((0,), (math.inf,))
+    for start, (a, b) in ((16, (3, 4)), (5000, (3, 4)), (10**30, (3, 4)), (10**300, (3, 2))):
+        cfg = SurveyConfig(kind=ORD_N, x_max=100, exponent_override=a / b)
+        xs = range(start, start + 130)  # runs of 64 items, of x // 64, and one
+        powers = [[x**k for k in range(21)] for x in xs]
+        for c, d in (*((k, 20) for k in range(1, 21)), (a, b)):
+            roots = [_least_root(x, c, d) for x in xs]
             for delta in (-1, 0, 1):
-                qs = [max(ceil_root(x**a, b) + delta, 1) for x in xs]
+                qs = [max(r + delta, 1) for r in roots]
                 histogram = [0] * 21
-                for q, x in zip(qs, xs):
-                    histogram[max(k for k in range(21) if x**k <= q**20)] += 1
+                for q, xk in zip(qs, powers):
+                    q20 = q**20
+                    histogram[max(k for k in range(21) if xk[k] <= q20)] += 1
                 got = survey_mod._decide(cfg, qs, xs)
-                assert got.histogram == histogram, (start, a, b, delta)
-                assert got.exceed == sum(q**4 > x**3 for q, x in zip(qs, xs)), (start, a, b, delta)
+                assert got.histogram == histogram, (start, c, d, delta)
+                assert got.exceed == sum(q**b > x**a for q, x in zip(qs, xs)), (start, c, d, delta)
 
 
 @_in80
@@ -709,10 +729,8 @@ def test_counts_do_not_depend_on_libm_rounding(monkeypatch):
     assert [run_survey(cfg).to_dict() for cfg in configs] == want
 
 
-# the kinds that brackets decide, the first two while classify.bracket_specs
-# admits their t, the last two by formula bounds widened by the guard
+# the kinds that brackets decide, by float bounds widened by the guard
 BRACKETED = (ORD_N, LAMBDA_N, LAMBDA_LAMBDA, ONE_MINUS_DELTA)
-BY_ROOTS = BRACKETED[:2]
 
 
 def test_the_float_tier_is_only_a_shortcut(monkeypatch):
@@ -721,18 +739,18 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
     # move, and classify's power_compare, the only one patched, must see each
     # decision: the test of every item (for class-counts, the L boundary of
     # each item with q * q <= p or p = 2, and the M/H boundary of every item
-    # where it is below 1) and the bin of every binned item.  These are the configs
-    # that keep the float tier: every kind whose brackets are not exact
-    # roots, the formula brackets of lambda-lambda and one-minus-delta
-    # widening to 0 and infinity under that guard, and ord-n and lambda-n
-    # under a t past the integer tier (333/1000) or above 1, with
-    # class-counts at cap 1/10 too, where the M/H boundary is below 1
-    configs = [*(cfg for cfg in _every_kind(2000, 2) if cfg.kind not in BY_ROOTS),
+    # where it is below 1) and the bin of every binned item.  The brackets
+    # of the integer kinds widen to 0 and infinity under that guard, so
+    # every item takes the per-item path.  These are every kind, at its own
+    # t and under --exponent 0.5, ord-n and lambda-n under a t past the
+    # integer tier (333/1000) or above 1, and class-counts at cap 1/10 too,
+    # where the M/H boundary is below 1
+    configs = [*_every_kind(2000, 2),
                SurveyConfig(kind=CLASS_COUNTS, x_max=2000, epsilon=EpsilonFn(0.1)),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=0.5)
-                 for kind in OVERRIDABLE if kind not in BY_ROOTS),
+                 for kind in OVERRIDABLE),
                *(SurveyConfig(kind=kind, x_max=2000, exponent_override=t)
-                 for kind in BY_ROOTS for t in (0.333, 1.5))]
+                 for kind in BRACKETED[:2] for t in (0.333, 1.5))]
     want = [run_survey(cfg).to_dict() for cfg in configs]
     calls = []
     real_compare = classify_mod.power_compare
@@ -757,14 +775,14 @@ def test_the_float_tier_is_only_a_shortcut(monkeypatch):
 
 def test_the_brackets_are_only_a_shortcut(monkeypatch):
     # with every run's bracket collapsed to the bounds 0 and infinity, no
-    # bound settles an item: every item of ord-n and lambda-n takes the
-    # exact tier for its test and each bin edge in doubt, and every item of
-    # lambda-lambda and one-minus-delta the per-item path: the reports must
-    # not move.  Past 4096 a run grows with x, over chunks of 777 too
+    # bound settles an item: every item takes the per-item path, and the
+    # reports must not move.  ord-n and lambda-n run at their own t and
+    # under --exponent 0.5, 0.333 (past the integer tier) and 1.5.  Past
+    # 4096 a run grows with x, over chunks of 777 too
     configs = [*(SurveyConfig(kind=kind, x_max=10**4, e=e)
                  for kind in BRACKETED for e in (2, 3, 6, 10)),
-               *(SurveyConfig(kind=kind, x_max=10**4, exponent_override=0.5)
-                 for kind in BY_ROOTS),
+               *(SurveyConfig(kind=kind, x_max=10**4, exponent_override=t)
+                 for kind in BRACKETED[:2] for t in (0.5, 0.333, 1.5)),
                *(SurveyConfig(kind=kind, x_max=10**4, x_min=3, chunk=777)
                  for kind in BRACKETED)]
     want = [run_survey(cfg).to_dict() for cfg in configs]

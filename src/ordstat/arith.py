@@ -2,14 +2,19 @@
 
 Primality is a deterministic Miller-Rabin with a witness set valid for all
 n < 2^64, factorization is trial division by sieved small primes followed
-by Brent's cycle variant of Pollard rho with the increments c = 1, 2, ...
-tried in turn until a round splits n, so every result is reproducible bit
-for bit.
+by one Pollard p-1 stage and then Brent's cycle variant of Pollard rho
+with the increments c = 1, 2, ... tried in turn until a round splits n, so
+every result is reproducible bit for bit.
 The trial stage walks the primes up to _TRIAL_BOUND in blocks of
 _TRIAL_BLOCK and skips a whole block when n is coprime to the block's
 product (one gcd), so only blocks holding a factor of n are divided one
-prime at a time.  The Jacobi symbol comes by quadratic reciprocity, in a
-few integer steps where Euler's criterion would take a pow().
+prime at a time.  The p-1 stage is gcd(2^E - 1, n) for E the product of
+the largest prime powers <= _PM1_BOUND, one pow(): it splits n when some
+prime p of n has a _PM1_BOUND-smooth p - 1 and another does not, and a gcd
+of 1 or n leaves n to rho.  Rho multiplies four differences per loop turn
+and reduces their product once.  The Jacobi symbol comes by quadratic
+reciprocity, in a few integer steps where Euler's criterion would take a
+pow().
 Everything here is a pure function; primes_in_range returns a fresh list.
 """
 
@@ -23,7 +28,8 @@ from ._record import FrozenRecord
 U64_MAX = 2**64 - 1
 
 _TRIAL_BOUND = 100_000
-_TRIAL_BLOCK = 64
+_TRIAL_BLOCK = 256
+_PM1_BOUND = 1024
 
 # Witnesses proving primality for every n < 2^64 (Sinclair's seven-base set).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -114,6 +120,13 @@ def _trial_table() -> list[tuple[int, int, list[int]]]:
     return [(run[0] * run[0], math.prod(run), run) for run in runs]
 
 
+@functools.cache
+def _pm1_exponent() -> int:
+    """lcm(1, ..., _PM1_BOUND), the product of the largest power
+    <= _PM1_BOUND of each prime, built at the first p-1 stage."""
+    return math.lcm(*range(1, _PM1_BOUND + 1))
+
+
 def _brent_rho(n: int, c: int) -> int | None:
     """One Brent-rho round with increment c; a nontrivial factor or None."""
     y, r, q = 2, 1, 1
@@ -127,7 +140,14 @@ def _brent_rho(n: int, c: int) -> int | None:
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(m, r - k)):
+            steps = min(m, r - k)
+            for _ in range(steps >> 2):
+                y1 = (y * y + c) % n
+                y2 = (y1 * y1 + c) % n
+                y3 = (y2 * y2 + c) % n
+                y = (y3 * y3 + c) % n
+                q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+            for _ in range(steps & 3):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             g = math.gcd(q, n)
@@ -149,9 +169,11 @@ def _split(n: int, out: dict[int, int]) -> None:
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    c = 1
-    while (d := _brent_rho(n, c)) is None:
-        c += 1
+    d = math.gcd(pow(2, _pm1_exponent(), n) - 1, n)
+    if not 1 < d < n:  # the p-1 stage missed: rho
+        c = 1
+        while (d := _brent_rho(n, c)) is None:
+            c += 1
     _split(d, out)
     _split(n // d, out)
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -86,6 +87,9 @@ def test_factorize_hard_64bit_inputs():
 
 def test_factorize_retries_rho_with_the_next_increment(monkeypatch):
     n = 280997 * 2403361  # above the trial square, so it goes to rho
+    # 280996 = 4 * 70249 and 2403360 = 2^5 * 3^2 * 5 * 1669: the p-1 stage
+    # hits neither prime, so its gcd is 1 and rho splits n
+    assert math.gcd(pow(2, arith._pm1_exponent(), n) - 1, n) == 1
     assert arith._brent_rho(n, 1) is None
     rounds = []
     real = arith._brent_rho
@@ -97,6 +101,48 @@ def test_factorize_retries_rho_with_the_next_increment(monkeypatch):
     monkeypatch.setattr(arith, "_brent_rho", recording)
     assert factorize(n).factors == ((280997, 1), (2403361, 1))
     assert rounds == [(n, 1, None), (n, 2, 280997)]
+
+
+def one_step_rho(n, c):
+    """Brent rho reducing its product at every step, as _brent_rho did
+    before it took four steps per loop turn: the same rounds, the same
+    gcds, so the same factor or None."""
+    y, r, q, g, m = 2, 1, 1, 1, 128
+    x = ys = y
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += m
+        r <<= 1
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g if g != n else None
+
+
+def test_brent_rho_matches_the_one_step_loop():
+    # composites with factors from 3 to 30 bits, among them the c = 1 miss
+    # of 280997 * 2403361, and rounds that end in the backtrack
+    rng = random.Random(5)
+    cases = [280997 * 2403361, 3 * 5, 25, 7 * 7 * 7, 1000003 * 1000033]
+    for bits in (2, 5, 11, 17, 24, 30):
+        for _ in range(4):
+            while not is_prime(p := rng.getrandbits(bits) | 1 << (bits - 1) | 1):
+                pass
+            cases.append(p * 4294967311)
+    for n in cases:
+        for c in (1, 2, 3):
+            assert arith._brent_rho(n, c) == one_step_rho(n, c), (n, c)
 
 
 def trial_factor(n, primes):
@@ -128,6 +174,81 @@ def test_factorize_matches_trial_division_across_trial_blocks():
                   3 * first * 100003, first * 100003 * 100019]
     for n in cases:
         assert factorize(n).factors == trial_factor(n, oracle_primes), n
+
+
+def _pm1_hits(p):
+    """True when the p-1 stage's 2^E is 1 mod the prime p, which it is when
+    p - 1 is _PM1_BOUND-smooth: gcd(2^E - 1, n) is the product of the
+    primes of a squarefree n that it hits."""
+    return pow(2, arith._pm1_exponent(), p) == 1
+
+
+def _prime_with(rng, hit, bits):
+    """A prime of the given bits that the p-1 stage hits or not; a hit is
+    drawn as 1 + 2 * (primes below _PM1_BOUND)."""
+    small = primes_in_range(3, arith._PM1_BOUND)
+    while True:
+        if hit:
+            p = 2
+            while p.bit_length() < bits:
+                p *= rng.choice(small)
+            p += 1
+        else:
+            p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if p.bit_length() == bits and is_prime(p) and _pm1_hits(p) == hit:
+            return p
+
+
+def test_pm1_exponent_is_the_product_of_the_largest_prime_powers():
+    want = 1
+    for p in primes_in_range(2, arith._PM1_BOUND + 1):
+        power = p
+        while power * p <= arith._PM1_BOUND:
+            power *= p
+        want *= power
+    assert arith._pm1_exponent() == want
+
+
+def test_factorize_semiprimes_of_each_pm1_shape(monkeypatch):
+    rng = random.Random(20260417)
+    rho_inputs = []
+    real = arith._brent_rho
+
+    def recording(n, c):
+        rho_inputs.append(n)
+        return real(n, c)
+
+    monkeypatch.setattr(arith, "_brent_rho", recording)
+    # (p hit, q hit): one hit splits n in the p-1 stage alone; both give
+    # gcd n and neither gcd 1, and rho splits n
+    for hits in ((True, False), (True, True), (False, False)):
+        for bits in ((30, 30), (24, 40), (32, 32)):
+            p, q = _prime_with(rng, hits[0], bits[0]), _prime_with(rng, hits[1], bits[1])
+            rho_inputs.clear()
+            assert factorize(p * q).factors == tuple(sorted({p: 1, q: 1}.items())), (p, q)
+            assert (p * q in rho_inputs) == (hits[0] == hits[1]), (p, q, hits)
+    # a prime square above the trial square, alone and times the largest
+    # power of 2 that keeps it below 2^64
+    for hit in (True, False):
+        for bits in (20, 31, 32):
+            p, k = _prime_with(rng, hit, bits), 64 - 2 * bits
+            assert factorize(p * p).factors == ((p, 2),), p
+            assert factorize(2**k * p * p).factors == ((2, k), (p, 2))[not k:], p
+
+
+def test_factorize_just_below_2_to_the_64():
+    rng = random.Random(7)
+    for hits in ((True, False), (False, True), (True, True), (False, False)):
+        p = _prime_with(rng, hits[0], 32)
+        q = arith.U64_MAX // p | 1
+        while not (is_prime(q) and _pm1_hits(q) == hits[1]):
+            q -= 2
+        assert arith.U64_MAX - p * q < 2**40
+        assert factorize(p * q).factors == tuple(sorted({p: 1, q: 1}.items())), (p, q)
+    # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417, one prime above the list
+    primes = primes_in_range(2, 2**16 + 2)
+    assert factorize(arith.U64_MAX).factors == trial_factor(arith.U64_MAX, primes)
+    assert len(factorize(arith.U64_MAX).factors) == 7
 
 
 def test_factorization_validates():

@@ -207,21 +207,23 @@ def factorize(n: int) -> Factorization:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p < hi, by a segmented sieve over [lo, hi) whose
-    base primes, those up to sqrt(hi - 1), come from a call of its own."""
+    """Primes p with lo <= p < hi, by a segmented sieve over the odd numbers
+    of [lo, hi) whose base primes, the odd ones up to sqrt(hi - 1), come
+    from a call of its own."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
     root = math.isqrt(hi - 1)
-    base = primes_in_range(2, root + 1)
-    out: list[int] = []
-    segment = max(1 << 16, root)
-    for start in range(lo, hi, segment):
+    base = primes_in_range(3, root + 1)
+    out = [2] if lo == 2 else []
+    segment = 2 * max(1 << 16, root)  # numbers per segment, each odd one a flag
+    for start in range(lo | 1, hi, segment):
         end = min(start + segment, hi)
-        flags = bytearray([1]) * (end - start)
+        flags = bytearray([1]) * len(range(start, end, 2))
         for p in base:
             first = max(p * p, (start + p - 1) // p * p)
+            first += p * (not first & 1)  # the least odd multiple in range
             if first < end:
-                flags[first - start :: p] = bytes(len(range(first, end, p)))
-        out.extend(itertools.compress(range(start, end), flags))
+                flags[(first - start) >> 1 :: p] = bytes(len(range(first, end, 2 * p)))
+        out.extend(itertools.compress(range(start, end, 2), flags))
     return out

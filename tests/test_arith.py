@@ -279,10 +279,12 @@ def test_primes_in_range_segments():
     assert pieces == whole
     assert primes_in_range(100, 100) == []
     assert primes_in_range(89, 90) == [89]
-    # ranges starting below 2, ending at hi <= 3, and across the 2^16 segment edge
-    edge = 1 << 16
-    for lo, hi in [(-5, 30), (0, 2), (1, 3), (-1, 3), (2, 3), (0, 1), (3, 3),
-                   (edge - 200, edge + 200), (2, edge + 300), (edge - 1, 2 * edge + 7)]:
+    # ranges starting below 2, ending at hi <= 3, across the edge of a
+    # segment (2^17 numbers from lo | 1), and of odd or even width
+    edge = 1 << 17
+    for lo, hi in [(-5, 30), (0, 2), (1, 3), (-1, 3), (2, 3), (0, 1), (3, 3), (3, 4), (9, 10),
+                   (2, edge + 300), (edge - 1, 2 * edge + 7), (1000, edge + 1200),
+                   (999, edge + 1000), (2**32 + 2**18, 2**32 + 2**18 + 501)]:
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi) if is_prime(n)], (lo, hi)
 
 

@@ -9,12 +9,12 @@ The trial stage walks the primes up to _TRIAL_BOUND in blocks of
 _TRIAL_BLOCK and skips a whole block when n is coprime to the block's
 product (one gcd), so only blocks holding a factor of n are divided one
 prime at a time.  The p-1 stage is gcd(2^E - 1, n) for E the product of
-the largest prime powers <= _PM1_BOUND, one pow(): it splits n when some
-prime p of n has a _PM1_BOUND-smooth p - 1 and another does not, and a gcd
-of 1 or n leaves n to rho.  Rho multiplies four differences per loop turn
-and reduces their product once.  The Jacobi symbol comes by quadratic
-reciprocity, in a few integer steps where Euler's criterion would take a
-pow().
+the largest prime powers <= _PM1_BOUND, one pow(): it splits n when
+2^E = 1 mod some prime p of n but not mod n (the first holds when p - 1 is
+_PM1_BOUND-powersmooth), and a gcd of 1 or n leaves n to rho.  Rho
+multiplies four differences per loop turn and reduces their product once.
+The Jacobi symbol comes by quadratic reciprocity, in a few integer steps
+where Euler's criterion would take a pow().
 Everything here is a pure function; primes_in_range returns a fresh list.
 """
 

@@ -130,14 +130,13 @@ def power_compare(q: int, x: int, exact: Fraction | Callable) -> int:
 
 
 def _above(qs, xs, us, lnxs, llxs, exact: Fraction | Callable,
-           ties: bool = False, t: float | None = None) -> list[bool]:
+           ties: bool = False) -> list[bool]:
     """q > x^exact for each item (q >= x^exact if ties), given the columns
     of u = log q / log x, log x and log log x; a Fraction reads neither of
-    the last two.  A Fraction's float t, which a caller that holds it
-    passes, and its guard are taken once for the column, a formula's for
-    each x."""
+    the last two.  A Fraction's float t and its guard are taken once for
+    the column, a formula's for each x."""
     if isinstance(exact, Fraction):
-        t = float(exact) if t is None else t
+        t = float(exact)
         ts, bands = repeat(t), repeat(guard(t))
     else:
         ts = list(map(exact, lnxs, llxs, repeat(math)))
@@ -378,7 +377,7 @@ class EpsilonFn(FrozenRecord):
 DEFAULT_EPSILON = EpsilonFn()
 
 
-def order_classes(qs, ps, us, lnps, m_to_h: Fraction, t: float | None = None) -> list[str]:
+def order_classes(qs, ps, us, lnps, m_to_h: Fraction) -> list[str]:
     """The class of each prime p of the column ps whose order q <= p is the
     same item of qs, given u = log q / log p and log p: L for
     q <= sqrt(p)/log(p), else H for q > p^m_to_h, else M.  m_to_h is
@@ -386,9 +385,9 @@ def order_classes(qs, ps, us, lnps, m_to_h: Fraction, t: float | None = None) ->
     where log p > 1, q * q > p puts q above sqrt(p) > sqrt(p)/log(p), so
     only the other items take the L formula, and log log p for it, here.
     No q <= p exceeds p^m_to_h for m_to_h >= 1, so H is tested below 1
-    only.  t is m_to_h's float, as _above takes it."""
+    only."""
     labels = ["M"] * len(qs) if m_to_h >= 1 else [
-        "H" if h else "M" for h in _above(qs, ps, us, None, None, m_to_h, t=t)]
+        "H" if h else "M" for h in _above(qs, ps, us, None, None, m_to_h)]
     low = [i for i, q, p in zip(count(), qs, ps) if q * q <= p or p < 3]
     lnls = [lnps[i] for i in low]
     above_l = _above([qs[i] for i in low], [ps[i] for i in low], [us[i] for i in low],

@@ -206,12 +206,6 @@ class SurveyConfig(FrozenRecord):
         return self.epsilon.exponent(x, kind.exponent)
 
     @functools.cached_property
-    def _float_t(self) -> float | None:
-        """The float of a Fraction threshold, taken once per config rather
-        than once per chunk that reaches the per-item path."""
-        return None if callable(self._threshold) else float(self._threshold)
-
-    @functools.cached_property
     def _specs(self) -> tuple | None:
         """classify.bracket_specs of the kind's bins and threshold for an
         integer kind, read once per config rather than once per chunk."""
@@ -437,11 +431,11 @@ def _decide(cfg: SurveyConfig, qs, xs) -> SurveyResult:
         us = list(map(truediv, map(math.log, qs), lnxs))
         kind.bins(histogram, qs, xs, us, lnxs, llxs)
         if kind.classes:
-            labels = order_classes(qs, xs, us, lnxs, t, cfg._float_t)
+            labels = order_classes(qs, xs, us, lnxs, t)
             counts = {label: labels.count(label) for label in kind.classes}
             exceed = counts["H"]
         else:
-            exceed += sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties, cfg._float_t))
+            exceed += sum(_above(qs, xs, us, lnxs, llxs, t, kind.ties))
     sampled = kind.population is _pairs and not isinstance(
         _rsa_sample_indices(cfg.x_max, cfg.sample_size, cfg.seed), range)
     return SurveyResult(cfg, total, exceed, histogram, counts, sampled)

@@ -178,7 +178,7 @@ def test_factorize_matches_trial_division_across_trial_blocks():
 
 def _pm1_hits(p):
     """True when the p-1 stage's 2^E is 1 mod the prime p, which it is when
-    p - 1 is _PM1_BOUND-smooth: gcd(2^E - 1, n) is the product of the
+    p - 1 is _PM1_BOUND-powersmooth: gcd(2^E - 1, n) is the product of the
     primes of a squarefree n that it hits."""
     return pow(2, arith._pm1_exponent(), p) == 1
 

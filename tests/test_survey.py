@@ -224,31 +224,6 @@ def test_decide_takes_lambda_lambda_logarithms_per_run(monkeypatch):
     assert count == 3 * 32 + 3 * len(left) + sum(n >= 16 for n in left)
 
 
-def test_a_fraction_threshold_is_floated_once_per_config(monkeypatch):
-    # at chunk 1 every chunk takes the per-item path, which reads the float
-    # t of its Fraction threshold off the config, where it is taken once,
-    # and decides as a whole chunk does
-    passed = []
-    real = classify_mod._above
-
-    def spy(qs, xs, us, lnxs, llxs, exact, ties=False, t=None):
-        if isinstance(exact, Fraction):
-            passed.append(t)
-        return real(qs, xs, us, lnxs, llxs, exact, ties, t)
-
-    monkeypatch.setattr(classify_mod, "_above", spy)
-    monkeypatch.setattr(survey_mod, "_above", spy)
-    # class-counts at cap 1/10, where its M/H boundary is below 1
-    for kind, cap in ((LAMBDA_N, 0.25), (CLASS_COUNTS, 0.1), (SHIFTED_PRIME, 0.25)):
-        whole = run_survey(SurveyConfig(kind=kind, x_min=3, x_max=600, epsilon=EpsilonFn(cap)))
-        passed.clear()
-        cfg = SurveyConfig(kind=kind, x_min=3, x_max=600, epsilon=EpsilonFn(cap), chunk=1)
-        got = run_survey(cfg)
-        assert len(passed) >= 100 and set(passed) == {float(cfg._threshold)}, kind
-        assert (got.total, got.exceed, got.histogram, got.class_counts) == (
-            whole.total, whole.exceed, whole.histogram, whole.class_counts), kind
-
-
 def test_high_factor_items():
     cfg = SurveyConfig(kind=HIGH_FACTOR, x_max=100)
     exceeds, _, _ = item_decision(cfg, 23, OrderKernel(100, 2))

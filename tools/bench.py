@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time ordstat's single-value query path, and check every answer it gives.
 
-    python tools/bench.py [--quick] [--seed S] [--out PATH]
+    python tools/bench.py [--quick] [--out PATH]
 
 It runs from any directory and imports ordstat from src/.  Inputs come from
 the benchmark's own arithmetic (perfbench/numtheory.py, which shares no code
 with ordstat): every modulus is a product of primes drawn here, so its
-factors are known without factoring.  Three seeded families of moduli below
-2^64, those of the query-64bit workload, are timed through
-`arith.factorize`:
+factors are known without factoring.  Three families of moduli below 2^64,
+those of the query-64bit workload, drawn from the fixed seed SEED, are timed
+through `arith.factorize`:
 
     blum60      p*q with p and q 30-bit primes = 3 mod 4 (`period bbs`)
     mixed-p20   2^a*p*q < 2^64 with p of 20 bits (`compute lambda`)
@@ -22,9 +22,10 @@ an ord_star or bbs period by the order certificate (g^k = 1 and
 g^(k/q) != 1 for each prime q of k), and the bbs tail against the power of
 2 in the seed's order.  Any wrong answer makes it exit 1.
 
-Each factorize row also gives, as a property of its inputs and not of the
-code, the share of moduli whose odd part a Pollard p-1 stage
-gcd(2^lcm(1..B) - 1, n) splits, for B in PM1_BOUNDS.
+Each factorize row also gives the share of its moduli whose odd part the
+factorizer's Pollard p-1 stage, gcd(2^E - 1, n) with E = lcm(1, ...,
+arith._PM1_BOUND), splits: a property of the inputs that the p-1 stage's
+gain depends on.
 
 It prints the report as JSON, with the commit, nproc, CPU model and Python
 version.  Without --quick it also writes it to BENCH_1.json at the
@@ -52,10 +53,11 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numtheory as nt  # noqa: E402
+from ordstat import arith  # noqa: E402
 from ordstat.arith import factorize  # noqa: E402
 from ordstat.cli import main as cli_main  # noqa: E402
 
-PM1_BOUNDS = (1024, 2048, 4096)
+SEED = 20260417
 SIZES = {"full": (120, 40, 5), "quick": (4, 2, 1)}  # factorize, cli inputs; rounds
 
 
@@ -117,9 +119,9 @@ def coprime_seed(rng: random.Random, n: int) -> int:
     return u
 
 
-def pm1_splits(fac: dict[int, int], bound: int) -> bool:
+def pm1_splits(fac: dict[int, int]) -> bool:
     odd = nt.value(nt.strip(fac, 2))
-    return 1 < math.gcd(pow(2, math.lcm(*range(1, bound + 1)), odd) - 1, odd) < odd
+    return 1 < math.gcd(pow(2, arith._pm1_exponent(), odd) - 1, odd) < odd
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -155,10 +157,10 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
-def bench(seed: int, quick: bool) -> tuple[dict, list[str]]:
+def bench(quick: bool) -> tuple[dict, list[str]]:
     """The report and the wrong answers met."""
     n_fac, n_cli, rounds = SIZES["quick" if quick else "full"]
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     drawn = {name: [draw(rng) for _ in range(n_fac)] for name, draw in FAMILIES.items()}
     wrong: list[str] = []
     rows = {}
@@ -168,9 +170,7 @@ def bench(seed: int, quick: bool) -> tuple[dict, list[str]]:
                                for fac, args in zip(facs, inputs)))
         rows[name] = {"inputs": len(inputs),
                       "us_per_call": us_per_call(factorize, inputs, rounds),
-                      "pm1_split_share": {
-                          str(b): round(sum(pm1_splits(f, b) for f in facs) / len(facs), 3)
-                          for b in PM1_BOUNDS}}
+                      "pm1_split_share": round(sum(map(pm1_splits, facs)) / len(facs), 3)}
     orders = [(rng.choice((2, 3)), fac) for fac in drawn["mixed-p24"][:n_cli]]
     seeds = [(coprime_seed(rng, nt.value(fac)), fac) for fac in drawn["blum60"][:n_cli]]
     # command: [(argv, its checker, the checker's e or u, the factors of n)]
@@ -185,7 +185,8 @@ def bench(seed: int, quick: bool) -> tuple[dict, list[str]]:
         with contextlib.redirect_stdout(io.StringIO()):
             rows[name] = {"inputs": len(cases), "us_per_call": us_per_call(
                 cli_main, [(argv,) for argv, *_ in cases], rounds)}
-    report = {**machine(), "seed": seed, "quick": quick, "rounds": rounds,
+    report = {**machine(), "seed": SEED, "pm1_bound": arith._PM1_BOUND, "quick": quick,
+              "rounds": rounds,
               "factorize": {k: rows[k] for k in FAMILIES},
               "cli.main": {k: rows[k] for k in commands}, "wrong": len(wrong)}
     return report, wrong
@@ -194,10 +195,9 @@ def bench(seed: int, quick: bool) -> tuple[dict, list[str]]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="a few inputs per family, one round")
-    ap.add_argument("--seed", type=int, default=20260417)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
-    report, wrong = bench(args.seed, args.quick)
+    report, wrong = bench(args.quick)
     text = json.dumps(report, indent=2) + "\n"
     print(text, end="")
     out = args.out or (None if args.quick else ROOT / "BENCH_1.json")

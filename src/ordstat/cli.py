@@ -25,6 +25,14 @@ Surveys read their orders off a smallest-prime-factor table over [1, --max]
 integer; a process builds the table at the first order it computes, so one
 whose orders are all kept builds none.  Flags are matched whole, never by
 prefix.
+
+A query imports only what it computes.  The module itself imports argparse,
+json, arith and orders, which every query row uses; the period rows import
+generators, compute classify imports classify, and a survey imports survey
+(and with it classify) where they run.  The survey command's flags take
+their kinds and defaults from survey, so they are added to its parser at
+its first parse (_Parser.add_flags); --epsilon-cap has no default of its
+own, and an EpsilonFn is given a cap only when the flag is.
 """
 
 from __future__ import annotations
@@ -35,12 +43,7 @@ import json
 import sys
 
 from .arith import factorize, is_prime
-from .classify import EpsilonFn, classify_prime
-from .generators import (LcgSpec, PowerGenSpec, brent_cycle, lcg_period_analytic,
-                         power_period_analytic)
 from .orders import carmichael_lambda, omega, order_profile, smooth_part, squarefree_core
-from .survey import (DEFAULT_RSA_SAMPLE, DEFAULT_SEED, KINDS, CheckpointError,
-                     SurveyConfig, SurveyResult, run_survey)
 
 SURVEY_CSV_COLUMNS = ("kind", "e", "x_max", "total", "exceed", "fraction",
                       "bin_lo", "bin_hi", "bin_count")
@@ -64,9 +67,27 @@ def _smooth_part_doc(args) -> dict:
             "smooth_part": smooth_part(args.n, lambda p: p in allowed)}
 
 
-def _period_doc(args, generator: str, spec, analytic) -> dict:
-    """The generator's document: its spec, the analytic tail and period, and
-    on --empirical those of its walked orbit and whether the two agree."""
+def _epsilon(args):
+    """The EpsilonFn of --epsilon-cap; unless the flag is given, its cap is
+    EpsilonFn's own default."""
+    from .classify import EpsilonFn
+    return EpsilonFn(**({"cap": args.epsilon_cap} if "epsilon_cap" in args else {}))
+
+
+def _classify_doc(args) -> dict:
+    from .classify import classify_prime
+    return {"p": args.p, "e": args.e, "class": classify_prime(args.p, args.e, _epsilon(args))}
+
+
+def _period_doc(args, generator: str, *fields: int) -> dict:
+    """The generator's document: its spec of fields, the analytic tail and
+    period, and on --empirical those of its walked orbit and whether the
+    two agree."""
+    from .generators import (LcgSpec, PowerGenSpec, brent_cycle, lcg_period_analytic,
+                             power_period_analytic)
+    make_spec, analytic = {"lcg": (LcgSpec, lcg_period_analytic),
+                           "power": (PowerGenSpec, power_period_analytic)}[generator]
+    spec = make_spec(*fields)
     cycle = analytic(spec)
     doc = {"generator": generator, **vars(spec),
            "analytic": cycle.period, "analytic_tail": cycle.tail}
@@ -80,7 +101,7 @@ _FLAGS = {
     **{flag: dict(type=int, required=True) for flag in ("n", "e", "p", "b", "u")},
     "primes": dict(type=str, required=True,
                    help="comma-separated primes allowed in the smooth part"),
-    "epsilon-cap": dict(type=float, default=EpsilonFn.cap),
+    "epsilon-cap": dict(type=float, default=argparse.SUPPRESS),
     "empirical": dict(action="store_true"),
 }
 
@@ -92,17 +113,12 @@ _COMMANDS = {
         "core": ("n", lambda a: {"n": a.n, "core": squarefree_core(a.n)}),
         "omega": ("n", lambda a: {"n": a.n, "omega": omega(a.n)}),
         "smooth-part": ("n primes", _smooth_part_doc),
-        "classify": ("p e epsilon-cap", lambda a: {
-            "p": a.p, "e": a.e,
-            "class": classify_prime(a.p, a.e, EpsilonFn(cap=a.epsilon_cap))}),
+        "classify": ("p e epsilon-cap", _classify_doc),
     }),
     "period": ("generator", "generator period, analytic and empirical", {
-        "lcg": ("e b n u empirical", lambda a: _period_doc(
-            a, "lcg", LcgSpec(a.e, a.b, a.n, a.u), lcg_period_analytic)),
-        "power": ("e n u empirical", lambda a: _period_doc(
-            a, "power", PowerGenSpec(a.e, a.n, a.u), power_period_analytic)),
-        "bbs": ("n u empirical", lambda a: _period_doc(
-            a, "power", PowerGenSpec(2, a.n, a.u), power_period_analytic)),
+        "lcg": ("e b n u empirical", lambda a: _period_doc(a, "lcg", a.e, a.b, a.n, a.u)),
+        "power": ("e n u empirical", lambda a: _period_doc(a, "power", a.e, a.n, a.u)),
+        "bbs": ("n u empirical", lambda a: _period_doc(a, "power", 2, a.n, a.u)),
     }),
 }
 
@@ -131,17 +147,22 @@ def survey_result_json(result: SurveyResult) -> str:
 
 
 def _cmd_survey(args) -> int:
+    from .survey import CheckpointError, SurveyConfig, run_survey
     cfg = SurveyConfig(
         kind=args.kind,
         x_max=args.max,
         e=args.e,
-        epsilon=EpsilonFn(cap=args.epsilon_cap),
+        epsilon=_epsilon(args),
         exponent_override=args.exponent,
         chunk=args.chunk,
         seed=args.seed,
         sample_size=args.sample_size,
     )
-    result = run_survey(cfg, workers=args.workers, checkpoint=args.checkpoint)
+    try:
+        result = run_survey(cfg, workers=args.workers, checkpoint=args.checkpoint)
+    except CheckpointError as exc:
+        print(f"ordstat: {exc}", file=sys.stderr)
+        return 4
     text = (survey_result_csv(result) if args.format == "csv"
             else survey_result_json(result))
     if args.out:
@@ -152,22 +173,9 @@ def _cmd_survey(args) -> int:
     return 0
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ordstat", allow_abbrev=False,
-        description="Multiplicative order statistics and generator periods.")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for command, (dest, help_, rows) in _COMMANDS.items():
-        subcommands = commands.add_parser(
-            command, help=help_, allow_abbrev=False).add_subparsers(dest=dest, required=True)
-        for name, (flags, doc) in rows.items():
-            sp = subcommands.add_parser(name, allow_abbrev=False)
-            for flag in flags.split():
-                sp.add_argument(f"--{flag}", **_FLAGS[flag])
-            sp.set_defaults(func=_cmd_doc, doc=doc)
-    sv = commands.add_parser("survey", help="range surveys with CSV/JSON reports",
-                             allow_abbrev=False)
+def _survey_flags(sv: argparse.ArgumentParser) -> None:
+    """The survey command's flags, whose kinds and defaults are survey's."""
+    from .survey import DEFAULT_RSA_SAMPLE, DEFAULT_SEED, KINDS, SurveyConfig
     sv.add_argument("--kind", required=True, choices=KINDS)
     sv.add_argument("--e", type=int, default=SurveyConfig.e)
     sv.add_argument("--max", type=int, required=True)
@@ -182,6 +190,39 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for rsa-pair sampling")
     sv.add_argument("--sample-size", type=int, default=DEFAULT_RSA_SAMPLE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that can take its flags at its first parse, from
+    add_flags: so the survey command's flags, read off survey, import it
+    only when a survey command is parsed."""
+
+    add_flags = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_flags:
+            add_flags, self.add_flags = self.add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+@functools.cache  # built once per process; parse_args leaves it unchanged
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(  # its subparsers are _Parsers too
+        prog="ordstat", allow_abbrev=False,
+        description="Multiplicative order statistics and generator periods.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (dest, help_, rows) in _COMMANDS.items():
+        subcommands = commands.add_parser(
+            command, help=help_, allow_abbrev=False).add_subparsers(dest=dest, required=True)
+        for name, (flags, doc) in rows.items():
+            sp = subcommands.add_parser(name, allow_abbrev=False)
+            for flag in flags.split():
+                sp.add_argument(f"--{flag}", **_FLAGS[flag])
+            sp.set_defaults(func=_cmd_doc, doc=doc)
+    sv = commands.add_parser("survey", help="range surveys with CSV/JSON reports",
+                             allow_abbrev=False)
+    sv.add_flags = _survey_flags
     sv.set_defaults(func=_cmd_survey)
     return parser
 
@@ -200,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"ordstat: error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, OSError) as exc:
+    except OSError as exc:
         print(f"ordstat: {exc}", file=sys.stderr)
         return 4
 

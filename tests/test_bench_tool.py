@@ -1,6 +1,7 @@
 """tools/bench.py, the query-path bench, refuses a wrong answer."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from ordstat.arith import Factorization, factorize
@@ -32,3 +33,20 @@ def test_bench_refuses_a_wrong_factorization_and_a_wrong_period(monkeypatch, cap
                         else factorize(m))
     assert bench.main(["--quick"]) == 1
     assert "WRONG: factorize(" in capsys.readouterr().err
+
+
+def test_bench_writes_a_report_only_with_a_known_commit(monkeypatch, tmp_path, capsys):
+    bench = _load_bench()
+    out = tmp_path / "BENCH_9.json"
+    before = sorted(bench.ROOT.glob("BENCH_*.json"))
+    # a tree without .git, as `git archive` makes it: no report is written,
+    # neither to --out nor to the next BENCH_<n>.json at the root
+    monkeypatch.setattr(bench, "git_commit", lambda: None)
+    assert bench.main(["--quick", "--out", str(out)]) == 2
+    assert bench.main([]) == 2
+    assert "give --commit" in capsys.readouterr().err
+    assert not out.exists() and sorted(bench.ROOT.glob("BENCH_*.json")) == before
+    assert bench.main(["--quick", "--out", str(out), "--commit", "0123abc"]) == 0
+    report = json.loads(out.read_text())
+    assert report["commit"] == "0123abc" and report["wrong"] == 0
+    assert set(report["cold"]) == {"interpreter", "set-up", "compute order", "period bbs"}

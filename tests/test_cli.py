@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import ordstat
 import ordstat.cli as cli
 from ordstat import arith, generators, orders, survey
 from ordstat.arith import is_prime
@@ -336,6 +337,40 @@ def test_overflow_maps_to_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "order_profile", boom)
     assert main(["compute", "order", "--e", "2", "--n", "7"]) == 3
     assert "overflow" in capsys.readouterr().err
+
+
+# the package's public names at version 0.4.0, by the submodule they come from
+PUBLIC_NAMES = {
+    "arith": "Factorization U64_MAX factorize is_prime primes_in_range",
+    "orders": "OrderProfile carmichael_lambda coprime_order coprime_part multiplicative_order"
+              " omega order_profile smooth_part squarefree_core",
+    "generators": "CycleResult LcgSpec PowerGenSpec brent_cycle lcg_period_analytic"
+                  " max_seed_period power_period_analytic",
+    "classify": "DEFAULT_EPSILON EpsilonFn classify_prime",
+    "survey": "CLASS_COUNTS CheckpointError HIGH_FACTOR LAMBDA_LAMBDA LAMBDA_N ONE_MINUS_DELTA"
+              " ORD_N RSA_PAIR SHIFTED_PRIME SurveyConfig SurveyResult evaluate_chunk"
+              " merge_results run_survey",
+}
+
+
+def test_the_package_serves_its_public_names_and_submodules():
+    assert (ordstat.arith, ordstat.generators, ordstat.orders, ordstat.survey) == (
+        arith, generators, orders, survey)
+    for module, names in PUBLIC_NAMES.items():
+        for name in names.split():
+            scope = {}
+            exec(f"from ordstat import {name}", scope)
+            assert scope[name] is getattr(ordstat, name) is getattr(ordstat.__dict__[module], name)
+            assert name in dir(ordstat)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ordstat.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ordstat import no_such_name", {})
+
+
+def test_survey_help_lists_the_kinds(capsys):
+    assert main(["survey", "--help"]) == 0
+    assert "{" + ",".join(KINDS) + "}" in capsys.readouterr().out
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -1064,6 +1064,51 @@ def test_a_cold_query_loads_no_dataclasses_or_typing():
     assert _fresh_modules(roots, "-c", probe) == [set()]
 
 
+def test_a_cold_query_loads_neither_survey_nor_classify(tmp_path, capsys):
+    # importing the package loads none of its submodules, and compute order,
+    # compute lambda and period bbs load neither survey nor classify, nor the
+    # decimal, fractions and random they import; compute classify and a
+    # survey then load them and print what they print in this process
+    argvs = [["compute", "classify", "--p", "7", "--e", "2"],
+             ["survey", "--kind", "class-counts", "--max", "500", "--format", "csv"]]
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+
+        def run(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert ordstat.cli.main(argv) == 0, argv
+            return out.getvalue()
+
+        def loaded():
+            print(" ".join(sorted(sys.modules)))
+
+        import ordstat
+        loaded()
+        import ordstat.cli
+        run(["compute", "order", "--e", "2", "--n", "12"])
+        run(["compute", "lambda", "--n", "8"])
+        run(["period", "bbs", "--n", "11", "--u", "3"])
+        loaded()
+        outputs = [run(argv) for argv in json.loads(sys.argv[1])]
+        loaded()
+        with open(sys.argv[2], "w", encoding="utf-8") as fh:
+            json.dump(outputs, fh)
+    """)
+    out = tmp_path / "outputs.json"
+    package, cold, warm = _fresh_modules(("ordstat", "decimal", "fractions", "random"),
+                                         "-c", probe, json.dumps(argvs), str(out))
+    late = {"ordstat.survey", "ordstat.classify", "decimal", "fractions", "random"}
+    assert package == {"ordstat"}
+    assert cold & late == set()
+    assert late <= warm
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    assert json.loads(out.read_text(encoding="utf-8")) == expected
+
+
 def test_surveys_factor_only_through_the_table(monkeypatch):
     def fail(name):
         def no_fall_through(*args):

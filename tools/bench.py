@@ -22,15 +22,24 @@ an ord_star or bbs period by the order certificate (g^k = 1 and
 g^(k/q) != 1 for each prime q of k), and the bbs tail against the power of
 2 in the seed's order.  Any wrong answer makes it exit 1.
 
+The cold rows time fresh interpreters, each the median ms of its runs: a
+bare `python -c pass`; the set-up that perfbench's query-64bit workload
+times (`import ordstat, ordstat.cli`, then `factorize(2)`), timed inside
+the process; and whole `python -m ordstat.cli` processes of the two
+commands on their first inputs, timed from outside, whose answers are
+checked as above.
+
 Each factorize row also gives the share of its moduli whose odd part the
 factorizer's Pollard p-1 stage, gcd(2^E - 1, n) with E = lcm(1, ...,
 arith._PM1_BOUND), splits: a property of the inputs that the p-1 stage's
 gain depends on.
 
 It prints the report as JSON, with the commit, nproc, CPU model and Python
-version.  Without --quick it also writes it to BENCH_1.json at the
-repository root, or to --out; --quick times a few inputs per family once
-and writes only to --out.
+version.  Without --quick it also writes it to the first BENCH_<n>.json
+that the repository root does not hold, or to --out; --quick times a few
+inputs per family once and writes only to --out.  The commit is HEAD's, or
+--commit's for a tree without .git (one that `git archive` made); with
+neither, it writes no file and exits 2.
 """
 
 from __future__ import annotations
@@ -38,11 +47,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -59,6 +70,9 @@ from ordstat.cli import main as cli_main  # noqa: E402
 
 SEED = 20260417
 SIZES = {"full": (120, 40, 5), "quick": (4, 2, 1)}  # factorize, cli inputs; rounds
+COLD = {"full": (3, 9), "quick": (1, 1)}  # each command's inputs; runs of each process
+SETUP = ("import time; t0 = time.perf_counter(); import ordstat, ordstat.cli; "
+         "ordstat.factorize(2); print(time.perf_counter() - t0)")
 
 
 def blum60(rng: random.Random) -> dict[int, int]:
@@ -131,6 +145,36 @@ def run_cli(argv: list[str]) -> dict:
     return json.loads(out.getvalue()) if code == 0 else {"exit": code}
 
 
+def fresh(*args: str) -> tuple[float, str]:
+    """Wall seconds and stdout of a fresh `python *args` that imports
+    ordstat from src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env).stdout
+    return time.perf_counter() - start, out
+
+
+def median_ms(seconds: list[float]) -> float:
+    return round(statistics.median(seconds) * 1e3, 2)
+
+
+def cold_rows(commands: dict, inputs: int, runs: int) -> tuple[dict, list[str]]:
+    """The cold rows (see the module docstring), and the wrong answers that
+    the command processes gave."""
+    rows = {"interpreter": [fresh("-c", "pass")[0] for _ in range(runs)],
+            "set-up": [float(fresh("-c", SETUP)[1]) for _ in range(runs)]}
+    wrong: list[str] = []
+    for name, cases in commands.items():
+        rows[name] = []
+        for argv, check, g, fac in cases[:inputs] * runs:
+            seconds, out = fresh("-m", "ordstat.cli", *argv)
+            rows[name].append(seconds)
+            wrong += filter(None, [check(g, fac, json.loads(out) if out else {})])
+    return {name: {"processes": len(times), "ms": median_ms(times)}
+            for name, times in rows.items()}, wrong
+
+
 def us_per_call(fn, inputs: list, rounds: int) -> float:
     """Mean over inputs of the least µs that one call of fn took on the
     input in any round: a pure call is as fast as its least disturbed run."""
@@ -143,23 +187,29 @@ def us_per_call(fn, inputs: list, rounds: int) -> float:
     return round(sum(best) / len(inputs) * 1e6, 1)
 
 
-def machine() -> dict:
+def git_commit() -> str | None:
+    """HEAD of the repository the script sits in; None without one."""
     try:
-        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                                text=True, check=True).stdout.strip()
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        commit = None
+        return None
+
+
+def machine(commit: str | None) -> dict:
     cpu = platform.processor()
     with contextlib.suppress(OSError):
         cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
                     if line.startswith("model name")), cpu)
     return {"commit": commit, "nproc": os.cpu_count(), "cpu_model": cpu,
-            "python": platform.python_version()}
+            "python": platform.python_version(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
-def bench(quick: bool) -> tuple[dict, list[str]]:
+def bench(quick: bool, commit: str | None) -> tuple[dict, list[str]]:
     """The report and the wrong answers met."""
-    n_fac, n_cli, rounds = SIZES["quick" if quick else "full"]
+    size = "quick" if quick else "full"
+    n_fac, n_cli, rounds = SIZES[size]
     rng = random.Random(SEED)
     drawn = {name: [draw(rng) for _ in range(n_fac)] for name, draw in FAMILIES.items()}
     wrong: list[str] = []
@@ -185,10 +235,12 @@ def bench(quick: bool) -> tuple[dict, list[str]]:
         with contextlib.redirect_stdout(io.StringIO()):
             rows[name] = {"inputs": len(cases), "us_per_call": us_per_call(
                 cli_main, [(argv,) for argv, *_ in cases], rounds)}
-    report = {**machine(), "seed": SEED, "pm1_bound": arith._PM1_BOUND, "quick": quick,
+    cold, cold_wrong = cold_rows(commands, *COLD[size])
+    wrong += cold_wrong
+    report = {**machine(commit), "seed": SEED, "pm1_bound": arith._PM1_BOUND, "quick": quick,
               "rounds": rounds,
               "factorize": {k: rows[k] for k in FAMILIES},
-              "cli.main": {k: rows[k] for k in commands}, "wrong": len(wrong)}
+              "cli.main": {k: rows[k] for k in commands}, "cold": cold, "wrong": len(wrong)}
     return report, wrong
 
 
@@ -196,11 +248,19 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="a few inputs per family, one round")
     ap.add_argument("--out", type=Path, default=None)
+    ap.add_argument("--commit", default=None,
+                    help="the commit of a tree without .git, such as a `git archive` copy")
     args = ap.parse_args(argv)
-    report, wrong = bench(args.quick)
+    out = args.out or (None if args.quick else next(
+        path for n in itertools.count(1) if not (path := ROOT / f"BENCH_{n}.json").exists()))
+    commit = args.commit or git_commit()
+    if out and commit is None:
+        print(f"bench.py: no commit known, so no {out.name} written; give --commit",
+              file=sys.stderr)
+        return 2
+    report, wrong = bench(args.quick, commit)
     text = json.dumps(report, indent=2) + "\n"
     print(text, end="")
-    out = args.out or (None if args.quick else ROOT / "BENCH_1.json")
     if out:
         out.write_text(text)
     for problem in wrong:

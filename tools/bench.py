@@ -22,12 +22,12 @@ an ord_star or bbs period by the order certificate (g^k = 1 and
 g^(k/q) != 1 for each prime q of k), and the bbs tail against the power of
 2 in the seed's order.  Any wrong answer makes it exit 1.
 
-The cold rows time fresh interpreters, each the median ms of its runs: a
-bare `python -c pass`; the set-up that perfbench's query-64bit workload
-times (`import ordstat, ordstat.cli`, then `factorize(2)`), timed inside
-the process; and whole `python -m ordstat.cli` processes of the two
-commands on their first inputs, timed from outside, whose answers are
-checked as above.
+The cold rows time fresh interpreters in ms, in the same way over nine
+rounds: a bare `python -c pass`; the set-up that perfbench's query-64bit
+workload times (`import ordstat, ordstat.cli`, then `factorize(2)`), timed
+inside the process; and whole `python -m ordstat.cli` processes of the two
+commands on their first three inputs, timed from outside, whose answers
+are checked as above.
 
 Each factorize row also gives the share of its moduli whose odd part the
 factorizer's Pollard p-1 stage, gcd(2^E - 1, n) with E = lcm(1, ...,
@@ -53,7 +53,6 @@ import math
 import os
 import platform
 import random
-import statistics
 import subprocess
 import sys
 import time
@@ -70,7 +69,7 @@ from ordstat.cli import main as cli_main  # noqa: E402
 
 SEED = 20260417
 SIZES = {"full": (120, 40, 5), "quick": (4, 2, 1)}  # factorize, cli inputs; rounds
-COLD = {"full": (3, 9), "quick": (1, 1)}  # each command's inputs; runs of each process
+COLD = {"full": (3, 9), "quick": (1, 1)}  # each command's inputs; rounds
 SETUP = ("import time; t0 = time.perf_counter(); import ordstat, ordstat.cli; "
          "ordstat.factorize(2); print(time.perf_counter() - t0)")
 
@@ -155,36 +154,41 @@ def fresh(*args: str) -> tuple[float, str]:
     return time.perf_counter() - start, out
 
 
-def median_ms(seconds: list[float]) -> float:
-    return round(statistics.median(seconds) * 1e3, 2)
-
-
-def cold_rows(commands: dict, inputs: int, runs: int) -> tuple[dict, list[str]]:
-    """The cold rows (see the module docstring), and the wrong answers that
-    the command processes gave."""
-    rows = {"interpreter": [fresh("-c", "pass")[0] for _ in range(runs)],
-            "set-up": [float(fresh("-c", SETUP)[1]) for _ in range(runs)]}
-    wrong: list[str] = []
-    for name, cases in commands.items():
-        rows[name] = []
-        for argv, check, g, fac in cases[:inputs] * runs:
-            seconds, out = fresh("-m", "ordstat.cli", *argv)
-            rows[name].append(seconds)
-            wrong += filter(None, [check(g, fac, json.loads(out) if out else {})])
-    return {name: {"processes": len(times), "ms": median_ms(times)}
-            for name, times in rows.items()}, wrong
-
-
-def us_per_call(fn, inputs: list, rounds: int) -> float:
-    """Mean over inputs of the least µs that one call of fn took on the
-    input in any round: a pure call is as fast as its least disturbed run."""
+def least_mean(timed, inputs: list, rounds: int) -> float:
+    """Mean over inputs of the least seconds that timed(*input) returned in
+    any round: a pure call is as fast as its least disturbed run."""
     best = [math.inf] * len(inputs)
     for _ in range(rounds):
         for i, args in enumerate(inputs):
-            start = time.perf_counter()
-            fn(*args)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return round(sum(best) / len(inputs) * 1e6, 1)
+            best[i] = min(best[i], timed(*args))
+    return sum(best) / len(inputs)
+
+
+def us_per_call(fn, inputs: list, rounds: int) -> float:
+    """least_mean of the µs that one call of fn takes."""
+    def timed(*args):
+        start = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - start
+    return round(least_mean(timed, inputs, rounds) * 1e6, 1)
+
+
+def cold_rows(commands: dict, inputs: int, rounds: int) -> tuple[dict, list[str]]:
+    """The cold rows, each the least_mean of its processes' ms, and the
+    wrong answers that the command processes gave."""
+    wrong: list[str] = []
+
+    def command(argv, check, g, fac) -> float:
+        seconds, out = fresh("-m", "ordstat.cli", *argv)
+        wrong.extend(filter(None, [check(g, fac, json.loads(out) if out else {})]))
+        return seconds
+
+    timed = {"interpreter": (lambda: fresh("-c", "pass")[0], [()]),
+             "set-up": (lambda: float(fresh("-c", SETUP)[1]), [()]),
+             **{name: (command, cases[:inputs]) for name, cases in commands.items()}}
+    rows = {name: {"inputs": len(args), "ms": round(least_mean(fn, args, rounds) * 1e3, 2)}
+            for name, (fn, args) in timed.items()}
+    return rows, wrong
 
 
 def git_commit() -> str | None:

@@ -1065,10 +1065,11 @@ def test_a_cold_query_loads_no_dataclasses_or_typing():
 
 
 def test_a_cold_query_loads_neither_survey_nor_classify(tmp_path, capsys):
-    # importing the package loads none of its submodules, and compute order,
-    # compute lambda and period bbs load neither survey nor classify, nor the
-    # decimal, fractions and random they import; compute classify and a
-    # survey then load them and print what they print in this process
+    # importing the package loads none of its submodules, a submodule and a
+    # name resolve at their first use, and compute order, compute lambda and
+    # period bbs load neither survey nor classify, nor the decimal, fractions
+    # and random they import; compute classify and a survey then load them
+    # and print what they print in this process
     argvs = [["compute", "classify", "--p", "7", "--e", "2"],
              ["survey", "--kind", "class-counts", "--max", "500", "--format", "csv"]]
     probe = textwrap.dedent("""
@@ -1085,6 +1086,7 @@ def test_a_cold_query_loads_neither_survey_nor_classify(tmp_path, capsys):
 
         import ordstat
         loaded()
+        assert ordstat.generators.brent_cycle is ordstat.brent_cycle
         import ordstat.cli
         run(["compute", "order", "--e", "2", "--n", "12"])
         run(["compute", "lambda", "--n", "8"])

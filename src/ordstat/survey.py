@@ -27,7 +27,7 @@ item's prime powers.
 A threshold is the config's t, one Fraction (1/2 + m eps, or a constant),
 or a formula of log x from classify.  The statistic binned is
 u = log(q)/log(x), except for lambda-lambda's deficiency
-log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A chunk
+log(n/q) / ((log log n)^2 log log log n), binned from n = 16 on.  A span
 is decided as columns, by one function, _decide, for every kind: the
 kind's population gives its q and x columns.  Over the integers
 (ord-n, lambda-n, one-minus-delta and lambda-lambda, under any t),
@@ -45,7 +45,7 @@ classify_prime also calls, every other test through classify._above, and
 the bins through the kind's classify bin rule.  Only two take a logarithm
 more: the deficiency bins log log log n, and order_classes log log p for
 its L boundary, a formula of it, at the few primes where q^2 <= p (or
-p = 2), the only ones that can be L.  _decide builds the chunk's result once,
+p = 2), the only ones that can be L.  _decide builds the span's result once,
 with its final fields, and a result, like every record, is never changed
 after it is built.  The rsa-pair q equals ord*(e, lcm(p - 1, l - 1)), lambda-n's q at pl: the
 e-free part of an lcm is the lcm of the e-free parts, and the order modulo
@@ -61,7 +61,7 @@ pairs).  That holds below 2^64; a config where it fails is rejected, as
 is one whose largest x lies past the float range eps is evaluated in.  An
 x_min below the floor is taken as given, but one-minus-delta needs n >= 3.
 
-Each process makes, on the first chunk it evaluates, one orders.OrderKernel
+Each process makes, on the first span it evaluates, one orders.OrderKernel
 for the config's range and base, and every kind reads its quantity off it a
 column at a time (OrderKernel.values).  The kernel keeps O, L and LL, each
 in one array, so kinds with one quantity share its array: ord-n and
@@ -72,25 +72,25 @@ computes, so a process that reads only kept values builds none.  A prime
 is its own prime power, and a pair costs two reads.  For the integers, the
 quantity at p^a divides the quantity at p^(a+1), so q values come from a
 sieve over the prime powers of a range (_sieve_values).  It pays for each
-prime up to sqrt(hi - 1) once per range, so chunks shorter than SPAN_ITEMS
-are sieved a span at a time: a span is a run of SPAN_ITEMS // chunk
-consecutive planned chunks, and the process keeps the q column of the
-last span it sieved (evaluate_chunk).  The decisions stay per chunk, so
-the chunk size sets the checkpoint granularity alone, not the sieve's
-cost, and no chunk's result changes.  The kernel serves every later survey
-at its base up to its range that needs no array it lacks; any other
-survey replaces it and frees its arrays with it.  Before a pool starts,
-run_survey has orders._share_arrays map the arrays the kind fills as
-shared memory, with no table built, so forked workers fill one set and
-the process keeps every value they filled for its next survey; workers
-started by spawn or forkserver fill arrays of their own, as one worker
-does.  Every value read is an exact int, so no column overflows.
+prime up to sqrt(hi - 1) once per range, and a range pays its decisions'
+and its merge's fixed work once, so run_survey evaluates a span of
+consecutive chunks left to do as one range: up to SPAN_ITEMS // chunk
+chunks of an integer kind, one chunk of any other.  The chunk size sets
+the checkpoint granularity alone, not the survey's cost, and no report
+changes, since every count is a pure function of the config.  The kernel
+serves every later survey at its base up to its range that needs no array
+it lacks; any other survey replaces it and frees its arrays with it.
+Before a pool starts, run_survey has orders._share_arrays map the arrays
+the kind fills as shared memory, with no table built, so forked workers
+fill one set and the process keeps every value they filled for its next
+survey; workers started by spawn or forkserver fill arrays of their own,
+as one worker does.  Every value read is an exact int, so no column overflows.
 Checkpoints are JSON carrying a config digest, the completed chunks with
 their item counts, and the partially merged result; a checkpoint whose
 chunks and counts do not add up is refused, never resumed.  A run writes
-its checkpoint after the first chunk, then at most once every
+its checkpoint after the first span, then at most once every
 CHECKPOINT_EVERY_S (one second), and once more when it ends or is
-interrupted, so a killed run loses at most about a second of chunks.
+interrupted, so a killed run loses at most about a second of spans.
 A process loads only what it runs: the process pool (concurrent.futures,
 and with it multiprocessing) and mmap at its first pooled run_survey, and
 hashlib, for the config digest, at its first checkpoint read or write.
@@ -138,7 +138,7 @@ DEFAULT_SEED = 123456789
 DEFAULT_RSA_SAMPLE = 1_000_000
 
 CHECKPOINT_EVERY_S = 1.0  # least time between two checkpoint writes within a run
-SPAN_ITEMS = 8192  # an integer kind sieves its chunks in spans of at most this many items
+SPAN_ITEMS = 8192  # an integer kind evaluates its chunks in spans of at most this many items
 
 class CheckpointError(Exception):
     """The checkpoint file is corrupt or belongs to another survey."""
@@ -451,36 +451,14 @@ def plan_chunks(cfg: SurveyConfig) -> list[tuple[int, int]]:
             for lo in range(low, cfg.x_max + 1, cfg.chunk)]
 
 
-def _span_chunks(cfg: SurveyConfig) -> int:
-    """The planned chunks in one span: SPAN_ITEMS // chunk, for a kind
-    whose q comes off the sieve, and 1 for a chunk of SPAN_ITEMS or more
-    or any other kind."""
-    return max(1, SPAN_ITEMS // cfg.chunk) if _KINDS[cfg.kind].population is _integers else 1
-
-
-@functools.lru_cache(maxsize=1)
-def _span_values(quantity: str, x_max: int, e: int, lo: int, hi: int) -> list[int]:
-    """The sieve's q column of the span [lo, hi), kept until the next span."""
-    return _sieve_values(quantity, _survey_kernel(x_max, e, quantity), lo, hi)
-
-
 def evaluate_chunk(cfg: SurveyConfig, lo: int, hi: int) -> SurveyResult:
-    """Evaluate all items of the survey whose index falls in [lo, hi).
-
-    The kind's population reads their q and x, and _decide decides them
-    all.  A planned chunk of an integer kind shorter than SPAN_ITEMS reads
-    its q column off that of its span, _span_chunks consecutive planned
-    chunks, which the process keeps until it sieves the next span; the
-    decisions stay per chunk, so the result is the one the chunk's own
-    sieve gives.  The order kernel is made on a process's first chunk, so
-    pool workers make their own under any start method, forked ones over
-    the arrays the parent mapped."""
-    kind, span = _KINDS[cfg.kind], _span_chunks(cfg)
-    a = lo - (lo - cfg.low()) % (span * cfg.chunk)
-    b = min(a + span * cfg.chunk, cfg.x_max + 1)
-    if span > 1 and cfg.low() <= lo and hi <= b:
-        qs = _span_values(kind.quantity, cfg.x_max, cfg.e, a, b)
-        return _decide(cfg, qs[lo - a:hi - a], range(lo, hi))
+    """Evaluate all items of the survey whose index falls in [lo, hi): the
+    kind's population reads their q and x, and _decide decides them all.
+    run_survey calls it once per span, on the span's whole range.  The
+    order kernel is made on a process's first call, so pool workers make
+    their own under any start method, forked ones over the arrays the
+    parent mapped."""
+    kind = _KINDS[cfg.kind]
     kernel = _survey_kernel(cfg.x_max, cfg.e, kind.quantity)
     return _decide(cfg, *kind.population(kind.quantity, cfg, kernel, lo, hi))
 
@@ -574,28 +552,21 @@ def _load_checkpoint(path: str, cfg: SurveyConfig
     return done, partial
 
 
-def __getattr__(name: str):
-    """Import the process pool on first use, so that only a pooled survey
-    loads multiprocessing; run_survey reads it as a module attribute, where
-    a test may replace it."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_survey(cfg: SurveyConfig, workers: int = 1,
                checkpoint: str | None = None) -> SurveyResult:
     """Run the configured survey over chunks; the result is a pure function
     of cfg, identical for any worker count, chunking, or resume history.
-    The pool has no more workers than chunks left to do, and takes them in
-    batches of about an eighth of each worker's share, rounded up to whole
-    spans (_span_chunks) and at most the chunks left, so that no two
-    workers sieve one span.  The checkpoint is written after the first
-    chunk, so a bad path fails at once, then at most every
-    CHECKPOINT_EVERY_S seconds, and once more when the loop ends for any
-    reason, an exception or KeyboardInterrupt included.  When the loop
-    stops early, the pool drops the chunks it has not started, so an
+    The chunks left to do go in spans of consecutive chunks: at most
+    SPAN_ITEMS // chunk of an integer kind's (one at least), one of any
+    other kind's.  A span is evaluated as one range, by one evaluate_chunk
+    call, and merged once, and its chunks enter the done list together; a
+    chunk in a span of several is an integer kind's, so its count is its
+    size.  The pool has no more workers than spans, and takes them in
+    batches of about an eighth of each worker's share.  The checkpoint is
+    written after the first span, so a bad path fails at once, then at
+    most every CHECKPOINT_EVERY_S seconds, and once more when the loop ends
+    for any reason, an exception or KeyboardInterrupt included.  When the
+    loop stops early, the pool drops the spans it has not started, so an
     exception surfaces once the running ones end, not after the whole
     survey.  Before the pool starts, the kind's kept arrays are mapped as
     shared memory, for forked workers to fill and this process to keep.
@@ -609,31 +580,38 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     else:
         done, result = [], empty_result(cfg)
     done_set = {(lo, hi) for lo, hi, _ in done}
-    todo = [c for c in plan_chunks(cfg) if c not in done_set]
-    los, his = [lo for lo, _ in todo], [hi for _, hi in todo]
-    workers = min(workers, len(todo))
+    most = max(1, SPAN_ITEMS // cfg.chunk) if _KINDS[cfg.kind].population is _integers else 1
+    spans = []
+    for lo, hi in plan_chunks(cfg):
+        if (lo, hi) in done_set:
+            continue
+        if spans and len(spans[-1]) < most and spans[-1][-1][1] == lo:
+            spans[-1].append((lo, hi))
+        else:
+            spans.append([(lo, hi)])
+    los, his = [span[0][0] for span in spans], [span[-1][1] for span in spans]
+    workers = min(workers, len(spans))
     pooled = workers > 1
     saved, written = len(done), -math.inf
     if pooled:  # forked workers fill this process's kept arrays, which it keeps
+        from concurrent.futures import ProcessPoolExecutor
         _share_arrays(cfg.x_max, cfg.e, _KINDS[cfg.kind].quantity)
-    with (sys.modules[__name__].ProcessPoolExecutor(workers) if pooled
-          else contextlib.nullcontext()) as pool:
+    with ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext() as pool:
         if pooled:
-            batch, span = max(1, len(todo) // (8 * workers)), _span_chunks(cfg)
             parts = pool.map(evaluate_chunk, repeat(cfg), los, his,
-                             chunksize=min(len(todo), batch + -batch % span))
+                             chunksize=max(1, len(spans) // (8 * workers)))
         else:
             parts = map(evaluate_chunk, repeat(cfg), los, his)
         try:
-            for (lo, hi), part in zip(todo, parts):
+            for span, part in zip(spans, parts):
                 result = merge_results(result, part)
-                done.append((lo, hi, part.total))
+                done += [(lo, hi, hi - lo if len(span) > 1 else part.total) for lo, hi in span]
                 if checkpoint and monotonic() - written >= CHECKPOINT_EVERY_S:
                     saved = len(done)  # a write that fails is not tried again
                     _save_checkpoint(checkpoint, cfg, done, result)
                     written = monotonic()
         finally:
-            if pooled:  # chunks queued but not started are dropped, not run
+            if pooled:  # spans queued but not started are dropped, not run
                 pool.shutdown(cancel_futures=True)
             if checkpoint and len(done) > saved:
                 _save_checkpoint(checkpoint, cfg, done, result)

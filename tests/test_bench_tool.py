@@ -1,4 +1,4 @@
-"""tools/bench.py, the query-path bench, refuses a wrong answer."""
+"""tools/bench.py, the query-path and survey bench, refuses a wrong answer."""
 
 import importlib.util
 import json
@@ -28,11 +28,15 @@ def test_bench_refuses_a_wrong_factorization_and_a_wrong_period(monkeypatch, cap
     period = bench.run_cli(["period", "bbs", "--n", str(n), "--u", "3"])
     assert bench.check_bbs(3, fac, period) is None
     assert bench.check_bbs(3, fac, {**period, "analytic_tail": period["analytic_tail"] + 1})
-    # a quick run whose factorize calls every odd value prime exits 1
+    # a quick run whose factorize calls every odd value prime, and whose
+    # survey is at a base other than its golden's, exits 1 and names both
     monkeypatch.setattr(bench, "factorize", lambda m: Factorization(m, ((m, 1),)) if m & 1
                         else factorize(m))
+    key, config = bench.SURVEY["quick"]
+    monkeypatch.setitem(bench.SURVEY, "quick", (key, {**config, "e": 2}))
     assert bench.main(["--quick"]) == 1
-    assert "WRONG: factorize(" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "WRONG: factorize(" in err and f"WRONG: survey {key} at chunk 7" in err
 
 
 def test_bench_writes_a_report_only_with_a_known_commit(monkeypatch, tmp_path, capsys):
@@ -50,3 +54,4 @@ def test_bench_writes_a_report_only_with_a_known_commit(monkeypatch, tmp_path, c
     report = json.loads(out.read_text())
     assert report["commit"] == "0123abc" and report["wrong"] == 0
     assert set(report["cold"]) == {"interpreter", "set-up", "compute order", "period bbs"}
+    assert set(report["survey"]) == {"golden", "workers", "chunk 10000", "chunk 7"}

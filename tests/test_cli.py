@@ -266,7 +266,9 @@ def test_survey_conflicting_flags_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_survey_output_is_byte_stable(tmp_path, capsys):
+def test_survey_output_is_byte_stable(tmp_path, capsys, monkeypatch):
+    # each chunk its own span, so that the chunks of 123 are pooled
+    monkeypatch.setattr(survey, "SPAN_ITEMS", 1)
     args = ["survey", "--kind", "lambda-n", "--max", "2000", "--format", "csv"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -320,12 +322,12 @@ def test_corrupt_checkpoint_exits_4(tmp_path, capsys):
 
 
 def test_unwritable_checkpoint_exits_4_at_the_first_chunk(tmp_path, capsys, monkeypatch):
-    # checkpoint writes are throttled, but the first chunk's is not: a path
-    # that cannot be written fails before the rest of the survey runs
+    # checkpoint writes are throttled, but the first span's is not: a path
+    # that cannot be written fails before the other six spans run
     evaluated, evaluate = [], survey.evaluate_chunk
     monkeypatch.setattr(survey, "evaluate_chunk",
                         lambda cfg, lo, hi: evaluated.append(lo) or evaluate(cfg, lo, hi))
-    assert main(["survey", "--kind", "lambda-n", "--max", "5000", "--chunk", "100",
+    assert main(["survey", "--kind", "lambda-n", "--max", "50000", "--chunk", "100",
                  "--checkpoint", str(tmp_path / "missing" / "x.ckpt")]) == 4
     assert len(evaluated) <= 1
     assert "x.ckpt" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import concurrent.futures
 import decimal
 import functools
 import gc
@@ -672,7 +673,10 @@ def test_records_are_values_that_pickle():
         hash(result)
 
 
-def test_run_survey_worker_and_chunk_invariance():
+def test_run_survey_worker_and_chunk_invariance(monkeypatch):
+    # each chunk its own span, so that each is evaluated as a range of its
+    # own and the pools start
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     base = run_survey(SurveyConfig(kind=LAMBDA_N, x_max=3000, chunk=3000)).to_dict()
     for chunk, workers in ((7, 1), (100, 2), (1000, 3)):
         cfg = SurveyConfig(kind=LAMBDA_N, x_max=3000, chunk=chunk)
@@ -800,23 +804,30 @@ def test_the_brackets_are_only_a_shortcut(monkeypatch):
 
 
 def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
-    cfg = SurveyConfig(kind=ORD_N, x_max=2000, chunk=200)
+    # 20 chunks in 5 spans of 4: an interrupt at the fourth span leaves
+    # exactly the 12 chunks of the three spans done before it
+    cfg = SurveyConfig(kind=ORD_N, x_max=40_000, chunk=2000)
+    chunks = plan_chunks(cfg)
+    assert len(chunks) == 20 and survey_mod.SPAN_ITEMS // cfg.chunk == 4
     clean = run_survey(cfg).to_dict()
     ckpt = str(tmp_path / "survey.ckpt")
 
-    calls = {"n": 0}
+    spans = []
     real = survey_mod.evaluate_chunk
 
     def explode_after_three(cfg, lo, hi):
-        if calls["n"] == 3:
+        if len(spans) == 3:
             raise KeyboardInterrupt
-        calls["n"] += 1
+        spans.append((lo, hi))
         return real(cfg, lo, hi)
 
     monkeypatch.setattr(survey_mod, "evaluate_chunk", explode_after_three)
     with pytest.raises(KeyboardInterrupt):
         run_survey(cfg, checkpoint=ckpt)
     monkeypatch.setattr(survey_mod, "evaluate_chunk", real)
+    assert spans == [(chunks[i][0], chunks[i + 3][1]) for i in (0, 4, 8)]
+    assert json.loads(Path(ckpt).read_text())["done"] == [
+        [lo, hi, hi - lo] for lo, hi in chunks[:12]]
 
     resumed = run_survey(cfg, checkpoint=ckpt)
     assert resumed.to_dict() == clean
@@ -835,14 +846,16 @@ def test_checkpoint_resume_and_errors(tmp_path, monkeypatch):
 
 
 def test_checkpoint_writes_do_not_grow_with_the_chunk_count(tmp_path, monkeypatch):
-    # rewriting the whole checkpoint after every chunk costs time quadratic
-    # in the chunk count.  The stubbed clock passes CHECKPOINT_EVERY_S once
-    # in the run, whatever the machine's speed: the first chunk's write, one
+    # rewriting the whole checkpoint after every span costs time quadratic
+    # in the span count.  Each chunk is its own span here, until the
+    # interrupt below.  The stubbed clock passes CHECKPOINT_EVERY_S once in
+    # the run, whatever the machine's speed: the first span's write, one
     # throttled write and the last one are all the run may make
     cfg = SurveyConfig(kind=LAMBDA_N, x_max=2 * 10**4, chunk=10)
     chunks = plan_chunks(cfg)
     assert len(chunks) > 1990
-    clean = run_survey(cfg).to_dict()
+    clean, span_items = run_survey(cfg).to_dict(), survey_mod.SPAN_ITEMS
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     ticks = itertools.count()
     monkeypatch.setattr(survey_mod, "monotonic",
                         lambda: next(ticks) * survey_mod.CHECKPOINT_EVERY_S / 1500)
@@ -867,11 +880,14 @@ def test_checkpoint_writes_do_not_grow_with_the_chunk_count(tmp_path, monkeypatc
     assert run_survey(cfg, checkpoint=str(ckpt)).to_dict() == clean
     assert evaluated == []
 
-    # an interrupt at the fourth chunk leaves exactly the three done before it
-    interrupt_at, ckpt = chunks[3], tmp_path / "interrupted.ckpt"
+    # in spans of 819 chunks, an interrupt at the third span leaves exactly
+    # the chunks of the two done before it
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", span_items)
+    interrupt_at, ckpt = (chunks[2 * 819][0], chunks[-1][1]), tmp_path / "interrupted.ckpt"
     with pytest.raises(KeyboardInterrupt):
         run_survey(cfg, checkpoint=str(ckpt))
-    assert json.loads(ckpt.read_text())["done"] == [[lo, hi, hi - lo] for lo, hi in chunks[:3]]
+    assert json.loads(ckpt.read_text())["done"] == [
+        [lo, hi, hi - lo] for lo, hi in chunks[:2 * 819]]
     interrupt_at = None
     assert run_survey(cfg, checkpoint=str(ckpt)).to_dict() == clean
 
@@ -919,6 +935,8 @@ def test_tampered_checkpoints_are_refused(tmp_path, capsys):
 
 
 def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
+    # each chunk its own span, so that the spans are as many as the chunks
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     cfg = SurveyConfig(kind=ORD_N, x_max=300, chunk=100)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -943,7 +961,7 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
         def shutdown(self, wait=True, *, cancel_futures=False):
             self.cancels.append(cancel_futures)
 
-    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert len(plan_chunks(cfg)) == 3
     assert run_survey(cfg, workers=64).to_dict() == run_survey(cfg).to_dict()
     assert RecordingPool.sizes == [3]
@@ -958,14 +976,14 @@ def test_run_survey_needs_a_worker_and_starts_no_idle_ones(monkeypatch):
 
 def _fork_pool(monkeypatch):
     """Have run_survey's pools fork their workers, whatever the default."""
-    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", functools.partial(
-        survey_mod.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
     # a pool must not run the rest of the survey after the parent fails: the
-    # merge raises at the third chunk, and the workers, which record each
-    # chunk they evaluate, stop once their running batches end
+    # merge raises at the third span, and the workers, which record each
+    # span they evaluate, stop once their running batches end
     log = tmp_path / "evaluated"
     real_decide, real_merge = survey_mod._decide, survey_mod.merge_results
 
@@ -986,14 +1004,15 @@ def test_a_failed_merge_drops_the_chunks_not_started(tmp_path, monkeypatch):
     _fork_pool(monkeypatch)
     monkeypatch.setattr(survey_mod, "_decide", recording_decide)
     monkeypatch.setattr(survey_mod, "merge_results", failing_merge)
-    cfg = SurveyConfig(kind=ORD_N, x_max=10**5, chunk=100)
+    cfg = SurveyConfig(kind=ORD_N, x_max=4 * 10**5, chunk=100)
     with pytest.raises(RuntimeError, match="merge failure"):
         run_survey(cfg, workers=2)
-    # the 1000 chunks go out in batches of 1000 // 16 = 62, rounded up to
-    # one span of 81 chunks; besides the first batch, only those running or
-    # in the pool's queue of 3 are run
-    assert len(merged) == 3
-    assert 3 <= len(log.read_text()) <= 3 * len(plan_chunks(cfg)) // 4
+    # the 4000 chunks make 50 spans of at most 81 chunks, which go out in
+    # batches of 50 // 16 = 3; besides the first batch, only those running
+    # or in the pool's queue of 3 are run
+    spans = -(-len(plan_chunks(cfg)) // (survey_mod.SPAN_ITEMS // cfg.chunk))
+    assert len(merged) == 3 and spans == 50
+    assert 3 <= len(log.read_text()) <= 3 * spans // 4
 
 
 def _fresh_modules(roots, *args):
@@ -1019,8 +1038,8 @@ def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
     # a fresh process that imports the CLI and runs two queries and a
     # one-worker survey without a checkpoint loads nothing of the process
     # pool, mmap or hashlib beyond what a bare interpreter holds; a
-    # checkpoint, the pool and the arrays mapped before a pool then load
-    # them, so the probe sees what it looks for
+    # checkpoint, then a pooled survey of two spans, which maps its arrays
+    # before the pool, load them, so the probe sees what it looks for
     probe = textwrap.dedent("""
         import contextlib, io, sys
         import ordstat, ordstat.cli
@@ -1037,8 +1056,7 @@ def test_a_cold_query_or_one_worker_survey_loads_no_pool_or_hashlib(tmp_path):
         run("survey", "--kind", "lambda-n", "--max", "3000", "--workers", "1")
         loaded()
         run("survey", "--kind", "lambda-n", "--max", "3000", "--checkpoint", sys.argv[1])
-        ordstat.survey.ProcessPoolExecutor
-        ordstat.orders._share_arrays(3000, 2, "L")
+        run("survey", "--kind", "lambda-n", "--max", "20000", "--workers", "2")
         loaded()
     """)
     cold, warm = _fresh_modules(("multiprocessing", "concurrent", "hashlib", "_hashlib", "mmap"),
@@ -1212,10 +1230,8 @@ PRIME_CONFIGS = [SurveyConfig(kind=kind, e=e, x_max=3000 if kind == RSA_PAIR els
 
 
 def forget_kernel():
-    """Drop the process's survey kernel, the kept arrays it holds and the
-    q column of the span last sieved."""
+    """Drop the process's survey kernel and the kept arrays it holds."""
     orders_mod._kernel = None
-    survey_mod._span_values.cache_clear()
 
 
 def fresh_report(cfg):
@@ -1341,8 +1357,10 @@ def test_pool_workers_fill_the_parents_arrays(monkeypatch):
     # prime power, is the one a new kernel computes, and ord-n's workers,
     # which read O at every prime power, leave every slot filled, also when
     # four workers, more than there are cores, race over chunks of 25.  A
-    # survey at another base then frees the mapped arrays
+    # survey at another base then frees the mapped arrays.  Each chunk is
+    # its own span, so that a range of 3000 gives the workers several
     _fork_pool(monkeypatch)
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     powers = _slot_powers(3000)
     runs = [(SurveyConfig(kind=kind, x_max=3000, e=e, chunk=300), 2, names)
             for e in (2, 3, 6)
@@ -1352,7 +1370,6 @@ def test_pool_workers_fill_the_parents_arrays(monkeypatch):
         want = fresh_report(cfg)
         run_survey(SurveyConfig(kind=HIGH_FACTOR, x_max=2000, e=cfg.e + 1))
         other = weakref.ref(orders_mod._survey_kernel(2000, cfg.e + 1, "lpf"))
-        survey_mod._span_values.cache_clear()  # no column kept from the one-worker run
         assert run_survey(cfg, workers=workers).to_dict() == want, cfg
         kernel = orders_mod._survey_kernel(3000, cfg.e, _KINDS[cfg.kind].quantity)
         kept = kernel._kept
@@ -1376,9 +1393,11 @@ def test_a_second_pooled_run_descends_no_prime(tmp_path, monkeypatch):
     # the parent keeps what its forked workers computed: the same survey,
     # pooled again or run by one worker, descends no prime anywhere.  A
     # pool after a one-worker run starts from what that run kept, mapped
-    # with it.  The workers report their descents through a file
+    # with it.  The workers report their descents through a file.  Each
+    # chunk is its own span, so that a range of 3000 is pooled
     log = tmp_path / "descended"
     _fork_pool(monkeypatch)
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     _record_descents(monkeypatch, _appender(log))
     for kind in (ORD_N, LAMBDA_N):
         forget_kernel()
@@ -1395,7 +1414,6 @@ def test_a_second_pooled_run_descends_no_prime(tmp_path, monkeypatch):
         forget_kernel()
         assert run_survey(cfg).to_dict() == want and log.read_text(), kind
         log.write_text("")
-        survey_mod._span_values.cache_clear()  # the workers read the kept values
         assert run_survey(cfg, workers=2).to_dict() == want, kind
         assert log.read_text() == "", kind
 
@@ -1415,7 +1433,9 @@ def test_a_smaller_survey_reads_the_kept_kernel(tmp_path, monkeypatch):
     # base up to 3000 that needs no array it lacks: lambda-n at 2999, one
     # worker or pooled, in a window as perfbench's halving run takes it,
     # and the other kinds reading L descend no prime on it.  lambda-lambda,
-    # whose LL array it lacks, gets a kernel of its own range
+    # whose LL array it lacks, gets a kernel of its own range.  Each chunk
+    # is its own span, so that the integer ranges below 3000 are pooled
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     log = tmp_path / "descended"
     smaller = [(SurveyConfig(kind=LAMBDA_N, x_max=2999, chunk=250), 1),
                (SurveyConfig(kind=LAMBDA_N, x_max=2999, chunk=250), 2),
@@ -1444,9 +1464,11 @@ def test_a_kernel_builds_its_table_at_its_first_computed_value(tmp_path, monkeyp
     # the parent's arrays, so none of its workers builds a table, and the
     # parent builds none in either run.  A query kernel, OrderKernel(1, e),
     # never builds one, and its values are those of a kernel with a table.
-    # The workers log their builds to a file
+    # The workers log their builds to a file.  Each chunk is its own span,
+    # so that a range of 3000 is pooled
     log = tmp_path / "built"
     _fork_pool(monkeypatch)
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 1)
     monkeypatch.setattr(OrderKernel, "_build_table",
                         _logged(log, OrderKernel._build_table, lambda kernel: kernel.limit))
     for kind in (ORD_N, LAMBDA_N, LAMBDA_LAMBDA, SHIFTED_PRIME, CLASS_COUNTS, RSA_PAIR):
@@ -1456,7 +1478,6 @@ def test_a_kernel_builds_its_table_at_its_first_computed_value(tmp_path, monkeyp
         want = run_survey(cfg, workers=2).to_dict()
         assert set(log.read_text().split()) == {"3000"}, kind
         log.write_text("")
-        survey_mod._span_values.cache_clear()  # the workers read the kept values
         assert run_survey(cfg, workers=2).to_dict() == want, kind
         assert log.read_text() == "" and orders_mod._kernel._spf is None, kind
     for e in (2, 3, 6):
@@ -1474,15 +1495,13 @@ def test_a_kernel_builds_its_table_at_its_first_computed_value(tmp_path, monkeyp
 
 
 def test_spans_change_no_report(tmp_path, monkeypatch):
-    # an integer kind sieves its consecutive small chunks as one span, but
-    # decides each chunk alone: every report equals the one each chunk's
-    # own sieve gives (SPAN_ITEMS = 1), under one worker and two forked
-    # ones whose batches are whole spans.  The ranges end in a partial
-    # span.  Chunks of 7 and of 1, whose surveys take 0.1 s and 0.5 s in
-    # per-chunk decisions and merges, run at one base per kind, those of 1
-    # under one worker.  A resume from a checkpoint whose
-    # done chunks end inside a span, sieved afresh or read off the span
-    # kept by the interrupted run, gives the same report
+    # an integer kind evaluates each span of its consecutive small chunks
+    # as one range: every report equals the one each chunk evaluated as a
+    # range of its own gives (SPAN_ITEMS = 1), under one worker and two
+    # forked ones.  The ranges end in a partial span.  Chunks of 7 and of 1
+    # run at one base per kind.  A resume from a checkpoint whose done
+    # chunks end inside a span of the plan, evaluated in spans that start
+    # at the first chunk left, gives the same report
     _fork_pool(monkeypatch)
     bases, span_items = (2, 3, 6, 10), survey_mod.SPAN_ITEMS
     for i, kind in enumerate(INT_KINDS):
@@ -1493,12 +1512,12 @@ def test_spans_change_no_report(tmp_path, monkeypatch):
             monkeypatch.setattr(survey_mod, "SPAN_ITEMS", span_items)
             for chunk in ((1, 7) if e == bases[i] else ()) + (777, 1024):
                 cfg = SurveyConfig(kind=kind, e=e, x_min=3, x_max=17_000, chunk=chunk)
-                assert (17_001 - 3) % (survey_mod._span_chunks(cfg) * chunk), cfg
-                for workers in (1, 2) if chunk > 1 else (1,):
+                assert (17_001 - 3) % (span_items // chunk * chunk), cfg
+                for workers in (1, 2):
                     assert run_survey(cfg, workers=workers).to_dict() == want, (cfg, workers)
     cfg = SurveyConfig(kind=LAMBDA_LAMBDA, e=6, x_min=3, x_max=17_000, chunk=777)
-    chunks, span = plan_chunks(cfg), survey_mod._span_chunks(cfg)
-    assert span == 10 and len(chunks) > 2 * span
+    chunks = plan_chunks(cfg)
+    assert span_items // cfg.chunk == 10 and len(chunks) == 22
     # two workers sieve each of the three spans once between them
     log = tmp_path / "sieved"
     monkeypatch.setattr(survey_mod, "_sieve_values", _logged(
@@ -1506,25 +1525,72 @@ def test_spans_change_no_report(tmp_path, monkeypatch):
     forget_kernel()
     run_survey(cfg, workers=2)
     assert sorted(map(int, log.read_text().split())) == [3, 7773, 15543]
-    want, stop, evaluate = fresh_report(cfg), chunks[span + 4], survey_mod.evaluate_chunk
+    # a run in spans of 3 chunks, interrupted at its third, leaves 6 done
+    want, evaluate = fresh_report(cfg), survey_mod.evaluate_chunk
 
     def interrupted(cfg, lo, hi):
-        if (lo, hi) == stop:
+        if lo == chunks[6][0]:
             raise KeyboardInterrupt
         return evaluate(cfg, lo, hi)
 
     monkeypatch.setattr(survey_mod, "evaluate_chunk", interrupted)
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", 3 * cfg.chunk)
     ckpt = tmp_path / "survey.ckpt"
     with pytest.raises(KeyboardInterrupt):
         run_survey(cfg, checkpoint=str(ckpt))
     monkeypatch.setattr(survey_mod, "evaluate_chunk", evaluate)
-    assert len(json.loads(ckpt.read_text())["done"]) == span + 4
-    for workers, forget in ((1, False), (1, True), (2, True)):
-        copy = tmp_path / f"copy{workers}{forget}.ckpt"
+    monkeypatch.setattr(survey_mod, "SPAN_ITEMS", span_items)
+    assert len(json.loads(ckpt.read_text())["done"]) == 6
+    for workers in (1, 2):
+        copy = tmp_path / f"copy{workers}.ckpt"
         copy.write_text(ckpt.read_text())
-        if forget:
-            forget_kernel()
+        log.write_text("")
         assert run_survey(cfg, workers=workers, checkpoint=str(copy)).to_dict() == want
+        assert sorted(map(int, log.read_text().split())) == [chunks[6][0], chunks[16][0]]
+
+
+def test_the_chunk_sets_the_granularity_not_the_cost(tmp_path, monkeypatch):
+    # lambda-n over [3, 20011] at chunk 1 is 20,009 chunks, but a run sieves
+    # and decides each span of SPAN_ITEMS of them once: at most
+    # ceil(20009 / SPAN_ITEMS) calls of each, also over a run interrupted at
+    # its second span and its resume, whose reports equal chunk 1024's.
+    # The empty result a run starts from decides no item and is not counted
+    cfg = SurveyConfig(kind=LAMBDA_N, x_min=3, x_max=20_011, chunk=1)
+    want = run_survey(SurveyConfig(kind=LAMBDA_N, x_min=3, x_max=20_011,
+                                   chunk=1024)).to_dict()
+    most = -(-20_009 // survey_mod.SPAN_ITEMS)
+    sieved, decided = [], []
+    sieve, decide, evaluate = (survey_mod._sieve_values, survey_mod._decide,
+                               survey_mod.evaluate_chunk)
+
+    def counted_sieve(quantity, kernel, lo, hi):
+        sieved.append(lo)
+        return sieve(quantity, kernel, lo, hi)
+
+    def counted_decide(cfg, qs, xs):
+        if len(xs):
+            decided.append(xs[0])
+        return decide(cfg, qs, xs)
+
+    def interrupted(cfg, lo, hi):
+        if lo > 3:
+            raise KeyboardInterrupt
+        return evaluate(cfg, lo, hi)
+
+    monkeypatch.setattr(survey_mod, "_sieve_values", counted_sieve)
+    monkeypatch.setattr(survey_mod, "_decide", counted_decide)
+    assert run_survey(cfg).to_dict() == want
+    assert len(sieved) == len(decided) == most
+    sieved.clear()
+    decided.clear()
+    ckpt = str(tmp_path / "survey.ckpt")
+    monkeypatch.setattr(survey_mod, "evaluate_chunk", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_survey(cfg, checkpoint=ckpt)
+    monkeypatch.setattr(survey_mod, "evaluate_chunk", evaluate)
+    assert len(json.loads(Path(ckpt).read_text())["done"]) == survey_mod.SPAN_ITEMS
+    assert run_survey(cfg, checkpoint=ckpt).to_dict() == want
+    assert len(sieved) == len(decided) == most
 
 
 def test_a_new_kernel_frees_the_old_one():
@@ -1612,10 +1678,12 @@ def test_worker_count_invariance_under_spawn(tmp_path):
         import multiprocessing
         import sys
 
+        import ordstat.survey
         from ordstat.survey import SurveyConfig, run_survey
 
         if __name__ == "__main__":
             multiprocessing.set_start_method(sys.argv[1])
+            ordstat.survey.SPAN_ITEMS = 1  # each chunk its own span, so lambda-n is pooled
             configs = (SurveyConfig(kind="lambda-n", x_max=3000, chunk=400),
                        SurveyConfig(kind="rsa-pair", x_max=500, sample_size=40,
                                     seed=11, chunk=100))

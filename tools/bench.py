@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time ordstat's single-value query path, and check every answer it gives.
+"""Time ordstat's single-value query path and a survey's chunking, and check
+every answer they give.
 
     python tools/bench.py [--quick] [--out PATH]
 
@@ -33,6 +34,14 @@ Each factorize row also gives the share of its moduli whose odd part the
 factorizer's Pollard p-1 stage, gcd(2^E - 1, n) with E = lcm(1, ...,
 arith._PM1_BOUND), splits: a property of the inputs that the p-1 stage's
 gain depends on.
+
+The survey rows time lambda-n@100000 on one worker at --chunk 10000 and at
+--chunk 7, in CPU seconds: the least over the rounds of fresh processes,
+each timing its run_survey call from inside.  The chunk sets a
+checkpoint's granularity, so the two should cost about the same.  Each
+report's total, exceed and histogram must equal the golden lambda-n@100000
+of tests/golden/oracle_measurements.json; --quick surveys the golden
+lambda-n@10000,e=3 instead.
 
 It prints the report as JSON, with the commit, nproc, CPU model and Python
 version.  Without --quick it also writes it to the first BENCH_<n>.json
@@ -70,6 +79,14 @@ from ordstat.cli import main as cli_main  # noqa: E402
 SEED = 20260417
 SIZES = {"full": (120, 40, 5), "quick": (4, 2, 1)}  # factorize, cli inputs; rounds
 COLD = {"full": (3, 9), "quick": (1, 1)}  # each command's inputs; rounds
+SURVEY = {"full": ("lambda-n@100000", {"kind": "lambda-n", "x_max": 100_000}),
+          "quick": ("lambda-n@10000,e=3", {"kind": "lambda-n", "x_max": 10_000, "e": 3})}
+GRAINS = (10_000, 7)  # the --chunk of each survey row
+GOLDEN = ROOT / "tests" / "golden" / "oracle_measurements.json"
+SURVEY_RUN = ("import json, sys, time; from ordstat.survey import SurveyConfig, run_survey; "
+              "cfg = SurveyConfig(**json.loads(sys.argv[1])); t0 = time.process_time(); "
+              "report = run_survey(cfg).to_dict(); "
+              "print(json.dumps([time.process_time() - t0, report]))")
 SETUP = ("import time; t0 = time.perf_counter(); import ordstat, ordstat.cli; "
          "ordstat.factorize(2); print(time.perf_counter() - t0)")
 
@@ -191,6 +208,27 @@ def cold_rows(commands: dict, inputs: int, rounds: int) -> tuple[dict, list[str]
     return rows, wrong
 
 
+def survey_rows(size: str, rounds: int) -> tuple[dict, list[str]]:
+    """The survey rows, each the least CPU seconds of its chunk's surveys
+    in rounds fresh processes, and the reports that missed the golden."""
+    key, config = SURVEY[size]
+    golden = {field: json.loads(GOLDEN.read_text())["surveys"][key][field]
+              for field in ("total", "exceed", "histogram")}
+    wrong: list[str] = []
+
+    def timed(chunk: int) -> float:
+        out = fresh("-c", SURVEY_RUN, json.dumps({**config, "chunk": chunk}))[1]
+        seconds, report = json.loads(out) if out else (math.inf, {})
+        got = {field: report.get(field) for field in golden}
+        if got != golden:
+            wrong.append(f"survey {key} at chunk {chunk} gave {got}, not the golden {golden}")
+        return seconds
+
+    rows = {f"chunk {chunk}": {"cpu_s": round(least_mean(timed, [(chunk,)], rounds), 4)}
+            for chunk in GRAINS}
+    return {"golden": key, "workers": 1, **rows}, wrong
+
+
 def git_commit() -> str | None:
     """HEAD of the repository the script sits in; None without one."""
     try:
@@ -240,11 +278,13 @@ def bench(quick: bool, commit: str | None) -> tuple[dict, list[str]]:
             rows[name] = {"inputs": len(cases), "us_per_call": us_per_call(
                 cli_main, [(argv,) for argv, *_ in cases], rounds)}
     cold, cold_wrong = cold_rows(commands, *COLD[size])
-    wrong += cold_wrong
+    survey, survey_wrong = survey_rows(size, rounds)
+    wrong += cold_wrong + survey_wrong
     report = {**machine(commit), "seed": SEED, "pm1_bound": arith._PM1_BOUND, "quick": quick,
               "rounds": rounds,
               "factorize": {k: rows[k] for k in FAMILIES},
-              "cli.main": {k: rows[k] for k in commands}, "cold": cold, "wrong": len(wrong)}
+              "cli.main": {k: rows[k] for k in commands}, "cold": cold, "survey": survey,
+              "wrong": len(wrong)}
     return report, wrong
 
 

@@ -580,12 +580,12 @@ def run_survey(cfg: SurveyConfig, workers: int = 1,
     else:
         done, result = [], empty_result(cfg)
     done_set = {(lo, hi) for lo, hi, _ in done}
-    most = max(1, SPAN_ITEMS // cfg.chunk) if _KINDS[cfg.kind].population is _integers else 1
+    per_span = max(1, SPAN_ITEMS // cfg.chunk) if _KINDS[cfg.kind].population is _integers else 1
     spans = []
     for lo, hi in plan_chunks(cfg):
         if (lo, hi) in done_set:
             continue
-        if spans and len(spans[-1]) < most and spans[-1][-1][1] == lo:
+        if spans and len(spans[-1]) < per_span and spans[-1][-1][1] == lo:
             spans[-1].append((lo, hi))
         else:
             spans.append([(lo, hi)])
